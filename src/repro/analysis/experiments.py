@@ -55,7 +55,9 @@ class Evaluation:
     values: Tuple[int, ...] = (9, 3, 12, 5)   # short sort for fast benches
     seed: int = 2006
     #: With ``workers >= 2``, :meth:`run_fades` fans each experiment
-    #: class out across the :mod:`repro.runtime` worker pool.
+    #: class out across the :mod:`repro.runtime` worker pool; below that
+    #: it runs in process on :attr:`fades`, reusing one built design and
+    #: golden trace across a report's classes (same results either way).
     workers: int = 0
     #: Simulator backend for FADES campaigns: ``reference`` steps the
     #: device model per experiment; ``compiled`` packs experiments into
@@ -124,14 +126,15 @@ class Evaluation:
                   seed: Optional[int] = None) -> CampaignResult:
         """Run one FADES experiment class, honouring :attr:`workers`.
 
-        ``workers < 2`` keeps the historical serial path (bit-exact with
-        previous releases); ``workers >= 2`` dispatches through the
-        campaign runtime, whose determinism contract re-seeds the
-        injector per fault index (identical results for any worker
-        count, and for serial engine runs).  Adaptive settings
-        (non-uniform :attr:`strategy`, :attr:`epsilon` or
-        :attr:`budget`) always route through the runtime engine — its
-        incremental dispatch loop hosts the stopping controller.
+        ``workers < 2`` runs the class in process on :attr:`fades`, which
+        keeps the built design and the golden trace of earlier classes;
+        :func:`~repro.runtime.run_campaign` would rebuild both for every
+        class.  ``workers >= 2`` dispatches through the campaign runtime.
+        Both seed every experiment's injector from its fault index, so
+        they return identical results.  Adaptive settings (non-uniform
+        :attr:`strategy`, :attr:`epsilon` or :attr:`budget`) always
+        route through the runtime engine — its incremental dispatch loop
+        hosts the stopping controller.
         """
         seed = self.seed if seed is None else seed
         adaptive = (self.strategy != "uniform" or self.epsilon is not None

@@ -449,8 +449,7 @@ def cmd_journal(args: argparse.Namespace) -> int:
         console(json.dumps(payload, indent=2, sort_keys=True))
     else:
         console(f"{args.journal}: {verdict} | {scan.lines} lines "
-                f"({scan.checked} verified, {scan.legacy} legacy "
-                f"without CRC)")
+                f"({scan.checked} verified)")
         for issue in scan.issues:
             console(f"  line {issue.line_no} ({issue.kind}, byte "
                     f"{issue.offset}): {issue.detail}")

@@ -13,13 +13,18 @@ Each experiment follows the figure exactly::
 The observation process records the primary outputs every cycle plus the
 final architectural state; classification against the golden run follows
 :mod:`repro.core.classify`.
+
+:class:`Experiment` owns that timeline's reconfiguration protocol once for
+both executors: :meth:`FadesCampaign.run_experiment` steps the reference
+device between its steps, :mod:`repro.emu.backend` turns its window into
+lane operations.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..fpga.board import Board
 from ..fpga.device import Device
@@ -109,6 +114,91 @@ class CampaignResult:
                 - self.collapsed_count())
 
 
+def derive_fault_seed(seed: int, index: int) -> int:
+    """Injector seed of experiment *index*: a pure function of the campaign
+    seed and the fault index, so an experiment's draws cannot depend on
+    which process runs it or on which experiments ran before it."""
+    mixed = (seed & 0x7FFFFFFF) * 0x9E3779B1 + (index + 1) * 0x85EBCA6B
+    return (mixed ^ 0xFADE5) & 0x7FFFFFFF
+
+
+class Experiment:
+    """The reconfiguration protocol of one figure-1 experiment.
+
+    Construction seeds the injector from :func:`derive_fault_seed`, takes
+    the board-log marker the costs are measured from and prepares the
+    injection;
+    :meth:`inject`, :meth:`tick` and :meth:`remove` are the traced
+    reconfiguration steps; :meth:`finish` reads back, restores the golden
+    configuration and closes the emulated cost.  An executor supplies
+    only the workload between the steps: the injection cycle
+    :attr:`start`, then every cycle of the activation window
+    :attr:`active` (each preceded by :meth:`tick`), then the rest.
+    """
+
+    def __init__(self, campaign: FadesCampaign, fault: Fault,
+                 cycles: int, pool: int, index: int):
+        self.campaign = campaign
+        self.fault = fault
+        self.cycles = cycles
+        self.pool = pool
+        campaign.injector.rng.seed(derive_fault_seed(campaign.seed, index))
+        self._marker = campaign.time_model.begin_experiment()
+        campaign.board.set_label(fault.model.value)
+        self.injection = campaign.injector.prepare(fault)
+        self.mechanism = self.injection.mechanism_label or fault.model.value
+        self.start = fault.injection_cycle(cycles)
+        self.window = fault.activation_window
+        #: Cycles whose capture edge the fault is live at, clipped to the
+        #: run (a window past the end is removed after the last cycle).
+        self.active = range(self.start,
+                            min(self.start + self.window, cycles))
+        self._live = False
+
+    def inject(self) -> None:
+        """Reconfigure to activate the fault; a transient that covers no
+        capture edge is removed again at once."""
+        with span("reconfigure", mechanism=self.mechanism, op="inject"):
+            self.injection.inject()
+        self._live = True
+        if self.window == 0:
+            self.remove()
+
+    def tick(self, cycle: int) -> None:
+        """Injection hook before the capture edge of active *cycle*."""
+        self.injection.tick(cycle - self.start)
+
+    def remove(self) -> None:
+        """Reconfigure to deactivate a live transient fault.  Idempotent;
+        models whose effect persists (bit-flips, permanent faults) are
+        never removed."""
+        if not self._live or not self.fault.model.transient:
+            return
+        with span("reconfigure", mechanism=self.mechanism, op="remove"):
+            self.injection.remove()
+        self._live = False
+
+    def finish(self, trace: Optional[Trace] = None) -> ExperimentCost:
+        """Read back (the final state into *trace*, if given), restore the
+        golden configuration and record the experiment's emulated cost."""
+        campaign = self.campaign
+        # Emulated board seconds this experiment spent on the link: every
+        # injection/removal transaction since the marker (the host-side
+        # golden restore below bypasses the board, so it never counts).
+        _RECONFIG_SECONDS.observe(campaign.board.since(self._marker)[1],
+                                  mechanism=self.mechanism)
+        with span("readback", mechanism=self.mechanism):
+            if trace is not None:
+                trace.final_state = campaign.device.state_snapshot()
+                trace.cycles = self.cycles
+            # Restore the golden image for persistent faults (bit-flips
+            # and permanent models leave frames modified) *before* any
+            # golden run can execute on this device.
+            campaign._restore_configuration()
+        return campaign.time_model.end_experiment(self._marker, self.cycles,
+                                                  self.pool)
+
+
 class FadesCampaign:
     """Run fault-emulation campaigns on one implemented design."""
 
@@ -144,10 +234,12 @@ class FadesCampaign:
         locmap.attach_placement(impl.placement)
         self.board = board if board is not None else Board()
         self.jbits = JBits(self.device, self.board)
+        #: Campaign seed: with the fault index it seeds every experiment's
+        #: injector draws (:func:`derive_fault_seed`).
+        self.seed = seed
         self.rng = random.Random(seed)
         self.injector = FadesInjector(
-            self.jbits, rng=random.Random(seed ^ 0xFADE5),
-            full_download_delays=full_download_delays)
+            self.jbits, full_download_delays=full_download_delays)
         self.injector.backend_label = self.backend
         self.time_model = EmulationTimeModel(self.board, timing_params)
         self._golden: Dict[tuple, Trace] = {}
@@ -205,101 +297,59 @@ class FadesCampaign:
 
     # ------------------------------------------------------------------
     def run_experiment(self, fault: Fault, cycles: int, pool: int = 0,
-                       index: Optional[int] = None) -> ExperimentResult:
+                       index: int = 0) -> ExperimentResult:
         """One experiment of figure 1; device ends restored to golden.
 
-        ``index`` is purely observability metadata: the runtime passes
-        the fault's campaign index so worker trace spans stay keyed to
-        the journal record they produced.
+        ``index`` is the fault's campaign index: it seeds the injector's
+        draws (:func:`derive_fault_seed`) and keys the trace spans to the
+        journal record the experiment produces.
         """
         with span("experiment", index=index, model=fault.model.value,
                   target=fault.target.kind.value, backend="reference"):
-            return self._run_experiment(fault, cycles, pool)
+            return self._run_experiment(
+                Experiment(self, fault, cycles, pool, index))
 
-    def _run_experiment(self, fault: Fault, cycles: int,
-                        pool: int) -> ExperimentResult:
+    def _run_experiment(self, experiment: Experiment) -> ExperimentResult:
         device = self.device
-        marker = self.time_model.begin_experiment()
-        board_marker = self.board.snapshot()
-        self.board.set_label(fault.model.value)
-
-        injection = self.injector.prepare(fault)
-        mechanism = (getattr(injection, "mechanism_label", "")
-                     or fault.model.value)
-        if fault.duration_cycles >= 1.0:
-            window = fault.whole_cycles
-        else:
-            window = 1 if fault.straddles_edge else 0
-        start = min(fault.start_cycle, max(0, cycles - 1))
+        cycles, start = experiment.cycles, experiment.start
+        trace = Trace(tuple(device.mapped.outputs))
 
         # Fast-forward over the fault-free prefix when a golden checkpoint
         # at or before the injection instant is available.
         first_cycle = 0
-        trace = Trace(tuple(device.mapped.outputs))
-        checkpoints = self._checkpoints.get(self._golden_key(cycles))
+        checkpoints = self._checkpoints.get(self._golden_key(cycles), {})
         golden_cached = self._golden.get(self._golden_key(cycles))
-        if checkpoints and golden_cached is not None and start > 0:
-            usable = [c for c in checkpoints if c <= start]
-            if usable:
-                first_cycle = max(usable)
-                device.load_state(checkpoints[first_cycle])
-                trace.samples = list(golden_cached.samples[:first_cycle])
-            else:
-                device.reset_system()
+        usable = [c for c in checkpoints if c <= start]
+        if usable and golden_cached is not None and start > 0:
+            first_cycle = max(usable)
+            device.load_state(checkpoints[first_cycle])
+            trace.samples = list(golden_cached.samples[:first_cycle])
         else:
             device.reset_system()
 
-        removed = False
-        injected = False
+        def step(cycle: int) -> None:
+            trace.record(device.step(self.inputs if cycle == 0 else None))
+
         with span("run", cycles=cycles, first_cycle=first_cycle,
                   backend="reference"):
-            for cycle in range(first_cycle, cycles):
-                if cycle == start:
-                    with span("reconfigure", mechanism=mechanism,
-                              op="inject"):
-                        injection.inject()
-                    injected = True
-                    if window == 0 and fault.model.transient:
-                        with span("reconfigure", mechanism=mechanism,
-                                  op="remove"):
-                            injection.remove()
-                        removed = True
-                if (injected and not removed
-                        and start <= cycle < start + window):
-                    injection.tick(cycle - start)
-                trace.record(device.step(self.inputs if cycle == 0
-                                         else None))
-                if (injected and not removed and fault.model.transient
-                        and cycle >= start + window - 1):
-                    with span("reconfigure", mechanism=mechanism,
-                              op="remove"):
-                        injection.remove()
-                    removed = True
-            if injected and not removed and fault.model.transient:
-                with span("reconfigure", mechanism=mechanism, op="remove"):
-                    injection.remove()
-        # Emulated board seconds this experiment spent on the link: every
-        # injection/removal transaction since the marker (the host-side
-        # golden restore below bypasses the board, so it never counts).
-        _RECONFIG_SECONDS.observe(self.board.since(board_marker)[1],
-                                  mechanism=mechanism)
-
-        with span("readback", mechanism=mechanism):
-            trace.final_state = device.state_snapshot()
-            trace.cycles = cycles
-            # Restore the golden image for persistent faults (bit-flips
-            # and permanent models leave frames modified) *before* any
-            # golden run can execute on this device.
-            self._restore_configuration()
+            for cycle in range(first_cycle, start):
+                step(cycle)
+            experiment.inject()
+            for cycle in experiment.active:
+                experiment.tick(cycle)
+                step(cycle)
+            experiment.remove()
+            for cycle in range(experiment.active.stop, cycles):
+                step(cycle)
+        cost = experiment.finish(trace)
 
         golden = self.golden_run(cycles)
-        cost = self.time_model.end_experiment(marker, cycles, pool)
         with span("classify", backend="reference"):
             outcome = classify(golden, trace)
             first_divergence = trace.first_divergence(golden)
         _EXPERIMENTS.inc(outcome=outcome.value)
         return ExperimentResult(
-            fault=fault, outcome=outcome, cost=cost,
+            fault=experiment.fault, outcome=outcome, cost=cost,
             first_divergence=first_divergence)
 
     def _restore_configuration(self) -> None:
@@ -323,32 +373,26 @@ class FadesCampaign:
                                pool=pool_size(spec, self.locmap))
 
     def run_batch(self, faults: Sequence[Fault], cycles: int, pool: int = 0,
-                  indices: Optional[Sequence[int]] = None,
-                  reseed: Optional[Callable[[int], None]] = None
+                  indices: Optional[Sequence[int]] = None
                   ) -> List[ExperimentResult]:
         """Run a fault list through the selected backend, in fault order.
 
-        ``indices`` carries each fault's campaign index (observability
-        metadata and the ``reseed`` argument); ``reseed`` is the
-        runtime's per-experiment injector re-seeding hook.  The reference
-        backend runs one experiment per fault; the compiled backend packs
-        supported faults into bit-lane batches.
+        ``indices`` carries each fault's campaign index (default: its
+        position), which seeds that experiment's injector draws — so a
+        fault's result never depends on the batch it runs in.  The
+        reference backend runs one experiment per fault; the compiled
+        backend packs supported faults into bit-lane batches.
         """
+        if indices is None:
+            indices = range(len(faults))
         if self.backend == "compiled":
             from ..emu import run_lane_batch
             return run_lane_batch(self, faults, cycles, pool=pool,
-                                  indices=indices, reseed=reseed)
-        results: List[ExperimentResult] = []
-        for position, fault in enumerate(faults):
-            index = indices[position] if indices is not None else position
-            if reseed is not None:
-                reseed(index)
-            results.append(
-                self.run_experiment(fault, cycles, pool=pool, index=index))
-        return results
+                                  indices=indices)
+        return [self.run_experiment(fault, cycles, pool=pool, index=index)
+                for fault, index in zip(faults, indices)]
 
-    def static_plan(self, faults: Sequence[Fault], cycles: int,
-                    restrict_rng_free: bool = False):
+    def static_plan(self, faults: Sequence[Fault], cycles: int):
         """Static-analysis verdict over a faultload (:mod:`repro.sfa`).
 
         The analyses (structural graph, observability cones, workload
@@ -367,7 +411,7 @@ class FadesCampaign:
                 trusted=(not device._violating
                          and not device._broken_nets))
             self._static[key] = sfa
-        return sfa.plan(faults, restrict_rng_free=restrict_rng_free)
+        return sfa.plan(faults)
 
     def _run_pruned(self, faults: Sequence[Fault], cycles: int,
                     pool: int) -> List[ExperimentResult]:
@@ -375,12 +419,10 @@ class FadesCampaign:
 
         Provably Silent faults are journalled directly (``pruned``);
         equivalence-class members inherit their representative's
-        outcome (``collapsed_from``).  The serial campaign shares one
-        injector RNG stream across experiments, so the plan is
-        restricted to RNG-free faults — skipping an experiment must
-        never shift a later experiment's draws.
+        outcome (``collapsed_from``).  Survivors keep their faultload
+        indices, so their injector draws are those of an unpruned run.
         """
-        plan = self.static_plan(faults, cycles, restrict_rng_free=True)
+        plan = self.static_plan(faults, cycles)
         survivors = plan.survivors()
         emulated = self.run_batch(
             [faults[index] for index in survivors], cycles, pool=pool,

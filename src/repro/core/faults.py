@@ -134,6 +134,20 @@ class Fault:
         return self.phase + self.duration_cycles >= 1.0
 
     @property
+    def activation_window(self) -> int:
+        """Capture edges the fault is active for: its whole cycles, or for
+        a sub-cycle fault one edge if it straddles one, else none (it is
+        injected and removed before the next edge)."""
+        if self.duration_cycles >= 1.0:
+            return self.whole_cycles
+        return 1 if self.straddles_edge else 0
+
+    def injection_cycle(self, cycles: int) -> int:
+        """Cycle a *cycles*-long experiment injects at: ``start_cycle``,
+        clamped onto the last emulated cycle."""
+        return min(self.start_cycle, max(0, cycles - 1))
+
+    @property
     def all_targets(self) -> Tuple[Target, ...]:
         """Primary plus extra targets (multiplicity >= 1)."""
         return (self.target,) + self.extra_targets

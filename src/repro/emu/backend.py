@@ -1,29 +1,29 @@
-"""Campaign adapter: translate prepared injections into lane operations.
+"""Campaign adapter: the lane executor of the figure-1 experiment.
 
-The adapter keeps the compiled backend *protocol-identical* to the
-reference backend: for every fault it still builds the real
-:class:`~repro.core.injector.Injection` and drives its ``inject`` /
-``tick`` / ``remove`` hooks against the reference device — so board
-transactions (and therefore the emulated Table 2 costs), injector RNG
-consumption, and delay-fault timing analysis are bit-identical to the
-reference path.  What it *skips* is the per-experiment workload
-execution: the injection's behavioural effect is translated into
-lane-masked operations on a :class:`~repro.emu.lanes.BatchSchedule`, and
-one lane-engine pass evaluates up to ``lane_width() - 1`` experiments
-against the golden run in lane 0.
+Every fault runs the same :class:`~repro.core.campaign.Experiment`
+protocol as on the reference backend — the real
+:class:`~repro.core.injector.Injection` is prepared, injected, ticked and
+removed against the reference device, with the experiment's index seeding
+its injector draws — so board transactions (and therefore the emulated
+Table 2 costs), injector RNG consumption and delay-fault timing analysis
+are bit-identical to the reference path.  What the adapter *skips* is the
+per-experiment workload execution: it turns the experiment's activation
+window into lane-masked operations on a
+:class:`~repro.emu.lanes.BatchSchedule`, and one lane-engine pass
+evaluates up to ``lane_width() - 1`` experiments against the golden run
+in lane 0.
 
 Faults whose effect cannot be expressed as lane operations
-(configuration-memory upsets, permanent models) fall back to the
-reference experiment loop, interleaved in fault order so randomiser
-streams stay aligned.
+(configuration-memory upsets, permanent models) run the reference
+experiment in place, in fault order.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from ..core.campaign import _EXPERIMENTS, _RECONFIG_SECONDS, ExperimentResult
+from ..core.campaign import _EXPERIMENTS, Experiment, ExperimentResult
 from ..core.classify import Outcome
 from ..core.faults import Fault, FaultModel, TargetKind
 from ..core.injector import invert_lut_line, stuck_lut_line
@@ -127,37 +127,16 @@ def compiled_golden(campaign, cycles: int) -> Optional[Trace]:
 
 
 def _replay(campaign, fault: Fault, cycles: int, lane: int,
-            schedule: BatchSchedule, pool: int):
-    """Drive one fault's reconfiguration protocol; schedule its lane ops.
+            schedule: BatchSchedule, pool: int, index: int):
+    """Run one fault's :class:`Experiment` protocol; schedule its lane ops.
 
-    Follows ``FadesCampaign._run_experiment`` transaction for
-    transaction — same injection object, same ``reconfigure`` spans, same
-    board log, same time-model bookkeeping — with the workload stepping
-    replaced by operations on *schedule* for *lane*.
+    The workload stepping of the reference executor is replaced by
+    operations on *schedule* for *lane*; returns the experiment's cost.
     """
-    device = campaign.device
-    marker = campaign.time_model.begin_experiment()
-    board_marker = campaign.board.snapshot()
-    campaign.board.set_label(fault.model.value)
-
-    injection = campaign.injector.prepare(fault)
-    mechanism = (getattr(injection, "mechanism_label", "")
-                 or fault.model.value)
-    if fault.duration_cycles >= 1.0:
-        window = fault.whole_cycles
-    else:
-        window = 1 if fault.straddles_edge else 0
-    start = min(fault.start_cycle, max(0, cycles - 1))
-    active = range(start, min(start + window, cycles))
-
-    with span("reconfigure", mechanism=mechanism, op="inject"):
-        injection.inject()
-    removed = False
-    if window == 0 and fault.model.transient:
-        with span("reconfigure", mechanism=mechanism, op="remove"):
-            injection.remove()
-        removed = True
-
+    experiment = Experiment(campaign, fault, cycles, pool, index)
+    experiment.inject()
+    injection = experiment.injection
+    start, active = experiment.start, experiment.active
     model = fault.model
     if model is FaultModel.BITFLIP:
         for target in fault.all_targets:
@@ -180,7 +159,7 @@ def _replay(campaign, fault: Fault, cycles: int, lane: int,
     elif model is FaultModel.DELAY:
         # The injected loads/detour are live now; the device's timing
         # analysis says which flip-flops miss setup while they persist.
-        violating = sorted(device._violating)
+        violating = sorted(campaign.device._violating)
         for cycle in active:
             for ff in violating:
                 schedule.violating_capture(cycle, ff, lane)
@@ -191,67 +170,48 @@ def _replay(campaign, fault: Fault, cycles: int, lane: int,
                 # lands and is released before the next evaluation.
                 schedule.set_ff(start, fault.target.index, lane,
                                 injection.value)
-            for offset, cycle in enumerate(active):
-                injection.tick(offset)
+            for cycle in active:
+                experiment.tick(cycle)
                 schedule.set_ff(cycle, fault.target.index, lane,
                                 injection.value)
                 schedule.pin_capture(cycle, fault.target.index, lane,
                                      injection.value)
         else:  # LUT
             golden_tt = injection.golden.tt if active else 0
-            for offset, cycle in enumerate(active):
-                injection.tick(offset)
+            for cycle in active:
+                experiment.tick(cycle)
                 schedule.override(
                     cycle, fault.target.index, lane,
                     stuck_lut_line(golden_tt, fault.target.line,
                                    injection.value))
-    if not removed and fault.model.transient:
-        with span("reconfigure", mechanism=mechanism, op="remove"):
-            injection.remove()
-
-    _RECONFIG_SECONDS.observe(campaign.board.since(board_marker)[1],
-                              mechanism=mechanism)
-    with span("readback", mechanism=mechanism):
-        campaign._restore_configuration()
-    return campaign.time_model.end_experiment(marker, cycles, pool)
+    experiment.remove()
+    return experiment.finish()
 
 
 def run_lane_batch(campaign, faults: Sequence[Fault], cycles: int,
                    pool: int = 0,
-                   indices: Optional[Sequence[int]] = None,
-                   reseed: Optional[Callable[[int], None]] = None
+                   indices: Optional[Sequence[int]] = None
                    ) -> List[ExperimentResult]:
     """Run a fault list through the lane engine; results in fault order.
 
-    ``indices`` carries each fault's campaign index (observability
-    metadata, and the argument handed to ``reseed``); ``reseed`` is the
-    runtime's per-experiment injector re-seeding hook.  Faults are
-    processed strictly in order — supported ones accumulate into lane
-    batches, unsupported ones run through the reference experiment loop
-    in place — so injector randomiser consumption matches the reference
-    backend exactly.
+    ``indices`` carries each fault's campaign index (default: its
+    position), which seeds its experiment's injector draws.  Supported
+    faults accumulate into lane batches; the others run the reference
+    experiment in place.
     """
+    if indices is None:
+        indices = range(len(faults))
     results: List[Optional[ExperimentResult]] = [None] * len(faults)
     campaign.golden_run(cycles)
     design = (compile_or_fallback(campaign)
               if campaign.backend == "compiled" else None)
-    if design is None:
-        # Compilation failed (or the golden run already degraded the
-        # campaign): run every fault through the reference loop, in
-        # order, so randomiser streams stay aligned.
-        for position, fault in enumerate(faults):
-            index = indices[position] if indices is not None else position
-            if reseed is not None:
-                reseed(index)
-            _LANE_FAULTS.inc(mode="fallback")
-            results[position] = campaign.run_experiment(
-                fault, cycles, pool=pool, index=index)
-        return results  # type: ignore[return-value]
     width = lane_width()
-    # A device whose *golden* configuration already has timing violations
-    # or broken routes is outside the compiled model; run everything on
-    # the reference path.
-    guard = bool(campaign.device._violating or campaign.device._broken_nets)
+    # Without a compiled design (compilation failed, or the golden run
+    # already degraded the campaign), or when the device's *golden*
+    # configuration already has timing violations or broken routes —
+    # outside the compiled model — every fault takes the reference path.
+    guard = design is None or bool(campaign.device._violating
+                                   or campaign.device._broken_nets)
 
     batch: List = []  # (result slot, fault, replay cost)
     schedule = BatchSchedule()
@@ -282,10 +242,7 @@ def run_lane_batch(campaign, faults: Sequence[Fault], cycles: int,
         batch = []
         schedule = BatchSchedule()
 
-    for position, fault in enumerate(faults):
-        index = indices[position] if indices is not None else position
-        if reseed is not None:
-            reseed(index)
+    for position, (fault, index) in enumerate(zip(faults, indices)):
         if guard or not supports_fault(fault):
             _LANE_FAULTS.inc(mode="fallback")
             results[position] = campaign.run_experiment(
@@ -295,7 +252,7 @@ def run_lane_batch(campaign, faults: Sequence[Fault], cycles: int,
         with span("experiment", index=index, model=fault.model.value,
                   target=fault.target.kind.value, backend="compiled"):
             cost = _replay(campaign, fault, cycles, len(batch) + 1,
-                           schedule, pool)
+                           schedule, pool, index)
         batch.append((position, fault, cost))
         if len(batch) >= width - 1:
             flush()

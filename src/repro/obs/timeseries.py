@@ -79,14 +79,15 @@ def seal_line(entry: Dict[str, Any]) -> str:
 
 
 def verify_line(raw: str) -> Optional[Dict[str, Any]]:
-    """Parse one sealed line; ``None`` when torn or CRC-mismatched."""
+    """Parse one sealed line; ``None`` when torn, unsealed or
+    CRC-mismatched."""
     try:
         entry = json.loads(raw)
     except ValueError:
         return None
     if not isinstance(entry, dict):
         return None
-    if "crc" in entry and entry["crc"] != line_crc(entry):
+    if entry.get("crc") != line_crc(entry):
         return None
     return entry
 

@@ -4,7 +4,7 @@ The paper's FADES tool exists to make fault-injection campaigns fast;
 this subsystem makes the reproduction's campaigns fast *and durable*:
 
 * :mod:`repro.runtime.jobspec` — picklable campaign descriptions and the
-  per-fault seed derivation behind the determinism contract;
+  determinism contract that makes any execution equal a serial one;
 * :mod:`repro.runtime.scheduler` — shard planning and the worker pool
   (crash detection, retry, respawn);
 * :mod:`repro.runtime.journal` — the append-only JSONL result store
@@ -31,8 +31,8 @@ as they always have.
 
 from .engine import resume_campaign, run_campaign
 from .jobspec import (CampaignJobSpec, DEFAULT_CHECKPOINT_INTERVAL,
-                      JobRunner, build_campaign, derive_fault_seed,
-                      record_from_result, result_from_record)
+                      JobRunner, build_campaign, record_from_result,
+                      result_from_record)
 from .journal import (JOURNAL_VERSION, JournalScan, JournalState,
                       JournalWriter, check_compatible, read_journal,
                       repair_journal, scan_journal)
@@ -47,7 +47,6 @@ __all__ = [
     "DEFAULT_CHECKPOINT_INTERVAL",
     "JobRunner",
     "build_campaign",
-    "derive_fault_seed",
     "record_from_result",
     "result_from_record",
     "JOURNAL_VERSION",

@@ -208,9 +208,7 @@ def _execute(jobspec: CampaignJobSpec, workers: int,
     # defer equivalence-class members to their representative's record.
     # The plan is a pure function of the job spec (the faultload is
     # seed-derived), so resumed campaigns recompute the identical plan
-    # and skip whatever of it is already journaled.  Unlike the serial
-    # path, every engine experiment re-seeds the injector per fault
-    # index, so no RNG-stream restriction is needed.  Under early
+    # and skip whatever of it is already journaled.  Under early
     # stopping the plan is recomputed per window, with the window's
     # local indices translated onto the campaign's.
     collapsed: Dict[int, int] = {}

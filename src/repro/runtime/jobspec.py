@@ -15,11 +15,13 @@ same spec and seed.  Two derivations guarantee it:
 
 * the faultload seed is fixed in the spec, so every process draws the
   identical fault list;
-* the injector randomiser (used by indetermination faults, and consumed
-  per cycle in oscillating mode) is re-seeded before *every* experiment
-  from :func:`derive_fault_seed`, a pure function of the campaign seed
-  and the fault index — so an experiment's outcome cannot depend on which
-  worker runs it or on how many experiments ran before it.
+* every experiment seeds the injector randomiser (used by
+  indetermination faults, and consumed per cycle in oscillating mode)
+  from :func:`repro.core.campaign.derive_fault_seed`, a pure function of
+  the campaign seed and the fault index — so an experiment's outcome
+  cannot depend on which worker runs it or on how many experiments ran
+  before it.  ``FadesCampaign.run`` follows the same rule, so a serial
+  campaign equals ``run_campaign(workers=0)`` by construction.
 """
 
 from __future__ import annotations
@@ -38,13 +40,6 @@ from ..errors import JournalError
 #: Golden-run snapshot spacing used by the standard testbed (matches
 #: :class:`repro.analysis.experiments.Evaluation`).
 DEFAULT_CHECKPOINT_INTERVAL = 128
-
-
-def derive_fault_seed(seed: int, index: int) -> int:
-    """Per-experiment injector seed: pure function of campaign seed and
-    fault index (order- and shard-independent)."""
-    mixed = (seed & 0x7FFFFFFF) * 0x9E3779B1 + (index + 1) * 0x85EBCA6B
-    return (mixed ^ 0xFADE5) & 0x7FFFFFFF
 
 
 @dataclass(frozen=True)
@@ -68,8 +63,8 @@ class CampaignJobSpec:
     #: and collapse equivalent faults onto one representative.
     prune_silent: bool = False
     #: Statistical campaign planning (:mod:`repro.faultload`).  The
-    #: defaults describe the historical fixed-budget behaviour: uniform
-    #: sampling, ``spec.count`` experiments, no stopping rule.
+    #: defaults describe a fixed-budget campaign: uniform sampling,
+    #: ``spec.count`` experiments, no stopping rule.
     strategy: str = "uniform"
     confidence: float = 0.95
     #: Target Wilson half-width; ``None`` disables early stopping.
@@ -114,9 +109,9 @@ class CampaignJobSpec:
 
     # -- serialisation (journal headers) -------------------------------
     def to_dict(self) -> Dict:
-        """JSON-compatible form, stable across sessions."""
+        """JSON-compatible form of every field, stable across sessions."""
         spec = self.spec
-        data: Dict = {
+        return {
             "spec": {
                 "model": spec.model.value,
                 "pool": spec.pool,
@@ -137,21 +132,12 @@ class CampaignJobSpec:
             "checkpoint_interval": self.checkpoint_interval,
             "label": self.label,
             "backend": self.backend,
+            "prune_silent": self.prune_silent,
+            "strategy": self.strategy,
+            "confidence": self.confidence,
+            "epsilon": self.epsilon,
+            "budget": self.budget,
         }
-        if self.prune_silent:
-            # Only serialised when set: journals written before the
-            # static-analysis era must keep resuming byte-compatibly.
-            data["prune_silent"] = True
-        if self.adaptive:
-            # Same rule for the statistical planner: a fixed-budget
-            # uniform campaign serialises exactly as it always has.
-            data["strategy"] = self.strategy
-            data["confidence"] = self.confidence
-            if self.epsilon is not None:
-                data["epsilon"] = self.epsilon
-            if self.budget is not None:
-                data["budget"] = self.budget
-        return data
 
     @classmethod
     def from_dict(cls, data: Dict) -> "CampaignJobSpec":
@@ -164,33 +150,27 @@ class CampaignJobSpec:
                 duration_range=tuple(raw["duration_range"]),
                 workload_cycles=int(raw["workload_cycles"]),
                 mem_addr_range=(tuple(raw["mem_addr_range"])
-                                if raw.get("mem_addr_range") else None),
+                                if raw["mem_addr_range"] else None),
                 magnitude_range_ns=tuple(raw["magnitude_range_ns"]),
-                mechanism=raw.get("mechanism", ""),
-                oscillate=bool(raw.get("oscillate", False)),
-                lut_lines=bool(raw.get("lut_lines", False)),
+                mechanism=raw["mechanism"],
+                oscillate=bool(raw["oscillate"]),
+                lut_lines=bool(raw["lut_lines"]),
             )
             return cls(spec=spec,
                        values=tuple(data["values"]),
-                       workload=data.get("workload", "bubblesort"),
+                       workload=data["workload"],
                        seed=int(data["seed"]),
-                       faultload_seed=data.get("faultload_seed"),
-                       checkpoint_interval=int(
-                           data.get("checkpoint_interval",
-                                    DEFAULT_CHECKPOINT_INTERVAL)),
-                       label=data.get("label", ""),
-                       backend=data.get("backend", "reference"),
-                       prune_silent=bool(data.get("prune_silent", False)),
-                       # Absent in pre-planner journals: fixed-budget
-                       # uniform behaviour, exactly as recorded.
-                       strategy=data.get("strategy", "uniform"),
-                       confidence=float(data.get("confidence", 0.95)),
+                       faultload_seed=data["faultload_seed"],
+                       checkpoint_interval=int(data["checkpoint_interval"]),
+                       label=data["label"],
+                       backend=data["backend"],
+                       prune_silent=bool(data["prune_silent"]),
+                       strategy=data["strategy"],
+                       confidence=float(data["confidence"]),
                        epsilon=(float(data["epsilon"])
-                                if data.get("epsilon") is not None
-                                else None),
+                                if data["epsilon"] is not None else None),
                        budget=(int(data["budget"])
-                               if data.get("budget") is not None
-                               else None))
+                               if data["budget"] is not None else None))
         except (KeyError, TypeError, ValueError) as error:
             raise JournalError(f"malformed job spec: {error}") from error
 
@@ -271,12 +251,9 @@ class JobRunner:
 
     def run_index(self, index: int) -> Dict:
         """Run one experiment and return its journal record."""
-        fault = self.faults[index]
-        self.campaign.injector.rng.seed(
-            derive_fault_seed(self.jobspec.seed, index))
         result = self.campaign.run_experiment(
-            fault, self.jobspec.spec.workload_cycles, pool=self.pool,
-            index=index)
+            self.faults[index], self.jobspec.spec.workload_cycles,
+            pool=self.pool, index=index)
         return record_from_result(index, result)
 
     def batch_size(self) -> int:
@@ -297,8 +274,9 @@ class JobRunner:
         """Run several experiments; records in *indices* order.
 
         Routes through the campaign's backend-aware batch path so the
-        compiled backend can pack the shard into bit lanes; the injector
-        re-seeding contract (see module docstring) holds either way.
+        compiled backend can pack the shard into bit lanes; each
+        experiment seeds itself from its index either way (see the
+        module docstring).
         ``progress`` (if given) is called between experiments — the
         scheduler's workers hang their heartbeat on it so the watchdog
         can tell a slow shard from a hung one.
@@ -311,14 +289,10 @@ class JobRunner:
                     progress()
             return records
 
-        def reseed(index: int) -> None:
-            self.campaign.injector.rng.seed(
-                derive_fault_seed(self.jobspec.seed, index))
-
         faults = [self.faults[index] for index in indices]
         results = self.campaign.run_batch(
             faults, self.jobspec.spec.workload_cycles, pool=self.pool,
-            indices=list(indices), reseed=reseed)
+            indices=list(indices))
         if progress is not None:
             progress()
         return [record_from_result(index, result)
@@ -343,8 +317,8 @@ def record_from_result(index: int, result: ExperimentResult) -> Dict:
             "transactions": cost.transactions,
         },
     }
-    # Static-analysis markers only appear when set, keeping emulated
-    # records byte-identical to pre-static-analysis journals.
+    # Markers only appear when set: an emulated record carries just its
+    # outcome and cost.
     if result.pruned:
         record["pruned"] = True
     if result.collapsed_from is not None:

@@ -57,7 +57,7 @@ class LineIssue:
 
     line_no: int  # 1-based
     offset: int   # byte offset of the line start (truncation point)
-    kind: str     # "torn" (not valid JSON) | "corrupt" (CRC mismatch)
+    kind: str     # "torn" (not valid JSON) | "corrupt" (CRC bad/missing)
     detail: str
 
 
@@ -68,8 +68,7 @@ class JournalScan:
     path: str
     size: int = 0
     lines: int = 0
-    checked: int = 0  # lines whose CRC was present and verified
-    legacy: int = 0   # valid lines without a CRC (pre-integrity era)
+    checked: int = 0  # lines whose CRC verified
     issues: List[LineIssue] = field(default_factory=list)
 
     @property
@@ -101,7 +100,7 @@ class JournalScan:
     def to_dict(self) -> Dict:
         return {"path": self.path, "verdict": self.verdict(),
                 "size": self.size, "lines": self.lines,
-                "checked": self.checked, "legacy": self.legacy,
+                "checked": self.checked,
                 "issues": [{"line": issue.line_no,
                             "offset": issue.offset,
                             "kind": issue.kind,
@@ -133,18 +132,14 @@ def _scan_lines(path: str) -> Tuple[List[Dict], JournalScan]:
                 line_no=scan.lines, offset=line_start, kind="torn",
                 detail=f"not a JSON object: {error}"))
             continue
-        if "crc" in entry:
-            expected = line_crc(entry)
-            if entry["crc"] != expected:
-                scan.issues.append(LineIssue(
-                    line_no=scan.lines, offset=line_start,
-                    kind="corrupt",
-                    detail=f"CRC mismatch (recorded {entry['crc']!r}, "
-                           f"computed {expected!r})"))
-                continue
-            scan.checked += 1
-        else:
-            scan.legacy += 1
+        expected = line_crc(entry)
+        if entry.get("crc") != expected:
+            scan.issues.append(LineIssue(
+                line_no=scan.lines, offset=line_start, kind="corrupt",
+                detail=f"CRC mismatch (recorded {entry.get('crc')!r}, "
+                       f"computed {expected!r})"))
+            continue
+        scan.checked += 1
         entries.append(entry)
     return entries, scan
 
@@ -317,8 +312,7 @@ class JournalWriter:
 
         Written before the summary so a resumed early-stopped campaign
         knows the achieved sample size without replaying the stopping
-        rule; informational for fixed-budget readers (old journals
-        simply never contain one).
+        rule; campaigns without a stopping rule never write one.
         """
         entry = dict(decision)
         entry["type"] = "stop"

@@ -18,14 +18,14 @@ design zoo:
 * :mod:`repro.sfa.lint` — ``repro lint`` findings with severities.
 """
 
-from .collapse import (FaultClass, activation_window, behavioral_signature,
-                       clamped_start, collapse_faultload, dominance_summary)
+from .collapse import (FaultClass, behavioral_signature, collapse_faultload,
+                       dominance_summary)
 from .graph import StructuralGraph, sequential_depth
 from .lint import (Finding, LintReport, bundled_designs, lint_bundled,
                    lint_design)
 from .observe import (ConstantPropagation, ObservabilityAnalysis,
                       WorkloadProfile, resolve_flip)
-from .prune import PrunePlan, StaticFaultAnalysis, build_plan, rng_free
+from .prune import PrunePlan, StaticFaultAnalysis, build_plan
 
 __all__ = [
     "ConstantPropagation",
@@ -37,16 +37,13 @@ __all__ = [
     "StaticFaultAnalysis",
     "StructuralGraph",
     "WorkloadProfile",
-    "activation_window",
     "behavioral_signature",
     "build_plan",
     "bundled_designs",
-    "clamped_start",
     "collapse_faultload",
     "dominance_summary",
     "lint_bundled",
     "lint_design",
     "resolve_flip",
-    "rng_free",
     "sequential_depth",
 ]

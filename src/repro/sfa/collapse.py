@@ -61,18 +61,6 @@ class FaultClass:
                      if index != self.representative)
 
 
-def activation_window(fault: Fault) -> int:
-    """Capture edges inside the active window — the campaign's rule."""
-    if fault.duration_cycles >= 1.0:
-        return fault.whole_cycles
-    return 1 if fault.straddles_edge else 0
-
-
-def clamped_start(fault: Fault, cycles: int) -> int:
-    """Injection cycle after the campaign's end-of-run clamp."""
-    return min(fault.start_cycle, max(0, cycles - 1))
-
-
 def behavioral_signature(fault: Fault, cycles: int,
                          analysis: Optional[ObservabilityAnalysis] = None,
                          ) -> Optional[Signature]:
@@ -81,8 +69,8 @@ def behavioral_signature(fault: Fault, cycles: int,
     """
     if fault.extra_targets:
         return None
-    start = clamped_start(fault, cycles)
-    window = activation_window(fault)
+    start = fault.injection_cycle(cycles)
+    window = fault.activation_window
     model = fault.model
     kind = fault.target.kind
     if model is FaultModel.BITFLIP:

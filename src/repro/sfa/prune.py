@@ -39,10 +39,8 @@ Every rule errs on the side of emulating.  The rules, cheapest first:
 The planner only trusts semantic rules (constants, washout, workload)
 when the golden configuration is ``trusted`` — no timing-violating
 flip-flops and no broken nets, mirroring the guards on the compiled
-backend.  When ``restrict_rng_free`` is set (serial campaigns share
-one injector RNG stream across faults), faults whose injection would
-consume randomness are never skipped, so the RNG stream — and with it
-every later experiment — stays exactly as in an unpruned run.
+backend.  Skipping a fault never shifts another experiment's injector
+draws: every experiment seeds its own from its faultload index.
 """
 
 from __future__ import annotations
@@ -57,8 +55,7 @@ from ..core.faults import Fault, FaultModel, TargetKind
 from ..core.injector import invert_lut_line, stuck_lut_line
 from ..obs.metrics import counter
 from ..synth.mapped import MappedNetlist
-from .collapse import (FaultClass, activation_window, clamped_start,
-                       collapse_faultload)
+from .collapse import FaultClass, collapse_faultload
 from .graph import StructuralGraph
 from .observe import (DEFAULT_EVAL_BUDGET, ObservabilityAnalysis,
                       WorkloadProfile, resolve_flip)
@@ -70,20 +67,6 @@ _CLASSES = counter("fault_classes_total",
 
 #: Margin below which timing slack is not trusted to absorb a delay.
 SLACK_EPSILON = 1e-9
-
-
-def rng_free(fault: Fault) -> bool:
-    """True when preparing and ticking *fault* draws no injector RNG.
-
-    Mirrors the injector: only indeterminations draw — at preparation
-    when no value was generated, and per-tick when oscillating across
-    two or more active cycles.
-    """
-    if fault.model is not FaultModel.INDETERMINATION:
-        return True
-    if fault.value is None:
-        return False
-    return not (fault.oscillate and activation_window(fault) >= 2)
 
 
 @dataclass
@@ -167,7 +150,6 @@ class StaticFaultAnalysis:
 
     # -- planning ------------------------------------------------------
     def plan(self, faults: Sequence[Fault], *,
-             restrict_rng_free: bool = False,
              collapse: bool = True,
              use_workload: bool = True,
              eval_budget: int = DEFAULT_EVAL_BUDGET) -> PrunePlan:
@@ -189,9 +171,6 @@ class StaticFaultAnalysis:
         plan = PrunePlan(cycles=self.cycles, classes=classes)
         for cls in classes:
             fault = faults[cls.representative]
-            if restrict_rng_free and not all(
-                    rng_free(faults[member]) for member in cls.members):
-                continue
             rule = self._prune_rule(fault, trusted, use_workload,
                                     eval_budget)
             if rule is not None:
@@ -210,8 +189,8 @@ class StaticFaultAnalysis:
             return None
         model = fault.model
         kind = fault.target.kind
-        start = clamped_start(fault, self.cycles)
-        window = activation_window(fault)
+        start = fault.injection_cycle(self.cycles)
+        window = fault.activation_window
         if window == 0 and model.transient:
             config_only = (
                 model is FaultModel.PULSE
@@ -328,9 +307,8 @@ class StaticFaultAnalysis:
 def build_plan(mapped: MappedNetlist, faults: Sequence[Fault],
                cycles: int, inputs: Optional[Dict[str, int]] = None,
                timing: Optional["TimingAnalysis"] = None,
-               trusted: bool = True,
-               restrict_rng_free: bool = False) -> PrunePlan:
-    """One-call convenience wrapper used by the campaign layer."""
+               trusted: bool = True) -> PrunePlan:
+    """One-call convenience wrapper: analyse, then plan *faults*."""
     sfa = StaticFaultAnalysis(mapped, cycles, inputs=inputs,
                               timing=timing, trusted=trusted)
-    return sfa.plan(faults, restrict_rng_free=restrict_rng_free)
+    return sfa.plan(faults)

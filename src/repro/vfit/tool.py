@@ -100,27 +100,21 @@ class VfitCampaign:
         sim.release_all()
         commands = VfitCommands(sim)
         trace = Trace(tuple(self.netlist.outputs))
-        if fault.duration_cycles >= 1.0:
-            window = fault.whole_cycles
-        else:
-            window = 1 if fault.straddles_edge else 0
-        start = min(fault.start_cycle, max(0, cycles - 1))
-        removed = False
-        injected = False
-        for cycle in range(cycles):
-            if cycle == start:
-                commands.inject(fault)
-                injected = True
-                if window == 0 and fault.model.transient:
-                    commands.remove(fault)
-                    removed = True
+        start = fault.injection_cycle(cycles)
+        end = min(start + fault.activation_window, cycles)
+
+        def step(cycle: int) -> None:
             trace.record(sim.step(self.inputs if cycle == 0 else None))
-            if (injected and not removed and fault.model.transient
-                    and cycle >= start + window - 1):
-                commands.remove(fault)
-                removed = True
-        if injected and not removed and fault.model.transient:
+
+        for cycle in range(start):
+            step(cycle)
+        commands.inject(fault)
+        for cycle in range(start, end):
+            step(cycle)
+        if fault.model.transient:
             commands.remove(fault)
+        for cycle in range(end, cycles):
+            step(cycle)
         trace.final_state = sim.state_snapshot()
         trace.cycles = cycles
 

@@ -9,6 +9,7 @@ run — with the single, explicitly journaled exception of quarantined
 poison faults.
 """
 
+import json
 import multiprocessing
 import os
 import signal
@@ -229,6 +230,21 @@ class TestJournalIntegrity:
         result = run_campaign(jobspec, journal=journal)
         assert outcomes(result) == outcomes(serial_result)
 
+        # A line whose CRC was stripped is just as unverifiable.
+        with open(journal, "r", encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        unsealed = json.loads(lines[2])
+        del unsealed["crc"]
+        lines[2] = json.dumps(unsealed, sort_keys=True)
+        with open(journal, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+        scan = scan_journal(journal)
+        assert scan.verdict() == "corrupt"
+        assert [(issue.line_no, issue.kind) for issue in scan.interior] \
+            == [(3, "corrupt")]
+        with pytest.raises(JournalError, match="fsck"):
+            read_journal(journal)
+
     def test_fsck_is_clean_on_undisturbed_journal(self, jobspec,
                                                   tmp_path):
         journal = str(tmp_path / "clean.jsonl")
@@ -236,7 +252,6 @@ class TestJournalIntegrity:
         scan = scan_journal(journal)
         assert scan.verdict() == "clean"
         assert scan.checked == scan.lines
-        assert scan.legacy == 0
 
 
 # ---------------------------------------------------------------------------

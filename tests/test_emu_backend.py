@@ -292,10 +292,6 @@ class TestRuntimeIntegration:
         jobspec = CampaignJobSpec(spec=spec, backend="compiled")
         assert CampaignJobSpec.from_dict(jobspec.to_dict()).backend \
             == "compiled"
-        # Old journals (no backend key) default to the reference path.
-        data = jobspec.to_dict()
-        del data["backend"]
-        assert CampaignJobSpec.from_dict(data).backend == "reference"
 
     def test_engine_matches_serial_compiled(self, tmp_path):
         """Engine (workers=0, journaled) == serial run, compiled backend."""

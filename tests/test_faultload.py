@@ -2,15 +2,13 @@
 
 Covers the three planner pillars — the stratified sampler, the
 sequential stopping controller, and the engine's incremental dispatch —
-plus the compatibility contract: a campaign with none of the new knobs
-set must behave (and serialise) exactly as it always has, and journals
-written before the planner existed must keep resuming as fixed-budget
-campaigns.
+plus the fixed-budget contract: a campaign with none of the planner
+knobs set must behave exactly like a plain fixed-count campaign.
 """
 
 import json
 import multiprocessing
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -19,6 +17,7 @@ from repro.analysis.stats import wilson, z_value
 from repro.core import FaultModel, generate_faultload
 from repro.core.classify import OutcomeCounts
 from repro.core.config import FaultLoadSpec, candidate_targets
+from repro.errors import JournalError
 from repro.faultload import (FaultStream, SequentialController, Stratum,
                              StratifiedSampler, partition_strata,
                              plan_checkpoints, summarize_strata,
@@ -216,16 +215,21 @@ class TestStrata:
 
 
 # ---------------------------------------------------------------------------
-# Job spec serialisation compatibility
+# Job spec serialisation
 # ---------------------------------------------------------------------------
 class TestJobSpecCompat:
     def base(self, spec, **kwargs):
         return CampaignJobSpec(spec=spec, **kwargs)
 
-    def test_default_spec_serialises_without_planner_keys(self, spec):
+    def test_every_field_is_written_and_required(self, spec):
         data = self.base(spec).to_dict()
-        for key in ("strategy", "confidence", "epsilon", "budget"):
-            assert key not in data
+        assert set(data) == {field.name for field in fields(CampaignJobSpec)}
+        assert set(data["spec"]) == {field.name
+                                     for field in fields(FaultLoadSpec)}
+        for key in data:
+            partial = {k: v for k, v in data.items() if k != key}
+            with pytest.raises(JournalError, match="malformed job spec"):
+                CampaignJobSpec.from_dict(partial)
 
     def test_adaptive_fields_round_trip(self, spec):
         jobspec = self.base(spec, strategy="stratified", confidence=0.99,
@@ -235,14 +239,6 @@ class TestJobSpecCompat:
         assert clone == jobspec
         assert clone.adaptive
         assert clone.effective_budget() == 500
-
-    def test_pre_planner_header_means_fixed_budget(self, spec):
-        data = self.base(spec).to_dict()  # no planner keys at all
-        clone = CampaignJobSpec.from_dict(data)
-        assert not clone.adaptive
-        assert clone.strategy == "uniform"
-        assert clone.epsilon is None and clone.budget is None
-        assert clone.effective_budget() == spec.count
 
     def test_budget_only_spec_is_adaptive(self, spec):
         jobspec = self.base(spec, budget=10)
@@ -399,7 +395,4 @@ class TestAdaptiveEngine:
         result = run_campaign(jobspec, journal=str(journal))
         assert result.stop is None
         assert len(result.experiments) == 12
-        header = json.loads(journal.read_text().splitlines()[0])
-        for key in ("strategy", "confidence", "epsilon", "budget"):
-            assert key not in header["jobspec"]
         assert read_journal(str(journal)).stop is None

@@ -111,12 +111,13 @@ class TestTsdb:
     def test_interior_corruption_costs_one_sample_not_the_file(
             self, tmp_path):
         path = str(tmp_path / "run.tsdb")
-        lines = [seal_line({"t": float(i), "n": i}) for i in range(3)]
+        lines = [seal_line({"t": float(i), "n": i}) for i in range(4)]
         lines[1] = lines[1].replace('"n": 1', '"n": 9')  # CRC now wrong
+        lines[2] = json.dumps({"t": 2.0, "n": 2})  # no CRC at all
         (tmp_path / "run.tsdb").write_text("\n".join(lines) + "\n")
         samples, dropped = read_tsdb(path)
-        assert [sample["n"] for sample in samples] == [0, 2]
-        assert dropped == 1
+        assert [sample["n"] for sample in samples] == [0, 3]
+        assert dropped == 2
 
     def test_missing_file_is_refused(self, tmp_path):
         with pytest.raises(ObservabilityError):

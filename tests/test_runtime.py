@@ -14,14 +14,14 @@ import pytest
 
 from repro.analysis import Evaluation
 from repro.core import FaultModel, build_fades
-from repro.core.campaign import FadesCampaign
+from repro.core.campaign import FadesCampaign, derive_fault_seed
 from repro.core.classify import Outcome
 from repro.core.config import FaultLoadSpec
 from repro.core.faults import Fault, Target, TargetKind
 from repro.errors import JournalError, SchedulerError
 from repro.runtime import (CampaignJobSpec, CampaignMetrics, JobRunner,
-                           MAX_SHARD_SIZE, derive_fault_seed, plan_shards,
-                           read_journal, resume_campaign, run_campaign)
+                           MAX_SHARD_SIZE, plan_shards, read_journal,
+                           resume_campaign, run_campaign)
 
 from helpers import build_counter
 
@@ -52,14 +52,29 @@ def outcomes(result):
 
 
 class TestDeterminism:
-    def test_engine_serial_matches_legacy_path(self, evaluation, jobspec,
-                                               serial_result):
-        legacy = evaluation.fades.run(jobspec.spec, seed=evaluation.seed)
-        assert outcomes(legacy) == outcomes(serial_result)
-        assert legacy.counts().as_dict() == \
-            serial_result.counts().as_dict()
-        assert legacy.mean_emulation_s == \
-            pytest.approx(serial_result.mean_emulation_s)
+    @pytest.mark.parametrize("prune_silent", [False, True],
+                             ids=["unpruned", "pruned"])
+    @pytest.mark.parametrize("backend", ["reference", "compiled"])
+    @pytest.mark.parametrize("model,band,oscillate", [
+        (FaultModel.BITFLIP, 1, False),
+        (FaultModel.INDETERMINATION, 2, True),
+    ], ids=["bitflip-ffs-band1", "oscillating-indet-ffs-band2"])
+    def test_serial_equals_engine(self, model, band, oscillate, backend,
+                                  prune_silent):
+        # A fresh testbed per case: both sides then start from an empty
+        # board log, so even the emulated-time floats must agree.
+        evaluation = Evaluation(backend=backend, prune_silent=prune_silent)
+        spec = evaluation.spec(model, "ffs", band, COUNT,
+                               oscillate=oscillate)
+        serial = evaluation.fades.run(spec, seed=evaluation.seed)
+        engine = run_campaign(CampaignJobSpec.from_evaluation(
+            evaluation, spec, faultload_seed=evaluation.seed), workers=0)
+        assert len(serial.experiments) == len(engine.experiments) == COUNT
+        for mine, theirs in zip(serial.experiments, engine.experiments):
+            assert mine.outcome is theirs.outcome
+            assert mine.first_divergence == theirs.first_divergence
+            assert mine.cost == theirs.cost
+        assert serial.total_emulation_s == engine.total_emulation_s
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_worker_pool_matches_serial(self, jobspec, serial_result,

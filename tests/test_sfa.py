@@ -19,9 +19,8 @@ from repro.hdl import Rtl
 from repro.runtime import (CampaignJobSpec, read_journal, resume_campaign,
                            run_campaign)
 from repro.sfa import (FaultClass, LintReport, ObservabilityAnalysis,
-                       StructuralGraph, activation_window,
-                       behavioral_signature, collapse_faultload,
-                       lint_bundled, lint_design, rng_free,
+                       StructuralGraph, behavioral_signature,
+                       collapse_faultload, lint_bundled, lint_design,
                        sequential_depth)
 from repro.synth import synthesize
 from repro import designs
@@ -165,37 +164,25 @@ class TestCollapse:
         base = dict(model=FaultModel.PULSE,
                     target=Target(TargetKind.LUT, 0, line=-1),
                     start_cycle=4)
-        assert activation_window(
-            Fault(duration_cycles=0.5, phase=0.1, **base)) == 0
-        assert activation_window(
-            Fault(duration_cycles=0.5, phase=0.7, **base)) == 1
-        assert activation_window(
-            Fault(duration_cycles=2.5, phase=0.2, **base)) == 2
+        assert Fault(duration_cycles=0.5, phase=0.1,
+                     **base).activation_window == 0
+        assert Fault(duration_cycles=0.5, phase=0.7,
+                     **base).activation_window == 1
+        assert Fault(duration_cycles=2.5, phase=0.2,
+                     **base).activation_window == 2
 
-    def test_rng_free_predicate(self):
-        ff = Target(TargetKind.FF, 0)
-        assert rng_free(Fault(FaultModel.BITFLIP, ff, 1))
-        assert rng_free(Fault(FaultModel.INDETERMINATION, ff, 1, value=1))
-        assert not rng_free(Fault(FaultModel.INDETERMINATION, ff, 1))
-        assert not rng_free(Fault(FaultModel.INDETERMINATION, ff, 1,
-                                  value=1, oscillate=True,
-                                  duration_cycles=4.0))
-
-    def test_collapsible_signatures_are_rng_free(self):
-        # The serial campaign relies on this: any fault the planner may
-        # skip must not consume injector randomness.
-        ff = Target(TargetKind.FF, 0)
-        samples = [
-            Fault(FaultModel.BITFLIP, ff, 1),
-            Fault(FaultModel.INDETERMINATION, ff, 1),
-            Fault(FaultModel.INDETERMINATION, ff, 1, value=0),
-            Fault(FaultModel.INDETERMINATION, ff, 1, value=0,
-                  oscillate=True, duration_cycles=3.0),
-            Fault(FaultModel.PULSE, Target(TargetKind.LUT, 0, line=-1), 1),
-        ]
-        for fault in samples:
-            if behavioral_signature(fault, 100) is not None:
-                assert rng_free(fault)
+    def test_randomness_drawing_faults_never_collapse(self):
+        # Each experiment seeds its injector draws from its own index,
+        # so two faults that draw are never behaviourally identical.
+        for target in (Target(TargetKind.FF, 0),
+                       Target(TargetKind.LUT, 0, line=1)):
+            unvalued = Fault(FaultModel.INDETERMINATION, target, 1)
+            oscillating = Fault(FaultModel.INDETERMINATION, target, 1,
+                                value=0, oscillate=True,
+                                duration_cycles=3.0)
+            assert oscillating.activation_window >= 2
+            assert behavioral_signature(unvalued, 100) is None
+            assert behavioral_signature(oscillating, 100) is None
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +293,11 @@ class TestPruneSilentIdenticalTables:
                       workload_cycles=40),
         FaultLoadSpec(model=FaultModel.PULSE, pool="luts", count=10,
                       duration_range=(0.1, 0.9), workload_cycles=40),
+        # Draws injector randomness every cycle: pruning must skip such
+        # faults without shifting any other experiment's draws.
+        FaultLoadSpec(model=FaultModel.INDETERMINATION, pool="ffs",
+                      count=10, duration_range=(2.0, 8.0),
+                      workload_cycles=40, oscillate=True),
     ]
 
     @pytest.mark.parametrize("name,builder,inputs", DESIGNS,
@@ -424,7 +416,6 @@ class TestEngineJournalMarkers:
     def test_jobspec_serialisation_compatibility(self, evaluation,
                                                  bitflip_spec):
         plain = CampaignJobSpec.from_evaluation(evaluation, bitflip_spec)
-        assert "prune_silent" not in plain.to_dict()  # old journals resume
         assert not CampaignJobSpec.from_dict(plain.to_dict()).prune_silent
         pruning = CampaignJobSpec.from_evaluation(
             Evaluation(prune_silent=True), bitflip_spec)
