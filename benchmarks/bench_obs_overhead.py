@@ -7,12 +7,13 @@ regimes and asserts each costs less than 5% of campaign wall-clock:
 * **tracing** — spans disabled vs. enabled, guarding the per-experiment
   hot path (every experiment opens reconfigure/run/readback/classify
   spans, so a regression multiplies across whole campaigns);
-* **live** — bare per-record loop vs. the full ``--serve-obs`` stack
-  (``CampaignMetrics`` accounting, the ``.tsdb`` time-series sampler at
-  its default interval, the built-in alert rules, and a running
-  ``ObsServer`` being scraped concurrently).  The barrier-clock design
-  promises near-zero hot-path cost; this bench is the number behind
-  that promise.
+* **live** — bare per-record loop vs. the full ``--serve-obs`` stack:
+  ``CampaignMetrics`` accounting (the one campaign tally, whose
+  snapshot, registry health-counter deltas included, every sample and
+  ``/status`` render), the ``.tsdb`` time-series sampler at its default
+  interval, the built-in alert rules, and a running ``ObsServer`` being
+  scraped concurrently.  The barrier-clock design promises near-zero
+  hot-path cost; this bench is the number behind that promise.
 
 Scale: 200 faults by default (``REPRO_OBS_BENCH_FAULTS=<n>`` overrides);
 timings are min-of-3 to shed scheduler noise.  Both verdicts are merged

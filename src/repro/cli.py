@@ -75,9 +75,6 @@ def _add_liveobs_flags(command: argparse.ArgumentParser) -> None:
                               "('name:FIELD OP VALUE[:mode=..][:for=..]"
                               "[:severity=..]'); repeatable, supplements "
                               "the built-in rules")
-    command.add_argument("--alert-rules", default=None, metavar="TOML",
-                         help="load [[rules]] alert entries from a TOML "
-                              "file (supplements the built-in rules)")
     command.add_argument("--sample-interval", type=float, default=None,
                          metavar="SECONDS",
                          help="minimum spacing between time-series "
@@ -173,9 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--metrics", default=None, metavar="PATH",
                           help="export the metrics registry on exit "
                                "(.json for JSON, else Prometheus text)")
-    campaign.add_argument("--profile", default=None, metavar="PREFIX",
-                          help="write per-phase cProfile artifacts to "
-                               "PREFIX.<phase>.pstats")
     _add_liveobs_flags(campaign)
 
     resume = commands.add_parser(
@@ -403,13 +397,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 def _liveobs_kwargs(args: argparse.Namespace) -> dict:
     """Translate the --serve-obs/--alert flags into engine kwargs."""
-    from .obs.alerts import built_in_rules, load_rules_toml, parse_rule_spec
+    from .obs.alerts import built_in_rules, parse_rule_spec
     from .obs.timeseries import DEFAULT_INTERVAL_S
-    extra = []
-    if args.alert:
-        extra.extend(parse_rule_spec(spec) for spec in args.alert)
-    if args.alert_rules:
-        extra.extend(load_rules_toml(args.alert_rules))
+    extra = [parse_rule_spec(spec) for spec in args.alert or ()]
     return {
         "serve_obs": args.serve_obs,
         "alert_rules": built_in_rules() + extra if extra else None,
@@ -480,14 +470,12 @@ def cmd_campaign(evaluation: Evaluation, args: argparse.Namespace) -> int:
     adaptive = (args.strategy != "uniform" or args.epsilon is not None
                 or args.budget is not None)
     live_requested = (args.serve_obs is not None or bool(args.alert)
-                      or args.alert_rules is not None
                       or args.sample_interval is not None)
     engine_requested = (args.workers > 0 or args.journal is not None
                         or args.trace is not None
-                        or args.profile is not None
                         or adaptive or live_requested)
     if engine_requested and args.tool != "fades":
-        log.error("--workers/--journal/--trace/--profile/--serve-obs, "
+        log.error("--workers/--journal/--trace/--serve-obs, "
                   "the alert flags and the planner flags "
                   "(--strategy/--epsilon/--budget) need --tool fades "
                   "(the runtime engine drives FADES campaigns only)")
@@ -498,8 +486,7 @@ def cmd_campaign(evaluation: Evaluation, args: argparse.Namespace) -> int:
         jobspec = CampaignJobSpec.from_evaluation(
             evaluation, spec, faultload_seed=args.seed)
         result = run_campaign(jobspec, workers=args.workers,
-                              journal=args.journal,
-                              trace=args.trace, profile=args.profile,
+                              journal=args.journal, trace=args.trace,
                               shard_timeout=args.shard_timeout,
                               progress=_progress_printer(
                                   jobspec.effective_budget()),

@@ -28,14 +28,7 @@ Rule syntax (CLI ``--alert``, one rule per flag)::
 ``name:FIELD OP VALUE`` with optional ``:``-separated options
 ``mode=level|delta|stall``, ``for=SECONDS``, ``severity=LEVEL``.  The
 name may be omitted when the first segment already contains a
-comparison.  The same rules load from a TOML file (``--alert-rules``)::
-
-    [[rules]]
-    name = "slow"
-    field = "throughput"
-    op = "<"
-    value = 0.5
-    for_s = 10.0
+comparison.
 """
 
 from __future__ import annotations
@@ -136,7 +129,7 @@ def _field_value(sample: Optional[Dict[str, Any]],
 
 @dataclass(frozen=True)
 class AlertEvent:
-    """One firing (or resolution) of a rule."""
+    """One firing of a rule."""
 
     rule: str
     severity: str
@@ -144,17 +137,13 @@ class AlertEvent:
     value: float
     threshold: float
     message: str
-    resolved: bool = False
 
     def to_dict(self) -> Dict[str, Any]:
-        entry: Dict[str, Any] = {
+        return {
             "rule": self.rule, "severity": self.severity,
             "t": round(self.t, 4), "value": self.value,
             "threshold": self.threshold, "message": self.message,
         }
-        if self.resolved:
-            entry["resolved"] = True
-        return entry
 
 
 def built_in_rules(stall_after_s: float = 30.0) -> List[AlertRule]:
@@ -219,42 +208,6 @@ def parse_rule_spec(spec: str) -> AlertRule:
             f"alert rule {spec!r}: malformed threshold") from error
     return AlertRule(name=name, field=rule_field, op=match.group("op"),
                      value=value, **kwargs)
-
-
-def load_rules_toml(path: str) -> List[AlertRule]:
-    """Load ``[[rules]]`` entries from a TOML file."""
-    try:
-        import tomllib
-    except ImportError as error:  # pragma: no cover - py<3.11
-        raise ObservabilityError(
-            "TOML alert rules need Python 3.11+ (tomllib); use "
-            "--alert specs instead") from error
-    try:
-        with open(path, "rb") as handle:
-            payload = tomllib.load(handle)
-    except (OSError, tomllib.TOMLDecodeError) as error:
-        raise ObservabilityError(
-            f"{path}: cannot load alert rules: {error}") from error
-    rules: List[AlertRule] = []
-    for entry in payload.get("rules", []):
-        if not isinstance(entry, dict):
-            raise ObservabilityError(
-                f"{path}: [[rules]] entries must be tables")
-        try:
-            rules.append(AlertRule(
-                name=str(entry["name"]),
-                field=str(entry["field"]),
-                op=str(entry.get("op", ">")),
-                value=float(entry["value"]),
-                mode=str(entry.get("mode", "level")),
-                for_s=float(entry.get("for_s", 0.0)),
-                severity=str(entry.get("severity", "warning"))))
-        except KeyError as error:
-            raise ObservabilityError(
-                f"{path}: alert rule missing key {error}") from error
-    if not rules:
-        raise ObservabilityError(f"{path}: no [[rules]] entries")
-    return rules
 
 
 @dataclass

@@ -25,6 +25,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ObservabilityError
 from .logsetup import console, get_logger
+from .metrics import MetricsRegistry
 from .timeseries import read_tsdb, tsdb_path_for
 
 log = get_logger("repro.obs.live")
@@ -61,21 +62,19 @@ def fetch_status(url: str, timeout: float = 5.0) -> Dict[str, Any]:
 
 def status_from_journal(journal: str) -> Tuple[Dict[str, Any],
                                                List[Dict[str, Any]]]:
-    """Rebuild a ``/status``-shaped dict from journal + tsdb sidecar."""
+    """Rebuild a ``/status``-shaped dict from journal + tsdb sidecar.
+
+    The journal's records feed the same tally the running campaign
+    kept; only timings and health counters come from the last sample.
+    """
     from ..runtime.journal import read_journal
+    from ..runtime.metrics import HEALTH_COUNTERS, CampaignMetrics
 
     if not os.path.exists(journal):
         raise ObservabilityError(f"{journal}: no such journal")
     state = read_journal(journal)
-    outcomes: Dict[str, int] = {}
-    quarantined = 0
-    for record in state.records.values():
-        outcome = str(record.get("outcome", "?"))
-        outcomes[outcome] = outcomes.get(outcome, 0) + 1
-        if record.get("quarantined"):
-            quarantined += 1
     label = "(headerless journal)"
-    total: Optional[int] = None
+    total = len(state.records)
     total_exact = True
     if state.header is not None:
         jobspec = state.jobspec
@@ -84,6 +83,9 @@ def status_from_journal(journal: str) -> Tuple[Dict[str, Any],
         total_exact = jobspec.epsilon is None
     if state.stop is not None and isinstance(state.stop.get("n"), int):
         total, total_exact = state.stop["n"], True
+    tally = CampaignMetrics(registry=MetricsRegistry())
+    tally.set_total(total, replayed=state.records.values(),
+                    exact=total_exact)
 
     samples: List[Dict[str, Any]] = []
     tsdb = tsdb_path_for(journal)
@@ -93,23 +95,14 @@ def status_from_journal(journal: str) -> Tuple[Dict[str, Any],
             log.debug("%s: dropped %d unverifiable samples", tsdb,
                       dropped)
     last = samples[-1] if samples else {}
-    n = len(state.records)
     status: Dict[str, Any] = {
         "campaign": label,
         "journal": journal,
-        "n": n,
-        "total": total if total is not None else n,
-        "total_exact": total_exact,
-        "pending": max(0, (total or n) - n),
-        "outcomes": outcomes,
-        "quarantined": quarantined,
-        "retries": last.get("retries", 0),
-        "hangs": last.get("hangs", 0),
-        "fallbacks": last.get("fallbacks", 0),
+        **tally.snapshot().to_dict(),
+        **{name: last.get(name, 0) for name in HEALTH_COUNTERS},
         "throughput": last.get("ewma", 0.0),
         "eta_s": None,
         "elapsed_s": last.get("t", 0.0),
-        "emulated_s": last.get("emulated_s", 0.0),
         "phases": last.get("phases", {}),
         "workers": {},
         "alerts": [],
@@ -205,16 +198,15 @@ def render_dashboard(status: Dict[str, Any],
                                   f" [{alert.get('severity')}]"
                                   f" {alert.get('condition', '')}".rstrip()
                                   for alert in active))
-    fired = [entry for entry in history if not entry.get("resolved")]
-    if fired:
-        lines.append(f"fired      {len(fired)} alert"
-                     f"{'s' if len(fired) != 1 else ''}:")
-        for entry in fired[-8:]:
+    if history:
+        lines.append(f"fired      {len(history)} alert"
+                     f"{'s' if len(history) != 1 else ''}:")
+        for entry in history[-8:]:
             lines.append(f"  t={float(entry.get('t', 0.0)):7.1f}s  "
                          f"{entry.get('rule', '?'):<22s} "
                          f"[{entry.get('severity', '?')}] "
                          f"{entry.get('message', '')}")
-    if not active and not fired:
+    if not active and not history:
         lines.append("alerts     none")
     return "\n".join(lines)
 

@@ -89,7 +89,8 @@ class Counter(_Metric):
 
     def total(self) -> float:
         """Sum over every label set."""
-        return sum(self._values.values())
+        with self._lock:
+            return sum(self._values.values())
 
     def series(self) -> Dict[LabelKey, float]:
         with self._lock:

@@ -1,11 +1,14 @@
 """Campaign time series: periodic samples of a running campaign.
 
 A *sample* is one flat JSON object describing the campaign at a moment
-in time — progress, instantaneous and smoothed throughput, cumulative
-outcome counts, and the runtime-health counters PR 9 introduced (hangs,
-retries, quarantines, compiled-backend fallbacks).  Samples are taken
-at the engine's batch barriers (see ``DESIGN.md``: barrier-clock
-sampling), throttled to a minimum spacing, and land in two places:
+in time: the fields of a :class:`~repro.runtime.metrics.MetricsSnapshot`
+(progress, cumulative outcome counts, emulated seconds, phase
+wall-clock and the runtime-health counters: hangs, retries,
+compiled-backend fallbacks, chaos injections, alert firings) plus the
+sample's time and its instantaneous and smoothed throughput.  Samples
+are taken at the engine's batch barriers (see ``DESIGN.md``:
+barrier-clock sampling), throttled to a minimum spacing, and land in
+two places:
 
 * a bounded in-memory ring buffer, which feeds the ``/status`` endpoint
   and the ``repro top`` sparkline;
@@ -28,7 +31,6 @@ import zlib
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import ObservabilityError
-from . import metrics as obs_metrics
 
 #: Suffix appended to a journal path to derive its time-series sidecar.
 TSDB_SUFFIX = ".tsdb"
@@ -41,27 +43,6 @@ DEFAULT_CAPACITY = 512
 
 #: EWMA weight of the newest instantaneous-throughput sample.
 _EWMA_ALPHA = 0.3
-
-#: Registry counters folded into every sample as campaign-relative
-#: deltas (the registry is process-wide and outlives one campaign).
-TRACKED_COUNTERS: Tuple[str, ...] = (
-    "worker_hangs_total",
-    "shard_retries_total",
-    "faults_quarantined_total",
-    "emu_backend_fallbacks_total",
-    "chaos_injected_total",
-    "alerts_fired_total",
-)
-
-#: Short sample-field names the tracked counters map onto.
-COUNTER_FIELDS: Dict[str, str] = {
-    "worker_hangs_total": "hangs",
-    "shard_retries_total": "retries",
-    "faults_quarantined_total": "quarantined",
-    "emu_backend_fallbacks_total": "fallbacks",
-    "chaos_injected_total": "chaos",
-    "alerts_fired_total": "alerts",
-}
 
 
 def line_crc(entry: Dict[str, Any]) -> str:
@@ -169,39 +150,24 @@ class TimeseriesSampler:
     Fed :class:`~repro.runtime.metrics.MetricsSnapshot` objects at the
     engine's batch barriers; emits a sample at most every ``interval``
     seconds (barrier-clock sampling: the hot path never pays for a
-    sample, only the parent's per-batch bookkeeping does).  Tracked
-    registry counters are folded in as deltas against the baseline
-    captured at construction, so one process running many campaigns
-    reports per-campaign numbers.
+    sample, only the parent's per-batch bookkeeping does).  Throughput
+    counts only the snapshot's ``completed`` records, so records a
+    resumed campaign replays from its journal never read as a burst.
     """
 
     def __init__(self, path: Optional[str] = None,
                  interval: float = DEFAULT_INTERVAL_S,
                  capacity: int = DEFAULT_CAPACITY,
-                 clock: Callable[[], float] = time.monotonic,
-                 registry: obs_metrics.MetricsRegistry = obs_metrics.REGISTRY):
+                 clock: Callable[[], float] = time.monotonic):
         self.interval = max(0.0, interval)
         self.capacity = max(2, capacity)
         self._clock = clock
-        self._registry = registry
         self._writer = TsdbWriter(path) if path else None
         self._started = clock()
         self._last_t: Optional[float] = None
-        self._last_n = 0
+        self._last_completed = 0
         self.ewma: Optional[float] = None
         self.samples: List[Dict[str, Any]] = []
-        self._baseline = {name: self._counter_total(name)
-                          for name in TRACKED_COUNTERS}
-
-    def _counter_total(self, name: str) -> float:
-        metric = self._registry.get(name)
-        total = getattr(metric, "total", None)
-        return float(total()) if callable(total) else 0.0
-
-    def _counter_fields(self) -> Dict[str, float]:
-        return {COUNTER_FIELDS[name]:
-                self._counter_total(name) - self._baseline[name]
-                for name in TRACKED_COUNTERS}
 
     @property
     def last(self) -> Optional[Dict[str, Any]]:
@@ -219,30 +185,18 @@ class TimeseriesSampler:
         if not force and self._last_t is not None \
                 and t - self._last_t < self.interval:
             return None
-        n = int(snapshot.completed) + int(snapshot.skipped)
+        completed = int(snapshot.completed)
         dt = t - self._last_t if self._last_t is not None else t
-        dn = n - self._last_n
-        inst = (dn / dt) if dt > 0 else 0.0
+        inst = (completed - self._last_completed) / dt if dt > 0 else 0.0
         self.ewma = inst if self.ewma is None else \
             _EWMA_ALPHA * inst + (1.0 - _EWMA_ALPHA) * self.ewma
-        self._last_t, self._last_n = t, n
+        self._last_t, self._last_completed = t, completed
         entry: Dict[str, Any] = {
             "t": round(t, 4),
-            "n": n,
-            "completed": int(snapshot.completed),
-            "skipped": int(snapshot.skipped),
-            "pending": int(snapshot.pending),
-            "total": int(snapshot.total),
-            "total_exact": bool(snapshot.total_exact),
+            **snapshot.to_dict(),
             "throughput": round(inst, 4),
             "ewma": round(self.ewma, 4),
-            "emulated_s": round(float(snapshot.emulated_s), 4),
-            "outcomes": dict(getattr(snapshot, "outcomes", {}) or {}),
-            "phases": {name: round(seconds, 4) for name, seconds
-                       in dict(snapshot.phases).items()},
         }
-        for field, value in self._counter_fields().items():
-            entry[field] = value
         self.samples.append(entry)
         if len(self.samples) > self.capacity:
             del self.samples[:len(self.samples) - self.capacity]

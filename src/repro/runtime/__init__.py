@@ -12,8 +12,9 @@ this subsystem makes the reproduction's campaigns fast *and durable*:
   checking (``repro journal fsck``);
 * :mod:`repro.runtime.diskcache` — opt-in on-disk caches
   (``REPRO_CACHE_DIR``) with atomic writes and stale-lock recovery;
-* :mod:`repro.runtime.metrics` — throughput and per-phase wall-clock
-  versus emulated-time accounting, with progress callbacks;
+* :mod:`repro.runtime.metrics` — the one campaign tally (outcomes,
+  throughput, per-phase wall-clock versus emulated time) that progress
+  callbacks and every live telemetry surface render;
 * :mod:`repro.runtime.liveobs` — the live-observability coordinator
   (time-series sampler, alert engine, ``--serve-obs`` HTTP exporter)
   polled at the engine's batch barriers;

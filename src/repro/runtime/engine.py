@@ -39,7 +39,6 @@ from ..faultload import (FaultStream, SequentialController, StopDecision,
 from ..obs import metrics as obs_metrics
 from ..obs.alerts import AlertRule
 from ..obs.logsetup import get_logger
-from ..obs.profile import PhaseProfiler, maybe_profile
 from ..obs.timeseries import DEFAULT_INTERVAL_S
 from ..obs.tracing import PARENT_TID, TRACER, TraceWriter, span
 from .jobspec import (CampaignJobSpec, JobRunner, build_campaign,
@@ -62,11 +61,9 @@ _QUARANTINED = obs_metrics.counter(
 def run_campaign(jobspec: CampaignJobSpec, workers: int = 0,
                  journal: Optional[str] = None,
                  progress: Optional[ProgressCallback] = None,
-                 progress_interval: int = 1,
                  shard_size: Optional[int] = None,
                  max_retries: int = 2,
                  trace: Union[None, bool, str] = None,
-                 profile: Optional[str] = None,
                  shard_timeout: Optional[float] = None,
                  serve_obs: Optional[str] = None,
                  alert_rules: Optional[List[AlertRule]] = None,
@@ -77,8 +74,7 @@ def run_campaign(jobspec: CampaignJobSpec, workers: int = 0,
     ``trace`` opts into span tracing: a path writes a fresh
     Chrome/Perfetto trace file there; ``True`` appends to the journal's
     ``.trace`` sidecar (requires ``journal``), which is how worker span
-    streams survive crashes and extend across resumes.  ``profile`` is
-    a path prefix for per-phase cProfile ``.pstats`` artifacts.
+    streams survive crashes and extend across resumes.
     ``shard_timeout`` pins the watchdog deadline for parallel shards
     (seconds of worker silence); by default the scheduler derives one
     from observed experiment times.
@@ -99,14 +95,12 @@ def run_campaign(jobspec: CampaignJobSpec, workers: int = 0,
             path, append = str(trace), False
         TRACER.reset(enabled=True, tid=PARENT_TID)
         trace_writer = TraceWriter(path, append=append)
-    profiler = PhaseProfiler(profile) if profile else None
     try:
         with span("campaign", label=jobspec.display_label(),
                   workers=workers):
             return _execute(jobspec, workers, journal, progress,
-                            progress_interval, shard_size, max_retries,
-                            trace_writer, profiler, shard_timeout,
-                            serve_obs=serve_obs,
+                            shard_size, max_retries, trace_writer,
+                            shard_timeout, serve_obs=serve_obs,
                             alert_rules=alert_rules,
                             sample_interval=sample_interval)
     finally:
@@ -121,20 +115,17 @@ def run_campaign(jobspec: CampaignJobSpec, workers: int = 0,
 def _execute(jobspec: CampaignJobSpec, workers: int,
              journal: Optional[str],
              progress: Optional[ProgressCallback],
-             progress_interval: int, shard_size: Optional[int],
-             max_retries: int, trace_writer: Optional[TraceWriter],
-             profiler: Optional[PhaseProfiler],
+             shard_size: Optional[int], max_retries: int,
+             trace_writer: Optional[TraceWriter],
              shard_timeout: Optional[float] = None,
              serve_obs: Optional[str] = None,
              alert_rules: Optional[List[AlertRule]] = None,
              sample_interval: float = DEFAULT_INTERVAL_S
              ) -> CampaignResult:
-    metrics = CampaignMetrics(progress=progress,
-                              progress_interval=progress_interval,
-                              backend=jobspec.backend)
+    metrics = CampaignMetrics(progress=progress, backend=jobspec.backend)
     budget = jobspec.effective_budget()
     cycles = jobspec.spec.workload_cycles
-    with metrics.phase("setup"), maybe_profile(profiler, "setup"):
+    with metrics.phase("setup"):
         campaign = build_campaign(jobspec)
         stream: Optional[FaultStream] = None
         if jobspec.adaptive:
@@ -168,16 +159,16 @@ def _execute(jobspec: CampaignJobSpec, workers: int,
     # which reduces this function to its historical one-shot behaviour.
     controller: Optional[SequentialController] = None
     if jobspec.epsilon is not None:
-        with metrics.phase("plan"), maybe_profile(profiler, "plan"):
+        with metrics.phase("plan"):
             controller = SequentialController(
                 jobspec.epsilon, budget, confidence=jobspec.confidence)
     checkpoints = controller.checkpoints() if controller is not None \
         else [budget]
 
-    metrics.set_total(budget, skipped=len(records),
+    metrics.set_total(budget, replayed=records.values(),
                       exact=controller is None)
 
-    with metrics.phase("golden"), maybe_profile(profiler, "golden"):
+    with metrics.phase("golden"):
         golden = _golden_with_cache(jobspec, campaign, cycles)
 
     # Bound below, before any experiment runs; None only so the take /
@@ -216,11 +207,10 @@ def _execute(jobspec: CampaignJobSpec, workers: int,
     def prepare_window(start: int, end: int) -> List[int]:
         """Materialise, prune and plan one window; pending indices."""
         if stream is not None and len(stream) < end:
-            with metrics.phase("plan"), maybe_profile(profiler, "plan"):
+            with metrics.phase("plan"):
                 stream.ensure(end)
         if jobspec.prune_silent:
-            with metrics.phase("prune"), maybe_profile(profiler,
-                                                       "prune"):
+            with metrics.phase("prune"):
                 plan = campaign.static_plan(faults[start:end], cycles)
                 for member, representative in plan.collapsed.items():
                     collapsed[start + member] = start + representative
@@ -302,8 +292,7 @@ def _execute(jobspec: CampaignJobSpec, workers: int,
             start = 0
             for end in checkpoints:
                 pending = prepare_window(start, end)
-                with metrics.phase("experiments"), \
-                        maybe_profile(profiler, "experiments"):
+                with metrics.phase("experiments"):
                     for offset in range(0, len(pending), size):
                         if interrupt.is_set():
                             raise CampaignInterrupted(
@@ -319,11 +308,9 @@ def _execute(jobspec: CampaignJobSpec, workers: int,
         else:
             worker_pool = WorkerPool(
                 jobspec, workers=workers, max_retries=max_retries,
-                on_retry=lambda _shard: metrics.add_retry(),
                 trace=trace_writer is not None,
                 shard_timeout=shard_timeout,
                 on_quarantine=quarantine)
-            live.attach_pool(worker_pool)
             on_spans = (None if trace_writer is None else
                         lambda _worker_id, spans:
                         trace_writer.write(spans))
@@ -360,8 +347,7 @@ def _execute(jobspec: CampaignJobSpec, workers: int,
                     executed = end
                     yield shards
 
-            with metrics.phase("experiments"), \
-                    maybe_profile(profiler, "experiments"):
+            with metrics.phase("experiments"):
                 worker_pool.run_batches(
                     batches(), lambda _shard, batch: take(batch),
                     on_spans=on_spans,
@@ -378,8 +364,7 @@ def _execute(jobspec: CampaignJobSpec, workers: int,
             if saved > 0 and stop_decision is not None:
                 _SAVED.inc(saved, reason=stop_decision.reason)
 
-        with metrics.phase("aggregate"), \
-                maybe_profile(profiler, "aggregate"):
+        with metrics.phase("aggregate"):
             result = _assemble(jobspec, golden, faults[:final], records)
             if stop_decision is not None:
                 result.stop = stop_decision.to_dict()
@@ -417,10 +402,8 @@ def _execute(jobspec: CampaignJobSpec, workers: int,
 
 def resume_campaign(journal: str, workers: int = 0,
                     progress: Optional[ProgressCallback] = None,
-                    progress_interval: int = 1,
                     max_retries: int = 2,
                     trace: Union[None, bool, str] = None,
-                    profile: Optional[str] = None,
                     shard_timeout: Optional[float] = None,
                     serve_obs: Optional[str] = None,
                     alert_rules: Optional[List[AlertRule]] = None,
@@ -438,10 +421,8 @@ def resume_campaign(journal: str, workers: int = 0,
         raise JournalError(
             f"{journal}: not a campaign journal (no header line)")
     return run_campaign(state.jobspec, workers=workers, journal=journal,
-                        progress=progress,
-                        progress_interval=progress_interval,
-                        max_retries=max_retries, trace=trace,
-                        profile=profile, shard_timeout=shard_timeout,
+                        progress=progress, max_retries=max_retries,
+                        trace=trace, shard_timeout=shard_timeout,
                         serve_obs=serve_obs, alert_rules=alert_rules,
                         sample_interval=sample_interval)
 

@@ -14,8 +14,9 @@ record batch.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
+from ..obs import metrics as obs_metrics
 from ..obs.alerts import AlertEngine, AlertEvent, AlertRule
 from ..obs.logsetup import get_logger
 from ..obs.server import ObsServer
@@ -50,9 +51,11 @@ class CampaignObservability:
         self._metrics = metrics
         self._writer = writer
         self._workers = workers
-        self._pool: Optional[Any] = None  # WorkerPool, set lazily
         self._lock = threading.Lock()
-        self._prev: Optional[Dict[str, Any]] = None
+        # Delta rules compare the first sample with the campaign's
+        # starting point, so a resume never fires again for what it
+        # replays from the journal.
+        self._prev: Dict[str, Any] = metrics.snapshot().to_dict()
         self.sampler = TimeseriesSampler(
             path=tsdb_path_for(journal) if journal else None,
             interval=sample_interval)
@@ -66,10 +69,6 @@ class CampaignObservability:
             self.server.start()
 
     # -- engine hooks --------------------------------------------------
-    def attach_pool(self, pool: Any) -> None:
-        """Adopt the scheduler's worker pool for liveness reporting."""
-        self._pool = pool
-
     def poll(self, force: bool = False) -> None:
         """Barrier hook: maybe sample, then run the alert rules.
 
@@ -90,35 +89,27 @@ class CampaignObservability:
 
     # -- /status -------------------------------------------------------
     def status(self) -> Dict[str, Any]:
-        """The ``/status`` payload (also what ``repro top`` renders)."""
+        """The ``/status`` payload (also what ``repro top`` renders):
+        the snapshot's fields plus the live-only ones."""
         snap = self._metrics.snapshot()
-        samples = self.sampler.samples
-        last = samples[-1] if samples else {}
+        samples = self.sampler.samples[-_SERIES_LENGTH:]
         workers: Dict[str, Any] = {}
         if self._workers:
-            workers = {"configured": self._workers,
-                       "alive": getattr(self._pool, "alive", 0)}
+            # The pool keeps this gauge current as workers come and go.
+            gauge = obs_metrics.REGISTRY.get("campaign_workers_alive")
+            alive = (gauge.value()
+                     if isinstance(gauge, obs_metrics.Gauge) else 0.0)
+            workers = {"configured": self._workers, "alive": int(alive)}
         return {
             "campaign": self.label,
-            "n": snap.completed + snap.skipped,
-            "total": snap.total,
-            "total_exact": snap.total_exact,
-            "pending": snap.pending,
-            "outcomes": dict(snap.outcomes),
-            "quarantined": snap.quarantined,
-            "retries": snap.retries,
-            "hangs": last.get("hangs", 0),
-            "fallbacks": last.get("fallbacks", 0),
+            **snap.to_dict(),
             "throughput": (self.sampler.ewma
                            if self.sampler.ewma is not None
                            else snap.throughput),
             "eta_s": snap.eta_s,
             "elapsed_s": snap.wall_s,
-            "emulated_s": snap.emulated_s,
-            "phases": dict(snap.phases),
             "workers": workers,
-            "series": [sample.get("ewma", 0.0)
-                       for sample in samples[-_SERIES_LENGTH:]],
+            "series": [sample.get("ewma", 0.0) for sample in samples],
             "alerts": self.alerts.active,
             "alert_history": list(self.alerts.history),
             "finished": False,

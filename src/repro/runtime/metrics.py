@@ -1,4 +1,4 @@
-"""Campaign execution metrics: throughput, phases, progress callbacks.
+"""Campaign execution metrics: the one per-campaign tally.
 
 The paper's whole argument is a time argument (table 2's emulation-time
 speedups), so the runtime keeps two clocks side by side:
@@ -8,10 +8,16 @@ speedups), so the runtime keeps two clocks side by side:
 * **emulated time** — the 2006-era board seconds accumulated from each
   experiment's :class:`~repro.core.timing_model.ExperimentCost`.
 
-A :class:`CampaignMetrics` instance is fed one record at a time by the
-engine and periodically fires a progress callback with an immutable
-:class:`MetricsSnapshot` — the CLI renders those as progress lines, tests
-use them to observe (and interrupt) a running campaign.
+A :class:`CampaignMetrics` instance is the only per-campaign tally.  The
+engine declares the journal's replayed records through
+:meth:`~CampaignMetrics.set_total` and feeds it every new record, so its
+outcome counts and emulated seconds cover the whole campaign; the
+runtime-health counters of the metrics registry fold in as deltas
+against the tally's construction.  Every surface that reports a
+campaign — the CLI's progress lines, the ``.tsdb`` sample, ``/status``
+and ``repro top <journal>`` — is a view of its immutable
+:class:`MetricsSnapshot`, sharing the field set of
+:meth:`MetricsSnapshot.to_dict`.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, Optional
 
 from ..obs import metrics as obs_metrics
 from ..obs.tracing import span
@@ -33,8 +39,16 @@ _PHASE_SECONDS = obs_metrics.histogram(
     buckets=(0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0, 300.0))
 _RECORDS = obs_metrics.counter(
     "campaign_records_total", "Journal records accounted, by outcome.")
-_RETRIES = obs_metrics.counter(
-    "campaign_retries_total", "Shard retries after worker failures.")
+
+#: Snapshot fields that are campaign-relative deltas of registry
+#: counters (the registry is process-wide and outlives one campaign).
+HEALTH_COUNTERS: Dict[str, str] = {
+    "hangs": "worker_hangs_total",
+    "retries": "shard_retries_total",
+    "fallbacks": "emu_backend_fallbacks_total",
+    "chaos": "chaos_injected_total",
+    "alerts": "alerts_fired_total",
+}
 
 
 @dataclass(frozen=True)
@@ -46,20 +60,33 @@ class MetricsSnapshot:
     #: upper bound until their stopping rule fires, so percentages and
     #: ETAs projected against it would be misleading.
     total_exact: bool = True
+    #: Records accounted by this run.
     completed: int = 0
+    #: Records replayed from the journal.
     skipped: int = 0
-    retries: int = 0
-    quarantined: int = 0
     wall_s: float = 0.0
+    #: Emulated board seconds of every record, replayed ones included.
     emulated_s: float = 0.0
     phases: Dict[str, float] = field(default_factory=dict)
-    #: Per-outcome counts for *this* campaign (the registry's
-    #: ``campaign_records_total`` counter spans the whole process).
+    #: Per-outcome counts of every record, replayed ones included.
     outcomes: Dict[str, int] = field(default_factory=dict)
+    hangs: int = 0
+    retries: int = 0
+    fallbacks: int = 0
+    chaos: int = 0
+    alerts: int = 0
+
+    @property
+    def n(self) -> int:
+        return self.completed + self.skipped
 
     @property
     def pending(self) -> int:
-        return max(0, self.total - self.skipped - self.completed)
+        return max(0, self.total - self.n)
+
+    @property
+    def quarantined(self) -> int:
+        return self.outcomes.get("quarantined", 0)
 
     @property
     def throughput(self) -> float:
@@ -87,10 +114,30 @@ class MetricsSnapshot:
             return None
         return self.pending / rate
 
+    def to_dict(self) -> Dict[str, Any]:
+        """The JSON field set every telemetry surface shares."""
+        return {
+            "n": self.n,
+            "completed": self.completed,
+            "skipped": self.skipped,
+            "pending": self.pending,
+            "total": self.total,
+            "total_exact": self.total_exact,
+            "emulated_s": round(self.emulated_s, 4),
+            "outcomes": dict(self.outcomes),
+            "quarantined": self.quarantined,
+            "phases": {name: round(seconds, 4)
+                       for name, seconds in self.phases.items()},
+            "hangs": self.hangs,
+            "retries": self.retries,
+            "fallbacks": self.fallbacks,
+            "chaos": self.chaos,
+            "alerts": self.alerts,
+        }
+
     def render(self) -> str:
-        done = self.skipped + self.completed
         bound = self.total if self.total_exact else f"<={self.total}"
-        line = (f"[{done}/{bound}] "
+        line = (f"[{self.n}/{bound}] "
                 f"{self.throughput:.1f} exp/s | "
                 f"emulated {self.emulated_s:.1f} s")
         if self.skipped:
@@ -107,43 +154,63 @@ class MetricsSnapshot:
 
 
 class CampaignMetrics:
-    """Accumulates counters and fires progress callbacks.
+    """Accumulates the campaign tally; fires the progress callback once
+    per record.
 
-    ``progress_interval`` throttles the callback to every N-th record
-    (the final record always fires).  The clock is injectable so tests
-    can run against a fake time source.
+    ``registry`` is where the :data:`HEALTH_COUNTERS` are read; their
+    totals at construction are the baseline the snapshot's deltas are
+    taken against.  The clock is injectable so tests can run against a
+    fake time source.
     """
 
     def __init__(self, progress: Optional[ProgressCallback] = None,
-                 progress_interval: int = 1,
                  clock: Callable[[], float] = time.monotonic,
-                 backend: str = "reference"):
+                 backend: str = "reference",
+                 registry: obs_metrics.MetricsRegistry = obs_metrics.REGISTRY
+                 ) -> None:
         self._progress = progress
-        self._interval = max(1, progress_interval)
         self._clock = clock
         self._backend = backend
+        self._registry = registry
+        self._baseline = self._health_totals()
         self._started = clock()
         self._phase_wall: Dict[str, float] = {}
         self.total = 0
         self.total_exact = True
         self.completed = 0
         self.skipped = 0
-        self.retries = 0
-        self.quarantined = 0
         self.emulated_s = 0.0
         self.outcomes: Dict[str, int] = {}
         # Snapshots may be taken from the exporter's server thread
         # while the engine thread is mid-record.
         self._lock = threading.Lock()
 
+    def _health_totals(self) -> Dict[str, float]:
+        totals: Dict[str, float] = {}
+        for name, counter in HEALTH_COUNTERS.items():
+            metric = self._registry.get(counter)
+            totals[name] = (metric.total()
+                            if isinstance(metric, obs_metrics.Counter)
+                            else 0.0)
+        return totals
+
     # -- lifecycle -----------------------------------------------------
-    def set_total(self, total: int, skipped: int = 0,
+    def set_total(self, total: int,
+                  replayed: Iterable[Dict[str, Any]] = (),
                   exact: bool = True) -> None:
-        """Declare the campaign size; ``exact=False`` marks it a budget
-        cap the stopping rule may undercut."""
-        self.total = total
-        self.total_exact = exact
-        self.skipped = skipped
+        """Declare the campaign size and the journal's replayed records.
+
+        Replayed records count toward ``outcomes`` and ``emulated_s``
+        and as ``skipped``, never as ``completed``: throughput measures
+        only this run's work.  ``exact=False`` marks ``total`` a budget
+        cap the stopping rule may undercut.
+        """
+        with self._lock:
+            self.total = total
+            self.total_exact = exact
+            for record in replayed:
+                self._tally(record)
+                self.skipped += 1
 
     def resolve_total(self, total: int) -> None:
         """Pin the final campaign size once the stopping rule fires."""
@@ -169,45 +236,44 @@ class CampaignMetrics:
                 _PHASE_SECONDS.observe(elapsed, phase=name,
                                        sim_backend=self._backend)
 
-    def record(self, record: Dict) -> None:
-        """Account one finished experiment (journal-record form)."""
+    def _tally(self, record: Dict[str, Any]) -> str:
         outcome = str(record.get("outcome", "?"))
-        _RECORDS.inc(outcome=outcome)
         cost = record.get("cost") or {}
-        emulated = (cost.get("locate_s", 0.0)
-                    + cost.get("transfer_s", 0.0)
-                    + cost.get("workload_s", 0.0)
-                    + cost.get("overhead_s", 0.0))
-        with self._lock:
-            self.completed += 1
-            self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
-            if record.get("quarantined"):
-                self.quarantined += 1
-            self.emulated_s += emulated
-        if self._progress is None:
-            return
-        remaining = self.total - self.skipped - self.completed
-        if self.completed % self._interval == 0 or remaining <= 0:
-            self._progress(self.snapshot())
+        self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
+        self.emulated_s += (cost.get("locate_s", 0.0)
+                            + cost.get("transfer_s", 0.0)
+                            + cost.get("workload_s", 0.0)
+                            + cost.get("overhead_s", 0.0))
+        return outcome
 
-    def add_retry(self, count: int = 1) -> None:
-        self.retries += count
-        _RETRIES.inc(count)
+    def record(self, record: Dict[str, Any]) -> None:
+        """Account one finished experiment (journal-record form)."""
+        with self._lock:
+            outcome = self._tally(record)
+            self.completed += 1
+        _RECORDS.inc(outcome=outcome)
+        if self._progress is not None:
+            self._progress(self.snapshot())
 
     # -- reporting -----------------------------------------------------
     def snapshot(self) -> MetricsSnapshot:
+        deltas = {name: int(total - self._baseline[name])
+                  for name, total in self._health_totals().items()}
         with self._lock:
             return MetricsSnapshot(
                 total=self.total,
                 total_exact=self.total_exact,
                 completed=self.completed,
                 skipped=self.skipped,
-                retries=self.retries,
-                quarantined=self.quarantined,
                 wall_s=self._clock() - self._started,
                 emulated_s=self.emulated_s,
                 phases=dict(self._phase_wall),
                 outcomes=dict(self.outcomes),
+                hangs=deltas["hangs"],
+                retries=deltas["retries"],
+                fallbacks=deltas["fallbacks"],
+                chaos=deltas["chaos"],
+                alerts=deltas["alerts"],
             )
 
     def finish(self) -> MetricsSnapshot:

@@ -311,7 +311,6 @@ class WorkerPool:
 
     def __init__(self, jobspec: CampaignJobSpec, workers: int,
                  max_retries: int = 2,
-                 on_retry: Optional[Callable[[Shard], None]] = None,
                  trace: bool = False,
                  shard_timeout: Optional[float] = None,
                  backoff_base: float = 0.25,
@@ -321,16 +320,10 @@ class WorkerPool:
         self.jobspec = jobspec
         self.workers = workers
         self.max_retries = max_retries
-        self.on_retry = on_retry
         self.trace = trace
         self.shard_timeout = shard_timeout
         self.backoff_base = backoff_base
         self.on_quarantine = on_quarantine
-        self.retries = 0
-        self.hangs = 0
-        #: Live worker-process count, updated as the pool breathes
-        #: (spawn / death / teardown); read by the /status provider.
-        self.alive = 0
         #: EWMA of observed per-experiment wall time (None until the
         #: first shard completes); feeds the watchdog deadline.
         self.ewma_experiment_s: Optional[float] = None
@@ -395,7 +388,6 @@ class WorkerPool:
                              trace=self.trace, chaos_spec=chaos_spec)
             pool[next_worker_id] = worker
             next_worker_id += 1
-            self.alive = len(pool)
             _WORKERS_ALIVE.set(len(pool))
 
         def feed(worker: _Worker) -> None:
@@ -475,13 +467,10 @@ class WorkerPool:
             if attempts[shard.shard_id] > self.max_retries:
                 quarantine(shard, reason)
                 return
-            self.retries += 1
             _SHARD_RETRIES.inc(reason=kind)
             TRACER.instant("shard_retry", shard=shard.shard_id,
                            reason=kind,
                            attempt=attempts[shard.shard_id])
-            if self.on_retry is not None:
-                self.on_retry(shard)
             delay = min(_BACKOFF_CAP_S,
                         self.backoff_base
                         * (2 ** (attempts[shard.shard_id] - 1)))
@@ -563,7 +552,6 @@ class WorkerPool:
                 if now - worker.last_activity <= deadline:
                     continue
                 worker.hung = True
-                self.hangs += 1
                 _HANGS.inc()
                 TRACER.instant("watchdog_kill",
                                worker=worker.worker_id,
@@ -588,7 +576,6 @@ class WorkerPool:
             for worker_id in [wid for wid, worker in pool.items()
                               if not worker.process.is_alive()]:
                 worker = pool.pop(worker_id)
-                self.alive = len(pool)
                 _WORKERS_ALIVE.set(len(pool))
                 # Dispatch any complete messages the worker shipped
                 # before dying, so its finished shards are not re-run.
@@ -655,7 +642,6 @@ class WorkerPool:
                 worker.stop()
             for worker in pool.values():
                 worker.reap()
-            self.alive = 0
             _WORKERS_ALIVE.set(0)
 
     def _pending_messages(self, conn):

@@ -9,8 +9,10 @@ and everything a live scraper sees over HTTP can be reconstructed after
 the fact from the journal + sidecar alone.
 """
 
+import dataclasses
 import json
 import multiprocessing
+import os
 import urllib.error
 import urllib.request
 
@@ -24,7 +26,7 @@ from repro.core import FaultModel
 from repro.errors import ObservabilityError
 from repro.obs import server as obs_server
 from repro.obs.alerts import (AlertEngine, AlertRule, built_in_rules,
-                              load_rules_toml, parse_rule_spec)
+                              parse_rule_spec)
 from repro.obs.live import (outcome_bar, render_dashboard, run_top,
                             sparkline, status_from_journal)
 from repro.obs.metrics import REGISTRY, MetricsRegistry
@@ -33,7 +35,8 @@ from repro.obs.server import ObsServer, parse_serve_spec
 from repro.obs.timeseries import (TimeseriesSampler, TsdbWriter,
                                   line_crc, read_tsdb, seal_line,
                                   tsdb_path_for)
-from repro.runtime import CampaignJobSpec, read_journal, run_campaign
+from repro.runtime import (CampaignJobSpec, JobRunner, read_journal,
+                           resume_campaign, run_campaign)
 from repro.runtime.metrics import MetricsSnapshot
 
 COUNT = 8
@@ -130,8 +133,7 @@ class TestTsdb:
 class TestSampler:
     def test_interval_throttles_between_samples(self):
         sampler = TimeseriesSampler(interval=1.0,
-                                    clock=FakeClock(step=0.4),
-                                    registry=MetricsRegistry())
+                                    clock=FakeClock(step=0.4))
         taken = [sampler.sample(snap(completed=i)) is not None
                  for i in range(1, 7)]
         # t = 0.4, 0.8, 1.2, 1.6, 2.0, 2.4 against a 1.0 s spacing.
@@ -139,8 +141,7 @@ class TestSampler:
         assert sampler.sample(snap(completed=7), force=True) is not None
 
     def test_sample_shape_and_ewma_smoothing(self):
-        sampler = TimeseriesSampler(interval=0.0, clock=FakeClock(),
-                                    registry=MetricsRegistry())
+        sampler = TimeseriesSampler(interval=0.0, clock=FakeClock())
         first = sampler.sample(snap(completed=2,
                                     outcomes={"failure": 2}))
         second = sampler.sample(snap(completed=6,
@@ -156,20 +157,9 @@ class TestSampler:
                       "chaos", "alerts"):
             assert field in second
 
-    def test_counters_report_campaign_relative_deltas(self):
-        registry = MetricsRegistry()
-        hangs = registry.counter("worker_hangs_total", "test")
-        hangs.inc()  # pre-existing count from an earlier campaign
-        sampler = TimeseriesSampler(interval=0.0, clock=FakeClock(),
-                                    registry=registry)
-        hangs.inc()
-        sample = sampler.sample(snap(completed=1))
-        assert sample["hangs"] == 1.0  # not 2: baseline subtracted
-
     def test_ring_buffer_is_bounded(self):
         sampler = TimeseriesSampler(interval=0.0, capacity=4,
-                                    clock=FakeClock(step=0.1),
-                                    registry=MetricsRegistry())
+                                    clock=FakeClock(step=0.1))
         for i in range(10):
             sampler.sample(snap(completed=i), force=True)
         assert len(sampler.samples) == 4
@@ -198,19 +188,6 @@ class TestAlertRules:
                      "x:ewma<0.5:mode=sideways"):
             with pytest.raises(ObservabilityError):
                 parse_rule_spec(spec)
-
-    def test_toml_rules_load(self, tmp_path):
-        pytest.importorskip("tomllib")
-        path = tmp_path / "rules.toml"
-        path.write_text('[[rules]]\nname = "slow"\n'
-                        'field = "throughput"\nop = "<"\nvalue = 0.5\n'
-                        'for_s = 10.0\n')
-        rules = load_rules_toml(str(path))
-        assert rules == [AlertRule("slow", field="throughput", op="<",
-                                   value=0.5, for_s=10.0)]
-        (tmp_path / "empty.toml").write_text("x = 1\n")
-        with pytest.raises(ObservabilityError):
-            load_rules_toml(str(tmp_path / "empty.toml"))
 
     def test_built_in_rule_names(self):
         names = {rule.name for rule in built_in_rules()}
@@ -420,6 +397,91 @@ class TestEngineIntegration:
         assert cli_main(["obs", "diff", tsdb, tsdb]) == 0
         out = capsys.readouterr().out
         assert "0 regressions" in out
+
+
+# ---------------------------------------------------------------------------
+# a crashed campaign, resumed: every surface reports the whole campaign
+# ---------------------------------------------------------------------------
+#: Records the simulated crash leaves in the journal.
+CUT = 4
+
+
+@pytest.fixture(scope="module")
+def resumed_run(evaluation, tmp_path_factory):
+    """A journaled serial campaign that quarantines fault 1, cut back to
+    its header and first ``CUT`` records with the ``.tsdb`` gone (as a
+    crash would leave them), then resumed with the live stack attached
+    and ``/status`` scraped from the progress callback."""
+    spec = evaluation.spec(FaultModel.BITFLIP, "ffs", 1, COUNT)
+    jobspec = CampaignJobSpec.from_evaluation(
+        evaluation, spec, faultload_seed=evaluation.seed)
+    journal = tmp_path_factory.mktemp("resumed") / "campaign.jsonl"
+    original = JobRunner.run_index
+
+    def sabotage(self, index):
+        if index == 1:
+            raise ValueError("poison fault")
+        return original(self, index)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(JobRunner, "run_index", sabotage)
+        run_campaign(jobspec, journal=str(journal), max_retries=0)
+    lines = journal.read_text().splitlines()
+    entries = [json.loads(line) for line in lines]
+    fired_before_cut = any(entry.get("rule") == "quarantine_burst"
+                           for entry in entries)
+    journal.write_text("".join(
+        line + "\n" for line, entry in zip(lines, entries)
+        if entry["type"] == "header"
+        or (entry["type"] == "record" and entry["index"] < CUT)))
+    os.remove(tsdb_path_for(str(journal)))
+
+    statuses = []
+
+    def scrape(_snapshot):
+        server = obs_server.current()
+        if server is None:  # metrics.finish() runs after teardown
+            return
+        with urllib.request.urlopen(server.url + "/status",
+                                    timeout=5) as reply:
+            statuses.append(json.loads(reply.read().decode("utf-8")))
+
+    result = resume_campaign(str(journal), progress=scrape,
+                             serve_obs="127.0.0.1:0",
+                             sample_interval=0.0)
+    return {"result": result, "journal": str(journal),
+            "statuses": statuses, "fired_before_cut": fired_before_cut}
+
+
+class TestResumedCampaign:
+    def test_every_surface_reports_the_whole_campaign(self, resumed_run):
+        expected = {name: count for name, count in dataclasses.asdict(
+            resumed_run["result"].counts()).items() if count}
+        assert expected["quarantined"] == 1
+        samples, _dropped = read_tsdb(
+            tsdb_path_for(resumed_run["journal"]))
+        offline, _samples = status_from_journal(resumed_run["journal"])
+        for surface in (resumed_run["statuses"][-1], samples[-1],
+                        offline):
+            assert surface["n"] == COUNT
+            assert surface["outcomes"] == expected
+            assert surface["quarantined"] == 1
+
+    def test_replayed_records_are_not_throughput(self, resumed_run):
+        samples, _dropped = read_tsdb(
+            tsdb_path_for(resumed_run["journal"]))
+        first = samples[0]
+        assert first["skipped"] == CUT
+        assert first["completed"] == 0
+        assert first["throughput"] == 0.0
+
+    def test_replayed_quarantine_fires_no_alert(self, resumed_run):
+        # The uninterrupted run fired the rule for the fresh quarantine;
+        # the resume replays that record and must not fire it again.
+        assert resumed_run["fired_before_cut"]
+        state = read_journal(resumed_run["journal"])
+        assert not any(entry.get("rule") == "quarantine_burst"
+                       for entry in state.alerts)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from repro.core.classify import Outcome
 from repro.core.config import FaultLoadSpec
 from repro.core.faults import Fault, Target, TargetKind
 from repro.errors import JournalError, SchedulerError
+from repro.obs.metrics import MetricsRegistry
 from repro.runtime import (CampaignJobSpec, CampaignMetrics, JobRunner,
                            MAX_SHARD_SIZE, plan_shards, read_journal,
                            resume_campaign, run_campaign)
@@ -277,7 +278,7 @@ class TestMetrics:
     def test_phases_throughput_and_eta(self):
         now = [0.0]
         metrics = CampaignMetrics(clock=lambda: now[0])
-        metrics.set_total(10, skipped=2)
+        metrics.set_total(10, replayed=[{"outcome": "silent"}] * 2)
         with metrics.phase("setup"):
             now[0] += 1.0
         with metrics.phase("experiments"):
@@ -290,20 +291,31 @@ class TestMetrics:
         assert snapshot.phases["experiments"] == pytest.approx(2.0)
         assert snapshot.completed == 1
         assert snapshot.skipped == 2
+        assert snapshot.outcomes["silent"] == 2
         assert snapshot.pending == 7
         assert snapshot.emulated_s == pytest.approx(1.0)
         assert snapshot.throughput == pytest.approx(1.0 / 3.0)
         assert snapshot.eta_s == pytest.approx(21.0)
         assert "exp/s" in snapshot.render()
 
-    def test_progress_interval_throttles_callbacks(self):
+    def test_progress_fires_once_per_record(self):
         snapshots = []
-        metrics = CampaignMetrics(progress=snapshots.append,
-                                  progress_interval=3)
+        metrics = CampaignMetrics(progress=snapshots.append)
         metrics.set_total(7)
         for _ in range(7):
             metrics.record({})
-        assert [snapshot.completed for snapshot in snapshots] == [3, 6, 7]
+        assert [snapshot.completed for snapshot in snapshots] \
+            == list(range(1, 8))
+
+    def test_counters_report_campaign_relative_deltas(self):
+        registry = MetricsRegistry()
+        hangs = registry.counter("worker_hangs_total", "test")
+        hangs.inc()  # pre-existing count from an earlier campaign
+        metrics = CampaignMetrics(registry=registry)
+        hangs.inc()
+        snapshot = metrics.snapshot()
+        assert snapshot.hangs == 1  # not 2: baseline subtracted
+        assert snapshot.to_dict()["hangs"] == 1
 
     def test_zero_wall_clock_is_safe(self):
         metrics = CampaignMetrics(clock=lambda: 0.0)
