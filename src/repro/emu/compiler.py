@@ -25,7 +25,6 @@ Two flavours are generated:
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -33,11 +32,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..hdl.netlist import CONST0, CONST1, Netlist
 from ..hdl.simulator import NetlistSim
 from ..obs import metrics as obs_metrics
-from ..obs.logsetup import get_logger
 from ..obs.tracing import span
 from ..synth.mapped import MappedNetlist
-
-log = get_logger("repro.emu.compiler")
 
 _COMPILES = obs_metrics.counter(
     "emu_compile_total",
@@ -333,93 +329,18 @@ def _exec_cached(source: str, filename: str) -> Dict:
     return namespace
 
 
-def design_fingerprint(mapped: MappedNetlist) -> str:
-    """Structural identity of a mapped design, for the on-disk cache.
-
-    Covers everything :func:`_generate_mapped` reads — LUT tables and
-    connectivity, flip-flops, memory blocks, port assignments — so two
-    structurally identical implementations share one cache entry and
-    any structural change misses.
-    """
-    payload = repr((
-        mapped.n_nets,
-        [(lut.out, lut.ins, lut.tt) for lut in mapped.luts],
-        [(ff.q, ff.d, ff.init) for ff in mapped.ffs],
-        [(bram.name, bram.depth, bram.width, bram.raddr, bram.rdata,
-          bram.we, bram.waddr, bram.wdata, tuple(bram.init), bram.rom)
-         for bram in mapped.brams],
-        sorted((name, tuple(nets))
-               for name, nets in mapped.inputs.items()),
-        sorted((name, tuple(nets))
-               for name, nets in mapped.outputs.items()),
-    ))
-    return hashlib.sha1(payload.encode("utf-8")).hexdigest()
-
-
-def _meta_to_json(meta: Dict) -> Dict:
-    value = dict(meta)
-    value["mems"] = [dataclasses.asdict(mem) for mem in meta["mems"]]
-    return value
-
-
-def _meta_from_json(value: Dict) -> Dict:
-    meta = dict(value)
-    meta["input_positions"] = tuple(
-        (name, tuple(positions))
-        for name, positions in value["input_positions"])
-    meta["outputs"] = tuple(
-        (name, position) for name, position in value["outputs"])
-    meta["mems"] = tuple(
-        MemSpec(**{key: tuple(item) if isinstance(item, list) else item
-                   for key, item in mem.items()})
-        for mem in value["mems"])
-    return meta
-
-
-def _disk_cached_generation(mapped: MappedNetlist):
-    """Serve ``(source, meta)`` from ``REPRO_CACHE_DIR``, or generate
-    and persist.  Returns ``None`` when caching is disabled."""
-    from ..runtime import diskcache
-
-    cache = diskcache.cache_dir()
-    if cache is None:
-        return None
-    path = cache / "emu" / f"{design_fingerprint(mapped)}.json"
-    blob = diskcache.load_json(path)
-    if isinstance(blob, dict):
-        try:
-            meta = _meta_from_json(blob["meta"])
-            source = blob["source"]
-        except (KeyError, TypeError) as error:
-            log.warning("compiled-source cache entry %s malformed "
-                        "(%s); regenerating", path, error)
-        else:
-            _COMPILES.inc(flavor="mapped", result="disk_hit")
-            return source, meta
-    source, meta = _generate_mapped(mapped)
-    diskcache.store_json(path, {"source": source,
-                                "meta": _meta_to_json(meta)})
-    return source, meta
-
-
 def compile_design(mapped: MappedNetlist) -> CompiledDesign:
     """Compile a mapped netlist to its lane-flavour step functions.
 
     The result is cached on the mapped-netlist object; regenerated
-    sources that hash identically reuse already-compiled code objects,
-    and with ``REPRO_CACHE_DIR`` set the generated source itself
-    persists across processes (keyed by structural fingerprint).
+    sources that hash identically reuse already-compiled code objects.
     """
     cached = getattr(mapped, "_emu_design", None)
     if cached is not None:
         _COMPILES.inc(flavor="mapped", result="hit")
         return cached
     with span("emu_compile", design=mapped.name, flavor="mapped"):
-        generated = _disk_cached_generation(mapped)
-        if generated is None:
-            source, meta = _generate_mapped(mapped)
-        else:
-            source, meta = generated
+        source, meta = _generate_mapped(mapped)
         namespace = _exec_cached(source, f"<emu:{mapped.name}>")
     design = CompiledDesign(
         name=mapped.name, source=source,

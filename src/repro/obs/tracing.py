@@ -175,23 +175,18 @@ def span(name: str, **attrs: Any) -> ContextManager[Optional[int]]:
 class TraceWriter:
     """Streams trace events to disk as they arrive.
 
-    The engine keeps one of these open next to the journal (the *trace
-    sidecar*) so a crashed campaign still leaves a loadable trace of
-    everything that finished; ``append=True`` lets a resumed campaign
-    extend the same file.
+    The engine keeps one of these open for a traced campaign, so a
+    crashed campaign still leaves a loadable trace of everything that
+    finished.
     """
 
-    def __init__(self, path: str, append: bool = False) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
-        fresh = (not append or not os.path.exists(path)
-                 or os.path.getsize(path) == 0)
-        self._handle = open(path, "a" if append else "w",
-                            encoding="utf-8")
-        if fresh:
-            self._handle.write("[\n")
-            self._handle.flush()
+        self._handle = open(path, "w", encoding="utf-8")
+        self._handle.write("[\n")
+        self._handle.flush()
 
     def write(self, events: List[Dict[str, Any]]) -> None:
         for event in events:

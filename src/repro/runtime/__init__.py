@@ -5,13 +5,13 @@ this subsystem makes the reproduction's campaigns fast *and durable*:
 
 * :mod:`repro.runtime.jobspec` — picklable campaign descriptions and the
   determinism contract that makes any execution equal a serial one;
-* :mod:`repro.runtime.scheduler` — shard planning and the worker pool
-  (crash detection, retry, respawn);
+* :mod:`repro.runtime.scheduler` — the shard queue that owns the
+  failure policy (retry with backoff, bisection, quarantine) and the two
+  executors that drain it: in-process, or a worker pool (crash and hang
+  detection, respawn);
 * :mod:`repro.runtime.journal` — the append-only JSONL result store
   enabling crash-safe checkpoint/resume, with per-line CRC integrity
   checking (``repro journal fsck``);
-* :mod:`repro.runtime.diskcache` — opt-in on-disk caches
-  (``REPRO_CACHE_DIR``) with atomic writes and stale-lock recovery;
 * :mod:`repro.runtime.metrics` — the one campaign tally (outcomes,
   throughput, per-phase wall-clock versus emulated time) that progress
   callbacks and every live telemetry surface render;
@@ -22,12 +22,12 @@ this subsystem makes the reproduction's campaigns fast *and durable*:
   :func:`~repro.runtime.engine.run_campaign` and
   :func:`~repro.runtime.engine.resume_campaign`.
 
-The engine dispatches incrementally: shard batches stream through a
-persistent worker pool with a statistical stopping controller
-(:mod:`repro.faultload`) consulted at batch barriers, so adaptive
-campaigns stop as soon as their confidence target is met.  Fixed-budget
-campaigns are the degenerate single-batch schedule and behave exactly
-as they always have.
+The engine dispatches incrementally: one loop over checkpoint windows
+hands each window to the executor, serial or pooled, and consults a
+statistical stopping controller (:mod:`repro.faultload`) at the window
+barriers, so adaptive campaigns stop as soon as their confidence target
+is met.  Fixed-budget campaigns are the degenerate single-window
+schedule.
 """
 
 from .engine import resume_campaign, run_campaign
@@ -39,7 +39,8 @@ from .journal import (JOURNAL_VERSION, JournalScan, JournalState,
                       repair_journal, scan_journal)
 from .liveobs import CampaignObservability
 from .metrics import CampaignMetrics, MetricsSnapshot, ProgressCallback
-from .scheduler import MAX_SHARD_SIZE, Shard, WorkerPool, plan_shards
+from .scheduler import (MAX_SHARD_SIZE, InProcessExecutor, Shard,
+                        ShardQueue, WorkerPool, shard_size)
 
 __all__ = [
     "run_campaign",
@@ -63,7 +64,9 @@ __all__ = [
     "MetricsSnapshot",
     "ProgressCallback",
     "MAX_SHARD_SIZE",
+    "InProcessExecutor",
     "Shard",
+    "ShardQueue",
     "WorkerPool",
-    "plan_shards",
+    "shard_size",
 ]

@@ -5,11 +5,18 @@ and returns the very same :class:`~repro.core.campaign.CampaignResult`
 the serial ``FadesCampaign.run`` path produces, whatever the execution
 strategy:
 
-* ``workers=0`` — in-process, one experiment after another (still gains
+* ``workers=0`` — in-process, on the engine's own campaign (still gains
   journaling and metrics);
 * ``workers>=1`` — a multiprocessing pool; each worker rebuilds the
   campaign from the job spec, so no simulator state crosses process
   boundaries.
+
+Either way :func:`_execute` runs one loop over the checkpoint windows
+(prepare → execute → attribute → check the stopping rule), and the
+executor takes its shards from one
+:class:`~repro.runtime.scheduler.ShardQueue`, which owns the retry,
+bisection and quarantine policy for both (see
+:mod:`repro.runtime.scheduler`).
 
 With ``journal=<path>`` every experiment record is streamed to an
 append-only JSONL file; re-running the same campaign (or calling
@@ -21,18 +28,14 @@ sharded campaign tallies exactly like an uninterrupted serial one.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import signal
 import threading
-import traceback
 from typing import Dict, List, Optional, Union
 
 from ..core import generate_faultload, pool_size
 from ..core.campaign import CampaignResult
 from ..core.classify import Outcome
-from ..errors import (CampaignInterrupted, JournalError,
-                      ObservabilityError)
+from ..errors import CampaignInterrupted, JournalError
 from ..core.faults import Fault
 from ..faultload import (FaultStream, SequentialController, StopDecision,
                          summarize_strata, tally_prefix)
@@ -46,7 +49,7 @@ from .jobspec import (CampaignJobSpec, JobRunner, build_campaign,
 from .journal import JournalWriter, check_compatible, read_journal
 from .liveobs import CampaignObservability
 from .metrics import CampaignMetrics, ProgressCallback
-from .scheduler import WorkerPool, plan_shards
+from .scheduler import InProcessExecutor, ShardQueue, WorkerPool
 
 log = get_logger("repro.runtime.engine")
 
@@ -61,9 +64,8 @@ _QUARANTINED = obs_metrics.counter(
 def run_campaign(jobspec: CampaignJobSpec, workers: int = 0,
                  journal: Optional[str] = None,
                  progress: Optional[ProgressCallback] = None,
-                 shard_size: Optional[int] = None,
                  max_retries: int = 2,
-                 trace: Union[None, bool, str] = None,
+                 trace: Optional[str] = None,
                  shard_timeout: Optional[float] = None,
                  serve_obs: Optional[str] = None,
                  alert_rules: Optional[List[AlertRule]] = None,
@@ -71,10 +73,8 @@ def run_campaign(jobspec: CampaignJobSpec, workers: int = 0,
                  ) -> CampaignResult:
     """Execute one experiment class; see the module docstring.
 
-    ``trace`` opts into span tracing: a path writes a fresh
-    Chrome/Perfetto trace file there; ``True`` appends to the journal's
-    ``.trace`` sidecar (requires ``journal``), which is how worker span
-    streams survive crashes and extend across resumes.
+    ``trace`` (a path) opts into span tracing: a Chrome/Perfetto trace
+    file is written there, worker spans streamed in shard by shard.
     ``shard_timeout`` pins the watchdog deadline for parallel shards
     (seconds of worker silence); by default the scheduler derives one
     from observed experiment times.
@@ -85,21 +85,14 @@ def run_campaign(jobspec: CampaignJobSpec, workers: int = 0,
     sampler (samples persist to ``<journal>.tsdb`` when journaling).
     """
     trace_writer: Optional[TraceWriter] = None
-    if trace:
-        if trace is True:
-            if journal is None:
-                raise ObservabilityError(
-                    "sidecar tracing (trace=True) needs a journal path")
-            path, append = journal + ".trace", True
-        else:
-            path, append = str(trace), False
+    if trace is not None:
         TRACER.reset(enabled=True, tid=PARENT_TID)
-        trace_writer = TraceWriter(path, append=append)
+        trace_writer = TraceWriter(trace)
     try:
         with span("campaign", label=jobspec.display_label(),
                   workers=workers):
             return _execute(jobspec, workers, journal, progress,
-                            shard_size, max_retries, trace_writer,
+                            max_retries, trace_writer,
                             shard_timeout, serve_obs=serve_obs,
                             alert_rules=alert_rules,
                             sample_interval=sample_interval)
@@ -115,7 +108,7 @@ def run_campaign(jobspec: CampaignJobSpec, workers: int = 0,
 def _execute(jobspec: CampaignJobSpec, workers: int,
              journal: Optional[str],
              progress: Optional[ProgressCallback],
-             shard_size: Optional[int], max_retries: int,
+             max_retries: int,
              trace_writer: Optional[TraceWriter],
              shard_timeout: Optional[float] = None,
              serve_obs: Optional[str] = None,
@@ -169,7 +162,7 @@ def _execute(jobspec: CampaignJobSpec, workers: int,
                       exact=controller is None)
 
     with metrics.phase("golden"):
-        golden = _golden_with_cache(jobspec, campaign, cycles)
+        golden = campaign.golden_run(cycles)
 
     # Bound below, before any experiment runs; None only so the take /
     # check_stop closures resolve while the coordinator is being built.
@@ -276,86 +269,37 @@ def _execute(jobspec: CampaignJobSpec, workers: int,
         for signum in (signal.SIGINT, signal.SIGTERM):
             previous_handlers[signum] = signal.signal(signum, _on_signal)
 
-    executed = 0  # end of the last window handed to the executor
+    queue = ShardQueue(max_retries, quarantine, interrupt.is_set)
     try:
         live = CampaignObservability(
             label=jobspec.display_label(), metrics=metrics,
             journal=journal, writer=writer, serve_obs=serve_obs,
             alert_rules=alert_rules, replayed_alerts=replayed_alerts,
             sample_interval=sample_interval, workers=max(0, workers))
+        executor: Union[InProcessExecutor, WorkerPool]
         if workers <= 0:
-            runner = JobRunner(jobspec, campaign=campaign,
-                               faults=faults, pool=pool)
-            # Chunk at the backend's batch size so the compiled
-            # backend fills whole lane batches (reference: size 1).
-            size = max(1, runner.batch_size())
+            executor = InProcessExecutor(
+                JobRunner(jobspec, campaign=campaign, faults=faults,
+                          pool=pool), queue)
+        else:
+            executor = WorkerPool(
+                jobspec, workers, queue, shard_timeout=shard_timeout,
+                on_spans=None if trace_writer is None
+                else trace_writer.write)
+        try:
+            # Each window is drained completely before its attribution
+            # and stopping check, so both see a complete record prefix.
             start = 0
             for end in checkpoints:
                 pending = prepare_window(start, end)
                 with metrics.phase("experiments"):
-                    for offset in range(0, len(pending), size):
-                        if interrupt.is_set():
-                            raise CampaignInterrupted(
-                                "campaign interrupted between "
-                                "experiments")
-                        _run_chunk(runner, pending[offset:offset + size],
-                                   max_retries, take, quarantine)
+                    executor.run(pending, take)
                     attribute(start, end)
-                executed = end
                 if check_stop(end):
                     break
                 start = end
-        else:
-            worker_pool = WorkerPool(
-                jobspec, workers=workers, max_retries=max_retries,
-                trace=trace_writer is not None,
-                shard_timeout=shard_timeout,
-                on_quarantine=quarantine)
-            on_spans = (None if trace_writer is None else
-                        lambda _worker_id, spans:
-                        trace_writer.write(spans))
-            bounds = [0] + checkpoints
-            # Window 0 is prepared eagerly, outside the experiments
-            # phase, so the fixed-budget path keeps its historical
-            # setup/golden/prune/experiments phase sequence; later
-            # windows are prepared at the batch barrier inside the
-            # experiments phase.
-            first_pending = prepare_window(bounds[0], bounds[1])
-
-            def batches():
-                """Shard-batch stream; each pull is a batch barrier.
-
-                The worker pool fully drains window *w* before pulling
-                window *w+1*, so the attribution and stopping check at
-                the top of each iteration always see a complete record
-                prefix.
-                """
-                nonlocal executed
-                next_shard_id = 0
-                for window in range(len(checkpoints)):
-                    start, end = bounds[window], bounds[window + 1]
-                    if window > 0:
-                        attribute(bounds[window - 1], start)
-                        if check_stop(start):
-                            return
-                        pending = prepare_window(start, end)
-                    else:
-                        pending = first_pending
-                    shards = plan_shards(pending, workers, shard_size,
-                                         first_id=next_shard_id)
-                    next_shard_id += len(shards)
-                    executed = end
-                    yield shards
-
-            with metrics.phase("experiments"):
-                worker_pool.run_batches(
-                    batches(), lambda _shard, batch: take(batch),
-                    on_spans=on_spans,
-                    should_stop=interrupt.is_set)
-                if executed:
-                    attribute(bounds[checkpoints.index(executed)],
-                              executed)
-                check_stop(executed)
+        finally:
+            executor.close()
 
         final = stop_decision.n if stop_decision is not None else budget
         if controller is not None:
@@ -403,7 +347,7 @@ def _execute(jobspec: CampaignJobSpec, workers: int,
 def resume_campaign(journal: str, workers: int = 0,
                     progress: Optional[ProgressCallback] = None,
                     max_retries: int = 2,
-                    trace: Union[None, bool, str] = None,
+                    trace: Optional[str] = None,
                     shard_timeout: Optional[float] = None,
                     serve_obs: Optional[str] = None,
                     alert_rules: Optional[List[AlertRule]] = None,
@@ -425,85 +369,6 @@ def resume_campaign(journal: str, workers: int = 0,
                         trace=trace, shard_timeout=shard_timeout,
                         serve_obs=serve_obs, alert_rules=alert_rules,
                         sample_interval=sample_interval)
-
-
-def _run_chunk(runner: JobRunner, chunk: List[int], max_retries: int,
-               take, quarantine) -> None:
-    """In-process mirror of the scheduler's retry-then-quarantine path.
-
-    A chunk that raises falls back to per-index execution with the same
-    retry budget workers get, so a poison fault is isolated and excised
-    instead of aborting — serial and parallel campaigns survive the
-    same faultloads.
-    """
-    try:
-        take(runner.run_indices(chunk))
-        return
-    except CampaignInterrupted:
-        raise
-    except Exception:
-        log.warning("chunk of %d experiments raised; isolating "
-                    "per-index", len(chunk))
-    for index in chunk:
-        record: Optional[Dict] = None
-        reason = ""
-        for _attempt in range(max_retries + 1):
-            try:
-                record = runner.run_index(index)
-                break
-            except CampaignInterrupted:
-                raise
-            except Exception:
-                reason = traceback.format_exc()
-        if record is None:
-            quarantine(index, reason)
-        else:
-            take([record])
-
-
-def _golden_with_cache(jobspec: CampaignJobSpec, campaign, cycles: int):
-    """Golden run, served from the opt-in on-disk cache when possible.
-
-    Keyed by the full job-spec identity plus the run length, so any
-    change to the design, workload, seed or backend misses.
-    Reference-backend campaigns using golden checkpoints
-    (``checkpoint_interval``) always simulate: the disk entry carries
-    no device snapshots, and serving it would silently drop the
-    fast-forward optimisation.  (Compiled golden runs never store
-    checkpoints, so they always qualify.)
-    """
-    from ..hdl.trace import Trace
-    from . import diskcache
-
-    cache = diskcache.cache_dir()
-    if cache is None or (campaign.backend == "reference"
-                         and campaign.checkpoint_interval):
-        return campaign.golden_run(cycles)
-    key = hashlib.sha1(json.dumps(
-        [jobspec.to_dict(), cycles], sort_keys=True,
-        default=str).encode("utf-8")).hexdigest()
-    path = cache / "golden" / f"{key}.json"
-    blob = diskcache.load_json(path)
-    if isinstance(blob, dict):
-        try:
-            trace = Trace(tuple(blob["output_names"]))
-            trace.samples = [tuple(sample) for sample in blob["samples"]]
-            trace.final_state = diskcache.tuplify(blob["final_state"])
-            trace.cycles = int(blob["cycles"])
-        except (KeyError, TypeError) as error:
-            log.warning("golden cache entry %s malformed (%s); "
-                        "re-simulating", path, error)
-        else:
-            campaign._golden[campaign._golden_key(cycles)] = trace
-            return trace
-    trace = campaign.golden_run(cycles)
-    diskcache.store_json(path, {
-        "output_names": list(trace.output_names),
-        "samples": [list(sample) for sample in trace.samples],
-        "final_state": trace.final_state,
-        "cycles": trace.cycles,
-    })
-    return trace
 
 
 def _assemble(jobspec: CampaignJobSpec, golden, faults: List[Fault],

@@ -280,19 +280,28 @@ class JobRunner:
         ``progress`` (if given) is called between experiments — the
         scheduler's workers hang their heartbeat on it so the watchdog
         can tell a slow shard from a hung one.
-        """
-        if self.batch_size() == 1:
-            records = []
-            for index in indices:
-                records.append(self.run_index(index))
-                if progress is not None:
-                    progress()
-            return records
 
-        faults = [self.faults[index] for index in indices]
-        results = self.campaign.run_batch(
-            faults, self.jobspec.spec.workload_cycles, pool=self.pool,
-            indices=list(indices))
+        A failing experiment can raise between its injection and its
+        restore; the golden configuration is restored before the error
+        propagates, so whatever runs next on this campaign (a retry, or
+        a worker's next shard) starts from the golden system.
+        """
+        try:
+            if self.batch_size() == 1:
+                records = []
+                for index in indices:
+                    records.append(self.run_index(index))
+                    if progress is not None:
+                        progress()
+                return records
+
+            faults = [self.faults[index] for index in indices]
+            results = self.campaign.run_batch(
+                faults, self.jobspec.spec.workload_cycles, pool=self.pool,
+                indices=list(indices))
+        except BaseException:
+            self.campaign._restore_configuration()
+            raise
         if progress is not None:
             progress()
         return [record_from_result(index, result)

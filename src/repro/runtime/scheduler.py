@@ -1,8 +1,36 @@
-"""Shard planning and the multiprocessing worker pool.
+"""The shard queue, its failure policy, and the two campaign executors.
 
-The scheduler splits a campaign's pending fault indices into
-:class:`Shard` units and drives them through worker processes.  Design
-points:
+The engine hands each checkpoint window's pending fault indices to an
+executor (``run(indices, on_records)``).  Both executors take their
+work from one :class:`ShardQueue`:
+
+* :class:`InProcessExecutor` drains the queue in this process, in
+  shards of :meth:`~repro.runtime.jobspec.JobRunner.batch_size`, so the
+  compiled backend fills whole lane batches;
+* :class:`WorkerPool` drives the queue's shards through worker
+  processes that persist across windows until :meth:`WorkerPool.close`.
+
+The queue owns the failure policy, so a serial campaign and a pooled
+one treat a failing shard the same way:
+
+* **One shard-id counter.**  Every shard, whether planned from a window
+  or split off by bisection, draws its id from the queue, so ids are
+  unique for the campaign's lifetime.
+* **Retry with backoff, then quarantine.**  A shard that raised, or
+  whose worker died or hung, is retried after an exponential backoff.
+  A shard that fails past ``max_retries`` is *bisected* rather than
+  aborting the campaign: halves re-enter the queue with fresh retry
+  budgets until the offending fault index is isolated, at which point
+  it is handed to the quarantine callback and the rest of the campaign
+  proceeds.  A failed experiment never leaves its injected frames
+  behind: :meth:`~repro.runtime.jobspec.JobRunner.run_indices` restores
+  the golden configuration before it re-raises.
+* **Abandonment on interrupt.**  Once ``should_stop`` turns true, queued
+  shards are dropped (resume re-runs them), in-flight shards drain
+  normally, and the executor raises
+  :class:`~repro.errors.CampaignInterrupted`.
+
+Pool design points:
 
 * **No shared simulator state.**  Workers receive only the picklable
   :class:`~repro.runtime.jobspec.CampaignJobSpec` and rebuild their own
@@ -23,24 +51,15 @@ points:
   shard runs; a worker whose last sign of life is older than the shard
   deadline (explicit ``shard_timeout``, or an EWMA of observed
   per-experiment time with a generous floor) is killed and its shard
-  re-queued — a *hung* worker can no longer stall the campaign forever.
-* **Retry with backoff, then quarantine.**  A shard whose worker died,
-  hung or raised goes back on the backlog (exponential backoff) and a
-  replacement worker is spawned.  A shard that fails past
-  ``max_retries`` is *bisected* rather than aborting the campaign:
-  halves re-enter the backlog with fresh retry budgets until the
-  offending fault index is isolated, at which point it is handed to
-  ``on_quarantine`` and the rest of the campaign proceeds.  Without a
-  quarantine callback the historical behaviour — abort with
-  :class:`~repro.errors.SchedulerError` — is preserved.
+  retried — a *hung* worker can no longer stall the campaign forever.
 * **Chaos instrumentation.**  Workers re-install the parent's
   :mod:`repro.chaos` plan and honour the ``worker_crash`` /
   ``worker_hang`` / ``slow_result`` fault points, so every recovery
   path above is testable deterministically.
 
-Shards are deliberately small (see :func:`plan_shards`): results stream
-back to the journal at shard granularity, so smaller shards mean finer
-crash-safety and better load balance at a modest queueing cost.
+Pool shards are deliberately small (see :func:`shard_size`): results
+stream back to the journal at shard granularity, so smaller shards mean
+finer crash-safety and better load balance at a modest queueing cost.
 """
 
 from __future__ import annotations
@@ -50,11 +69,12 @@ import os
 import signal
 import time
 import traceback
-from multiprocessing import connection as mp_connection
 from collections import deque
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from multiprocessing import connection as mp_connection
+from multiprocessing.connection import Connection
+from typing import (Any, Callable, Deque, Dict, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from .. import chaos
 from ..errors import CampaignInterrupted, SchedulerError
@@ -71,7 +91,7 @@ _HANGS = obs_metrics.counter(
     "Hung workers killed by the shard watchdog.")
 _SHARD_RETRIES = obs_metrics.counter(
     "shard_retries_total",
-    "Shard re-queues after a worker failure, by reason.")
+    "Shard re-queues after a failure, by reason.")
 _BISECTIONS = obs_metrics.counter(
     "shard_bisections_total",
     "Retry-exhausted shards split in half to isolate a poison fault.")
@@ -79,19 +99,22 @@ _WORKERS_ALIVE = obs_metrics.gauge(
     "campaign_workers_alive",
     "Live worker processes in the current campaign's pool.")
 
-#: Callback fed each worker's drained span batch: (worker_id, events).
-SpanCallback = Callable[[int, List[Dict]], None]
+#: Callback fed the records of one finished shard, in index order.
+RecordsCallback = Callable[[List[Dict[str, Any]]], None]
 
-#: Callback for an isolated poison fault: (fault index, error fingerprint).
+#: Callback fed each worker's drained span batch.
+SpanCallback = Callable[[List[Dict[str, Any]]], None]
+
+#: Callback for an isolated poison fault: (fault index, error traceback).
 QuarantineCallback = Callable[[int, str], None]
 
-#: Upper bound on shard size: keeps the journal hot even on huge
+#: Upper bound on pool shard size: keeps the journal hot even on huge
 #: campaigns (a crash loses at most this many in-flight experiments
 #: per worker).
 MAX_SHARD_SIZE = 16
 
-#: How long the event loop blocks on the worker pipes before checking
-#: worker liveness.
+#: How long the executors block (on worker pipes, or on a backing-off
+#: shard) before checking liveness and interrupts again.
 _POLL_SECONDS = 0.1
 
 #: How often an idle worker checks whether its parent is still alive
@@ -111,16 +134,12 @@ _WATCHDOG_FACTOR = 8.0
 #: EWMA weight of the newest per-experiment time sample.
 _EWMA_ALPHA = 0.3
 
-#: Retry backoff: ``base * 2**(attempt-1)`` seconds, capped here.
+#: Retry backoff: ``_BACKOFF_BASE_S * 2**(attempt-1)`` seconds, capped.
+_BACKOFF_BASE_S = 0.25
 _BACKOFF_CAP_S = 5.0
 
 #: Exit code of a chaos-injected worker crash (diagnosable post-mortem).
 CHAOS_CRASH_EXIT = 121
-
-#: Bisected half-shards draw ids from here: far above any id
-#: :func:`plan_shards` can produce, so splits never collide with
-#: batches the campaign streams in later.
-_BISECT_ID_BASE = 2 ** 32
 
 
 @dataclass(frozen=True)
@@ -131,29 +150,168 @@ class Shard:
     indices: Tuple[int, ...]
 
 
-def plan_shards(indices: Sequence[int], workers: int,
-                shard_size: Optional[int] = None,
-                first_id: int = 0) -> List[Shard]:
-    """Split pending fault indices into shards.
+def shard_size(pending: int, workers: int) -> int:
+    """Pool shard size for a window of *pending* indices: about four
+    shards per worker (load balance against stragglers), capped at
+    :data:`MAX_SHARD_SIZE` (journal granularity)."""
+    per_worker = -(-pending // (max(1, workers) * 4))
+    return max(1, min(MAX_SHARD_SIZE, per_worker))
 
-    The default size targets ~4 shards per worker (load balance against
-    stragglers) capped at :data:`MAX_SHARD_SIZE` (journal granularity).
-    ``first_id`` offsets the shard ids so successive batches of one
-    streamed campaign stay uniquely identified.
+
+class ShardQueue:
+    """A campaign's outstanding shards and the policy for failed ones.
+
+    A shard is *outstanding* from the moment it is queued until
+    :meth:`complete`, a quarantine, a bisection or an interrupt retires
+    it; ``len(queue)`` counts the outstanding shards, whether queued,
+    backing off or in flight.
     """
-    if not indices:
-        return []
-    if shard_size is None:
-        per_worker = -(-len(indices) // (max(1, workers) * 4))
-        shard_size = max(1, min(MAX_SHARD_SIZE, per_worker))
-    shard_size = max(1, shard_size)
-    return [Shard(shard_id=first_id + n, indices=tuple(chunk))
-            for n, chunk in enumerate(
-                indices[start:start + shard_size]
-                for start in range(0, len(indices), shard_size))]
+
+    def __init__(self, max_retries: int,
+                 on_quarantine: QuarantineCallback,
+                 should_stop: Callable[[], bool]) -> None:
+        self.max_retries = max_retries
+        self._on_quarantine = on_quarantine
+        self._should_stop = should_stop
+        self._next_id = 0
+        self._outstanding: Dict[int, Shard] = {}
+        self._attempts: Dict[int, int] = {}
+        self._backlog: Deque[Shard] = deque()
+        #: Shards backing off after a failure: (due time, shard).
+        self._delayed: List[Tuple[float, Shard]] = []
+        #: Set once ``should_stop`` was seen true; never cleared.
+        self.stopping = False
+
+    def __len__(self) -> int:
+        return len(self._outstanding)
+
+    def _new(self, indices: Sequence[int]) -> Shard:
+        shard = Shard(shard_id=self._next_id, indices=tuple(indices))
+        self._next_id += 1
+        self._outstanding[shard.shard_id] = shard
+        return shard
+
+    def extend(self, indices: Sequence[int], size: int) -> None:
+        """Queue *indices*, in order, as shards of at most *size*."""
+        for start in range(0, len(indices), size):
+            self._backlog.append(self._new(indices[start:start + size]))
+
+    def interrupted(self) -> bool:
+        """Whether the campaign is stopping.  The first time
+        ``should_stop`` is true, every queued or backing-off shard is
+        abandoned; in-flight shards stay outstanding until they report.
+        """
+        if not self.stopping and self._should_stop():
+            self.stopping = True
+            abandoned = list(self._backlog) + [
+                shard for _, shard in self._delayed]
+            for shard in abandoned:
+                del self._outstanding[shard.shard_id]
+            self._backlog.clear()
+            self._delayed.clear()
+        return self.stopping
+
+    def pop(self) -> Optional[Tuple[Shard, int]]:
+        """The next due shard and its attempt number; ``None`` when no
+        shard is due (all backing off or in flight) or when stopping."""
+        if self.interrupted():
+            return None
+        if self._delayed:
+            now = time.monotonic()
+            self._backlog.extend(shard for due, shard in self._delayed
+                                 if due <= now)
+            self._delayed = [(due, shard) for due, shard in self._delayed
+                             if due > now]
+        if not self._backlog:
+            return None
+        shard = self._backlog.popleft()
+        return shard, self._attempts.get(shard.shard_id, 0)
+
+    def complete(self, shard_id: int) -> bool:
+        """Retire a finished shard; ``False`` for a result that no
+        longer counts (the shard was abandoned or already retired)."""
+        return self._outstanding.pop(shard_id, None) is not None
+
+    def fail(self, shard_id: int, reason: str, kind: str) -> None:
+        """Apply the failure policy to an in-flight shard: retry with
+        exponential backoff, bisect past ``max_retries``, and quarantine
+        an isolated index.  *kind* (``error``, ``crash`` or ``hang``)
+        labels the retry metric."""
+        shard = self._outstanding.get(shard_id)
+        if shard is None:
+            return
+        if self.stopping:
+            # Interrupted: abandon (resume re-runs it) rather than retry.
+            del self._outstanding[shard_id]
+            return
+        attempt = self._attempts.get(shard_id, 0) + 1
+        self._attempts[shard_id] = attempt
+        if attempt <= self.max_retries:
+            _SHARD_RETRIES.inc(reason=kind)
+            TRACER.instant("shard_retry", shard=shard_id, reason=kind,
+                           attempt=attempt)
+            delay = min(_BACKOFF_CAP_S,
+                        _BACKOFF_BASE_S * 2 ** (attempt - 1))
+            self._delayed.append((time.monotonic() + delay, shard))
+            return
+        del self._outstanding[shard_id]
+        if len(shard.indices) > 1:
+            _BISECTIONS.inc()
+            TRACER.instant("shard_bisect", shard=shard_id,
+                           size=len(shard.indices))
+            log.warning("shard %d exhausted %d retries; bisecting %d "
+                        "indices to isolate the poison fault",
+                        shard_id, self.max_retries, len(shard.indices))
+            mid = len(shard.indices) // 2
+            for half in (shard.indices[mid:], shard.indices[:mid]):
+                self._backlog.appendleft(self._new(half))
+            return
+        index = shard.indices[0]
+        TRACER.instant("quarantine", index=index)
+        log.warning("quarantining poison fault %d: %s", index,
+                    reason.strip().splitlines()[-1]
+                    if reason.strip() else reason)
+        self._on_quarantine(index, reason)
 
 
-def _mp_context():
+class InProcessExecutor:
+    """Runs the queue's shards in this process, on the engine's own
+    campaign; backoff waits are slept out between shards."""
+
+    def __init__(self, runner: JobRunner, queue: ShardQueue) -> None:
+        self.runner = runner
+        self.queue = queue
+
+    def run(self, indices: Sequence[int],
+            on_records: RecordsCallback) -> None:
+        """Execute *indices*, handing each shard's records to
+        ``on_records`` as it finishes."""
+        queue = self.queue
+        queue.extend(indices, self.runner.batch_size())
+        while queue:
+            item = queue.pop()
+            if item is None:
+                if queue:  # every queued shard is backing off
+                    time.sleep(_POLL_SECONDS)
+                continue
+            shard = item[0]
+            try:
+                records = self.runner.run_indices(shard.indices)
+            except Exception:
+                queue.fail(shard.shard_id, traceback.format_exc(),
+                           kind="error")
+                continue
+            if queue.complete(shard.shard_id):
+                on_records(records)
+        if queue.stopping:
+            raise CampaignInterrupted(
+                "campaign interrupted between experiments")
+
+    def close(self) -> None:
+        """Nothing to release: the campaign belongs to the engine."""
+
+
+def _mp_context() -> Any:
     """Prefer fork (workers skip re-importing the package); fall back to
     the platform default elsewhere."""
     methods = multiprocessing.get_all_start_methods()
@@ -162,8 +320,8 @@ def _mp_context():
     return multiprocessing.get_context()
 
 
-def _worker_main(worker_id: int, jobspec: CampaignJobSpec, conn,
-                 trace: bool = False,
+def _worker_main(worker_id: int, jobspec: CampaignJobSpec,
+                 conn: Connection, trace: bool = False,
                  chaos_spec: Optional[str] = None) -> None:
     """Worker process body: build one campaign, then drain shards."""
     parent = os.getppid()
@@ -253,9 +411,9 @@ def _worker_main(worker_id: int, jobspec: CampaignJobSpec, conn,
 class _Worker:
     """Parent-side handle: process + its private message pipe."""
 
-    def __init__(self, ctx, worker_id: int, jobspec: CampaignJobSpec,
+    def __init__(self, ctx: Any, worker_id: int, jobspec: CampaignJobSpec,
                  trace: bool = False,
-                 chaos_spec: Optional[str] = None):
+                 chaos_spec: Optional[str] = None) -> None:
         self.worker_id = worker_id
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.shard: Optional[Shard] = None
@@ -285,12 +443,22 @@ class _Worker:
         if self.process.is_alive():
             self._send(None)
 
-    def _send(self, obj) -> None:
+    def _send(self, obj: Any) -> None:
         try:
             self.conn.send(obj)
         except (OSError, ValueError):
-            # Worker died; liveness checking requeues its shard.
+            # Worker died; the liveness scan fails its shard.
             pass
+
+    def pending_messages(self) -> Iterator[Tuple[Any, ...]]:
+        """Yield the complete messages waiting on this worker's pipe."""
+        while True:
+            try:
+                if not self.conn.poll(0):
+                    return
+                yield self.conn.recv()
+            except (EOFError, OSError):
+                return  # dead worker: the liveness scan fails its shard
 
     def reap(self, timeout: float = 2.0) -> None:
         """Join, escalating terminate -> kill: never leak a zombie."""
@@ -307,26 +475,33 @@ class _Worker:
 
 
 class WorkerPool:
-    """Runs shards of one job spec across worker processes."""
+    """Runs the queue's shards of one job spec across worker processes.
+
+    Workers are spawned on demand, build their campaign once, and
+    persist across :meth:`run` calls, idling at the engine's window
+    barriers, until :meth:`close`.  With ``on_spans`` the workers trace,
+    and each result's span batch is handed to it; worker metrics merge
+    into this process's registry either way.
+    """
 
     def __init__(self, jobspec: CampaignJobSpec, workers: int,
-                 max_retries: int = 2,
-                 trace: bool = False,
+                 queue: ShardQueue,
                  shard_timeout: Optional[float] = None,
-                 backoff_base: float = 0.25,
-                 on_quarantine: Optional[QuarantineCallback] = None):
+                 on_spans: Optional[SpanCallback] = None) -> None:
         if workers < 1:
             raise SchedulerError("worker pool needs at least one worker")
         self.jobspec = jobspec
         self.workers = workers
-        self.max_retries = max_retries
-        self.trace = trace
+        self.queue = queue
         self.shard_timeout = shard_timeout
-        self.backoff_base = backoff_base
-        self.on_quarantine = on_quarantine
+        self.on_spans = on_spans
         #: EWMA of observed per-experiment wall time (None until the
         #: first shard completes); feeds the watchdog deadline.
         self.ewma_experiment_s: Optional[float] = None
+        self._ctx = _mp_context()
+        self._chaos_spec = chaos.active_spec()
+        self._pool: Dict[int, _Worker] = {}
+        self._next_worker_id = 0
 
     def deadline_for(self, shard: Shard) -> float:
         """Watchdog deadline for one shard, in seconds of silence."""
@@ -338,318 +513,150 @@ class WorkerPool:
                    _WATCHDOG_FACTOR * self.ewma_experiment_s
                    * len(shard.indices))
 
-    def run(self, shards: Sequence[Shard],
-            on_records: Callable[[Shard, List[Dict]], None],
-            on_spans: Optional[SpanCallback] = None) -> None:
-        """Execute every shard, streaming record batches to
-        ``on_records`` as workers finish them (arrival order).
+    def run(self, indices: Sequence[int],
+            on_records: RecordsCallback) -> None:
+        """Execute *indices*, handing each shard's records to
+        ``on_records`` as workers finish them (arrival order)."""
+        queue = self.queue
+        queue.extend(indices, shard_size(len(indices), self.workers))
+        while queue:
+            if not queue.interrupted():
+                while len(self._pool) < min(self.workers, len(queue)):
+                    self._spawn()
+            for worker in self._pool.values():
+                self._feed(worker)
+            self._drain(on_records)
+            self._check_liveness(on_records)
+        if queue.stopping:
+            raise CampaignInterrupted(
+                "campaign interrupted; in-flight shards drained")
 
-        Worker observability ships with each result: span batches go to
-        ``on_spans`` (when tracing), metrics snapshots merge into this
-        process's registry.
-        """
-        self.run_batches(iter([list(shards)]), on_records, on_spans)
+    def close(self) -> None:
+        """Stop and reap every worker."""
+        for worker in self._pool.values():
+            worker.stop()
+        for worker in self._pool.values():
+            worker.reap()
+        self._pool.clear()
+        _WORKERS_ALIVE.set(0)
 
-    def run_batches(self, batches: Iterable[Sequence[Shard]],
-                    on_records: Callable[[Shard, List[Dict]], None],
-                    on_spans: Optional[SpanCallback] = None,
-                    should_stop: Optional[Callable[[], bool]] = None
-                    ) -> None:
-        """Execute a stream of shard batches over one persistent pool.
+    def _spawn(self) -> None:
+        worker = _Worker(self._ctx, self._next_worker_id, self.jobspec,
+                         trace=self.on_spans is not None,
+                         chaos_spec=self._chaos_spec)
+        self._pool[worker.worker_id] = worker
+        self._next_worker_id += 1
+        _WORKERS_ALIVE.set(len(self._pool))
 
-        Each batch is fully drained before the next one is pulled from
-        ``batches`` — that pull is the campaign's batch barrier, where a
-        stopping controller can extend the stream or cut it short by
-        exhausting the iterator.  Workers persist across batches (each
-        one rebuilt its campaign exactly once) and idle at the barrier.
-        Shard ids must be unique across the whole stream (see
-        :func:`plan_shards`'s ``first_id``).
+    def _feed(self, worker: _Worker) -> None:
+        if worker.ready and worker.shard is None:
+            item = self.queue.pop()
+            if item is not None:
+                worker.assign(*item)
 
-        ``should_stop`` is polled every scheduling round: once true,
-        queued shards are abandoned, in-flight shards drain normally
-        (their results still stream to ``on_records``), and the pool
-        raises :class:`~repro.errors.CampaignInterrupted`.
-        """
-        ctx = _mp_context()
-        chaos_spec = chaos.active_spec()
-        backlog: deque = deque()
-        delayed: List[Tuple[float, Shard]] = []
-        by_id: Dict[int, Shard] = {}
-        attempts: Dict[int, int] = {}
-        outstanding: set = set()
-        pool: Dict[int, _Worker] = {}
-        next_worker_id = 0
-        next_bisect_id = _BISECT_ID_BASE
-        stopping = False
+    def _dispatch(self, message: Tuple[Any, ...], worker: _Worker,
+                  on_records: RecordsCallback, alive: bool = True) -> None:
+        """Apply one worker message.  ``alive=False`` is the post-mortem
+        drain of a dead worker's pipe: results still count, but the
+        worker gets no further work."""
+        worker.last_activity = time.monotonic()
+        kind = message[0]
+        if kind == "beat":
+            return
+        if kind == "ready":
+            worker.ready = True
+        elif kind == "result":
+            shard_id, records = message[2], message[3]
+            spans, metrics_state = message[4], message[5]
+            shard = worker.release()
+            if shard is not None and shard.shard_id == shard_id:
+                elapsed = time.monotonic() - worker.assigned_at
+                sample = elapsed / max(1, len(shard.indices))
+                self.ewma_experiment_s = sample \
+                    if self.ewma_experiment_s is None \
+                    else (_EWMA_ALPHA * sample
+                          + (1.0 - _EWMA_ALPHA) * self.ewma_experiment_s)
+            if self.queue.complete(shard_id):
+                if spans and self.on_spans is not None:
+                    self.on_spans(spans)
+                if metrics_state is not None:
+                    REGISTRY.merge_state(metrics_state)
+                on_records(records)
+        elif kind == "error":
+            worker.release()
+            self.queue.fail(message[2], message[3], kind="error")
+        elif kind == "fatal":
+            raise SchedulerError(
+                f"worker {worker.worker_id} failed to start:\n"
+                f"{message[2]}")
+        if alive:
+            self._feed(worker)
 
-        def spawn() -> None:
-            nonlocal next_worker_id
-            worker = _Worker(ctx, next_worker_id, self.jobspec,
-                             trace=self.trace, chaos_spec=chaos_spec)
-            pool[next_worker_id] = worker
-            next_worker_id += 1
-            _WORKERS_ALIVE.set(len(pool))
+    def _drain(self, on_records: RecordsCallback) -> None:
+        """Handle every pending worker message (blocking briefly)."""
+        if not self._pool:
+            time.sleep(_POLL_SECONDS)
+            return
+        ready = set(mp_connection.wait(
+            [worker.conn for worker in self._pool.values()],
+            timeout=_POLL_SECONDS))
+        for worker in list(self._pool.values()):
+            if worker.conn in ready:
+                for message in worker.pending_messages():
+                    self._dispatch(message, worker, on_records)
 
-        def feed(worker: _Worker) -> None:
-            if stopping:
-                return
-            if backlog and worker.ready and worker.shard is None:
-                shard = backlog.popleft()
-                worker.assign(shard, attempts.get(shard.shard_id, 0))
-
-        def check_stop() -> None:
-            # Abandon queued work; in-flight shards drain normally so
-            # no finished experiment is lost.
-            nonlocal stopping
-            if stopping or should_stop is None or not should_stop():
-                return
-            stopping = True
-            for shard in backlog:
-                outstanding.discard(shard.shard_id)
-            backlog.clear()
-            for _, shard in delayed:
-                outstanding.discard(shard.shard_id)
-            delayed.clear()
-
-        def promote_delayed() -> None:
-            if not delayed:
-                return
-            now = time.monotonic()
-            due = [entry for entry in delayed if entry[0] <= now]
-            if due:
-                delayed[:] = [entry for entry in delayed
-                              if entry[0] > now]
-                for _, shard in due:
-                    backlog.append(shard)
-
-        def quarantine(shard: Shard, reason: str) -> None:
-            # Retry budget exhausted.  With no quarantine callback this
-            # is still fatal (historical behaviour); with one, bisect
-            # until the poison fault is isolated, then excise it.
-            nonlocal next_bisect_id
-            if self.on_quarantine is None:
-                raise SchedulerError(
-                    f"shard {shard.shard_id} failed "
-                    f"{attempts[shard.shard_id]} times; last cause:\n"
-                    f"{reason}")
-            outstanding.discard(shard.shard_id)
-            if len(shard.indices) > 1:
-                mid = len(shard.indices) // 2
-                _BISECTIONS.inc()
-                TRACER.instant("shard_bisect", shard=shard.shard_id,
-                               size=len(shard.indices))
-                log.warning(
-                    "shard %d exhausted %d retries; bisecting %d "
-                    "indices to isolate the poison fault",
-                    shard.shard_id, attempts[shard.shard_id],
-                    len(shard.indices))
-                for half in (shard.indices[mid:], shard.indices[:mid]):
-                    child = Shard(shard_id=next_bisect_id, indices=half)
-                    next_bisect_id += 1
-                    by_id[child.shard_id] = child
-                    outstanding.add(child.shard_id)
-                    backlog.appendleft(child)
-            else:
-                index = shard.indices[0]
-                TRACER.instant("quarantine", index=index)
-                log.warning("quarantining poison fault %d: %s",
-                            index, reason.strip().splitlines()[-1]
-                            if reason.strip() else reason)
-                self.on_quarantine(index, reason)
-
-        def requeue(shard: Shard, reason: str, kind: str) -> None:
-            if stopping:
-                # Interrupted: the shard is abandoned (resume re-runs
-                # it) instead of respawning workers on the way out.
-                outstanding.discard(shard.shard_id)
-                return
-            attempts[shard.shard_id] = attempts.get(shard.shard_id, 0) + 1
-            if attempts[shard.shard_id] > self.max_retries:
-                quarantine(shard, reason)
-                return
-            _SHARD_RETRIES.inc(reason=kind)
-            TRACER.instant("shard_retry", shard=shard.shard_id,
-                           reason=kind,
-                           attempt=attempts[shard.shard_id])
-            delay = min(_BACKOFF_CAP_S,
-                        self.backoff_base
-                        * (2 ** (attempts[shard.shard_id] - 1)))
-            if delay > 0:
-                delayed.append((time.monotonic() + delay, shard))
-            else:
-                backlog.appendleft(shard)
-
-        def dispatch(message, worker: _Worker,
-                     alive: bool = True) -> None:
-            # Apply one worker message to the pool state.  alive=False
-            # is the post-mortem drain of a dead worker's pipe: results
-            # still count, but the worker gets no further work.
-            worker.last_activity = time.monotonic()
-            kind = message[0]
-            if kind == "beat":
-                return
-            if kind == "ready":
-                worker.ready = True
-                if alive:
-                    feed(worker)
-            elif kind == "result":
-                shard_id, records = message[2], message[3]
-                spans, metrics_state = message[4], message[5]
-                shard = worker.release()
-                if shard is not None and shard.shard_id == shard_id:
-                    elapsed = time.monotonic() - worker.assigned_at
-                    sample = elapsed / max(1, len(shard.indices))
-                    self.ewma_experiment_s = sample \
-                        if self.ewma_experiment_s is None \
-                        else (_EWMA_ALPHA * sample
-                              + (1.0 - _EWMA_ALPHA)
-                              * self.ewma_experiment_s)
-                if shard_id in outstanding:
-                    outstanding.discard(shard_id)
-                    if spans and on_spans is not None:
-                        on_spans(worker.worker_id, spans)
-                    if metrics_state is not None:
-                        REGISTRY.merge_state(metrics_state)
-                    on_records(by_id[shard_id], records)
-                if alive:
-                    # An idle worker stays alive: the batch stream may
-                    # carry more work after the barrier.  Teardown
-                    # happens once the stream is exhausted
-                    # (run_batches' finally).
-                    feed(worker)
-            elif kind == "error":
-                shard_id, reason = message[2], message[3]
-                worker.release()
-                if shard_id in outstanding:
-                    requeue(by_id[shard_id], reason, kind="error")
-                if alive:
-                    feed(worker)
-            elif kind == "fatal":
-                raise SchedulerError(
-                    f"worker {worker.worker_id} failed to start:\n"
-                    f"{message[2]}")
-
-        def drain() -> None:
-            # Handle every pending worker message (blocking briefly).
-            conns = {worker.conn: worker for worker in pool.values()}
-            if not conns:
-                time.sleep(_POLL_SECONDS)
-                return
-            for conn in mp_connection.wait(list(conns),
-                                           timeout=_POLL_SECONDS):
-                for message in self._pending_messages(conn):
-                    dispatch(message, conns[conn])
-
-        def patrol_watchdog() -> None:
-            # Kill workers whose shard has gone silent past its
-            # deadline; the dead-worker scan below requeues the shard.
-            now = time.monotonic()
-            for worker in pool.values():
-                if worker.shard is None or worker.hung \
-                        or not worker.process.is_alive():
-                    continue
-                deadline = self.deadline_for(worker.shard)
-                if now - worker.last_activity <= deadline:
-                    continue
-                worker.hung = True
-                _HANGS.inc()
-                TRACER.instant("watchdog_kill",
-                               worker=worker.worker_id,
-                               shard=worker.shard.shard_id,
-                               deadline_s=round(deadline, 3))
-                log.warning(
-                    "worker %d silent for %.1fs on shard %d "
-                    "(deadline %.1fs); killing it",
-                    worker.worker_id, now - worker.last_activity,
-                    worker.shard.shard_id, deadline)
-                worker.process.terminate()
+    def _patrol_watchdog(self) -> None:
+        """Kill workers whose shard has gone silent past its deadline;
+        the liveness scan then fails the shard."""
+        now = time.monotonic()
+        for worker in self._pool.values():
+            if worker.shard is None or worker.hung \
+                    or not worker.process.is_alive():
+                continue
+            deadline = self.deadline_for(worker.shard)
+            if now - worker.last_activity <= deadline:
+                continue
+            worker.hung = True
+            _HANGS.inc()
+            TRACER.instant("watchdog_kill", worker=worker.worker_id,
+                           shard=worker.shard.shard_id,
+                           deadline_s=round(deadline, 3))
+            log.warning(
+                "worker %d silent for %.1fs on shard %d "
+                "(deadline %.1fs); killing it",
+                worker.worker_id, now - worker.last_activity,
+                worker.shard.shard_id, deadline)
+            worker.process.terminate()
+            worker.process.join(0.2)
+            if worker.process.is_alive():
+                # SIGTERM masked or wedged in C code: SIGKILL cannot be
+                # ignored.
+                worker.process.kill()
                 worker.process.join(0.2)
-                if worker.process.is_alive():
-                    # SIGTERM masked or wedged in C code: SIGKILL
-                    # cannot be ignored.
-                    worker.process.kill()
-                    worker.process.join(0.2)
 
-        def check_liveness() -> None:
-            # Requeue shards of dead workers; keep the pool staffed.
-            patrol_watchdog()
-            for worker_id in [wid for wid, worker in pool.items()
-                              if not worker.process.is_alive()]:
-                worker = pool.pop(worker_id)
-                _WORKERS_ALIVE.set(len(pool))
-                # Dispatch any complete messages the worker shipped
-                # before dying, so its finished shards are not re-run.
-                # Sends are synchronous in the worker, so a crash in
-                # experiment code cannot leave a torn message behind.
-                for message in self._pending_messages(worker.conn):
-                    dispatch(message, worker, alive=False)
-                shard = worker.release()
-                if shard is not None and shard.shard_id in outstanding:
-                    if worker.hung:
-                        requeue(shard,
-                                f"worker {worker_id} hung (no "
-                                "heartbeat within the watchdog "
-                                "deadline)", kind="hang")
-                    else:
-                        requeue(shard,
-                                f"worker {worker_id} died (exit code "
-                                f"{worker.process.exitcode})",
-                                kind="crash")
-                worker.reap(timeout=0.5)
-            pending = len(backlog) + len(delayed) \
-                + sum(1 for worker in pool.values()
-                      if worker.shard is not None)
-            if not stopping:
-                while pending and len(pool) < min(self.workers,
-                                                  len(outstanding)):
-                    spawn()
-                    pending += 1
-            # A requeue may have refilled the backlog after a worker
-            # went idle; hand those shards out again.
-            for worker in pool.values():
-                if worker.ready and worker.shard is None and backlog:
-                    feed(worker)
-
-        try:
-            for shards in batches:
-                check_stop()
-                if stopping:
-                    break
-                if not shards:
-                    continue
-                for shard in shards:
-                    if shard.shard_id in by_id:
-                        raise SchedulerError(
-                            f"duplicate shard id {shard.shard_id} "
-                            "across batches")
-                    by_id[shard.shard_id] = shard
-                    backlog.append(shard)
-                    outstanding.add(shard.shard_id)
-                while len(pool) < min(self.workers, len(outstanding)):
-                    spawn()
-                for worker in pool.values():
-                    feed(worker)
-                while outstanding:
-                    check_stop()
-                    promote_delayed()
-                    drain()
-                    check_liveness()
-            if stopping:
-                raise CampaignInterrupted(
-                    "campaign interrupted; in-flight shards drained")
-        finally:
-            for worker in pool.values():
-                worker.stop()
-            for worker in pool.values():
-                worker.reap()
-            _WORKERS_ALIVE.set(0)
-
-    def _pending_messages(self, conn):
-        """Yield complete messages waiting on a worker pipe."""
-        while True:
-            try:
-                if not conn.poll(0):
-                    return
-                yield conn.recv()
-            except (EOFError, OSError):
-                return  # dead worker: liveness requeues its shard
+    def _check_liveness(self, on_records: RecordsCallback) -> None:
+        """Fail the shards of dead workers; the next round respawns."""
+        self._patrol_watchdog()
+        for worker_id in [wid for wid, worker in self._pool.items()
+                          if not worker.process.is_alive()]:
+            worker = self._pool.pop(worker_id)
+            _WORKERS_ALIVE.set(len(self._pool))
+            # Dispatch any complete messages the worker shipped before
+            # dying, so its finished shards are not re-run.  Sends are
+            # synchronous in the worker, so a crash in experiment code
+            # cannot leave a torn message behind.
+            for message in worker.pending_messages():
+                self._dispatch(message, worker, on_records, alive=False)
+            shard = worker.release()
+            if shard is not None:
+                if worker.hung:
+                    self.queue.fail(
+                        shard.shard_id,
+                        f"worker {worker_id} hung (no heartbeat within "
+                        "the watchdog deadline)", kind="hang")
+                else:
+                    self.queue.fail(
+                        shard.shard_id,
+                        f"worker {worker_id} died (exit code "
+                        f"{worker.process.exitcode})", kind="crash")
+            worker.reap(timeout=0.5)

@@ -10,7 +10,7 @@ from repro.errors import ObservabilityError
 from repro.obs import logsetup, metrics as obs_metrics, tracing
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.summary import render_summary, summarize_trace
-from repro.obs.tracing import PARENT_TID, Tracer, TraceWriter, read_trace
+from repro.obs.tracing import PARENT_TID, Tracer, read_trace
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -124,15 +124,6 @@ class TestTraceFile:
         with open(path, "a") as handle:
             handle.write('{"name": "torn", "ph"')  # crash mid-write
         assert [event["name"] for event in read_trace(path)] == ["kept"]
-
-    def test_append_mode_extends_existing_trace(self, tmp_path):
-        path = str(tmp_path / "trace.json")
-        with TraceWriter(path) as writer:
-            writer.write([{"name": "first", "ph": "X"}])
-        with TraceWriter(path, append=True) as writer:
-            writer.write([{"name": "second", "ph": "X"}])
-        names = [event["name"] for event in read_trace(path)]
-        assert names == ["first", "second"]
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(ObservabilityError):
@@ -355,24 +346,6 @@ class TestEngineTracing:
                      trace=str(tmp_path / "t.json"))
         run_campaign(jobspec, workers=0)  # no trace requested
         assert tracing.TRACER.enabled is False
-
-    def test_sidecar_requires_journal(self, jobspec):
-        from repro.runtime import run_campaign
-        with pytest.raises(ObservabilityError):
-            run_campaign(jobspec, trace=True)
-
-    def test_journal_sidecar_appends_across_runs(self, tmp_path,
-                                                 jobspec):
-        from repro.runtime import run_campaign
-        journal = str(tmp_path / "campaign.jsonl")
-        run_campaign(jobspec, workers=0, journal=journal, trace=True)
-        sidecar = journal + ".trace"
-        first = read_trace(sidecar)
-        assert {e["name"] for e in first} >= {"campaign", "experiment"}
-        # A second run over the same journal has nothing pending but
-        # still extends the same sidecar trace rather than truncating.
-        run_campaign(jobspec, workers=0, journal=journal, trace=True)
-        assert len(read_trace(sidecar)) > len(first)
 
 
 class TestCliObs:

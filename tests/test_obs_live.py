@@ -600,8 +600,7 @@ class TestChaosHangAlert:
                 scrapes["status"] = json.loads(reply.read().decode())
 
         result = run_campaign(jobspec, workers=2, shard_timeout=1.0,
-                              shard_size=4, journal=journal,
-                              progress=scrape,
+                              journal=journal, progress=scrape,
                               serve_obs="127.0.0.1:0",
                               sample_interval=0.0)
         assert len(result.experiments) == 12

@@ -7,6 +7,7 @@ interrupted mid-flight must, after resume, tally exactly like one that
 never crashed.
 """
 
+import dataclasses
 import multiprocessing
 import os
 
@@ -14,15 +15,15 @@ import pytest
 
 from repro.analysis import Evaluation
 from repro.core import FaultModel, build_fades
-from repro.core.campaign import FadesCampaign, derive_fault_seed
+from repro.core.campaign import Experiment, derive_fault_seed
 from repro.core.classify import Outcome
 from repro.core.config import FaultLoadSpec
 from repro.core.faults import Fault, Target, TargetKind
-from repro.errors import JournalError, SchedulerError
-from repro.obs.metrics import MetricsRegistry
+from repro.errors import JournalError
+from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.runtime import (CampaignJobSpec, CampaignMetrics, JobRunner,
-                           MAX_SHARD_SIZE, plan_shards, read_journal,
-                           resume_campaign, run_campaign)
+                           MAX_SHARD_SIZE, ShardQueue, read_journal,
+                           resume_campaign, run_campaign, shard_size)
 
 from helpers import build_counter
 
@@ -193,20 +194,54 @@ class TestJournalResume:
         assert CampaignJobSpec.from_dict(jobspec.to_dict()) == jobspec
 
 
+def drain(queue):
+    """Pop and complete every queued shard, as a failure-free executor
+    would; the shards in dispatch order."""
+    shards = []
+    while queue:
+        shard, attempt = queue.pop()
+        assert attempt == 0
+        assert queue.complete(shard.shard_id)
+        shards.append(shard)
+    return shards
+
+
+def never_quarantine(index, reason):
+    raise AssertionError(f"unexpected quarantine of {index}: {reason}")
+
+
+def divergences(result):
+    return [(experiment.outcome, experiment.first_divergence)
+            for experiment in result.experiments]
+
+
 class TestScheduler:
-    def test_plan_shards_partitions_exactly(self):
+    def test_queue_partitions_exactly(self):
+        queue = ShardQueue(0, never_quarantine, lambda: False)
         indices = list(range(100))
-        shards = plan_shards(indices, workers=4)
+        queue.extend(indices, shard_size(len(indices), workers=4))
+        shards = drain(queue)
         covered = [index for shard in shards for index in shard.indices]
-        assert sorted(covered) == indices
+        assert covered == indices
         assert all(len(shard.indices) <= MAX_SHARD_SIZE
                    for shard in shards)
         assert len({shard.shard_id for shard in shards}) == len(shards)
 
-    def test_plan_shards_explicit_size_and_empty(self):
-        assert plan_shards([], workers=4) == []
-        shards = plan_shards(list(range(10)), workers=2, shard_size=3)
-        assert [len(shard.indices) for shard in shards] == [3, 3, 3, 1]
+    def test_queue_sizes_and_one_id_counter(self):
+        queue = ShardQueue(0, never_quarantine, lambda: False)
+        queue.extend([], 4)
+        assert not queue and queue.pop() is None
+        queue.extend(list(range(10)), 3)
+        assert [len(shard.indices) for shard in drain(queue)] \
+            == [3, 3, 3, 1]
+        # A later window and a bisection draw ids from the same counter.
+        queue.extend(list(range(10, 14)), 4)
+        shard, _attempt = queue.pop()
+        queue.fail(shard.shard_id, "boom", kind="error")
+        halves = drain(queue)
+        assert [half.indices for half in halves] == [(10, 11), (12, 13)]
+        ids = [shard.shard_id] + [half.shard_id for half in halves]
+        assert sorted(ids) == list(range(4, 7))
 
     @pytest.mark.skipif(not HAS_FORK,
                         reason="crash simulation needs fork start method")
@@ -260,18 +295,67 @@ class TestScheduler:
         assert result.counts().quarantined == 1
         assert result.counts().total == COUNT - 1
 
+    def test_serial_poison_fault_is_bisected_on_the_lane_engine(
+            self, evaluation, monkeypatch):
+        # In process, a failing lane batch is bisected exactly like a
+        # pooled shard: the survivors stay packed on the lane engine
+        # instead of re-running one by one on the reference device.
+        spec = evaluation.spec(FaultModel.BITFLIP, "ffs", 1, COUNT)
+        jobspec = dataclasses.replace(
+            CampaignJobSpec.from_evaluation(
+                evaluation, spec, faultload_seed=evaluation.seed),
+            backend="compiled")
+        undisturbed = run_campaign(jobspec)
+        bisections = REGISTRY.get("shard_bisections_total")
+        lanes = REGISTRY.get("emu_lane_faults_total")
+        bisected_before = bisections.total()
+        packed_before = lanes.value(mode="packed")
+        original = Experiment.__init__
+
+        def poisoned(self, campaign, fault, cycles, pool, index):
+            if index == 0:
+                raise RuntimeError("always broken")
+            original(self, campaign, fault, cycles, pool, index)
+
+        monkeypatch.setattr(Experiment, "__init__", poisoned)
+        result = run_campaign(jobspec, max_retries=0)
+        assert result.experiments[0].quarantined
+        assert "always broken" in (result.experiments[0].error or "")
+        for mine, theirs in zip(result.experiments[1:],
+                                undisturbed.experiments[1:]):
+            assert mine.outcome is theirs.outcome
+            assert mine.first_divergence == theirs.first_divergence
+            assert mine.cost.transactions == theirs.cost.transactions
+        assert bisections.total() > bisected_before
+        assert lanes.value(mode="packed") - packed_before >= COUNT - 1
+
     @pytest.mark.skipif(not HAS_FORK,
-                        reason="crash simulation needs fork start method")
-    def test_pool_without_quarantine_callback_still_aborts(self, jobspec):
-        # Direct WorkerPool users that did not opt into quarantine keep
-        # the historical abort contract.  An out-of-range fault index
-        # raises deterministically inside the worker.
-        from repro.runtime.scheduler import Shard, WorkerPool
-        pool = WorkerPool(jobspec, workers=1, max_retries=0,
-                          backoff_base=0.0)
-        poisoned = Shard(shard_id=0, indices=(10 ** 9,))
-        with pytest.raises(SchedulerError):
-            pool.run([poisoned], lambda shard, records: None)
+                        reason="the pooled case needs fork start method")
+    def test_failed_experiment_restores_the_golden_configuration(
+            self, evaluation, tmp_path, monkeypatch):
+        # One transient failure between inject and remove leaves the
+        # pulse's frames on the device; the retry (serial) or the
+        # worker's next shard (pooled) must still start from golden.
+        spec = evaluation.spec(FaultModel.PULSE, "luts", 1, 24)
+        jobspec = CampaignJobSpec.from_evaluation(
+            evaluation, spec, faultload_seed=evaluation.seed)
+        undisturbed = run_campaign(jobspec)
+        target = undisturbed.experiments[1].fault
+        original = Experiment.remove
+        for workers in (0, 2):
+            # A flag file, so the failure fires once across processes.
+            flag = tmp_path / f"failed-once-{workers}"
+
+            def remove(self, flag=flag):
+                if self.fault == target and not flag.exists():
+                    flag.write_text("failed")
+                    raise RuntimeError("transient failure before removal")
+                original(self)
+
+            monkeypatch.setattr(Experiment, "remove", remove)
+            result = run_campaign(jobspec, workers=workers)
+            assert flag.exists()
+            assert divergences(result) == divergences(undisturbed)
 
 
 class TestMetrics:
