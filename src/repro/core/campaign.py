@@ -353,12 +353,29 @@ class FadesCampaign:
             first_divergence=first_divergence)
 
     def _restore_configuration(self) -> None:
+        """Rewrite from the golden image every frame written since the
+        last restore that differs from it: O(frames touched), since no
+        other frame can differ."""
         golden = self.impl.golden_bitstream
-        for addr in self.device.config.diff_frames(golden):
-            # Host-side cleanup between experiments; not part of the
-            # emulated per-fault cost (the paper reloads state, not the
-            # full file, between experiments).
-            self.device.write_frame(addr, golden.get_frame(addr))
+        device = self.device
+        frames = device.config.frames
+        for addr in list(device.dirty_frames):
+            if frames[addr] != golden.frames[addr]:
+                # Host-side cleanup between experiments; not part of the
+                # emulated per-fault cost (the paper reloads state, not
+                # the full file, between experiments).
+                device.write_frame(addr, golden.get_frame(addr))
+        device.dirty_frames.clear()
+
+    def recover(self) -> None:
+        """Return to the golden system after an experiment raised part
+        way: the golden routing database and frames, with every routing
+        column and the timing re-decoded against them.  A completed
+        experiment undoes its own routing changes, so only the failure
+        path pays for this."""
+        self.impl.routing.reset()
+        self._restore_configuration()
+        self.device.redecode_routing()
 
     # ------------------------------------------------------------------
     def run(self, spec: FaultLoadSpec, seed: Optional[int] = None

@@ -49,6 +49,10 @@ class Board:
         self.params = params
         self.transactions: List[Transaction] = []
         self._label = ""
+        # Running sum of ``transactions[*].seconds``, added left to right
+        # as the log grows, so it equals ``sum()`` over the log bit for
+        # bit and every marker is O(1).
+        self._seconds = 0.0
 
     def set_label(self, label: str) -> None:
         """Tag subsequent transactions (e.g. with the fault model name)."""
@@ -61,13 +65,14 @@ class Board:
         self.transactions.append(
             Transaction(op=op, kind=kind, nbytes=nbytes, seconds=seconds,
                         label=self._label))
+        self._seconds += seconds
         return seconds
 
     # -- aggregation -----------------------------------------------------
     @property
     def total_seconds(self) -> float:
         """Accumulated emulated transfer time."""
-        return sum(t.seconds for t in self.transactions)
+        return self._seconds
 
     @property
     def total_bytes(self) -> int:
@@ -89,13 +94,13 @@ class Board:
     def clear(self) -> None:
         """Drop the log (start of a new campaign)."""
         self.transactions.clear()
+        self._seconds = 0.0
 
     def snapshot(self) -> Tuple[int, float]:
         """(transaction count, emulated seconds) marker for deltas."""
-        return (len(self.transactions), self.total_seconds)
+        return (len(self.transactions), self._seconds)
 
     def since(self, marker: Tuple[int, float]) -> Tuple[int, float]:
         """Transactions and seconds accumulated since *marker*."""
         count, seconds = marker
-        return (len(self.transactions) - count,
-                self.total_seconds - seconds)
+        return (len(self.transactions) - count, self._seconds - seconds)

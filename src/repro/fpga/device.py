@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import ConfigurationError
 from ..hdl.netlist import CONST0
-from .architecture import CMD_PULSE_GSR, FrameAddr
+from .architecture import CB_BYTES, CMD_PULSE_GSR, PM_BYTES, FrameAddr
 from .bitstream import Bitstream
 from .implement import Implementation
 
@@ -62,7 +62,20 @@ class Device:
         # readback or a full re-download always sees live contents.
         self._mem: Dict[int, List[int]] = {}
         self._block_of = dict(impl.placement.block_of_bram)
-        # Compiled LUT evaluation list; rebuilt per column on reconfig.
+        self._bram_frames = [FrameAddr("bram", self._block_of[index])
+                             for index in range(len(self.mapped.brams))]
+        #: Configuration frames written since the set was last cleared: a
+        #: superset of the frames that differ from the image the device
+        #: was configured with, so restoring that image is O(frames
+        #: touched) (the campaign clears it after each golden restore).
+        self.dirty_frames: Set[FrameAddr] = set()
+        # (row, LUT, FF) of every occupied CB, by column: a CB-frame write
+        # re-decodes only the resources whose configuration word changed.
+        self._cb_sites: Dict[int, List[Tuple[int, Optional[int],
+                                             Optional[int]]]] = {}
+        for (row, col), cb in impl.placement.sites.items():
+            self._cb_sites.setdefault(col, []).append((row, cb.lut, cb.ff))
+        # Compiled LUT evaluation list; entries re-decoded on reconfig.
         self._compiled: List[Tuple[int, int, int, int, int, int]] = []
         self._lut_pad: List[Tuple[int, ...]] = []
         self._violating: Set[int] = set()
@@ -83,15 +96,10 @@ class Device:
     # configuration decode
     # ------------------------------------------------------------------
     def _decode_all(self) -> None:
-        self._compiled = []
-        self._lut_pad = []
-        for lut_index, lut in enumerate(self.mapped.luts):
-            ins = list(lut.ins) + [CONST0] * (4 - len(lut.ins))
-            self._lut_pad.append(tuple(ins))
-            row, col = self.impl.placement.site_of_lut[lut_index]
-            tt = self.config.get_cb(row, col).tt
-            self._compiled.append((lut.out, tt, ins[0], ins[1], ins[2],
-                                   ins[3]))
+        self._lut_pad = [tuple(list(lut.ins) + [CONST0] * (4 - len(lut.ins)))
+                         for lut in self.mapped.luts]
+        self._compiled = [self._decode_lut(lut_index)
+                          for lut_index in range(len(self.mapped.luts))]
         for ff_index in range(len(self.mapped.ffs)):
             self._decode_ff(ff_index)
         for bram_index, bram in enumerate(self.mapped.brams):
@@ -100,6 +108,14 @@ class Device:
                 self.config.get_bram_word(block, addr)
                 for addr in range(bram.depth)]
         self.refresh_timing()
+
+    def _decode_lut(self, lut_index: int
+                    ) -> Tuple[int, int, int, int, int, int]:
+        """Evaluation entry of one LUT, truth table read from its CB."""
+        row, col = self.impl.placement.site_of_lut[lut_index]
+        tt = self.config.get_cb(row, col).tt
+        i0, i1, i2, i3 = self._lut_pad[lut_index]
+        return (self.mapped.luts[lut_index].out, tt, i0, i1, i2, i3)
 
     def _decode_ff(self, ff_index: int) -> None:
         row, col = self.impl.placement.site_of_ff[ff_index]
@@ -115,19 +131,21 @@ class Device:
             self._ff_state[ff_index] = cb.srval
             self._d_prev[ff_index] = cb.srval
 
-    def _recompile_column(self, col: int) -> None:
-        """Re-decode every placed resource in one CB column."""
-        placement = self.impl.placement
-        for lut_index, site in placement.site_of_lut.items():
-            if site[1] == col:
-                row = site[0]
-                tt = self.config.get_cb(row, col).tt
-                ins = self._lut_pad[lut_index]
-                self._compiled[lut_index] = (
-                    self.mapped.luts[lut_index].out, tt,
-                    ins[0], ins[1], ins[2], ins[3])
-        for ff_index, site in placement.site_of_ff.items():
-            if site[1] == col:
+    def _decode_cb_words(self, col: int, old: bytes) -> None:
+        """Re-decode the LUT and FF of every occupied CB of column *col*
+        whose configuration word differs from *old* (the frame before
+        the write).  An unchanged word decodes to the state it already
+        has (``_ff_lsr`` changes only in :meth:`_decode_ff`, so not even
+        the asynchronous LSR force can fire), so skipping it changes
+        nothing."""
+        new = self.config.frames[FrameAddr("cb", col)]
+        for row, lut_index, ff_index in self._cb_sites.get(col, ()):
+            offset = row * CB_BYTES
+            if new[offset:offset + CB_BYTES] == old[offset:offset + CB_BYTES]:
+                continue
+            if lut_index is not None:
+                self._compiled[lut_index] = self._decode_lut(lut_index)
+            if ff_index is not None:
                 self._decode_ff(ff_index)
 
     def _expected_routes(self) -> None:
@@ -160,7 +178,6 @@ class Device:
         expected = self._expected_by_col.get(col, {})
         addr = FrameAddr("route", col)
         frame = self.config.frames[addr]
-        from .architecture import PM_BYTES
         broken: Set[int] = set()
         phantom: Dict[int, int] = {}
         # Check every expected bit is still set.
@@ -205,6 +222,13 @@ class Device:
         self._broken_nets = broken
         self.impl.timing.seu_extra = seu_extra
 
+    def redecode_routing(self) -> None:
+        """Re-decode every routing frame against the routing database and
+        re-run timing (after the database itself was reset)."""
+        for col in range(self.arch.cols):
+            self._decode_route_column(col)
+        self.refresh_timing()
+
     def refresh_timing(self) -> None:
         """Re-run the timing analysis (after delay-affecting changes)."""
         self.impl.timing.refresh_routing()
@@ -224,9 +248,11 @@ class Device:
             raise ConfigurationError(
                 "FF state frames are readback-only; use GSR/LSR "
                 "reconfiguration to change flip-flop contents")
+        old = self.config.get_frame(addr)
         self.config.set_frame(addr, data)
+        self.dirty_frames.add(addr)
         if addr.kind == "cb":
-            self._recompile_column(addr.major)
+            self._decode_cb_words(addr.major, old)
         elif addr.kind == "bram":
             for bram_index, block in (
                     self.impl.placement.block_of_bram.items()):
@@ -252,14 +278,10 @@ class Device:
         if addr.kind == "cmd":
             return bytes(self.arch.frame_size(addr))
         if addr.kind == "state":
-            col = addr.major
-            size = self.arch.frame_size(addr)
-            data = bytearray(size)
-            for ff_index, site in self.impl.placement.site_of_ff.items():
-                if site[1] == col:
-                    row = site[0]
-                    if self._ff_state[ff_index]:
-                        data[row // 8] |= 1 << (row % 8)
+            data = bytearray(self.arch.frame_size(addr))
+            for row, _lut, ff_index in self._cb_sites.get(addr.major, ()):
+                if ff_index is not None and self._ff_state[ff_index]:
+                    data[row // 8] |= 1 << (row % 8)
             return bytes(data)
         return self.config.get_frame(addr)
 
@@ -276,12 +298,12 @@ class Device:
         state").  Memories are restored from the *golden* image so that a
         previous experiment's workload writes do not leak into the next.
         """
-        from .architecture import FrameAddr
         for bram_index, bram in enumerate(self.mapped.brams):
-            block = self.impl.placement.block_of_bram[bram_index]
-            addr = FrameAddr("bram", block)
+            block = self._block_of[bram_index]
+            addr = self._bram_frames[bram_index]
             self.config.set_frame(
                 addr, self.impl.golden_bitstream.get_frame(addr))
+            self.dirty_frames.add(addr)
             self._mem[bram_index] = [
                 self.impl.golden_bitstream.get_bram_word(block, a)
                 for a in range(bram.depth)]
@@ -370,6 +392,7 @@ class Device:
                     cells[waddr] = wdata
                     self.config.set_bram_word(
                         self._block_of[bram_index], waddr, wdata)
+                    self.dirty_frames.add(self._bram_frames[bram_index])
             for position, net in enumerate(bram.rdata):
                 values[net] = (read >> position) & 1
         self.cycle += 1
@@ -422,6 +445,7 @@ class Device:
             block = self._block_of[index]
             for addr, word in enumerate(cells):
                 self.config.set_bram_word(block, addr, word)
+            self.dirty_frames.add(self._bram_frames[index])
 
     # ------------------------------------------------------------------
     # observation helpers (host-side convenience, not fault paths)

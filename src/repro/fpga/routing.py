@@ -163,6 +163,22 @@ class RoutingDb:
         route.detour_bits.clear()
         self.version += 1
 
+    def reset(self) -> None:
+        """Undo every run-time change: drop all extra loads and detours
+        and recount the PM claims from the routed sinks alone, which
+        gives back the database :func:`route` built (the one the golden
+        configuration encodes)."""
+        pm_used: Dict[Pm, int] = {}
+        for net_route in self.routes.values():
+            net_route.extra_loads.clear()
+            net_route.detour_hops = 0
+            net_route.detour_luts = 0
+            net_route.detour_bits.clear()
+            for row, col, _index in net_route.pass_transistors():
+                pm_used[(row, col)] = pm_used.get((row, col), 0) + 1
+        self.pm_used = pm_used
+        self.version += 1
+
     # -- queries -----------------------------------------------------------
     def route_of(self, net: int) -> NetRoute:
         """Route of *net*; raise :class:`RoutingError` if not routed."""

@@ -282,9 +282,10 @@ class JobRunner:
         can tell a slow shard from a hung one.
 
         A failing experiment can raise between its injection and its
-        restore; the golden configuration is restored before the error
-        propagates, so whatever runs next on this campaign (a retry, or
-        a worker's next shard) starts from the golden system.
+        restore; the golden system (configuration and routing database,
+        :meth:`~repro.core.campaign.FadesCampaign.recover`) is restored
+        before the error propagates, so whatever runs next on this
+        campaign (a retry, or a worker's next shard) starts from it.
         """
         try:
             if self.batch_size() == 1:
@@ -300,7 +301,7 @@ class JobRunner:
                 faults, self.jobspec.spec.workload_cycles, pool=self.pool,
                 indices=list(indices))
         except BaseException:
-            self.campaign._restore_configuration()
+            self.campaign.recover()
             raise
         if progress is not None:
             progress()

@@ -1,11 +1,18 @@
 """Tests for campaign orchestration, faultload generation and cost model."""
 
+import random
+
 import pytest
 
-from repro.core import (FaultLoadSpec, FaultModel, Outcome, generate_faultload,
-                        pool_size)
+from repro.analysis import Evaluation
+from repro.core import (ConfigBit, FaultLoadSpec, FaultModel, Outcome,
+                        config_seu_fault, generate_faultload, pool_size,
+                        used_route_bit)
+from repro.core.campaign import Experiment, FadesCampaign
 from repro.core.faults import Fault, Target, TargetKind
 from repro.errors import InjectionError, LocationError
+from repro.fpga import Device, FrameAddr
+from repro.fpga.architecture import CB_BYTES, CB_FLAG_INVERT_LSR, CB_FLAGS
 
 from helpers import build_accumulator, build_counter
 from test_core_injector import make_campaign
@@ -103,6 +110,7 @@ class TestCampaignInvariants:
                                  magnitude_range_ns=(5.0, 40.0))
             campaign.run(spec, seed=8)
             assert campaign.device.config.diff_frames(golden) == []
+            assert campaign.device.dirty_frames == set()
 
     def test_run_aggregates_costs(self, campaign):
         spec = FaultLoadSpec(FaultModel.BITFLIP, "ffs", count=4,
@@ -211,3 +219,151 @@ class TestCheckpointing:
         a = plain.run_experiment(fault, 40)
         b = fast.run_experiment(fault, 40)
         assert a.cost.total_s == pytest.approx(b.cost.total_s)
+
+
+def one_fault_per_mechanism(campaign, early, late):
+    """A fault for every injection mechanism (Table 1, configuration
+    upsets and permanent models), injected at *early* or *late*."""
+    placement = campaign.impl.placement
+    routed_ff = next(ff for ff, site in sorted(placement.site_of_ff.items())
+                     if not placement.sites[site].packed)
+    memory = next(index for index, bram
+                  in enumerate(campaign.impl.mapped.brams) if not bram.rom)
+    net = sorted(campaign.impl.routing.routes)[0]
+    row, col = placement.site_of_ff[3]
+    ff, lut = Target(TargetKind.FF, 3), Target(TargetKind.LUT, 7)
+    return [
+        Fault(FaultModel.BITFLIP, ff, early),
+        Fault(FaultModel.BITFLIP, ff, late, mechanism="gsr"),
+        Fault(FaultModel.BITFLIP,
+              Target(TargetKind.MEMORY_BIT, memory, addr=9, bit=2), late),
+        Fault(FaultModel.PULSE, lut, early, duration_cycles=3.0),
+        Fault(FaultModel.PULSE, Target(TargetKind.CB_INPUT, routed_ff),
+              late, duration_cycles=2.0),
+        Fault(FaultModel.DELAY, Target(TargetKind.NET, net), early,
+              duration_cycles=4.0, magnitude_ns=1.0, mechanism="fanout"),
+        Fault(FaultModel.DELAY, Target(TargetKind.NET, net), late,
+              duration_cycles=4.0, magnitude_ns=40.0, mechanism="reroute"),
+        Fault(FaultModel.INDETERMINATION, ff, late, duration_cycles=3.0,
+              value=1, oscillate=True),
+        Fault(FaultModel.INDETERMINATION, lut, early, duration_cycles=3.0,
+              value=0),
+        config_seu_fault(used_route_bit(campaign, random.Random(1)), late),
+        config_seu_fault(ConfigBit(FrameAddr("cb", col),
+                                   byte_off=row * CB_BYTES + CB_FLAGS,
+                                   bit_off=CB_FLAG_INVERT_LSR), early),
+        Fault(FaultModel.STUCK_AT, ff, late, value=0),
+        Fault(FaultModel.BRIDGING, Target(TargetKind.LUT, 7, line=0), early,
+              aux_target=Target(TargetKind.LUT, 7, line=1)),
+    ]
+
+
+@pytest.fixture(scope="module")
+def bubblesort():
+    """The 8051 + Bubblesort testbed, one per backend (built lazily)."""
+    return {backend: Evaluation(backend=backend)
+            for backend in ("reference", "compiled")}
+
+
+class TestGoldenRestore:
+    """Each experiment ends on the golden image, and its restore pays
+    only for the frames the experiment wrote."""
+
+    @pytest.fixture()
+    def finished(self, monkeypatch):
+        """Per ``Experiment.finish``: mechanism, the frames written before
+        the restore, and the frames differing from golden and still
+        marked written after it."""
+        records = []
+        original = Experiment.finish
+
+        def finish(self, trace=None):
+            device = self.campaign.device
+            written = set(device.dirty_frames)
+            cost = original(self, trace)
+            records.append((
+                self.mechanism, written,
+                device.config.diff_frames(self.campaign.impl.golden_bitstream),
+                set(device.dirty_frames)))
+            return cost
+
+        monkeypatch.setattr(Experiment, "finish", finish)
+        return records
+
+    @pytest.mark.parametrize("backend", ["reference", "compiled"])
+    def test_every_mechanism_restores_exactly(self, backend, bubblesort,
+                                              finished, monkeypatch):
+        loads = []
+        load_state = Device.load_state
+
+        def spy(self, snapshot):
+            loads.append(snapshot[0])
+            load_state(self, snapshot)
+
+        monkeypatch.setattr(Device, "load_state", spy)
+        evaluation = bubblesort[backend]
+        campaign = evaluation.fades
+        # The reference run fast-forwards to the golden checkpoint at
+        # cycle 0 for the early faults and at 256 for the late ones.
+        faults = one_fault_per_mechanism(campaign, early=40, late=300)
+        campaign.run_batch(faults, evaluation.cycles)
+        assert [mechanism for mechanism, *_ in finished] == [
+            "ff-lsr", "ff-gsr", "memory-rmw", "lut-rewrite", "cb-input-mux",
+            "delay-fanout", "delay-reroute", "indet-ff", "indet-lut",
+            "config_seu", "config_seu", "stuck_at", "bridging"]
+        for mechanism, _written, differing, dirty in finished:
+            assert differing == [], mechanism
+            assert dirty == set(), mechanism
+        if backend == "reference":
+            # The reference run covered checkpoint fast-forward and the
+            # workload's memory writes (Bubblesort stores to iram).
+            assert 256 in loads
+            assert any(addr.kind == "bram"
+                       for _mechanism, written, _differing, _dirty
+                       in finished for addr in written)
+
+    def test_workload_memory_writes_are_restored(self, bubblesort):
+        # Stepping and checkpoint loads write memory contents through to
+        # the image; the restore must see those frames without a reset
+        # having marked them first.
+        evaluation = bubblesort["reference"]
+        campaign = evaluation.fades
+        device = campaign.device
+        golden = campaign.impl.golden_bitstream
+        campaign.golden_run(evaluation.cycles)
+        checkpoints = campaign._checkpoints[
+            campaign._golden_key(evaluation.cycles)]
+        for prepare in (lambda: device.run(300, campaign.inputs),
+                        lambda: device.load_state(checkpoints[256])):
+            device.reset_system()
+            campaign._restore_configuration()
+            prepare()
+            assert device.config.diff_frames(golden)
+            campaign._restore_configuration()
+            assert device.config.diff_frames(golden) == []
+
+    def test_lsr_bitflip_restore_compares_only_its_frame(self, monkeypatch):
+        campaign = make_campaign(build_counter(4), inputs={"en": 1})
+        golden = campaign.impl.golden_bitstream
+        compared = []
+
+        class Recording(dict):
+            def __getitem__(self, addr):
+                compared.append(addr)
+                return dict.__getitem__(self, addr)
+
+        original = FadesCampaign._restore_configuration
+
+        def restore(self):
+            frames = golden.frames
+            golden.frames = Recording(frames)
+            try:
+                original(self)
+            finally:
+                golden.frames = frames
+
+        monkeypatch.setattr(FadesCampaign, "_restore_configuration", restore)
+        fault = Fault(FaultModel.BITFLIP, Target(TargetKind.FF, 1), 5)
+        campaign.run_experiment(fault, 12)
+        _row, col = campaign.impl.placement.site_of_ff[1]
+        assert compared == [FrameAddr("cb", col)]

@@ -74,6 +74,30 @@ class TestBoardModule:
         assert board.total_seconds == 0.0
         assert board.transactions == []
 
+    def test_running_markers_equal_a_left_to_right_sum(self):
+        # The board keeps a running total instead of re-summing its log;
+        # it must equal the left-to-right sum bit for bit, not roughly.
+        board = Board()
+        sizes = [(7919 * index) % 760_000 for index in range(300)]
+        for size in sizes[:120]:
+            board.transaction("write", "cb", size)
+        marker = board.snapshot()
+        for size in sizes[120:]:
+            board.transaction("read", "route", size)
+        total = prefix = 0.0
+        for position, transaction in enumerate(board.transactions):
+            total += transaction.seconds
+            if position < 120:
+                prefix += transaction.seconds
+        assert board.total_seconds == total
+        assert marker == (120, prefix)
+        assert board.since(marker) == (180, total - prefix)
+        board.clear()
+        assert board.snapshot() == (0, 0.0)
+        seconds = board.transaction("write", "cb", 384)
+        assert board.total_seconds == seconds
+        assert board.since((0, 0.0)) == (1, seconds)
+
     def test_workload_seconds_uses_clock(self):
         board = Board(BoardParams(clock_hz=1e6))
         assert board.workload_seconds(2_000_000) == pytest.approx(2.0)

@@ -262,3 +262,81 @@ class TestConfigurationDeterminesBehaviour:
         device.reset_system()
         for _ in range(15):
             assert device.step({"en": 1}) == fresh.step({"en": 1})
+
+
+#: (kind, value) CB writes: a truth table, srval, the InvertLSRMux and
+#: InvertFFinMux bits on and off, every FF flag at once, a rewrite of
+#: identical bytes, and a full download of an image with a new table.
+CB_WRITES = st.lists(
+    st.tuples(st.sampled_from(["tt", "srval", "lsr", "ffin", "flags",
+                               "same", "full"]),
+              st.integers(min_value=0, max_value=0xFFFF)),
+    min_size=1, max_size=12)
+
+
+class TestIncrementalDecode:
+    """A CB-frame write re-decodes only the configuration words it
+    changed; the device must still end where a device booted from the
+    same image starts."""
+
+    @given(CB_WRITES)
+    @settings(max_examples=25, deadline=None)
+    def test_incremental_decode_equals_a_fresh_boot(self, writes):
+        import dataclasses
+        from repro.fpga import Device, JBits, implement
+        from helpers import build_counter
+        impl = implement(synthesize(build_counter(4)).mapped)
+        device = Device(impl)
+        jbits = JBits(device)
+        sites = sorted(impl.placement.sites)
+        for kind, value in writes:
+            row, col = sites[value % len(sites)]
+            config = device.config.get_cb(row, col)
+            if kind == "tt":
+                config.tt = value
+            elif kind == "srval":
+                config.srval ^= 1
+            elif kind == "lsr":
+                config.invert_lsr = not config.invert_lsr
+            elif kind == "ffin":
+                config.invert_ffin = not config.invert_ffin
+            elif kind == "flags":
+                config.srval = value & 1
+                config.invert_lsr = bool(value & 2)
+                config.invert_ffin = bool(value & 4)
+                config.ff_d_external = bool(value & 8)
+            if kind == "full":
+                image = device.config.copy()
+                config.tt ^= value
+                image.set_cb(row, col, config)
+                jbits.write_full(image)
+            else:
+                jbits.write_cb(row, col, config)
+        fresh = Device(dataclasses.replace(
+            impl, golden_bitstream=device.config.copy()))
+        assert device._compiled == fresh._compiled
+        assert device._ff_srval == fresh._ff_srval
+        assert device._ff_lsr == fresh._ff_lsr
+        assert device._ff_invert_d == fresh._ff_invert_d
+
+    @given(st.integers(min_value=0, max_value=20))
+    @settings(max_examples=10, deadline=None)
+    def test_lsr_bitflip_lands_between_its_two_writes(self, cycles):
+        # _LsrBitflip writes the forced word and the golden word back to
+        # back: the asynchronous LSR force must flip the FF on the first
+        # write, with no clock edge before the second.
+        from repro.core import Fault, FaultModel, Target, TargetKind
+        from repro.core.injector import FadesInjector
+        from repro.fpga import Device, JBits, implement
+        from helpers import build_counter
+        device = Device(implement(synthesize(build_counter(4)).mapped))
+        injector = FadesInjector(JBits(device))
+        device.reset_system()
+        device.run(cycles, {"en": 1})
+        for ff_index in range(len(device.mapped.ffs)):
+            before = list(device.ff_state())
+            injector.prepare(Fault(FaultModel.BITFLIP,
+                                   Target(TargetKind.FF, ff_index),
+                                   cycles)).inject()
+            before[ff_index] ^= 1
+            assert list(device.ff_state()) == before

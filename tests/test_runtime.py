@@ -334,28 +334,33 @@ class TestScheduler:
     def test_failed_experiment_restores_the_golden_configuration(
             self, evaluation, tmp_path, monkeypatch):
         # One transient failure between inject and remove leaves the
-        # pulse's frames on the device; the retry (serial) or the
+        # pulse's frames on the device, and the delay's extra loads or
+        # detour in the routing database; the retry (serial) or the
         # worker's next shard (pooled) must still start from golden.
-        spec = evaluation.spec(FaultModel.PULSE, "luts", 1, 24)
-        jobspec = CampaignJobSpec.from_evaluation(
-            evaluation, spec, faultload_seed=evaluation.seed)
-        undisturbed = run_campaign(jobspec)
-        target = undisturbed.experiments[1].fault
         original = Experiment.remove
-        for workers in (0, 2):
-            # A flag file, so the failure fires once across processes.
-            flag = tmp_path / f"failed-once-{workers}"
+        for model, pool, count in ((FaultModel.PULSE, "luts", 24),
+                                   (FaultModel.DELAY, "nets:seq", 6)):
+            spec = evaluation.spec(model, pool, 1, count)
+            jobspec = CampaignJobSpec.from_evaluation(
+                evaluation, spec, faultload_seed=evaluation.seed)
+            undisturbed = run_campaign(jobspec)
+            target = undisturbed.experiments[1].fault
+            for workers in (0, 2):
+                # A flag file, so the failure fires once across processes.
+                flag = tmp_path / f"failed-once-{model.value}-{workers}"
 
-            def remove(self, flag=flag):
-                if self.fault == target and not flag.exists():
-                    flag.write_text("failed")
-                    raise RuntimeError("transient failure before removal")
-                original(self)
+                def remove(self, flag=flag, target=target):
+                    if self.fault == target and not flag.exists():
+                        flag.write_text("failed")
+                        raise RuntimeError(
+                            "transient failure before removal")
+                    original(self)
 
-            monkeypatch.setattr(Experiment, "remove", remove)
-            result = run_campaign(jobspec, workers=workers)
-            assert flag.exists()
-            assert divergences(result) == divergences(undisturbed)
+                with monkeypatch.context() as patch:
+                    patch.setattr(Experiment, "remove", remove)
+                    result = run_campaign(jobspec, workers=workers)
+                assert flag.exists()
+                assert divergences(result) == divergences(undisturbed)
 
 
 class TestMetrics:
