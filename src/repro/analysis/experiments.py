@@ -27,8 +27,8 @@ from ..core.faults import DURATION_BANDS
 from ..mc8051 import Iss, Mc8051Model, Workload, build_mc8051, bubblesort
 from ..vfit import VfitCampaign
 
-#: Golden-run snapshot spacing of the standard testbed (kept in sync
-#: with :data:`repro.runtime.jobspec.DEFAULT_CHECKPOINT_INTERVAL`).
+#: Golden-run snapshot spacing of the standard testbed (also the
+#: :class:`repro.runtime.jobspec.CampaignJobSpec` default).
 CHECKPOINT_INTERVAL = 128
 
 #: Paper constants (section 6).

@@ -14,7 +14,7 @@ from ..core import (FaultModel, Target, TargetKind)
 from ..core.faults import Fault
 from ..errors import UnsupportedFaultError
 from .experiments import (Evaluation, PAPER_FAULTS_PER_EXPERIMENT,
-                          PAPER_TABLE2, default_fault_count)
+                          PAPER_TABLE2)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ emulated, the fault location and duration, the observation points"
     python -m repro resume out.jsonl --workers 4
     python -m repro journal fsck out.jsonl --repair
     python -m repro obs summarize t.json --alerts out.jsonl
-    python -m repro obs diff before.tsdb after.tsdb --regress-pct 10
     python -m repro lint --fail-on error --json findings.json
     python -m repro screen
     python -m repro seu --count 40 --occupied
@@ -50,6 +49,7 @@ from typing import Optional, Sequence
 from .analysis import Evaluation
 from .analysis.report import full_report
 from .core import FaultModel, run_config_seu_campaign
+from .core.campaign import BACKENDS
 from .core.faults import BAND_LABELS, DURATION_BANDS
 from .errors import CampaignInterrupted, ReproError
 from .obs import console, get_logger, setup_logging
@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="re-randomise indeterminations every cycle")
     campaign.add_argument("--mechanism", default="",
                           help="pin a mechanism (lsr/gsr, fanout/reroute)")
-    campaign.add_argument("--backend", choices=("reference", "compiled"),
+    campaign.add_argument("--backend", choices=BACKENDS,
                           default="reference",
                           help="simulator backend: reference device "
                                "stepping or the bit-parallel compiled "
@@ -232,16 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     summarize.add_argument("--tsdb", default=None, metavar="PATH",
                            help="include throughput/health statistics "
                                 "from this .tsdb time series")
-    diff = obs_commands.add_parser(
-        "diff", help="compare two runs (.tsdb sidecars or summarize "
-                     "--json outputs); exit 1 past --regress-pct")
-    diff.add_argument("before", help="baseline run artefact")
-    diff.add_argument("after", help="candidate run artefact")
-    diff.add_argument("--regress-pct", type=float, default=10.0,
-                      metavar="PCT",
-                      help="regression threshold: slower throughput or "
-                           "longer phases by more than PCT%% (or outcome "
-                           "rates drifting that much) fail the diff")
 
     commands.add_parser(
         "screen", help="find the failure-sensitive flip-flops (paper 6.3)")
@@ -259,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--workers", type=int, default=0,
                         help="fan experiment classes out across worker "
                              "processes")
-    report.add_argument("--backend", choices=("reference", "compiled"),
+    report.add_argument("--backend", choices=BACKENDS,
                         default="reference",
                         help="simulator backend for the FADES campaigns")
     report.add_argument("--prune-silent", action="store_true",
@@ -536,16 +526,6 @@ def cmd_resume(args: argparse.Namespace) -> int:
 
 
 def cmd_obs(args: argparse.Namespace) -> int:
-    if args.obs_command == "diff":
-        from .obs.rundiff import diff_runs
-        report, regressed = diff_runs(args.before, args.after,
-                                      regress_pct=args.regress_pct)
-        console(report)
-        if regressed:
-            log.error("regression past %g%% between %s and %s",
-                      args.regress_pct, args.before, args.after)
-            return 1
-        return 0
     from .obs import read_trace, render_summary, summarize_trace
     from .obs.summary import summarize_timeseries
     from .obs.timeseries import read_tsdb, tsdb_path_for

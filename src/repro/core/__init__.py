@@ -17,13 +17,11 @@ Public surface of the fault-emulation core:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ..fpga.architecture import Architecture
 from ..fpga.board import Board, BoardParams
 from ..fpga.implement import implement
-from ..fpga.timing import TimingParams
 from ..hdl.netlist import Netlist
 from ..synth import synthesize
 from .campaign import CampaignResult, ExperimentResult, FadesCampaign

@@ -26,11 +26,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from ..errors import SimulationError
 from ..fpga.board import Board
 from ..fpga.device import Device
 from ..fpga.implement import Implementation
 from ..fpga.jbits import JBits
-from ..hdl.simulator import check_backend
 from ..hdl.trace import Trace
 from ..obs import metrics as obs_metrics
 from ..obs.tracing import span
@@ -47,6 +47,21 @@ _RECONFIG_SECONDS = obs_metrics.histogram(
     buckets=(0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0))
 _EXPERIMENTS = obs_metrics.counter(
     "experiments_total", "Completed experiments by outcome.")
+
+
+#: Simulator backends a campaign runs on: ``reference`` steps the
+#: :class:`~repro.fpga.device.Device` model, ``compiled`` packs
+#: experiments into the bit-lanes of the :mod:`repro.emu` engine.
+BACKENDS = ("reference", "compiled")
+
+
+def check_backend(backend: str) -> str:
+    """Validate a backend name; returns it for chaining."""
+    if backend not in BACKENDS:
+        raise SimulationError(
+            f"unknown simulator backend {backend!r} "
+            f"(expected one of {', '.join(BACKENDS)})")
+    return backend
 
 
 @dataclass

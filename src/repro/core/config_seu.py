@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Sequence
 from ..errors import InjectionError
 from ..fpga.architecture import FrameAddr
 from .campaign import CampaignResult, FadesCampaign
-from .classify import Outcome
 from .faults import Fault, FaultModel, Target, TargetKind
 from .injector import FadesInjector, Injection
 

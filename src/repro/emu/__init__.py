@@ -13,7 +13,7 @@ The subsystem has three layers:
 :mod:`repro.emu.compiler`
     Lowers a mapped LUT netlist into straight-line bitwise-integer
     Python (one expression per live LUT), compiled once per design via
-    :func:`compile` and cached by source hash.
+    :func:`~repro.emu.compiler.compile_design` and cached by source hash.
 
 :mod:`repro.emu.lanes`
     The lane manager: packed flip-flop/memory state, a per-cycle fault
@@ -30,13 +30,12 @@ The subsystem has three layers:
 """
 
 from .backend import lane_width, run_lane_batch, supports_fault
-from .compiler import CompiledDesign, CompiledSim, compile_design
+from .compiler import CompiledDesign, compile_design
 from .lanes import BatchSchedule, LaneResult, run_lanes
 
 __all__ = [
     "BatchSchedule",
     "CompiledDesign",
-    "CompiledSim",
     "LaneResult",
     "compile_design",
     "lane_width",

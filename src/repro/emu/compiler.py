@@ -1,43 +1,33 @@
-"""Netlist -> code compiler: straight-line bitwise-integer Python.
+"""Mapped netlist -> code compiler: straight-line bitwise-integer Python.
 
 Every net carries a W-bit integer whose bit *k* is the net's binary value
 in lane *k*; lane 0 is the golden run.  A LUT truth table is lowered by
 Shannon decomposition into a minimal masked boolean expression over its
 live operands (``M`` is the all-lanes mask, passed in as a parameter so
 the generated code is independent of the lane count), and the whole
-design becomes one generated ``step`` function executed once per clock
-cycle.  Compilation happens once per design through :func:`compile` and
+:class:`~repro.synth.mapped.MappedNetlist` becomes one generated ``step``
+function executed once per clock cycle: dead logic is stripped, a second
+``step_ov`` variant carries per-LUT override hooks for truth-table
+faults, and flip-flop/memory ports are exposed as packed vectors.
+Compilation happens once per design through :func:`compile_design` and
 is cached two ways: per mapped-netlist object, and by source hash across
 objects (two implementations of the same design share code objects).
-
-Two flavours are generated:
-
-* the **lane flavour** (:func:`compile_design`) for
-  :class:`~repro.synth.mapped.MappedNetlist` — dead logic stripped, a
-  second ``step_ov`` variant with per-LUT override hooks for truth-table
-  faults, flip-flop/memory ports exposed as packed vectors;
-* the **net flavour** (:class:`CompiledSim`) for plain
-  :class:`~repro.hdl.netlist.Netlist` objects — every gate written into
-  the simulator's value array so ``peek`` keeps working, plugged in
-  behind the ``backend="compiled"`` seam of
-  :func:`repro.hdl.simulator.make_sim`.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
-from ..hdl.netlist import CONST0, CONST1, Netlist
-from ..hdl.simulator import NetlistSim
+from ..hdl.netlist import CONST0, CONST1
 from ..obs import metrics as obs_metrics
 from ..obs.tracing import span
 from ..synth.mapped import MappedNetlist
 
 _COMPILES = obs_metrics.counter(
     "emu_compile_total",
-    "Design compilations by flavour and cache result.")
+    "Design compilations by cache result.")
 
 #: Compiled code namespaces keyed by source hash (shared across designs
 #: with identical structure, e.g. re-implementations of one netlist).
@@ -132,7 +122,7 @@ def tt_function(padded_tt: int) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# compiled-design description (lane flavour)
+# compiled-design description
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class MemSpec:
@@ -187,7 +177,7 @@ def _operand(net: int) -> str:
 
 
 def _generate_mapped(mapped: MappedNetlist) -> Tuple[str, Dict]:
-    """Generate lane-flavour source plus the port-layout metadata."""
+    """Generate the step functions' source plus the port-layout metadata."""
     # Fold constant LUT operands once; keep the original padded input
     # list alongside for the override hooks (they see the raw 4 inputs).
     folded = []
@@ -330,16 +320,16 @@ def _exec_cached(source: str, filename: str) -> Dict:
 
 
 def compile_design(mapped: MappedNetlist) -> CompiledDesign:
-    """Compile a mapped netlist to its lane-flavour step functions.
+    """Compile a mapped netlist to its lane step functions.
 
     The result is cached on the mapped-netlist object; regenerated
     sources that hash identically reuse already-compiled code objects.
     """
     cached = getattr(mapped, "_emu_design", None)
     if cached is not None:
-        _COMPILES.inc(flavor="mapped", result="hit")
+        _COMPILES.inc(result="hit")
         return cached
-    with span("emu_compile", design=mapped.name, flavor="mapped"):
+    with span("emu_compile", design=mapped.name):
         source, meta = _generate_mapped(mapped)
         namespace = _exec_cached(source, f"<emu:{mapped.name}>")
     design = CompiledDesign(
@@ -347,64 +337,5 @@ def compile_design(mapped: MappedNetlist) -> CompiledDesign:
         step=namespace["step"], step_hooked=namespace["step_ov"],
         ff_init=tuple(ff.init for ff in mapped.ffs), **meta)
     mapped._emu_design = design
-    _COMPILES.inc(flavor="mapped", result="miss")
+    _COMPILES.inc(result="miss")
     return design
-
-
-# ---------------------------------------------------------------------------
-# net flavour: the hdl-level ``backend="compiled"`` simulator
-# ---------------------------------------------------------------------------
-def _generate_netlist(netlist: Netlist) -> str:
-    lines = ["def step(M, V):"]
-    emitted = False
-    for gate in netlist.gates:
-        tt = gate.tt & ((1 << (1 << len(gate.ins))) - 1)
-        tt, nets = _fold_constants(tt, tuple(gate.ins))
-        if not nets:
-            expr = "M" if tt & 1 else "0"
-        else:
-            expr = bool_expr(tt, [f"V[{net}]" for net in nets])
-        lines.append(f"    V[{gate.out}] = {expr}")
-        emitted = True
-    if not emitted:
-        lines.append("    pass")
-    lines.append("")
-    return "\n".join(lines)
-
-
-class CompiledSim(NetlistSim):
-    """Drop-in :class:`NetlistSim` replacement running generated code.
-
-    Gate evaluation is replaced by one generated function writing every
-    gate's settled value into the simulator's value array, so ``peek``
-    and the capture/reset semantics are inherited unchanged.  Selected
-    through ``make_sim(netlist, backend="compiled")``.
-    """
-
-    def __init__(self, netlist: Netlist):
-        super().__init__(netlist)
-        with span("emu_compile", design=netlist.name, flavor="net"):
-            source = _generate_netlist(netlist)
-            namespace = _exec_cached(source, f"<emu:{netlist.name}>")
-        self._compiled_source = source
-        self._step_fn = namespace["step"]
-        _COMPILES.inc(flavor="net", result="miss")
-
-    def step(self, inputs: Optional[Dict[str, int]] = None
-             ) -> Dict[str, Optional[int]]:
-        """Advance one clock cycle; return the settled primary outputs."""
-        self.set_inputs(inputs)
-        values = self._values
-        values[CONST0] = 0
-        values[CONST1] = 1
-        for name, nets in self._input_nets:
-            held = self._held_inputs[name]
-            for position, net in enumerate(nets):
-                values[net] = (held >> position) & 1
-        for dff, state in zip(self.netlist.dffs, self._ff_state):
-            values[dff.q] = state
-        self._step_fn(1, values)
-        outputs = self._sample_outputs()
-        self._capture()
-        self.cycle += 1
-        return outputs

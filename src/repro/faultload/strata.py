@@ -35,7 +35,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from ..core.config import FaultLoadSpec, candidate_targets, finish_fault
+from ..core.config import (FaultLoadSpec, candidate_targets, finish_fault,
+                           iter_faultload)
 from ..core.faults import Fault, Target, TargetKind
 from ..synth.locmap import LocationMap
 
@@ -204,17 +205,13 @@ class FaultStream:
         weight = cone_weight(locmap) if strategy == "importance" else None
         self.strata = partition_strata(spec, locmap, routed_nets, weight)
         if strategy == "uniform":
-            targets = candidate_targets(spec, locmap, routed_nets)
-            net_units = _net_units(locmap)
-            tag_of = {
-                target: "/".join((spec.model.value, target.kind.value,
-                                  _group_of(target, locmap, net_units)))
-                for target in targets}
-            rng = random.Random(seed)
+            tag_of = {target: stratum.key for stratum in self.strata
+                      for target in stratum.targets}
+            uniform = iter_faultload(spec, locmap, seed, routed_nets)
 
             def draw() -> Tuple[Fault, str]:
-                target = rng.choice(targets)
-                return finish_fault(spec, target, rng), tag_of[target]
+                fault = next(uniform)
+                return fault, tag_of[fault.target]
 
             self._draw: Callable[[], Tuple[Fault, str]] = draw
         else:

@@ -115,11 +115,6 @@ class Architecture:
         """Total configurable blocks (one LUT + one FF each)."""
         return self.rows * self.cols
 
-    @property
-    def n_pms(self) -> int:
-        """Total programmable matrices (one per CB site)."""
-        return self.rows * self.cols
-
     def sites(self) -> Iterator[Tuple[int, int]]:
         """All (row, col) CB coordinates, column-major."""
         for col in range(self.cols):

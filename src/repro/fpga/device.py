@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..errors import ConfigurationError
 from ..hdl.netlist import CONST0
 from .architecture import CB_BYTES, CMD_PULSE_GSR, PM_BYTES, FrameAddr
-from .bitstream import Bitstream
 from .implement import Implementation
 
 

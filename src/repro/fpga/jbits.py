@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ..errors import ConfigurationError
 from ..obs import metrics
 from .architecture import CB_BYTES, CMD_PULSE_GSR, PM_BYTES, FrameAddr
 from .bitstream import Bitstream, CbConfig
@@ -118,10 +117,6 @@ class JBits:
         """Readback of one memory block's live contents."""
         return self.read_frame(FrameAddr("bram", block))
 
-    def write_bram_frame(self, block: int, data: bytes) -> None:
-        """Overwrite one memory block's contents."""
-        self.write_frame(FrameAddr("bram", block), data)
-
     def flip_bram_bit(self, block: int, addr: int, bit: int) -> int:
         """Read-modify-write flip of one memory bit (paper, figure 4).
 
@@ -205,9 +200,3 @@ class JBits:
         for col in cols:
             addr = FrameAddr("route", col)
             self.write_frame(addr, self.device.config.get_frame(addr))
-
-    # ------------------------------------------------------------------
-    def raise_if_state_write(self, addr: FrameAddr) -> None:
-        """Guard helper used by tests: state frames are not writable."""
-        if addr.kind == "state":
-            raise ConfigurationError("state frames are readback-only")

@@ -7,8 +7,7 @@ stands in for the VHDL front-end and simulator of the paper's tool chain.
 from . import logic
 from .netlist import Bram, Dff, Gate, Netlist
 from .rtl import Mem, Reg, Rtl, Word
-from .simulator import (BACKENDS, FourValuedSim, NetlistSim, check_backend,
-                        make_sim)
+from .simulator import FourValuedSim, NetlistSim
 from .trace import Trace, capture_run
 from .vcd import VcdWriter, dump_run
 
@@ -22,11 +21,8 @@ __all__ = [
     "Reg",
     "Rtl",
     "Word",
-    "BACKENDS",
     "FourValuedSim",
     "NetlistSim",
-    "check_backend",
-    "make_sim",
     "Trace",
     "capture_run",
     "VcdWriter",

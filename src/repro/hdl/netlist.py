@@ -69,11 +69,6 @@ def kind_truth_table(kind: str) -> int:
     return _KIND_TT[kind]
 
 
-def kind_arity(kind: str) -> int:
-    """Return the number of inputs a gate *kind* takes."""
-    return _KIND_ARITY[kind]
-
-
 @dataclass
 class Gate:
     """A combinational gate.
@@ -257,10 +252,6 @@ class Netlist:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def driver_kind(self, net: int) -> str:
-        """Return what drives *net*: ``const/input/gate/dff/bram`` or ``''``."""
-        return self._driver.get(net, "")
-
     def fanout_counts(self) -> List[int]:
         """Number of gate/FF/BRAM/output readers of every net."""
         counts = [0] * self.n_nets

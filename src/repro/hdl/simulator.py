@@ -246,13 +246,6 @@ class FourValuedSim(_BaseSim):
         for net, bit in zip(nets, value):
             self._forced[net] = bit
 
-    def force_bit(self, name: str, bit_index: int, value: int) -> None:
-        """Force a single bit of a named signal."""
-        nets = self.netlist.names.get(name)
-        if nets is None:
-            raise SimulationError(f"unknown signal {name!r}")
-        self._forced[nets[bit_index]] = value
-
     def release(self, name: str) -> None:
         """Remove any force on the named signal."""
         nets = self.netlist.names.get(name)
@@ -392,36 +385,3 @@ class FourValuedSim(_BaseSim):
             return tuple(self._mem_state[name])
         except KeyError:
             raise SimulationError(f"unknown memory {name!r}") from None
-
-
-# ---------------------------------------------------------------------------
-# Backend seam.  Campaign/runtime/CLI layers select an execution backend by
-# name; "reference" is this module's levelized simulator, "compiled" is the
-# bit-parallel code-generating engine in :mod:`repro.emu`.
-
-#: Simulator backends selectable through the campaign/CLI seam.
-BACKENDS = ("reference", "compiled")
-
-
-def check_backend(backend: str) -> str:
-    """Validate a backend name; returns it for chaining."""
-    if backend not in BACKENDS:
-        raise SimulationError(
-            f"unknown simulator backend {backend!r} "
-            f"(expected one of {', '.join(BACKENDS)})")
-    return backend
-
-
-def make_sim(netlist: Netlist, backend: str = "reference") -> _BaseSim:
-    """Instantiate a binary simulator for *netlist* by backend name.
-
-    ``reference`` returns :class:`NetlistSim`; ``compiled`` returns
-    :class:`repro.emu.CompiledSim`, which compiles the netlist to
-    straight-line bitwise code once and caches it (imported lazily so the
-    base HDL layer has no dependency on :mod:`repro.emu`).
-    """
-    check_backend(backend)
-    if backend == "compiled":
-        from ..emu import CompiledSim
-        return CompiledSim(netlist)
-    return NetlistSim(netlist)

@@ -26,7 +26,7 @@ cycle-identical to this description.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..errors import WorkloadError

@@ -16,14 +16,14 @@ from .isa import (AGEN_DIR, AGEN_IND, AGEN_REG, ALU_ADD,
                   ALU_ADDC, ALU_AND, ALU_CLR, ALU_CMP, ALU_CPL, ALU_DEC,
                   ALU_INC, ALU_OR, ALU_PASSA, ALU_PASSB, ALU_RL, ALU_RR,
                   ALU_SUBB, ALU_XOR, ASRC_ACC, BR_CJNE, BR_DJNZ, BR_JC,
-                  BR_JNC, BR_JNZ, BR_JZ, BR_LJMP, BR_NONE, BR_RET, BR_SJMP,
-                  BSRC_OP1, BSRC_OP2, BSRC_TMP, DEST_ACC, DEST_MEM,
+                  BR_JNC, BR_JNZ, BR_JZ, BR_LJMP, BR_RET, BR_SJMP,
+                  BSRC_OP1, BSRC_OP2, DEST_ACC, DEST_MEM,
                   FLAG_ARITH, FLAG_CMP, FLAG_CY0, FLAG_CY1, FLAG_CYCPL,
-                  PSW_AC, PSW_CY, PSW_F0, PSW_OV, PSW_P, PSW_RS0, PSW_RS1,
+                  PSW_AC, PSW_CY, PSW_F0, PSW_OV, PSW_P, PSW_RS0,
                   SFR_ACC, SFR_B, SFR_DPH, SFR_DPL, SFR_P0, SFR_P1, SFR_P2,
-                  SFR_PSW, SFR_SP, STACK_CALL, STACK_NONE, STACK_POP,
+                  SFR_PSW, SFR_SP, STACK_CALL, STACK_POP,
                   STACK_PUSH, STACK_RET, EXT_DPTR_INC, EXT_DPTR_LOAD,
-                  EXT_MOVC, EXT_NONE, spec_for)
+                  EXT_MOVC, spec_for)
 
 IRAM_SIZE = 128
 ROM_SIZE = 512

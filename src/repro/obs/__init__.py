@@ -19,13 +19,11 @@ own injection pipeline:
   the sample stream (``--alert``);
 * :mod:`~repro.obs.server` — the ``--serve-obs`` HTTP exporter
   (``/metrics``, ``/status``, ``/healthz``);
-* :mod:`~repro.obs.live` — ``repro top``, the terminal dashboard;
-* :mod:`~repro.obs.rundiff` — ``repro obs diff``, run-to-run
-  regression comparison.
+* :mod:`~repro.obs.live` — ``repro top``, the terminal dashboard.
 """
 
-from . import (alerts, live, logsetup, metrics, rundiff, server,
-               summary, timeseries, tracing)
+from . import (alerts, live, logsetup, metrics, server, summary,
+               timeseries, tracing)
 from .alerts import AlertEngine, AlertEvent, AlertRule, built_in_rules
 from .logsetup import console, get_logger, setup_logging
 from .metrics import REGISTRY, MetricsRegistry
@@ -38,7 +36,7 @@ from .tracing import (TRACER, Tracer, TraceWriter, read_trace, span,
 
 __all__ = [
     "tracing", "metrics", "logsetup", "summary",
-    "timeseries", "alerts", "server", "live", "rundiff",
+    "timeseries", "alerts", "server", "live",
     "TRACER", "Tracer", "TraceWriter", "span", "read_trace",
     "write_trace", "REGISTRY", "MetricsRegistry",
     "setup_logging", "get_logger", "console",

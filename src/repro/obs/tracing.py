@@ -22,11 +22,11 @@ Design points:
   (:mod:`repro.core.campaign`, :mod:`repro.runtime.jobspec`) stays
   within the overhead budget asserted by
   ``benchmarks/bench_obs_overhead.py``.
-* **Multiprocessing-aware.**  Worker processes run their own tracer
-  (span ids are scoped per ``tid``); the runtime scheduler drains worker
-  events per shard and the parent merges them, tagging each worker's
-  stream with its worker id (see :meth:`Tracer.drain` /
-  :meth:`Tracer.adopt`).  ``time.monotonic`` is system-wide on the
+* **Multiprocessing-aware.**  Each worker process runs its own tracer
+  under its own ``tid`` (span ids are scoped per ``tid``; the parent's
+  is :data:`PARENT_TID`); the runtime scheduler ships each shard's
+  :meth:`Tracer.drain` to the parent, which writes the events straight
+  to its :class:`TraceWriter`.  ``time.monotonic`` is system-wide on the
   platforms we support, so timestamps from different processes share a
   timeline.
 * **Chrome/Perfetto-compatible export.**  Events use the Trace Event
@@ -146,18 +146,6 @@ class Tracer:
         with self._lock:
             events, self._events = self._events, []
         return events
-
-    def adopt(self, events: List[Dict[str, Any]],
-              tid: Optional[int] = None) -> None:
-        """Merge events drained from another process into this stream.
-
-        ``tid`` relabels the adopted stream (the parent tags each
-        worker's spans with the worker id so streams stay separable).
-        """
-        if tid is not None:
-            events = [{**event, "tid": tid} for event in events]
-        with self._lock:
-            self._events.extend(events)
 
 
 #: The process-wide tracer every instrumented module records into.

@@ -31,9 +31,8 @@ schedule.
 """
 
 from .engine import resume_campaign, run_campaign
-from .jobspec import (CampaignJobSpec, DEFAULT_CHECKPOINT_INTERVAL,
-                      JobRunner, build_campaign, record_from_result,
-                      result_from_record)
+from .jobspec import (CampaignJobSpec, JobRunner, build_campaign,
+                      record_from_result, result_from_record)
 from .journal import (JOURNAL_VERSION, JournalScan, JournalState,
                       JournalWriter, check_compatible, read_journal,
                       repair_journal, scan_journal)
@@ -46,7 +45,6 @@ __all__ = [
     "run_campaign",
     "resume_campaign",
     "CampaignJobSpec",
-    "DEFAULT_CHECKPOINT_INTERVAL",
     "JobRunner",
     "build_campaign",
     "record_from_result",

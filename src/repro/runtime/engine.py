@@ -32,7 +32,7 @@ import signal
 import threading
 from typing import Dict, List, Optional, Union
 
-from ..core import generate_faultload, pool_size
+from ..core import pool_size
 from ..core.campaign import CampaignResult
 from ..core.classify import Outcome
 from ..errors import CampaignInterrupted, JournalError
@@ -120,21 +120,17 @@ def _execute(jobspec: CampaignJobSpec, workers: int,
     cycles = jobspec.spec.workload_cycles
     with metrics.phase("setup"):
         campaign = build_campaign(jobspec)
-        stream: Optional[FaultStream] = None
-        if jobspec.adaptive:
-            # Faults materialise window by window (stream.ensure); the
-            # list below grows in place as the campaign extends.
-            stream = FaultStream(
-                jobspec.spec, campaign.locmap,
-                seed=jobspec.effective_faultload_seed(),
-                routed_nets=campaign.impl.routing.is_routed,
-                strategy=jobspec.strategy)
-            faults: List[Fault] = stream.faults
-        else:
-            faults = generate_faultload(
-                jobspec.spec, campaign.locmap,
-                seed=jobspec.effective_faultload_seed(),
-                routed_nets=campaign.impl.routing.is_routed)
+        # Adaptive campaigns materialise faults window by window
+        # (stream.ensure); the list below grows in place as the campaign
+        # extends.  A fixed budget is drawn whole, here.
+        stream = FaultStream(
+            jobspec.spec, campaign.locmap,
+            seed=jobspec.effective_faultload_seed(),
+            routed_nets=campaign.impl.routing.is_routed,
+            strategy=jobspec.strategy)
+        faults: List[Fault] = stream.faults
+        if not jobspec.adaptive:
+            stream.ensure(budget)
         pool = pool_size(jobspec.spec, campaign.locmap)
 
         records: Dict[int, Dict] = {}
@@ -199,7 +195,7 @@ def _execute(jobspec: CampaignJobSpec, workers: int,
 
     def prepare_window(start: int, end: int) -> List[int]:
         """Materialise, prune and plan one window; pending indices."""
-        if stream is not None and len(stream) < end:
+        if len(stream) < end:
             with metrics.phase("plan"):
                 stream.ensure(end)
         if jobspec.prune_silent:
@@ -312,7 +308,7 @@ def _execute(jobspec: CampaignJobSpec, workers: int,
             result = _assemble(jobspec, golden, faults[:final], records)
             if stop_decision is not None:
                 result.stop = stop_decision.to_dict()
-            if stream is not None:
+            if jobspec.adaptive:
                 result.strata = summarize_strata(
                     stream.tags[:final],
                     {index: record["outcome"]

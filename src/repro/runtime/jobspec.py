@@ -29,17 +29,16 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core import FaultModel, generate_faultload, pool_size
+from ..analysis.experiments import CHECKPOINT_INTERVAL
+from ..analysis.specfile import WORKLOADS
+from ..core import FaultModel, build_fades, pool_size
 from ..core.campaign import ExperimentResult, FadesCampaign
 from ..core.classify import Outcome
 from ..core.config import FaultLoadSpec
 from ..core.faults import Fault
 from ..core.timing_model import ExperimentCost
 from ..errors import JournalError
-
-#: Golden-run snapshot spacing used by the standard testbed (matches
-#: :class:`repro.analysis.experiments.Evaluation`).
-DEFAULT_CHECKPOINT_INTERVAL = 128
+from ..faultload import FaultStream
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,7 @@ class CampaignJobSpec:
     workload: str = "bubblesort"
     seed: int = 2006
     faultload_seed: Optional[int] = None
-    checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL
+    checkpoint_interval: int = CHECKPOINT_INTERVAL
     label: str = ""
     backend: str = "reference"
     #: Let :mod:`repro.sfa` resolve provably Silent faults statically
@@ -184,8 +183,8 @@ def build_campaign(jobspec: CampaignJobSpec) -> FadesCampaign:
     Mirrors ``Evaluation.fades`` exactly (same seed, same checkpoint
     interval) so engine results line up with the serial testbed.
     """
-    from ..analysis.specfile import WORKLOADS  # local: avoid import cycle
-    from ..core import build_fades
+    # Imported per call: perfbench's layer tracer swaps in a timed
+    # wrapper of repro.mc8051.build_mc8051 while it runs.
     from ..mc8051 import build_mc8051
 
     try:
@@ -229,19 +228,12 @@ class JobRunner:
     def _regenerate_faults(self) -> List[Fault]:
         """Re-derive the faultload this process was not handed.
 
-        Workers rebuild the exact sequence the parent planned from:
-        the historical uniform draw for fixed campaigns, the planner's
-        :class:`~repro.faultload.strata.FaultStream` (materialised out
-        to the budget — fault descriptors are cheap, experiments are
-        not) for adaptive ones.
+        Workers rebuild the exact sequence the parent planned from: the
+        planner's :class:`~repro.faultload.strata.FaultStream`,
+        materialised out to the budget (fault descriptors are cheap,
+        experiments are not).
         """
         jobspec = self.jobspec
-        if not jobspec.adaptive:
-            return generate_faultload(
-                jobspec.spec, self.campaign.locmap,
-                seed=jobspec.effective_faultload_seed(),
-                routed_nets=self.campaign.impl.routing.is_routed)
-        from ..faultload import FaultStream  # local: avoid import cycle
         stream = FaultStream(
             jobspec.spec, self.campaign.locmap,
             seed=jobspec.effective_faultload_seed(),

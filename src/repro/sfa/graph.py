@@ -24,7 +24,7 @@ rest of :mod:`repro.sfa` builds on:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..hdl.netlist import CONST0, CONST1, Netlist
 from ..synth.mapped import MappedNetlist
@@ -125,15 +125,6 @@ class StructuralGraph:
         sinks.update(self.ff_readers)
         sinks.update(self.bram_readers)
         return sinks
-
-    def level0_nets(self) -> Set[int]:
-        """Nets produced outside combinational logic (cycle sources)."""
-        nets = {CONST0, CONST1}
-        nets.update(self.input_nets)
-        nets.update(q for q, _d in self.ff_pairs)
-        for rdata in self.bram_rdata_nets:
-            nets.update(rdata)
-        return nets
 
     # ------------------------------------------------------------------
     # levels

@@ -16,7 +16,7 @@ It is built once per implementation run from:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import LocationError
 from ..hdl.netlist import Netlist

@@ -11,7 +11,6 @@ simulator commands on the four-valued model simulator.
 from __future__ import annotations
 
 import random
-from dataclasses import field
 from typing import List, Optional, Sequence
 
 from ..core.campaign import CampaignResult, ExperimentResult

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+from typing import List
 
 from repro.hdl import Netlist, Rtl
 

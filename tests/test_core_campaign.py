@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.analysis import Evaluation
-from repro.core import (ConfigBit, FaultLoadSpec, FaultModel, Outcome,
+from repro.core import (ConfigBit, FaultLoadSpec, FaultModel,
                         config_seu_fault, generate_faultload, pool_size,
                         used_route_bit)
 from repro.core.campaign import Experiment, FadesCampaign

@@ -10,7 +10,6 @@ import pytest
 from repro.core import (Fault, FaultModel, Target, TargetKind,
                         invert_lut_line, stuck_lut_line)
 from repro.core.campaign import FadesCampaign
-from repro.core.injector import FadesInjector
 from repro.errors import LocationError
 from repro.fpga import Board, implement
 from repro.synth import synthesize

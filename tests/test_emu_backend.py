@@ -8,23 +8,22 @@ over the tier-1 designs (counter, FIR, UART) and an mc8051 smoke
 program.
 """
 
+import itertools
 import random
 
 import pytest
 
-from repro.core import (FaultLoadSpec, FaultModel, build_fades,
-                        generate_faultload)
+from repro.core import FaultLoadSpec, FaultModel, generate_faultload
+from repro.core.campaign import BACKENDS, check_backend
 from repro.core.faults import Fault, Target, TargetKind
 from repro.designs import counter, fir_filter, uart_tx
 from repro.emu import compile_design, lane_width, supports_fault
-from repro.emu.compiler import bool_expr, tt_function
+from repro.emu.compiler import _fold_constants, bool_expr, tt_function
 from repro.errors import SimulationError
-from repro.hdl import BACKENDS, NetlistSim, check_backend, make_sim
-from repro.hdl.simulator import FourValuedSim
+from repro.hdl.netlist import CONST0, CONST1
 from repro.obs.metrics import REGISTRY
 
-from helpers import (build_accumulator, build_alu4, build_counter,
-                     random_netlist)
+from helpers import build_accumulator, build_counter
 from test_core_injector import make_campaign
 
 
@@ -42,6 +41,41 @@ class TestBoolExpr:
                 a, b, c = index & 1, (index >> 1) & 1, (index >> 2) & 1
                 expected = (tt >> index) & 1
                 assert fn(a, b, c, 1) == expected, (tt, index, expr)
+
+    def test_four_vars_every_lane(self):
+        """Sampled 4-input truth tables, evaluated on all 16 inputs.
+
+        Operand ``a`` holds bit 0 of the input index in every lane, ``b``
+        bit 1 and so on, so lane *k* evaluates input *k* and the packed
+        result must reproduce the table itself.
+        """
+        a, b, c, d, lanes = 0xAAAA, 0xCCCC, 0xF0F0, 0xFF00, 0xFFFF
+        tables = random.Random(4).sample(range(1 << 16), 2000)
+        for tt in tables + [0, 0xFFFF, 0x8000, 0x6996]:
+            assert tt_function(tt)(a, b, c, d, lanes) == tt, hex(tt)
+
+    def test_fold_constants_matches_unfolded_table(self):
+        """Each operand position bound to a net, CONST0 or CONST1."""
+        nets = (10, 11, 12, 13)
+        tables = random.Random(5).sample(range(1 << 16), 40) + [0x6996]
+        for tt in tables:
+            for binding in itertools.product((None, CONST0, CONST1),
+                                             repeat=4):
+                ins = tuple(net if const is None else const
+                            for net, const in zip(nets, binding))
+                folded, live = _fold_constants(tt, ins)
+                assert live == [net for net, const in zip(nets, binding)
+                                if const is None]
+                assert folded < 1 << (1 << len(live))
+                for index in range(1 << len(live)):
+                    full = 0
+                    for position, net in enumerate(ins):
+                        if net == CONST1 or (
+                                net in live
+                                and (index >> live.index(net)) & 1):
+                            full |= 1 << position
+                    assert (folded >> index) & 1 == (tt >> full) & 1, \
+                        (hex(tt), binding, index)
 
     def test_lane_masked_constants(self):
         # The all-ones table must produce the full lane mask, per lane.
@@ -62,59 +96,11 @@ class TestCompileCaching:
 
 
 # ---------------------------------------------------------------------------
-# CompiledSim: drop-in simulator equivalence
-# ---------------------------------------------------------------------------
-def _assert_sim_equivalent(netlist, steps=40, seed=1):
-    reference = NetlistSim(netlist)
-    compiled = make_sim(netlist, backend="compiled")
-    reference.reset()
-    compiled.reset()
-    rng = random.Random(seed)
-    names = list(netlist.inputs)
-    widths = [len(netlist.inputs[name]) for name in names]
-    for cycle in range(steps):
-        stimulus = {name: rng.randrange(1 << width)
-                    for name, width in zip(names, widths)}
-        assert reference.step(stimulus) == compiled.step(stimulus), cycle
-    assert reference.state_snapshot() == compiled.state_snapshot()
-
-
-class TestCompiledSim:
-    @pytest.mark.parametrize("build", [
-        build_counter, build_alu4, build_accumulator,
-        counter, fir_filter, uart_tx,
-    ])
-    def test_matches_reference(self, build):
-        _assert_sim_equivalent(build())
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_random_netlists(self, seed):
-        _assert_sim_equivalent(random_netlist(seed), steps=30, seed=seed)
-
-    def test_reset_restarts_run(self):
-        netlist = counter()
-        sim = make_sim(netlist, backend="compiled")
-        first = [sim.step({"en": 1} if cycle == 0 else None)
-                 for cycle in range(12)]
-        sim.reset()
-        second = [sim.step({"en": 1} if cycle == 0 else None)
-                  for cycle in range(12)]
-        assert first == second
-
-
-# ---------------------------------------------------------------------------
 # The seam itself
 # ---------------------------------------------------------------------------
 class TestBackendSeam:
     def test_backends_listed(self):
         assert BACKENDS == ("reference", "compiled")
-
-    def test_make_sim_types(self):
-        netlist = build_counter(4)
-        assert type(make_sim(netlist)) is NetlistSim
-        assert isinstance(make_sim(netlist, backend="compiled"), NetlistSim)
-        assert type(make_sim(netlist, backend="compiled")) is not NetlistSim
-        assert not isinstance(make_sim(netlist), FourValuedSim)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(SimulationError):

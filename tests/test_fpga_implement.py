@@ -5,7 +5,6 @@ import pytest
 from repro.errors import PlacementError
 from repro.fpga import Device, demo_device, implement
 from repro.fpga.placement import place
-from repro.fpga.routing import route
 from repro.hdl import NetlistSim
 from repro.synth import synthesize
 

@@ -10,7 +10,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.fpga import Board, Device, FrameAddr, JBits, implement
 from repro.fpga.bitstream import CbConfig
-from repro.hdl import NetlistSim
 from repro.synth import synthesize
 
 from helpers import build_accumulator, build_alu4, build_counter

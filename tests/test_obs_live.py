@@ -30,7 +30,6 @@ from repro.obs.alerts import (AlertEngine, AlertRule, built_in_rules,
 from repro.obs.live import (outcome_bar, render_dashboard, run_top,
                             sparkline, status_from_journal)
 from repro.obs.metrics import REGISTRY, MetricsRegistry
-from repro.obs.rundiff import diff_runs, load_profile
 from repro.obs.server import ObsServer, parse_serve_spec
 from repro.obs.timeseries import (TimeseriesSampler, TsdbWriter,
                                   line_crc, read_tsdb, seal_line,
@@ -392,12 +391,6 @@ class TestEngineIntegration:
         assert f"n {COUNT}/{COUNT}" in out
         assert "progress" in out  # the fired alert is listed
 
-    def test_obs_diff_of_identical_runs_passes(self, live_run, capsys):
-        tsdb = tsdb_path_for(live_run["journal"])
-        assert cli_main(["obs", "diff", tsdb, tsdb]) == 0
-        out = capsys.readouterr().out
-        assert "0 regressions" in out
-
 
 # ---------------------------------------------------------------------------
 # a crashed campaign, resumed: every surface reports the whole campaign
@@ -531,47 +524,6 @@ class TestDashboard:
 
     def test_run_top_reports_missing_journal(self, tmp_path):
         assert run_top(str(tmp_path / "nope.jsonl"), once=True) == 1
-
-
-class TestRunDiff:
-    @staticmethod
-    def _write_tsdb(path, throughputs):
-        with TsdbWriter(str(path)) as writer:
-            for i, rate in enumerate(throughputs):
-                writer.append({
-                    "t": float(i), "n": i + 1, "throughput": rate,
-                    "ewma": rate, "outcomes": {"failure": i + 1},
-                    "phases": {"experiments": float(i)}})
-
-    def test_regression_detected_and_rendered(self, tmp_path):
-        self._write_tsdb(tmp_path / "fast.tsdb", [10.0, 10.0])
-        self._write_tsdb(tmp_path / "slow.tsdb", [1.0, 1.0])
-        report, regressed = diff_runs(str(tmp_path / "fast.tsdb"),
-                                      str(tmp_path / "slow.tsdb"),
-                                      regress_pct=10.0)
-        assert regressed
-        assert "throughput (exp/s)" in report and "REGRESSED" in report
-        # The same comparison in the improving direction is clean.
-        _report, regressed = diff_runs(str(tmp_path / "slow.tsdb"),
-                                       str(tmp_path / "fast.tsdb"),
-                                       regress_pct=10.0)
-        assert not regressed
-
-    def test_profile_loads_reject_junk(self, tmp_path):
-        path = tmp_path / "junk.json"
-        path.write_text('{"not": "a summary"}')
-        with pytest.raises(ObservabilityError):
-            load_profile(str(path))
-        with pytest.raises(ObservabilityError):
-            load_profile(str(tmp_path / "missing.tsdb"))
-
-    def test_cli_diff_exits_nonzero_on_regression(self, tmp_path,
-                                                  capsys):
-        self._write_tsdb(tmp_path / "a.tsdb", [10.0, 10.0])
-        self._write_tsdb(tmp_path / "b.tsdb", [1.0, 1.0])
-        assert cli_main(["obs", "diff", str(tmp_path / "a.tsdb"),
-                         str(tmp_path / "b.tsdb")]) == 1
-        assert "REGRESSED" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from repro.analysis import Evaluation
 from repro.core import FaultModel, build_fades
 from repro.core.campaign import Experiment, derive_fault_seed
 from repro.core.classify import Outcome
-from repro.core.config import FaultLoadSpec
 from repro.core.faults import Fault, Target, TargetKind
 from repro.errors import JournalError
 from repro.obs.metrics import REGISTRY, MetricsRegistry

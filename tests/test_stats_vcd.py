@@ -1,13 +1,10 @@
 """Tests for the statistics helpers and the VCD trace writer."""
 
-import math
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.stats import (Proportion, failure_interval,
-                                  sample_size_for, wilson)
-from repro.core.classify import Outcome, OutcomeCounts
+from repro.analysis.stats import failure_interval, sample_size_for, wilson
+from repro.core.classify import OutcomeCounts
 from repro.errors import SimulationError
 from repro.hdl import NetlistSim
 from repro.hdl.vcd import VcdWriter, dump_run

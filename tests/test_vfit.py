@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.core import FaultLoadSpec, FaultModel, Outcome
+from repro.core import FaultLoadSpec, FaultModel
 from repro.core.faults import Fault, Target, TargetKind
 from repro.errors import InjectionError, UnsupportedFaultError
-from repro.hdl import FourValuedSim, logic
+from repro.hdl import FourValuedSim
 from repro.vfit import (VfitCampaign, VfitCommands, VfitTimeModel,
-                        VfitTimingParams, vfit_faultload, vfit_pool_targets)
+                        vfit_faultload, vfit_pool_targets)
 
 from helpers import build_accumulator, build_counter
 
