@@ -5,17 +5,17 @@ Every bench regenerates one artefact of the paper's evaluation section
 Artefact renderings are printed and also written to
 ``benchmarks/results/<name>.txt`` so the run leaves an inspectable record.
 
-Scale: the paper used 3000 faults per experiment; benches default to a
-small count (see ``repro.analysis.experiments.default_fault_count``) and
-honour ``REPRO_FAULTS=<n>`` / ``REPRO_PAPER_SCALE=1``.
+Scale: the paper used 3000 faults per experiment; benches default to 12
+and honour ``REPRO_FAULTS=<n>`` / ``REPRO_PAPER_SCALE=1`` through
+``repro.analysis.experiments.default_fault_count``.
 """
 
-import os
 import pathlib
 
 import pytest
 
 from repro.analysis import Evaluation
+from repro.analysis.experiments import default_fault_count
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -28,10 +28,9 @@ def evaluation():
 
 @pytest.fixture(scope="session")
 def bench_count():
-    """Faults per experiment class for bench runs."""
-    if os.environ.get("REPRO_PAPER_SCALE"):
-        return 3000
-    return int(os.environ.get("REPRO_FAULTS", "12"))
+    """Faults per experiment class for bench runs (12 unless the
+    environment knobs say otherwise)."""
+    return default_fault_count(fallback=12)
 
 
 @pytest.fixture()

@@ -24,8 +24,9 @@ from typing import List, Optional, Tuple
 from ..core import (CampaignResult, FadesCampaign, FaultLoadSpec,
                     FaultModel, build_fades)
 from ..core.faults import DURATION_BANDS
+from ..faultload import is_adaptive
 from ..mc8051 import Iss, Mc8051Model, Workload, build_mc8051, bubblesort
-from ..vfit import VfitCampaign
+from ..vfit import VfitCampaign, VfitTimeModel
 
 #: Golden-run snapshot spacing of the standard testbed (also the
 #: :class:`repro.runtime.jobspec.CampaignJobSpec` default).
@@ -122,6 +123,12 @@ class Evaluation:
         return self._vfit
 
     # -- campaign execution -----------------------------------------------
+    @property
+    def adaptive(self) -> bool:
+        """Whether FADES campaigns use the statistical planner at all
+        (:func:`repro.faultload.is_adaptive`)."""
+        return is_adaptive(self.strategy, self.epsilon, self.budget)
+
     def run_fades(self, spec: FaultLoadSpec,
                   seed: Optional[int] = None) -> CampaignResult:
         """Run one FADES experiment class, honouring :attr:`workers`.
@@ -137,9 +144,7 @@ class Evaluation:
         hosts the stopping controller.
         """
         seed = self.seed if seed is None else seed
-        adaptive = (self.strategy != "uniform" or self.epsilon is not None
-                    or self.budget is not None)
-        if self.workers >= 2 or adaptive:
+        if self.workers >= 2 or self.adaptive:
             from ..runtime import CampaignJobSpec, run_campaign
             jobspec = CampaignJobSpec.from_evaluation(
                 self, spec, faultload_seed=seed)
@@ -217,16 +222,14 @@ class Evaluation:
     # -- paper-scale projections ------------------------------------------
     def project_fades_seconds(self, mean_transfer_s: float) -> float:
         """Per-fault FADES time at the paper's workload length."""
-        workload_s = (PAPER_WORKLOAD_CYCLES
-                      / self.fades.board.params.clock_hz)
-        return mean_transfer_s + workload_s
+        return (mean_transfer_s
+                + self.fades.board.workload_seconds(PAPER_WORKLOAD_CYCLES))
 
     def project_vfit_seconds(self) -> float:
         """Per-fault VFIT time at paper scale (its measured 7.2 s)."""
-        params = self.vfit.time_model.params
-        return (PAPER_WORKLOAD_CYCLES * PAPER_MODEL_ELEMENTS
-                * params.seconds_per_element_cycle
-                + params.experiment_overhead_s)
+        model = VfitTimeModel(PAPER_MODEL_ELEMENTS,
+                              self.vfit.time_model.params)
+        return model.cost(PAPER_WORKLOAD_CYCLES).total_s
 
 
 #: Paper-reported reference values for EXPERIMENTS.md comparisons.

@@ -1,7 +1,10 @@
 """Full evaluation report: regenerate every table and figure in one call.
 
-``python -m repro.analysis.report`` prints the whole evaluation section —
-useful for refreshing ``EXPERIMENTS.md`` after changes.
+``python -m repro.analysis.report`` prints the whole evaluation section
+at the library default of 24 faults per experiment class
+(:func:`~repro.analysis.experiments.default_fault_count`).
+``EXPERIMENTS.md`` is at the benches' scale of 12; refresh it with
+``REPRO_FAULTS=12 python -m repro.analysis.report``.
 """
 
 from __future__ import annotations
@@ -43,9 +46,7 @@ def full_report(evaluation: Optional[Evaluation] = None,
     if evaluation.prune_silent:
         with span("report", artefact="static-pruning"):
             sections.append(_pruning_summary())
-    if (getattr(evaluation, "epsilon", None) is not None
-            or getattr(evaluation, "strategy", "uniform") != "uniform"
-            or getattr(evaluation, "budget", None) is not None):
+    if evaluation.adaptive:
         with span("report", artefact="adaptive-planning"):
             sections.append(_adaptive_summary())
     quarantine = _quarantine_summary()

@@ -134,8 +134,8 @@ def generate_table2(evaluation: Evaluation,
             vfit_mean = float("nan")
         fades_mean = fades_result.mean_emulation_s
         projected = evaluation.project_fades_seconds(
-            fades_mean - fades_result.golden.cycles
-            / fades.board.params.clock_hz)
+            fades_mean
+            - fades.board.workload_seconds(fades_result.golden.cycles))
         rows.append(SpeedupRow(
             experiment=name,
             fades_mean_s=fades_mean,

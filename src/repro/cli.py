@@ -457,13 +457,11 @@ def cmd_campaign(evaluation: Evaluation, args: argparse.Namespace) -> int:
     spec = evaluation.spec(model, args.pool, band=args.band,
                            count=args.count, oscillate=args.oscillate,
                            mechanism=args.mechanism)
-    adaptive = (args.strategy != "uniform" or args.epsilon is not None
-                or args.budget is not None)
     live_requested = (args.serve_obs is not None or bool(args.alert)
                       or args.sample_interval is not None)
     engine_requested = (args.workers > 0 or args.journal is not None
                         or args.trace is not None
-                        or adaptive or live_requested)
+                        or evaluation.adaptive or live_requested)
     if engine_requested and args.tool != "fades":
         log.error("--workers/--journal/--trace/--serve-obs, "
                   "the alert flags and the planner flags "

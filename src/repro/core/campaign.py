@@ -91,8 +91,6 @@ class CampaignResult:
     spec_label: str
     golden: Trace
     experiments: List[ExperimentResult] = field(default_factory=list)
-    mean_emulation_s: float = 0.0
-    total_emulation_s: float = 0.0
     #: Stopping decision of an adaptive campaign (reason, achieved n,
     #: Wilson intervals — see :mod:`repro.faultload.sequential`); None
     #: for fixed-budget campaigns.
@@ -123,10 +121,30 @@ class CampaignResult:
         return sum(1 for experiment in self.experiments
                    if experiment.collapsed_from is not None)
 
+    def _emulated(self) -> List[ExperimentResult]:
+        """Experiments that ran on the device: neither statically
+        resolved (pruned, collapsed) nor quarantined.  Only these paid
+        emulated time."""
+        return [experiment for experiment in self.experiments
+                if not experiment.pruned and not experiment.quarantined
+                and experiment.collapsed_from is None]
+
     def emulated_count(self) -> int:
         """Experiments that actually ran on the device."""
-        return (len(self.experiments) - self.pruned_count()
-                - self.collapsed_count())
+        return len(self._emulated())
+
+    @property
+    def total_emulation_s(self) -> float:
+        """Emulated seconds of the experiments that ran, summed left to
+        right in fault-index order."""
+        return sum((experiment.cost.total_s
+                    for experiment in self._emulated()), 0.0)
+
+    @property
+    def mean_emulation_s(self) -> float:
+        """Mean emulated seconds per experiment that ran."""
+        count = self.emulated_count()
+        return self.total_emulation_s / count if count else 0.0
 
 
 def derive_fault_seed(seed: int, index: int) -> int:
@@ -141,7 +159,7 @@ class Experiment:
     """The reconfiguration protocol of one figure-1 experiment.
 
     Construction seeds the injector from :func:`derive_fault_seed`, takes
-    the board-log marker the costs are measured from and prepares the
+    the board marker the costs are measured from and prepares the
     injection;
     :meth:`inject`, :meth:`tick` and :meth:`remove` are the traced
     reconfiguration steps; :meth:`finish` reads back, restores the golden
@@ -159,7 +177,6 @@ class Experiment:
         self.pool = pool
         campaign.injector.rng.seed(derive_fault_seed(campaign.seed, index))
         self._marker = campaign.time_model.begin_experiment()
-        campaign.board.set_label(fault.model.value)
         self.injection = campaign.injector.prepare(fault)
         self.mechanism = self.injection.mechanism_label or fault.model.value
         self.start = fault.injection_cycle(cycles)
@@ -195,13 +212,14 @@ class Experiment:
 
     def finish(self, trace: Optional[Trace] = None) -> ExperimentCost:
         """Read back (the final state into *trace*, if given), restore the
-        golden configuration and record the experiment's emulated cost."""
+        golden configuration and return the experiment's emulated cost."""
         campaign = self.campaign
-        # Emulated board seconds this experiment spent on the link: every
-        # injection/removal transaction since the marker (the host-side
-        # golden restore below bypasses the board, so it never counts).
-        _RECONFIG_SECONDS.observe(campaign.board.since(self._marker)[1],
-                                  mechanism=self.mechanism)
+        # Every injection/removal transaction since the marker; the
+        # host-side golden restore below bypasses the board, so it never
+        # counts.
+        cost = campaign.time_model.end_experiment(self._marker, self.cycles,
+                                                  self.pool)
+        _RECONFIG_SECONDS.observe(cost.transfer_s, mechanism=self.mechanism)
         with span("readback", mechanism=self.mechanism):
             if trace is not None:
                 trace.final_state = campaign.device.state_snapshot()
@@ -210,8 +228,7 @@ class Experiment:
             # and permanent models leave frames modified) *before* any
             # golden run can execute on this device.
             campaign._restore_configuration()
-        return campaign.time_model.end_experiment(self._marker, self.cycles,
-                                                  self.pool)
+        return cost
 
 
 class FadesCampaign:
@@ -485,21 +502,16 @@ class FadesCampaign:
         """Run a pre-generated fault list.
 
         With :attr:`prune_silent` the list first passes through
-        :meth:`static_plan`; mean emulation time is computed over the
-        experiments that actually ran (pruned and collapsed records
-        carry zero cost — the board never saw them).
+        :meth:`static_plan`; pruned and collapsed records carry zero
+        cost (the board never saw them) and stay out of the emulated
+        time (:attr:`CampaignResult.mean_emulation_s`).
         """
         golden = self.golden_run(cycles)
         result = CampaignResult(spec_label=label, golden=golden)
-        start_index = len(self.time_model.costs)
         if self.prune_silent:
             result.experiments = self._run_pruned(faults, cycles, pool)
         else:
             result.experiments = self.run_batch(faults, cycles, pool=pool)
-        costs = self.time_model.costs[start_index:]
-        result.total_emulation_s = sum(cost.total_s for cost in costs)
-        if costs:
-            result.mean_emulation_s = result.total_emulation_s / len(costs)
         return result
 
     # ------------------------------------------------------------------

@@ -21,8 +21,8 @@ and rewriting configuration memory, never by touching simulation state:
 
 Each mechanism is an :class:`Injection` with ``inject`` / ``tick`` /
 ``remove`` hooks driven by the campaign loop, so the emulated transfer
-costs land on the board log at the same protocol points the real tool
-paid them.
+costs land on the board at the same protocol points the real tool paid
+them.
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ into the parts this model accounts:
   (this reproduces the paper's observation that combinational-delay
   experiments ran longer than sequential ones "since the selected model
   presents fewer sequential injection points");
-* **reconfiguration transfers** — the dominant share; taken directly from
-  the board's transaction log, so it reflects the *actual* frames each
-  mechanism moved;
+* **reconfiguration transfers** — the dominant share; the board seconds
+  between the experiment's markers, so it reflects the *actual* frames
+  each mechanism moved;
 * **workload execution** — cycles divided by the emulation clock;
   negligible, as the paper notes in section 7.1.
 
@@ -19,8 +19,8 @@ All times are *emulated 2006-era* seconds; nothing sleeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, Mapping
 
 from ..fpga.board import Board
 
@@ -38,7 +38,8 @@ class FadesTimingParams:
 
 @dataclass
 class ExperimentCost:
-    """Time breakdown of one fault-injection experiment."""
+    """Time breakdown of one fault-injection experiment: the only record
+    of emulated time (campaign totals are sums over these)."""
 
     locate_s: float = 0.0
     transfer_s: float = 0.0
@@ -51,56 +52,40 @@ class ExperimentCost:
         return (self.locate_s + self.transfer_s + self.workload_s
                 + self.overhead_s)
 
+    def to_record(self) -> Dict[str, Any]:
+        """JSON-compatible form (a journal record's ``cost``)."""
+        return asdict(self)
+
+    @classmethod
+    def from_record(cls, record: Mapping[str, Any]) -> "ExperimentCost":
+        """Inverse of :meth:`to_record`; missing terms read as zero."""
+        return cls(locate_s=float(record.get("locate_s", 0.0)),
+                   transfer_s=float(record.get("transfer_s", 0.0)),
+                   workload_s=float(record.get("workload_s", 0.0)),
+                   overhead_s=float(record.get("overhead_s", 0.0)),
+                   transactions=int(record.get("transactions", 0)))
+
 
 class EmulationTimeModel:
-    """Accumulates per-experiment costs from the board log."""
+    """Prices one experiment from the board's transfer accounting."""
 
     def __init__(self, board: Board,
                  params: FadesTimingParams = FadesTimingParams()):
         self.board = board
         self.params = params
-        self.costs: List[ExperimentCost] = []
 
     def begin_experiment(self):
-        """Marker for the transfer log; pass the result to :meth:`end`."""
+        """Board marker; pass the result to :meth:`end_experiment`."""
         return self.board.snapshot()
 
     def end_experiment(self, marker, cycles: int,
                        pool_size: int) -> ExperimentCost:
-        """Close one experiment and record its cost breakdown."""
+        """Close one experiment; returns its cost breakdown."""
         transactions, transfer_s = self.board.since(marker)
-        cost = ExperimentCost(
+        return ExperimentCost(
             locate_s=self.params.locate_seconds_per_candidate * pool_size,
             transfer_s=transfer_s,
             workload_s=self.board.workload_seconds(cycles),
             overhead_s=self.params.experiment_overhead_s,
             transactions=transactions,
         )
-        self.costs.append(cost)
-        return cost
-
-    # -- aggregation -------------------------------------------------------
-    @property
-    def total_seconds(self) -> float:
-        """Emulated wall-clock of the whole campaign."""
-        return sum(cost.total_s for cost in self.costs)
-
-    def mean_seconds(self) -> float:
-        """Mean emulated time per experiment."""
-        if not self.costs:
-            return 0.0
-        return self.total_seconds / len(self.costs)
-
-    def breakdown(self) -> Dict[str, float]:
-        """Campaign-level totals per cost component."""
-        return {
-            "locate_s": sum(c.locate_s for c in self.costs),
-            "transfer_s": sum(c.transfer_s for c in self.costs),
-            "workload_s": sum(c.workload_s for c in self.costs),
-            "overhead_s": sum(c.overhead_s for c in self.costs),
-        }
-
-    def project(self, n_faults: int) -> float:
-        """Extrapolate the mean per-fault cost to a campaign of *n_faults*
-        (used to quote paper-scale numbers: 3000 faults per experiment)."""
-        return self.mean_seconds() * n_faults

@@ -16,10 +16,21 @@ its incremental dispatch loop; the CLI exposes them as
 ``--strategy/--epsilon/--confidence/--budget``.
 """
 
+from typing import Optional
+
 from .sequential import (SequentialController, StopDecision,
                          TRACKED_OUTCOMES, plan_checkpoints, tally_prefix)
 from .strata import (STRATEGIES, FaultStream, StratifiedSampler, Stratum,
                      cone_weight, partition_strata, summarize_strata)
+
+
+def is_adaptive(strategy: str, epsilon: Optional[float],
+                budget: Optional[int]) -> bool:
+    """Whether a campaign uses the planner at all: non-uniform sampling,
+    a stopping rule, or an explicit budget."""
+    return (strategy != "uniform" or epsilon is not None
+            or budget is not None)
+
 
 __all__ = [
     "FaultStream",
@@ -30,6 +41,7 @@ __all__ = [
     "Stratum",
     "TRACKED_OUTCOMES",
     "cone_weight",
+    "is_adaptive",
     "partition_strata",
     "plan_checkpoints",
     "summarize_strata",

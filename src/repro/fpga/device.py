@@ -47,7 +47,6 @@ class Device:
         self._values: List[int] = [0] * self.mapped.n_nets
         self._held: Dict[str, int] = {name: 0 for name in self.mapped.inputs}
         self.cycle = 0
-        self.total_cycles = 0  # never reset; feeds the emulation-time model
         # Decoded per-FF control state (from CB flags).
         n_ffs = len(self.mapped.ffs)
         self._ff_state = [ff.init for ff in self.mapped.ffs]
@@ -395,7 +394,6 @@ class Device:
             for position, net in enumerate(bram.rdata):
                 values[net] = (read >> position) & 1
         self.cycle += 1
-        self.total_cycles += 1
         return outputs
 
     def run(self, cycles: int,

@@ -41,7 +41,7 @@ class JBits:
         """Account one bus transaction (board cost model + metrics)."""
         _TRANSACTIONS.inc(op=op, kind=kind)
         _BYTES.inc(nbytes, op=op, kind=kind)
-        return self.board.transaction(op, kind, nbytes)
+        return self.board.transaction(nbytes)
 
     # ------------------------------------------------------------------
     # frame-level primitives (each one is a bus transaction)

@@ -37,6 +37,7 @@ from ..core.campaign import CampaignResult
 from ..core.classify import Outcome
 from ..errors import CampaignInterrupted, JournalError
 from ..core.faults import Fault
+from ..core.timing_model import ExperimentCost
 from ..faultload import (FaultStream, SequentialController, StopDecision,
                          summarize_strata, tally_prefix)
 from ..obs import metrics as obs_metrics
@@ -381,31 +382,13 @@ def _assemble(jobspec: CampaignJobSpec, golden, faults: List[Fault],
     for index, fault in enumerate(faults):
         result.experiments.append(
             result_from_record(fault, records[index]))
-    # Mean emulated time covers the experiments that actually ran —
-    # statically resolved and quarantined records carry zero cost by
-    # construction (the board never completed them), matching the
-    # serial path's accounting.
-    emulated = [experiment for experiment in result.experiments
-                if not experiment.pruned
-                and not experiment.quarantined
-                and experiment.collapsed_from is None]
-    result.total_emulation_s = sum(
-        experiment.cost.total_s for experiment in emulated)
-    if emulated:
-        result.mean_emulation_s = (result.total_emulation_s
-                                   / len(emulated))
     return result
-
-
-def _zero_cost() -> Dict:
-    return {"locate_s": 0.0, "transfer_s": 0.0, "workload_s": 0.0,
-            "overhead_s": 0.0, "transactions": 0}
 
 
 def _pruned_record(index: int) -> Dict:
     """Journal record for a fault the static analysis proved Silent."""
     return {"index": index, "outcome": Outcome.SILENT.value,
-            "first_divergence": None, "cost": _zero_cost(),
+            "first_divergence": None, "cost": ExperimentCost().to_record(),
             "pruned": True}
 
 
@@ -414,7 +397,8 @@ def _collapsed_record(index: int, representative: int,
     """Journal record attributing a representative's outcome."""
     record = {"index": index, "outcome": rep_record["outcome"],
               "first_divergence": rep_record.get("first_divergence"),
-              "cost": _zero_cost(), "collapsed_from": representative}
+              "cost": ExperimentCost().to_record(),
+              "collapsed_from": representative}
     if rep_record.get("quarantined"):
         # A quarantined representative carries no outcome evidence to
         # attribute; its class members inherit the exclusion.
@@ -435,5 +419,5 @@ def _fingerprint(reason: str) -> str:
 def _quarantined_record(index: int, reason: str) -> Dict:
     """Journal record for a poison fault excised by the runtime."""
     return {"index": index, "outcome": Outcome.QUARANTINED.value,
-            "first_divergence": None, "cost": _zero_cost(),
+            "first_divergence": None, "cost": ExperimentCost().to_record(),
             "quarantined": True, "error": _fingerprint(reason)}

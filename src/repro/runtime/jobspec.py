@@ -38,7 +38,7 @@ from ..core.config import FaultLoadSpec
 from ..core.faults import Fault
 from ..core.timing_model import ExperimentCost
 from ..errors import JournalError
-from ..faultload import FaultStream
+from ..faultload import FaultStream, is_adaptive
 
 
 @dataclass(frozen=True)
@@ -79,13 +79,12 @@ class CampaignJobSpec:
         return cls(spec=spec, values=tuple(evaluation.values),
                    seed=evaluation.seed, faultload_seed=faultload_seed,
                    label=label or spec.label(),
-                   backend=getattr(evaluation, "backend", "reference"),
-                   prune_silent=getattr(evaluation, "prune_silent",
-                                        False),
-                   strategy=getattr(evaluation, "strategy", "uniform"),
-                   confidence=getattr(evaluation, "confidence", 0.95),
-                   epsilon=getattr(evaluation, "epsilon", None),
-                   budget=getattr(evaluation, "budget", None))
+                   backend=evaluation.backend,
+                   prune_silent=evaluation.prune_silent,
+                   strategy=evaluation.strategy,
+                   confidence=evaluation.confidence,
+                   epsilon=evaluation.epsilon,
+                   budget=evaluation.budget)
 
     def effective_faultload_seed(self) -> int:
         return self.seed if self.faultload_seed is None else \
@@ -94,10 +93,8 @@ class CampaignJobSpec:
     @property
     def adaptive(self) -> bool:
         """Whether this campaign uses the statistical planner at all
-        (non-uniform sampling, a stopping rule, or an explicit budget).
-        """
-        return (self.strategy != "uniform" or self.epsilon is not None
-                or self.budget is not None)
+        (:func:`repro.faultload.is_adaptive`)."""
+        return is_adaptive(self.strategy, self.epsilon, self.budget)
 
     def effective_budget(self) -> int:
         """Upper bound on the number of experiments this campaign runs."""
@@ -306,18 +303,11 @@ class JobRunner:
 # ---------------------------------------------------------------------------
 def record_from_result(index: int, result: ExperimentResult) -> Dict:
     """Flatten one experiment into a JSON-compatible record."""
-    cost = result.cost
     record = {
         "index": index,
         "outcome": result.outcome.value,
         "first_divergence": result.first_divergence,
-        "cost": {
-            "locate_s": cost.locate_s,
-            "transfer_s": cost.transfer_s,
-            "workload_s": cost.workload_s,
-            "overhead_s": cost.overhead_s,
-            "transactions": cost.transactions,
-        },
+        "cost": result.cost.to_record(),
     }
     # Markers only appear when set: an emulated record carries just its
     # outcome and cost.
@@ -335,17 +325,10 @@ def record_from_result(index: int, result: ExperimentResult) -> Dict:
 def result_from_record(fault: Fault, record: Dict) -> ExperimentResult:
     """Rebuild an :class:`ExperimentResult` from its journal record."""
     try:
-        cost = record.get("cost") or {}
         return ExperimentResult(
             fault=fault,
             outcome=Outcome(record["outcome"]),
-            cost=ExperimentCost(
-                locate_s=float(cost.get("locate_s", 0.0)),
-                transfer_s=float(cost.get("transfer_s", 0.0)),
-                workload_s=float(cost.get("workload_s", 0.0)),
-                overhead_s=float(cost.get("overhead_s", 0.0)),
-                transactions=int(cost.get("transactions", 0)),
-            ),
+            cost=ExperimentCost.from_record(record.get("cost") or {}),
             first_divergence=record.get("first_divergence"),
             pruned=bool(record.get("pruned", False)),
             collapsed_from=record.get("collapsed_from"),

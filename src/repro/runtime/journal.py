@@ -23,8 +23,11 @@ Crash safety relies on three properties:
 Resuming is therefore trivial: read the journal, skip every fault index
 that already has a record, run the rest, append.  Records are keyed by
 fault index; because the engine's determinism contract makes every
-experiment a pure function of (spec, seed, index), a re-run of a lost
-index reproduces exactly the record that was lost.
+experiment's outcome a pure function of (spec, seed, index), a re-run of
+a lost index reproduces the lost record's outcome and first divergence
+exactly.  Its cost agrees only to rounding: ``Board.since`` subtracts two
+running totals, so a cost's last bits depend on what ran before it on
+that board.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, Optional
 
+from ..core.timing_model import ExperimentCost
 from ..obs import metrics as obs_metrics
 from ..obs.tracing import span
 
@@ -238,12 +239,9 @@ class CampaignMetrics:
 
     def _tally(self, record: Dict[str, Any]) -> str:
         outcome = str(record.get("outcome", "?"))
-        cost = record.get("cost") or {}
         self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
-        self.emulated_s += (cost.get("locate_s", 0.0)
-                            + cost.get("transfer_s", 0.0)
-                            + cost.get("workload_s", 0.0)
-                            + cost.get("overhead_s", 0.0))
+        self.emulated_s += ExperimentCost.from_record(
+            record.get("cost") or {}).total_s
         return outcome
 
     def record(self, record: Dict[str, Any]) -> None:

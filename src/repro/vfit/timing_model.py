@@ -20,7 +20,6 @@ VHDL simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 
 @dataclass(frozen=True)
@@ -49,32 +48,16 @@ class VfitExperimentCost:
 
 
 class VfitTimeModel:
-    """Accumulates emulated VFIT campaign time."""
+    """Prices one VFIT experiment from its simulated cycle count."""
 
     def __init__(self, elements: int,
                  params: VfitTimingParams = VfitTimingParams()):
         self.elements = elements
         self.params = params
-        self.costs: List[VfitExperimentCost] = []
 
-    def record(self, cycles: int) -> VfitExperimentCost:
-        """Record one experiment of *cycles* simulated clock cycles."""
-        cost = VfitExperimentCost(
+    def cost(self, cycles: int) -> VfitExperimentCost:
+        """Cost of one experiment of *cycles* simulated clock cycles."""
+        return VfitExperimentCost(
             simulate_s=(cycles * self.elements
                         * self.params.seconds_per_element_cycle),
             overhead_s=self.params.experiment_overhead_s)
-        self.costs.append(cost)
-        return cost
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(cost.total_s for cost in self.costs)
-
-    def mean_seconds(self) -> float:
-        if not self.costs:
-            return 0.0
-        return self.total_seconds / len(self.costs)
-
-    def project(self, n_faults: int) -> float:
-        """Extrapolate to a paper-scale campaign of *n_faults*."""
-        return self.mean_seconds() * n_faults

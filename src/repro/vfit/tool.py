@@ -118,7 +118,7 @@ class VfitCampaign:
         trace.cycles = cycles
 
         golden = self.golden_run(cycles)
-        vfit_cost = self.time_model.record(cycles)
+        vfit_cost = self.time_model.cost(cycles)
         outcome = classify(golden, trace)
         cost = ExperimentCost(transfer_s=0.0, workload_s=vfit_cost.simulate_s,
                               overhead_s=vfit_cost.overhead_s)
@@ -143,9 +143,4 @@ class VfitCampaign:
         result = CampaignResult(spec_label=label, golden=golden)
         for fault in faults:
             result.experiments.append(self.run_experiment(fault, cycles))
-        result.total_emulation_s = sum(
-            e.cost.total_s for e in result.experiments)
-        if result.experiments:
-            result.mean_emulation_s = (result.total_emulation_s
-                                       / len(result.experiments))
         return result

@@ -8,11 +8,16 @@ from repro.analysis import Evaluation
 from repro.core import (ConfigBit, FaultLoadSpec, FaultModel,
                         config_seu_fault, generate_faultload, pool_size,
                         used_route_bit)
-from repro.core.campaign import Experiment, FadesCampaign
+from repro.core.campaign import (CampaignResult, Experiment,
+                                 ExperimentResult, FadesCampaign)
+from repro.core.classify import Outcome
 from repro.core.faults import Fault, Target, TargetKind
+from repro.core.timing_model import ExperimentCost
 from repro.errors import InjectionError, LocationError
 from repro.fpga import Device, FrameAddr
 from repro.fpga.architecture import CB_BYTES, CB_FLAG_INVERT_LSR, CB_FLAGS
+from repro.hdl.trace import Trace
+from repro.obs.metrics import REGISTRY
 
 from helpers import build_accumulator, build_counter
 from test_core_injector import make_campaign
@@ -122,6 +127,26 @@ class TestCampaignInvariants:
         assert result.mean_emulation_s == pytest.approx(
             result.total_emulation_s / 4)
 
+    def test_reconfig_seconds_observe_each_transfer(self, campaign):
+        # Each experiment observes its own transfer cost once, under
+        # its mechanism, in run order.
+        REGISTRY.reset()
+        runs = {}
+        for model, pool, mechanism in [
+                (FaultModel.BITFLIP, "ffs", "ff-lsr"),
+                (FaultModel.PULSE, "luts", "lut-rewrite")]:
+            spec = FaultLoadSpec(model, pool, count=4, workload_cycles=25)
+            runs[mechanism] = campaign.run(spec, seed=9).experiments
+        histogram = REGISTRY.get("reconfig_seconds")
+        assert {dict(key)["mechanism"] for key in histogram.series()} \
+            == set(runs)
+        for mechanism, experiments in runs.items():
+            transfer_s = 0.0
+            for experiment in experiments:
+                transfer_s += experiment.cost.transfer_s
+            assert histogram.count(mechanism=mechanism) == len(experiments)
+            assert histogram.sum(mechanism=mechanism) == transfer_s
+
     def test_late_start_cycle_clamped(self, campaign):
         fault = Fault(FaultModel.BITFLIP, Target(TargetKind.FF, 0),
                       start_cycle=10_000)
@@ -140,6 +165,38 @@ class TestCampaignInvariants:
         assert sensitive
         assert all(0 <= index < len(campaign.locmap.mapped.ffs)
                    for index in sensitive)
+
+
+class TestEmulatedTime:
+    """A campaign's emulated time is the sum over the experiments that
+    ran; statically resolved and quarantined records stay out."""
+
+    @staticmethod
+    def _experiment(seconds, outcome=Outcome.SILENT, **markers):
+        fault = Fault(FaultModel.BITFLIP, Target(TargetKind.FF, 0), 3)
+        cost = ExperimentCost(locate_s=seconds, transfer_s=2 * seconds,
+                              workload_s=1e-6, overhead_s=0.01,
+                              transactions=3)
+        return ExperimentResult(fault=fault, outcome=outcome, cost=cost,
+                                **markers)
+
+    def test_totals_cover_only_emulated_experiments(self):
+        emulated = self._experiment(0.1)
+        result = CampaignResult(spec_label="hand-built",
+                                golden=Trace(("o",)), experiments=[
+            emulated,
+            self._experiment(0.2, pruned=True),
+            self._experiment(0.3, collapsed_from=0),
+            self._experiment(0.4, outcome=Outcome.QUARANTINED,
+                             quarantined=True, error="poison")])
+        assert result.total_emulation_s == emulated.cost.total_s
+        assert result.mean_emulation_s == emulated.cost.total_s
+        assert result.emulated_count() == 1
+        assert result.pruned_count() == result.collapsed_count() == 1
+
+        empty = CampaignResult(spec_label="empty", golden=Trace(("o",)))
+        assert empty.total_emulation_s == empty.mean_emulation_s == 0.0
+        assert empty.emulated_count() == 0
 
 
 class TestOutcomeSanity:

@@ -10,6 +10,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.fpga import Board, Device, FrameAddr, JBits, implement
 from repro.fpga.bitstream import CbConfig
+from repro.obs.metrics import REGISTRY
 from repro.synth import synthesize
 
 from helpers import build_accumulator, build_alu4, build_counter
@@ -142,11 +143,15 @@ class TestBoardAccounting:
         _result, impl, device = make_device(build_counter())
         board = Board()
         jbits = JBits(device, board)
-        jbits.read_frame(FrameAddr("cb", 0))
-        jbits.write_frame(FrameAddr("cb", 0),
-                          device.config.get_frame(FrameAddr("cb", 0)))
+        moved = REGISTRY.get("reconfig_bytes_total")
+        before = moved.total()
+        cb, cmd = FrameAddr("cb", 0), FrameAddr("cmd", 0)
+        jbits.read_frame(cb)
+        jbits.write_frame(cb, device.config.get_frame(cb))
         jbits.pulse_gsr()
-        assert len(board.transactions) == 3
+        assert board.snapshot()[0] == 3
+        assert moved.total() - before == \
+            2 * device.arch.frame_size(cb) + device.arch.frame_size(cmd)
 
     def test_full_download_costs_dominate(self):
         # Needs the paper-scale device: a full ~750 KiB download must cost
@@ -167,23 +172,12 @@ class TestBoardAccounting:
         _count, frame_seconds = board.since(marker)
         assert full_seconds > 3 * frame_seconds
 
-    def test_labels_group_costs(self):
-        _result, impl, device = make_device(build_counter())
-        board = Board()
-        jbits = JBits(device, board)
-        board.set_label("bitflip")
-        jbits.pulse_gsr()
-        board.set_label("pulse")
-        jbits.read_frame(FrameAddr("cb", 0))
-        by_label = board.seconds_by_label()
-        assert set(by_label) == {"bitflip", "pulse"}
-
     def test_workload_time_negligible_vs_reconfig(self):
         # Paper 7.1: "the execution of the workload only takes a small
         # fraction" of the experiment time.
         board = Board()
         workload = board.workload_seconds(1303)
-        reconfig = board.transaction("write", "cb", 400)
+        reconfig = board.transaction(400)
         assert workload < reconfig / 100
 
 
@@ -204,8 +198,15 @@ class TestRoutingReconfiguration:
         board = Board()
         jbits = JBits(device, board)
         net = next(iter(impl.routing.routes))
+        downloads = REGISTRY.get("reconfig_transactions_total")
+        moved = REGISTRY.get("reconfig_bytes_total")
+        before = (downloads.value(op="write_full", kind="full"),
+                  moved.value(op="write_full", kind="full"))
         jbits.set_detour(net, 50, full_download=True)
-        assert any(t.op == "write_full" for t in board.transactions)
+        assert downloads.value(op="write_full", kind="full") == before[0] + 1
+        assert moved.value(op="write_full", kind="full") - before[1] == \
+            device.arch.full_config_bytes
+        assert board.snapshot()[0] == 1
         assert impl.routing.route_of(net).detour_hops == 50
         jbits.clear_detour(net)
         assert impl.routing.route_of(net).detour_hops == 0

@@ -49,54 +49,41 @@ class TestBoardModule:
     def test_transaction_cost_formula(self):
         board = Board(BoardParams(latency_s=0.1,
                                   bandwidth_bytes_per_s=1000.0))
-        seconds = board.transaction("write", "cb", 500)
+        seconds = board.transaction(500)
         assert seconds == pytest.approx(0.1 + 0.5)
         assert board.total_seconds == pytest.approx(0.6)
-        assert board.total_bytes == 500
+        assert board.snapshot() == (1, seconds)
 
     def test_snapshot_since(self):
         board = Board()
         marker = board.snapshot()
-        board.transaction("read", "cb", 100)
-        board.transaction("write", "cb", 100)
+        board.transaction(100)
+        board.transaction(100)
         count, seconds = board.since(marker)
         assert count == 2
         assert seconds == pytest.approx(board.total_seconds)
 
-    def test_labels_and_clear(self):
-        board = Board()
-        board.set_label("alpha")
-        board.transaction("read", "cb", 10)
-        board.set_label("beta")
-        board.transaction("read", "cb", 10)
-        assert set(board.seconds_by_label()) == {"alpha", "beta"}
-        board.clear()
-        assert board.total_seconds == 0.0
-        assert board.transactions == []
-
     def test_running_markers_equal_a_left_to_right_sum(self):
-        # The board keeps a running total instead of re-summing its log;
-        # it must equal the left-to-right sum bit for bit, not roughly.
+        # The running total must equal the left-to-right sum of the cost
+        # formula bit for bit, not roughly: costs are its differences.
         board = Board()
+        params = board.params
         sizes = [(7919 * index) % 760_000 for index in range(300)]
-        for size in sizes[:120]:
-            board.transaction("write", "cb", size)
-        marker = board.snapshot()
-        for size in sizes[120:]:
-            board.transaction("read", "route", size)
         total = prefix = 0.0
-        for position, transaction in enumerate(board.transactions):
-            total += transaction.seconds
-            if position < 120:
-                prefix += transaction.seconds
+        for position, size in enumerate(sizes):
+            if position == 120:
+                marker = board.snapshot()
+                prefix = total
+            board.transaction(size)
+            total += params.latency_s + size / params.bandwidth_bytes_per_s
         assert board.total_seconds == total
         assert marker == (120, prefix)
         assert board.since(marker) == (180, total - prefix)
-        board.clear()
-        assert board.snapshot() == (0, 0.0)
-        seconds = board.transaction("write", "cb", 384)
-        assert board.total_seconds == seconds
-        assert board.since((0, 0.0)) == (1, seconds)
+        fresh = Board()
+        assert fresh.snapshot() == (0, 0.0)
+        seconds = fresh.transaction(384)
+        assert fresh.total_seconds == seconds
+        assert fresh.since((0, 0.0)) == (1, seconds)
 
     def test_workload_seconds_uses_clock(self):
         board = Board(BoardParams(clock_hz=1e6))

@@ -328,6 +328,26 @@ class TestScheduler:
         assert bisections.total() > bisected_before
         assert lanes.value(mode="packed") - packed_before >= COUNT - 1
 
+    def test_quarantined_fault_stays_out_of_emulated_time(
+            self, jobspec, monkeypatch):
+        original = Experiment.__init__
+
+        def poisoned(self, campaign, fault, cycles, pool, index):
+            if index == 2:
+                raise RuntimeError("always broken")
+            original(self, campaign, fault, cycles, pool, index)
+
+        monkeypatch.setattr(Experiment, "__init__", poisoned)
+        result = run_campaign(jobspec, max_retries=0)
+        assert result.experiments[2].quarantined
+        total = 0.0
+        for index, experiment in enumerate(result.experiments):
+            if index != 2:
+                total += experiment.cost.total_s
+        assert result.total_emulation_s == total
+        assert result.mean_emulation_s == total / (COUNT - 1)
+        assert result.emulated_count() == COUNT - 1
+
     @pytest.mark.skipif(not HAS_FORK,
                         reason="the pooled case needs fork start method")
     def test_failed_experiment_restores_the_golden_configuration(

@@ -153,20 +153,21 @@ class TestTimeModel:
     def test_cost_scales_with_cycles_and_elements(self):
         small = VfitTimeModel(elements=100)
         big = VfitTimeModel(elements=10_000)
-        assert big.record(500).simulate_s > small.record(500).simulate_s
-        assert small.record(5000).simulate_s > small.record(500).simulate_s
+        assert big.cost(500).simulate_s > small.cost(500).simulate_s
+        assert small.cost(5000).simulate_s > small.cost(500).simulate_s
 
     def test_paper_scale_calibration(self):
         # 1303 cycles on a ~6000-element model must land near the paper's
         # 7.2 s per experiment.
         model = VfitTimeModel(elements=6000)
-        cost = model.record(1303)
+        cost = model.cost(1303)
         assert cost.total_s == pytest.approx(7.2, rel=0.1)
 
     def test_projection(self):
+        # Paper scale: 3000 faults of 1303 cycles took 21600 s.
         model = VfitTimeModel(elements=6000)
-        model.record(1303)
-        assert model.project(3000) == pytest.approx(21600, rel=0.12)
+        assert model.cost(1303).total_s * 3000 == \
+            pytest.approx(21600, rel=0.12)
 
     def test_times_insensitive_to_fault_model(self, counter_campaign):
         # Paper: VFIT has "very similar execution times for any type and
