@@ -7,13 +7,15 @@ regimes and asserts each costs less than 5% of campaign wall-clock:
 * **tracing** — spans disabled vs. enabled, guarding the per-experiment
   hot path (every experiment opens reconfigure/run/readback/classify
   spans, so a regression multiplies across whole campaigns);
-* **live** — bare per-record loop vs. the full ``--serve-obs`` stack:
-  ``CampaignMetrics`` accounting (the one campaign tally, whose
-  snapshot, registry health-counter deltas included, every sample and
-  ``/status`` render), the ``.tsdb`` time-series sampler at its default
-  interval, the built-in alert rules, and a running ``ObsServer`` being
-  scraped concurrently.  The barrier-clock design promises near-zero
-  hot-path cost; this bench is the number behind that promise.
+* **live** — bare per-record loop vs. the full ``--serve-obs`` stack
+  as campaigns run it: ``CampaignMetrics`` accounting (the one campaign
+  tally, whose snapshot, registry health-counter deltas included, every
+  sample and ``/status`` render) and the engine's live coordinator,
+  :class:`~repro.runtime.liveobs.CampaignObservability`, polled after
+  every record — the ``.tsdb`` time-series sampler at its 1 s spacing,
+  the built-in alert rules, and its ``ObsServer`` being scraped
+  concurrently.  The barrier-clock design promises near-zero hot-path
+  cost; this bench is the number behind that promise.
 
 Scale: 200 faults by default (``REPRO_OBS_BENCH_FAULTS=<n>`` overrides);
 timings are min-of-3 to shed scheduler noise.  Both verdicts are merged
@@ -29,11 +31,8 @@ import time
 import urllib.request
 
 from repro.core import FaultModel
-from repro.obs.alerts import AlertEngine
-from repro.obs.server import ObsServer
-from repro.obs.timeseries import TimeseriesSampler
 from repro.obs.tracing import TRACER
-from repro.runtime import CampaignJobSpec
+from repro.runtime import CampaignJobSpec, CampaignObservability
 from repro.runtime.jobspec import JobRunner
 from repro.runtime.metrics import CampaignMetrics
 
@@ -140,24 +139,22 @@ def _time_bare_runs(runner, indices):
     return best
 
 
-def _time_live_runs(runner, indices, tsdb_dir):
+def _time_live_runs(runner, indices, tmp_dir):
     best = float("inf")
     for round_no in range(ROUNDS):
         metrics = CampaignMetrics()
-        metrics.total = len(indices)
-        sampler = TimeseriesSampler(
-            path=str(tsdb_dir / f"bench{round_no}.tsdb"))
-        alerts = AlertEngine()
-        server = ObsServer("127.0.0.1:0",
-                           status_provider=metrics.snapshot)
-        server.start()
+        metrics.set_total(len(indices))
+        # The journal path only names the .tsdb sidecar.
+        journal = str(tmp_dir / f"bench{round_no}.jsonl")
+        live = CampaignObservability("bench", metrics, journal=journal,
+                                     serve_obs="127.0.0.1:0")
         stop = threading.Event()
 
         def scrape():
             # A live dashboard polling /metrics while the campaign
             # runs; its lock/GIL contention lands on the hot loop and
             # must fit the same budget.
-            url = server.url + "/metrics"
+            url = live.server.url + "/metrics"
             while not stop.is_set():
                 try:
                     urllib.request.urlopen(url, timeout=1.0).read()
@@ -166,14 +163,10 @@ def _time_live_runs(runner, indices, tsdb_dir):
                 stop.wait(SCRAPE_INTERVAL_S)
 
         scraper = threading.Thread(target=scrape, daemon=True)
-        state = {"prev": None}
 
         def observe(record):
             metrics.record(record)
-            sample = sampler.sample(metrics.snapshot())
-            if sample is not None:
-                alerts.evaluate(sample, state["prev"])
-                state["prev"] = sample
+            live.poll()
 
         try:
             scraper.start()
@@ -183,11 +176,9 @@ def _time_live_runs(runner, indices, tsdb_dir):
         finally:
             stop.set()
             scraper.join(timeout=5.0)
-            server.close()
-            sampler.sample(metrics.snapshot(), force=True)
-            sampler.close()
+            live.close()
         assert len(records) == len(indices)
-        assert sampler.last is not None  # the sampler really sampled
+        assert live.sampler.last is not None  # the sampler really sampled
     return best
 
 

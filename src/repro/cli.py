@@ -75,11 +75,6 @@ def _add_liveobs_flags(command: argparse.ArgumentParser) -> None:
                               "('name:FIELD OP VALUE[:mode=..][:for=..]"
                               "[:severity=..]'); repeatable, supplements "
                               "the built-in rules")
-    command.add_argument("--sample-interval", type=float, default=None,
-                         metavar="SECONDS",
-                         help="minimum spacing between time-series "
-                              "samples (default 1.0; samples persist to "
-                              "<journal>.tsdb when journaling)")
 
 
 def _add_planner_flags(command: argparse.ArgumentParser) -> None:
@@ -227,11 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="emit the summary as JSON")
     summarize.add_argument("--alerts", default=None, metavar="JOURNAL",
                            help="include the alert timeline journalled "
-                                "in this campaign journal (implies "
-                                "--tsdb JOURNAL.tsdb when that exists)")
-    summarize.add_argument("--tsdb", default=None, metavar="PATH",
-                           help="include throughput/health statistics "
-                                "from this .tsdb time series")
+                                "in this campaign journal")
 
     commands.add_parser(
         "screen", help="find the failure-sensitive flip-flops (paper 6.3)")
@@ -388,14 +379,10 @@ def cmd_lint(args: argparse.Namespace) -> int:
 def _liveobs_kwargs(args: argparse.Namespace) -> dict:
     """Translate the --serve-obs/--alert flags into engine kwargs."""
     from .obs.alerts import built_in_rules, parse_rule_spec
-    from .obs.timeseries import DEFAULT_INTERVAL_S
     extra = [parse_rule_spec(spec) for spec in args.alert or ()]
     return {
         "serve_obs": args.serve_obs,
         "alert_rules": built_in_rules() + extra if extra else None,
-        "sample_interval": (args.sample_interval
-                            if args.sample_interval is not None
-                            else DEFAULT_INTERVAL_S),
     }
 
 
@@ -457,8 +444,7 @@ def cmd_campaign(evaluation: Evaluation, args: argparse.Namespace) -> int:
     spec = evaluation.spec(model, args.pool, band=args.band,
                            count=args.count, oscillate=args.oscillate,
                            mechanism=args.mechanism)
-    live_requested = (args.serve_obs is not None or bool(args.alert)
-                      or args.sample_interval is not None)
+    live_requested = args.serve_obs is not None or bool(args.alert)
     engine_requested = (args.workers > 0 or args.journal is not None
                         or args.trace is not None
                         or evaluation.adaptive or live_requested)
@@ -525,37 +511,18 @@ def cmd_resume(args: argparse.Namespace) -> int:
 
 def cmd_obs(args: argparse.Namespace) -> int:
     from .obs import read_trace, render_summary, summarize_trace
-    from .obs.summary import summarize_timeseries
-    from .obs.timeseries import read_tsdb, tsdb_path_for
-    events = read_trace(args.trace)
-    summary = summarize_trace(events)
+    summary = summarize_trace(read_trace(args.trace))
     alerts = None
-    tsdb = args.tsdb
     if args.alerts:
         from .runtime.journal import read_journal
-        state = read_journal(args.alerts)
-        alerts = [{key: value for key, value in entry.items()
-                   if key not in ("type", "crc")}
-                  for entry in state.alerts]
-        if tsdb is None and os.path.exists(tsdb_path_for(args.alerts)):
-            tsdb = tsdb_path_for(args.alerts)
-    timeseries = None
-    if tsdb:
-        samples, dropped = read_tsdb(tsdb)
-        if dropped:
-            log.warning("%s: dropped %d unverifiable samples",
-                        tsdb, dropped)
-        timeseries = summarize_timeseries(samples)
+        alerts = read_journal(args.alerts).alerts
     if args.json:
         payload = dict(summary)
-        if timeseries is not None:
-            payload["timeseries"] = timeseries
         if alerts is not None:
             payload["alerts"] = alerts
         console(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        console(render_summary(summary, timeseries=timeseries,
-                               alerts=alerts))
+        console(render_summary(summary, alerts=alerts))
     return 0
 
 

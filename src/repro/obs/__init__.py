@@ -11,15 +11,17 @@ own injection pipeline:
   hierarchy behind ``--log-level`` / ``--log-json``;
 * :mod:`~repro.obs.summary` — ``repro obs summarize``, the per-phase /
   per-mechanism time table comparable to the paper's Table 2;
-* :mod:`~repro.obs.timeseries` — the campaign time-series sampler and
-  its crash-safe ``.tsdb`` sidecar (also home of the CRC-per-line
-  convention the journal shares); a sample is a view of the runtime's
-  one campaign tally, :class:`repro.runtime.metrics.CampaignMetrics`;
+* :mod:`~repro.obs.timeseries` — the one implementation of sealed
+  (CRC-per-line) files, which the journal and the ``.tsdb`` sidecar
+  share, and the campaign time-series sampler; a sample is a view of
+  the runtime's one campaign tally,
+  :class:`repro.runtime.metrics.CampaignMetrics`, on its clock;
 * :mod:`~repro.obs.alerts` — declarative threshold alert rules over
   the sample stream (``--alert``);
 * :mod:`~repro.obs.server` — the ``--serve-obs`` HTTP exporter
   (``/metrics``, ``/status``, ``/healthz``);
-* :mod:`~repro.obs.live` — ``repro top``, the terminal dashboard.
+* :mod:`~repro.obs.live` — the one ``/status`` builder, live and
+  offline, and ``repro top``, the terminal dashboard.
 """
 
 from . import (alerts, live, logsetup, metrics, server, summary,
@@ -28,9 +30,8 @@ from .alerts import AlertEngine, AlertEvent, AlertRule, built_in_rules
 from .logsetup import console, get_logger, setup_logging
 from .metrics import REGISTRY, MetricsRegistry
 from .server import ObsServer
-from .summary import (render_summary, summarize_timeseries,
-                      summarize_trace)
-from .timeseries import TimeseriesSampler, TsdbWriter, read_tsdb
+from .summary import render_summary, summarize_trace
+from .timeseries import SealedWriter, TimeseriesSampler, read_tsdb
 from .tracing import (TRACER, Tracer, TraceWriter, read_trace, span,
                       write_trace)
 
@@ -40,8 +41,7 @@ __all__ = [
     "TRACER", "Tracer", "TraceWriter", "span", "read_trace",
     "write_trace", "REGISTRY", "MetricsRegistry",
     "setup_logging", "get_logger", "console",
-    "summarize_trace", "summarize_timeseries",
-    "render_summary",
+    "summarize_trace", "render_summary",
     "AlertEngine", "AlertEvent", "AlertRule", "built_in_rules",
-    "ObsServer", "TimeseriesSampler", "TsdbWriter", "read_tsdb",
+    "ObsServer", "TimeseriesSampler", "SealedWriter", "read_tsdb",
 ]

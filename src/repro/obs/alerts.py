@@ -244,12 +244,10 @@ class AlertEngine:
 
     # -- resume --------------------------------------------------------
     def replay(self, events: Sequence[Dict[str, Any]]) -> None:
-        """Adopt journalled alert lines from a previous run segment."""
+        """Adopt journalled alerts (``JournalState.alerts``) from a
+        previous run segment."""
         for entry in events:
-            record = {key: value for key, value in entry.items()
-                      if key not in ("type", "crc")}
-            record["replayed"] = True
-            self.history.append(record)
+            self.history.append({**entry, "replayed": True})
 
     # -- evaluation ----------------------------------------------------
     @property

@@ -6,12 +6,15 @@ Attaches to a campaign two ways:
   ``/status`` endpoint (see :mod:`repro.obs.server`);
 * **journal path** (``repro top out.jsonl``) — tails the journal and
   its ``.tsdb`` time-series sidecar, reconstructing the same status
-  shape from durable state alone.  This also works after the campaign
-  ended: ``repro top out.jsonl --once`` renders its final state.
+  from durable state alone.  This also works after the campaign
+  ended: ``repro top out.jsonl --once`` is the offline view of the
+  series and the health counters.
 
-The renderer is a pure function (:func:`render_dashboard`) over the
-status dict and sample list so tests can assert on its output; the loop
-around it redraws with a plain ANSI home+clear, no curses.
+Both read one status shape, built by :func:`build_status` for the live
+``/status`` endpoint and for :func:`status_from_journal` alike.  The
+renderer is a pure function (:func:`render_dashboard`) over that dict
+so tests can assert on its output; the loop around it redraws with a
+plain ANSI home+clear, no curses.
 """
 
 from __future__ import annotations
@@ -21,12 +24,12 @@ import os
 import time
 import urllib.error
 import urllib.request
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..errors import ObservabilityError
 from .logsetup import console, get_logger
 from .metrics import MetricsRegistry
-from .timeseries import read_tsdb, tsdb_path_for
+from .timeseries import SERIES_LENGTH, read_tsdb, tsdb_path_for
 
 log = get_logger("repro.obs.live")
 
@@ -60,9 +63,36 @@ def fetch_status(url: str, timeout: float = 5.0) -> Dict[str, Any]:
     return payload
 
 
-def status_from_journal(journal: str) -> Tuple[Dict[str, Any],
-                                               List[Dict[str, Any]]]:
-    """Rebuild a ``/status``-shaped dict from journal + tsdb sidecar.
+def build_status(campaign: str, snapshot: Dict[str, Any],
+                 elapsed_s: float, samples: Sequence[Dict[str, Any]],
+                 eta_s: Optional[float], workers: Dict[str, Any],
+                 alerts: List[Dict[str, Any]],
+                 alert_history: List[Dict[str, Any]],
+                 finished: bool) -> Dict[str, Any]:
+    """The ``/status`` payload, live or rebuilt from a journal.
+
+    ``snapshot`` holds the fields of
+    :meth:`~repro.runtime.metrics.MetricsSnapshot.to_dict`;
+    ``throughput`` and the sparkline ``series`` are the samples' EWMA.
+    """
+    series = [float(sample.get("ewma", 0.0))
+              for sample in samples[-SERIES_LENGTH:]]
+    return {
+        "campaign": campaign,
+        **snapshot,
+        "throughput": series[-1] if series else 0.0,
+        "eta_s": eta_s,
+        "elapsed_s": elapsed_s,
+        "workers": workers,
+        "series": series,
+        "alerts": alerts,
+        "alert_history": alert_history,
+        "finished": finished,
+    }
+
+
+def status_from_journal(journal: str) -> Dict[str, Any]:
+    """Rebuild the ``/status`` payload from journal + tsdb sidecar.
 
     The journal's records feed the same tally the running campaign
     kept; only timings and health counters come from the last sample.
@@ -95,23 +125,17 @@ def status_from_journal(journal: str) -> Tuple[Dict[str, Any],
             log.debug("%s: dropped %d unverifiable samples", tsdb,
                       dropped)
     last = samples[-1] if samples else {}
-    status: Dict[str, Any] = {
-        "campaign": label,
-        "journal": journal,
+    snapshot = {
         **tally.snapshot().to_dict(),
         **{name: last.get(name, 0) for name in HEALTH_COUNTERS},
-        "throughput": last.get("ewma", 0.0),
-        "eta_s": None,
-        "elapsed_s": last.get("t", 0.0),
         "phases": last.get("phases", {}),
-        "workers": {},
-        "alerts": [],
-        "alert_history": state.alerts,
-        "finished": state.summary is not None
-        or (state.stop is not None
-            and state.stop.get("reason") != "interrupted"),
     }
-    return status, samples
+    return build_status(
+        label, snapshot, elapsed_s=last.get("t", 0.0), samples=samples,
+        eta_s=None, workers={}, alerts=[], alert_history=state.alerts,
+        finished=state.summary is not None
+        or (state.stop is not None
+            and state.stop.get("reason") != "interrupted"))
 
 
 def sparkline(values: List[float], width: int = 32) -> str:
@@ -152,11 +176,8 @@ def _fmt_eta(eta_s: Optional[float]) -> str:
     return f"{eta // 60:02d}:{eta % 60:02d}"
 
 
-def render_dashboard(status: Dict[str, Any],
-                     samples: Optional[List[Dict[str, Any]]] = None
-                     ) -> str:
-    """Pure renderer: status (+ optional sample history) -> text."""
-    samples = samples if samples is not None else []
+def render_dashboard(status: Dict[str, Any]) -> str:
+    """Pure renderer: status -> text."""
     lines: List[str] = []
     total = status.get("total", 0)
     bound = (f"{total}" if status.get("total_exact", True)
@@ -181,10 +202,7 @@ def render_dashboard(status: Dict[str, Any],
     lines.append("outcomes   "
                  + outcome_bar(dict(status.get("outcomes") or {})))
 
-    series = status.get("series")
-    if not series:
-        series = [float(sample.get("throughput", 0.0))
-                  for sample in samples]
+    series = status.get("series") or []
     if series:
         peak = max(float(value) for value in series)
         lines.append(f"thrpt      {sparkline(list(map(float, series)))}"
@@ -211,9 +229,9 @@ def render_dashboard(status: Dict[str, Any],
     return "\n".join(lines)
 
 
-def _poll(target: str) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
+def _poll(target: str) -> Dict[str, Any]:
     if is_url(target):
-        return fetch_status(target), []
+        return fetch_status(target)
     return status_from_journal(target)
 
 
@@ -221,21 +239,21 @@ def run_top(target: str, once: bool = False,
             interval: float = 1.0) -> int:
     """Drive the dashboard; returns a process exit code."""
     try:
-        status, samples = _poll(target)
+        status = _poll(target)
     except ObservabilityError as error:
         log.error("%s", error)
         return 1
     if once:
-        console(render_dashboard(status, samples))
+        console(render_dashboard(status))
         return 0
     try:
         while True:
-            console(_ANSI_CLEAR + render_dashboard(status, samples))
+            console(_ANSI_CLEAR + render_dashboard(status))
             if status.get("finished"):
                 return 0
             time.sleep(max(0.1, interval))
             try:
-                status, samples = _poll(target)
+                status = _poll(target)
             except ObservabilityError:
                 if is_url(target):
                     # The endpoint lives only as long as the campaign:

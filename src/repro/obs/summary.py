@@ -22,8 +22,9 @@ not from timestamp containment.
 
 Instant markers are tallied as **runtime events** (watchdog kills,
 quarantines, shard retries/bisections, chaos injections, alert
-firings), and ``repro obs summarize --tsdb`` folds in the campaign's
-``.tsdb`` time series (peak/mean throughput, alert timeline).
+firings), and ``repro obs summarize --alerts JOURNAL`` adds the alert
+timeline journalled by the campaign.  The time series itself has one
+offline view, ``repro top JOURNAL --once`` (:mod:`repro.obs.live`).
 """
 
 from __future__ import annotations
@@ -141,41 +142,16 @@ def summarize_trace(events: List[Dict[str, Any]]) -> Dict[str, Any]:
     }
 
 
-def summarize_timeseries(samples: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Aggregate a ``.tsdb`` sample list for the summary's live section.
-
-    Reports throughput statistics over the instantaneous per-sample
-    rates plus the final cumulative health counters (they are
-    monotonic within one sampler lifetime).
-    """
-    rates = [float(sample.get("throughput", 0.0)) for sample in samples]
-    last = samples[-1] if samples else {}
-    return {
-        "samples": len(samples),
-        "duration_s": float(last.get("t", 0.0)),
-        "peak_throughput": max(rates) if rates else 0.0,
-        "mean_throughput": (sum(rates) / len(rates)) if rates else 0.0,
-        "final_ewma": float(last.get("ewma", 0.0)),
-        "hangs": last.get("hangs", 0),
-        "retries": last.get("retries", 0),
-        "quarantined": last.get("quarantined", 0),
-        "fallbacks": last.get("fallbacks", 0),
-        "alerts": last.get("alerts", 0),
-    }
-
-
 def _fmt_s(seconds: float) -> str:
     return f"{seconds:10.3f}"
 
 
 def render_summary(summary: Dict[str, Any],
-                   timeseries: Optional[Dict[str, Any]] = None,
                    alerts: Optional[List[Dict[str, Any]]] = None) -> str:
     """Human-readable table for ``repro obs summarize``.
 
-    ``timeseries`` is a :func:`summarize_timeseries` aggregate and
-    ``alerts`` a list of journalled alert lines; both are optional
-    extra sections (``--tsdb`` / ``--alerts``).
+    ``alerts``, the journalled alerts (``--alerts``), adds an alert
+    timeline section.
     """
     lines: List[str] = []
     wall = summary["wall_s"]
@@ -263,21 +239,6 @@ def render_summary(summary: Dict[str, Any],
         ordered += sorted(set(runtime_events) - set(RUNTIME_EVENTS))
         for name in ordered:
             lines.append(f"{name:<20s} {runtime_events[name]:6d}")
-
-    if timeseries is not None:
-        lines.append("")
-        lines.append(f"time series: {timeseries['samples']} samples "
-                     f"over {timeseries['duration_s']:.1f} s")
-        lines.append(f"  throughput  peak {timeseries['peak_throughput']:.2f}"
-                     f"  mean {timeseries['mean_throughput']:.2f}"
-                     f"  final ewma {timeseries['final_ewma']:.2f}"
-                     "  exp/s")
-        health = [f"{name} {int(timeseries[name])}"
-                  for name in ("hangs", "retries", "quarantined",
-                               "fallbacks")
-                  if timeseries.get(name)]
-        if health:
-            lines.append("  health      " + "  ".join(health))
 
     if alerts is not None:
         lines.append("")

@@ -1,45 +1,51 @@
-"""Campaign time series: periodic samples of a running campaign.
+"""Sealed-line files and the campaign time series.
+
+A *sealed line* is one JSON object carrying a CRC32 of its own
+canonical JSON (:func:`seal_line`).  Both durable files of a campaign
+are sealed-line files: the result journal
+(:mod:`repro.runtime.journal`) and its ``<journal>.tsdb`` time-series
+sidecar.  This module is the one implementation of the format:
+:func:`scan_sealed` parses every line and checks its CRC, and
+:class:`SealedWriter` appends fsync'd lines after truncating a torn
+tail — a final line that is unterminated or fails to verify, the
+signature of a crash mid-append — so the next line never glues onto
+it.  What a reader does with a bad *interior* line is the file's own
+policy: the journal refuses it (results are sacred), while
+:func:`read_tsdb` drops it (losing a sample never loses a result).
 
 A *sample* is one flat JSON object describing the campaign at a moment
 in time: the fields of a :class:`~repro.runtime.metrics.MetricsSnapshot`
 (progress, cumulative outcome counts, emulated seconds, phase
 wall-clock and the runtime-health counters: hangs, retries,
-compiled-backend fallbacks, chaos injections, alert firings) plus the
-sample's time and its instantaneous and smoothed throughput.  Samples
-are taken at the engine's batch barriers (see ``DESIGN.md``:
-barrier-clock sampling), throttled to a minimum spacing, and land in
-two places:
-
-* a bounded in-memory ring buffer, which feeds the ``/status`` endpoint
-  and the ``repro top`` sparkline;
-* an append-only ``<journal>.tsdb`` JSONL sidecar using the journal's
-  CRC-per-line convention (:func:`line_crc` / :func:`seal_line` live
-  here and :mod:`repro.runtime.journal` imports them), so a crashed
-  campaign leaves a loadable series and a resumed one extends it.
-
-Unlike the journal, the time series is advisory telemetry: a corrupt
-line anywhere is *dropped* on read rather than refused — losing a
-sample never loses a result.
+compiled-backend fallbacks, chaos injections, alert firings) plus its
+time ``t`` and its instantaneous and smoothed (EWMA) throughput.  ``t``
+is the snapshot's ``wall_s``, the clock of the campaign tally, which
+starts before setup.  Samples are taken at the engine's batch barriers
+(see ``DESIGN.md``: barrier-clock sampling), at most one per
+:data:`SAMPLE_INTERVAL_S` unless forced, and land in a ring of the last
+:data:`SERIES_LENGTH` samples that feeds ``/status`` and, when the
+campaign journals, in the ``.tsdb`` sidecar, so a crashed campaign
+leaves a loadable series and a resumed one extends it.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 import zlib
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ObservabilityError
 
 #: Suffix appended to a journal path to derive its time-series sidecar.
 TSDB_SUFFIX = ".tsdb"
 
-#: Default minimum spacing between samples, seconds.
-DEFAULT_INTERVAL_S = 1.0
+#: Minimum spacing between samples on the tally's clock, seconds.
+SAMPLE_INTERVAL_S = 1.0
 
-#: Default ring-buffer capacity (samples kept in memory for /status).
-DEFAULT_CAPACITY = 512
+#: Samples kept in memory: the trailing series ``/status`` ships.
+SERIES_LENGTH = 60
 
 #: EWMA weight of the newest instantaneous-throughput sample.
 _EWMA_ALPHA = 0.3
@@ -53,62 +59,143 @@ def line_crc(entry: Dict[str, Any]) -> str:
 
 
 def seal_line(entry: Dict[str, Any]) -> str:
-    """Serialise one journal/tsdb entry with its integrity checksum."""
+    """Serialise one entry with its integrity checksum."""
     sealed = dict(entry)
     sealed["crc"] = line_crc(entry)
     return json.dumps(sealed, sort_keys=True)
 
 
-def verify_line(raw: str) -> Optional[Dict[str, Any]]:
-    """Parse one sealed line; ``None`` when torn, unsealed or
-    CRC-mismatched."""
-    try:
-        entry = json.loads(raw)
-    except ValueError:
-        return None
-    if not isinstance(entry, dict):
-        return None
-    if entry.get("crc") != line_crc(entry):
-        return None
-    return entry
+@dataclass(frozen=True)
+class LineIssue:
+    """One line that failed integrity checking."""
+
+    line_no: int  # 1-based
+    offset: int   # byte offset of the line start (truncation point)
+    kind: str     # "torn" (unterminated or not a JSON object) | "corrupt"
+    detail: str
 
 
-class TsdbWriter:
-    """Appends sealed sample lines with per-append durability.
+@dataclass
+class LineScan:
+    """Integrity verdict over every line of a sealed-line file."""
 
-    Mirrors :class:`repro.runtime.journal.JournalWriter`'s torn-tail
-    discipline: opening truncates a partial final line in place so a
-    crash signature never glues onto the next sample.
+    path: str
+    size: int = 0
+    lines: int = 0
+    checked: int = 0  # lines whose CRC verified
+    issues: List[LineIssue] = field(default_factory=list)
+
+    @property
+    def torn_tail(self) -> Optional[LineIssue]:
+        """The file's final line, when it is bad (a crash signature)."""
+        if self.issues and self.issues[-1].line_no == self.lines:
+            return self.issues[-1]
+        return None
+
+    @property
+    def interior(self) -> List[LineIssue]:
+        """Bad lines that verified data follows (not crash signatures)."""
+        tail = self.torn_tail
+        return [issue for issue in self.issues if issue is not tail]
+
+    def verdict(self) -> str:
+        if not self.issues:
+            return "clean"
+        if not self.interior:
+            return "torn-tail"
+        return "corrupt"
+
+    def truncate_offset(self) -> Optional[int]:
+        """Byte offset of the last verifiable prefix (repair point)."""
+        if not self.issues:
+            return None
+        return self.issues[0].offset
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {"path": self.path, "verdict": self.verdict(),
+                "size": self.size, "lines": self.lines,
+                "checked": self.checked,
+                "issues": [{"line": issue.line_no,
+                            "offset": issue.offset,
+                            "kind": issue.kind,
+                            "detail": issue.detail}
+                           for issue in self.issues]}
+
+
+def scan_sealed(path: str) -> Tuple[List[Dict[str, Any]], LineScan]:
+    """Walk a sealed-line file byte-exactly: the entries that verify,
+    in file order, and the verdict.  A missing file scans empty."""
+    scan = LineScan(path=path)
+    entries: List[Dict[str, Any]] = []
+    if not os.path.exists(path):
+        return entries, scan
+    with open(path, "rb") as handle:
+        data = handle.read()
+    scan.size = len(data)
+    offset = 0
+    for raw in data.split(b"\n"):
+        line_start, offset = offset, offset + len(raw) + 1
+        if not raw.strip():
+            continue
+        scan.lines += 1
+        if offset > len(data):
+            scan.issues.append(LineIssue(
+                line_no=scan.lines, offset=line_start, kind="torn",
+                detail="no line terminator"))
+            continue
+        try:
+            entry = json.loads(raw.decode("utf-8"))
+            if not isinstance(entry, dict):
+                raise ValueError("line is not an object")
+        except (ValueError, UnicodeDecodeError) as error:
+            scan.issues.append(LineIssue(
+                line_no=scan.lines, offset=line_start, kind="torn",
+                detail=f"not a JSON object: {error}"))
+            continue
+        expected = line_crc(entry)
+        if entry.get("crc") != expected:
+            scan.issues.append(LineIssue(
+                line_no=scan.lines, offset=line_start, kind="corrupt",
+                detail=f"CRC mismatch (recorded {entry.get('crc')!r}, "
+                       f"computed {expected!r})"))
+            continue
+        scan.checked += 1
+        entries.append(entry)
+    return entries, scan
+
+
+class SealedWriter:
+    """Appends sealed lines to a file, each one fsync'd.
+
+    Opening truncates a torn tail in place: appending after one would
+    glue the next line onto the partial one and turn a recoverable
+    tail into interior damage.
     """
 
     def __init__(self, path: str):
         self.path = path
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
-        self._truncate_torn_tail()
+        tail = scan_sealed(path)[1].torn_tail
+        if tail is not None:
+            with open(path, "r+b") as handle:
+                handle.truncate(tail.offset)
         self._handle = open(path, "a", encoding="utf-8")
 
-    def _truncate_torn_tail(self) -> None:
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, "rb") as handle:
-            data = handle.read()
-        if not data or data.endswith(b"\n"):
-            return
-        keep = data.rfind(b"\n") + 1  # 0 when no complete line exists
-        with open(self.path, "r+b") as handle:
-            handle.truncate(keep)
-
-    def append(self, sample: Dict[str, Any]) -> None:
-        self._handle.write(seal_line(sample) + "\n")
+    def write(self, text: str) -> None:
+        """Write raw text durably (callers normally use :meth:`append`)."""
+        self._handle.write(text)
         self._handle.flush()
         os.fsync(self._handle.fileno())
+
+    def append(self, entry: Dict[str, Any]) -> None:
+        self.write(seal_line(entry) + "\n")
 
     def close(self) -> None:
         if not self._handle.closed:
             self._handle.close()
 
-    def __enter__(self) -> "TsdbWriter":
+    def __enter__(self) -> "SealedWriter":
         return self
 
     def __exit__(self, *_exc: object) -> None:
@@ -118,25 +205,13 @@ class TsdbWriter:
 def read_tsdb(path: str) -> Tuple[List[Dict[str, Any]], int]:
     """Read a time-series sidecar: ``(samples, dropped_lines)``.
 
-    Any line that fails to parse or verify is dropped — a torn tail is
-    the expected crash signature and interior rot only costs telemetry,
-    never results.
+    Every bad line is dropped — a torn tail is the expected crash
+    signature and interior rot only costs telemetry, never results.
     """
     if not os.path.exists(path):
         raise ObservabilityError(f"{path}: no such time-series file")
-    samples: List[Dict[str, Any]] = []
-    dropped = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for raw in handle:
-            raw = raw.strip()
-            if not raw:
-                continue
-            entry = verify_line(raw)
-            if entry is None:
-                dropped += 1
-                continue
-            samples.append(entry)
-    return samples, dropped
+    samples, scan = scan_sealed(path)
+    return samples, len(scan.issues)
 
 
 def tsdb_path_for(journal: str) -> str:
@@ -148,22 +223,16 @@ class TimeseriesSampler:
     """Builds throttled samples from campaign metrics snapshots.
 
     Fed :class:`~repro.runtime.metrics.MetricsSnapshot` objects at the
-    engine's batch barriers; emits a sample at most every ``interval``
-    seconds (barrier-clock sampling: the hot path never pays for a
-    sample, only the parent's per-batch bookkeeping does).  Throughput
-    counts only the snapshot's ``completed`` records, so records a
-    resumed campaign replays from its journal never read as a burst.
+    engine's batch barriers; emits a sample at most every
+    :data:`SAMPLE_INTERVAL_S` of the snapshots' ``wall_s`` (barrier-clock
+    sampling: the hot path never pays for a sample, only the parent's
+    per-batch bookkeeping does).  Throughput counts only the snapshot's
+    ``completed`` records, so records a resumed campaign replays from
+    its journal never read as a burst.
     """
 
-    def __init__(self, path: Optional[str] = None,
-                 interval: float = DEFAULT_INTERVAL_S,
-                 capacity: int = DEFAULT_CAPACITY,
-                 clock: Callable[[], float] = time.monotonic):
-        self.interval = max(0.0, interval)
-        self.capacity = max(2, capacity)
-        self._clock = clock
-        self._writer = TsdbWriter(path) if path else None
-        self._started = clock()
+    def __init__(self, path: Optional[str] = None):
+        self._writer = SealedWriter(path) if path else None
         self._last_t: Optional[float] = None
         self._last_completed = 0
         self.ewma: Optional[float] = None
@@ -180,10 +249,9 @@ class TimeseriesSampler:
         ``snapshot`` is a :class:`~repro.runtime.metrics.MetricsSnapshot`
         (typed loosely to keep this module free of runtime imports).
         """
-        now = self._clock()
-        t = now - self._started
+        t = float(snapshot.wall_s)
         if not force and self._last_t is not None \
-                and t - self._last_t < self.interval:
+                and t - self._last_t < SAMPLE_INTERVAL_S:
             return None
         completed = int(snapshot.completed)
         dt = t - self._last_t if self._last_t is not None else t
@@ -198,8 +266,7 @@ class TimeseriesSampler:
             "ewma": round(self.ewma, 4),
         }
         self.samples.append(entry)
-        if len(self.samples) > self.capacity:
-            del self.samples[:len(self.samples) - self.capacity]
+        del self.samples[:-SERIES_LENGTH]
         if self._writer is not None:
             self._writer.append(entry)
         return entry

@@ -33,9 +33,9 @@ schedule.
 from .engine import resume_campaign, run_campaign
 from .jobspec import (CampaignJobSpec, JobRunner, build_campaign,
                       record_from_result, result_from_record)
-from .journal import (JOURNAL_VERSION, JournalScan, JournalState,
-                      JournalWriter, check_compatible, read_journal,
-                      repair_journal, scan_journal)
+from .journal import (JOURNAL_VERSION, JournalState, JournalWriter,
+                      check_compatible, read_journal, repair_journal,
+                      scan_journal)
 from .liveobs import CampaignObservability
 from .metrics import CampaignMetrics, MetricsSnapshot, ProgressCallback
 from .scheduler import (MAX_SHARD_SIZE, InProcessExecutor, Shard,
@@ -50,7 +50,6 @@ __all__ = [
     "record_from_result",
     "result_from_record",
     "JOURNAL_VERSION",
-    "JournalScan",
     "JournalState",
     "JournalWriter",
     "check_compatible",

@@ -43,7 +43,6 @@ from ..faultload import (FaultStream, SequentialController, StopDecision,
 from ..obs import metrics as obs_metrics
 from ..obs.alerts import AlertRule
 from ..obs.logsetup import get_logger
-from ..obs.timeseries import DEFAULT_INTERVAL_S
 from ..obs.tracing import PARENT_TID, TRACER, TraceWriter, span
 from .jobspec import (CampaignJobSpec, JobRunner, build_campaign,
                       result_from_record)
@@ -69,8 +68,7 @@ def run_campaign(jobspec: CampaignJobSpec, workers: int = 0,
                  trace: Optional[str] = None,
                  shard_timeout: Optional[float] = None,
                  serve_obs: Optional[str] = None,
-                 alert_rules: Optional[List[AlertRule]] = None,
-                 sample_interval: float = DEFAULT_INTERVAL_S
+                 alert_rules: Optional[List[AlertRule]] = None
                  ) -> CampaignResult:
     """Execute one experiment class; see the module docstring.
 
@@ -82,8 +80,8 @@ def run_campaign(jobspec: CampaignJobSpec, workers: int = 0,
 
     ``serve_obs`` (``[HOST:]PORT``) starts the live HTTP exporter for
     the campaign's lifetime; ``alert_rules`` replaces the built-in
-    alert rule set; ``sample_interval`` throttles the time-series
-    sampler (samples persist to ``<journal>.tsdb`` when journaling).
+    alert rule set.  Time-series samples persist to
+    ``<journal>.tsdb`` when journaling.
     """
     trace_writer: Optional[TraceWriter] = None
     if trace is not None:
@@ -95,8 +93,7 @@ def run_campaign(jobspec: CampaignJobSpec, workers: int = 0,
             return _execute(jobspec, workers, journal, progress,
                             max_retries, trace_writer,
                             shard_timeout, serve_obs=serve_obs,
-                            alert_rules=alert_rules,
-                            sample_interval=sample_interval)
+                            alert_rules=alert_rules)
     finally:
         if trace_writer is not None:
             # Parent spans (campaign root + engine phases) land last;
@@ -113,8 +110,7 @@ def _execute(jobspec: CampaignJobSpec, workers: int,
              trace_writer: Optional[TraceWriter],
              shard_timeout: Optional[float] = None,
              serve_obs: Optional[str] = None,
-             alert_rules: Optional[List[AlertRule]] = None,
-             sample_interval: float = DEFAULT_INTERVAL_S
+             alert_rules: Optional[List[AlertRule]] = None
              ) -> CampaignResult:
     metrics = CampaignMetrics(progress=progress, backend=jobspec.backend)
     budget = jobspec.effective_budget()
@@ -272,7 +268,7 @@ def _execute(jobspec: CampaignJobSpec, workers: int,
             label=jobspec.display_label(), metrics=metrics,
             journal=journal, writer=writer, serve_obs=serve_obs,
             alert_rules=alert_rules, replayed_alerts=replayed_alerts,
-            sample_interval=sample_interval, workers=max(0, workers))
+            workers=max(0, workers))
         executor: Union[InProcessExecutor, WorkerPool]
         if workers <= 0:
             executor = InProcessExecutor(
@@ -347,8 +343,7 @@ def resume_campaign(journal: str, workers: int = 0,
                     trace: Optional[str] = None,
                     shard_timeout: Optional[float] = None,
                     serve_obs: Optional[str] = None,
-                    alert_rules: Optional[List[AlertRule]] = None,
-                    sample_interval: float = DEFAULT_INTERVAL_S
+                    alert_rules: Optional[List[AlertRule]] = None
                     ) -> CampaignResult:
     """Finish a journaled campaign from its journal alone.
 
@@ -364,8 +359,7 @@ def resume_campaign(journal: str, workers: int = 0,
     return run_campaign(state.jobspec, workers=workers, journal=journal,
                         progress=progress, max_retries=max_retries,
                         trace=trace, shard_timeout=shard_timeout,
-                        serve_obs=serve_obs, alert_rules=alert_rules,
-                        sample_interval=sample_interval)
+                        serve_obs=serve_obs, alert_rules=alert_rules)
 
 
 def _assemble(jobspec: CampaignJobSpec, golden, faults: List[Fault],

@@ -6,19 +6,21 @@ subsequent line is one per-experiment record (see
 :func:`repro.runtime.jobspec.record_from_result`) or, after a campaign
 completes, a summary line with the aggregate tally.
 
-Crash safety relies on three properties:
+The journal is a sealed-line file (:mod:`repro.obs.timeseries` holds
+the one implementation of the format, shared with the ``.tsdb``
+sidecar).  Crash safety relies on three properties:
 
 * records are appended and fsync'd as they arrive, so a killed process
   loses at most the experiments whose records were still in flight;
 * every line carries a CRC32 of its canonical JSON payload, so silent
   bit-rot is *detected* rather than resumed from;
-* a torn or unverifiable **final** line (the classic partial-write
-  signature of a crash) is dropped on read — and truncated away before
-  any append, so a torn tail can never swallow the next record — while
-  an unverifiable **interior** line means data between it and the tail
-  may be wrong, so reading refuses with a diagnosis until
-  ``repro journal fsck --repair`` truncates to the last verifiable
-  prefix.
+* a torn **final** line (unterminated or unverifiable: the classic
+  partial-write signature of a crash) is dropped on read — and
+  truncated away before any append, so a torn tail can never swallow
+  the next record — while an unverifiable **interior** line means data
+  between it and the tail may be wrong, so reading refuses with a
+  diagnosis until ``repro journal fsck --repair`` truncates to the last
+  verifiable prefix.
 
 Resuming is therefore trivial: read the journal, skip every fault index
 that already has a record, run the rest, append.  Records are keyed by
@@ -32,127 +34,29 @@ that board.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .. import chaos
 from ..errors import ChaosError, JournalError
-# Canonical home of the CRC-per-line convention is the observability
-# layer (the .tsdb sidecar shares it); re-exported here because the
-# journal is where existing callers know to find it.
-from ..obs.timeseries import line_crc, seal_line
+from ..obs.timeseries import (LineScan, SealedWriter, line_crc,
+                              scan_sealed, seal_line)
 from .jobspec import CampaignJobSpec
 
 __all__ = [
-    "JOURNAL_VERSION", "line_crc", "seal_line", "LineIssue",
-    "JournalScan", "scan_journal", "repair_journal", "JournalState",
+    "JOURNAL_VERSION", "scan_journal", "repair_journal", "JournalState",
     "read_journal", "check_compatible", "JournalWriter",
 ]
 
 JOURNAL_VERSION = 1
 
 
-@dataclass(frozen=True)
-class LineIssue:
-    """One line that failed integrity checking."""
-
-    line_no: int  # 1-based
-    offset: int   # byte offset of the line start (truncation point)
-    kind: str     # "torn" (not valid JSON) | "corrupt" (CRC bad/missing)
-    detail: str
-
-
-@dataclass
-class JournalScan:
-    """Integrity verdict over every line of a journal file."""
-
-    path: str
-    size: int = 0
-    lines: int = 0
-    checked: int = 0  # lines whose CRC verified
-    issues: List[LineIssue] = field(default_factory=list)
-
-    @property
-    def torn_tail(self) -> Optional[LineIssue]:
-        """The file's final line, when it is the (only) bad one."""
-        if len(self.issues) == 1 and self.issues[0].line_no == self.lines:
-            return self.issues[0]
-        return None
-
-    @property
-    def interior(self) -> List[LineIssue]:
-        """Bad lines that verified data follows (not crash signatures)."""
-        tail = self.torn_tail
-        return [issue for issue in self.issues if issue is not tail]
-
-    def verdict(self) -> str:
-        if not self.issues:
-            return "clean"
-        if self.torn_tail is not None:
-            return "torn-tail"
-        return "corrupt"
-
-    def truncate_offset(self) -> Optional[int]:
-        """Byte offset of the last verifiable prefix (repair point)."""
-        if not self.issues:
-            return None
-        return self.issues[0].offset
-
-    def to_dict(self) -> Dict:
-        return {"path": self.path, "verdict": self.verdict(),
-                "size": self.size, "lines": self.lines,
-                "checked": self.checked,
-                "issues": [{"line": issue.line_no,
-                            "offset": issue.offset,
-                            "kind": issue.kind,
-                            "detail": issue.detail}
-                           for issue in self.issues]}
-
-
-def _scan_lines(path: str) -> Tuple[List[Dict], JournalScan]:
-    """Walk a journal byte-exactly: entries that verify + the verdict."""
-    scan = JournalScan(path=path)
-    entries: List[Dict] = []
-    if not os.path.exists(path):
-        return entries, scan
-    with open(path, "rb") as handle:
-        data = handle.read()
-    scan.size = len(data)
-    offset = 0
-    for raw in data.split(b"\n"):
-        line_start, offset = offset, offset + len(raw) + 1
-        if not raw.strip():
-            continue
-        scan.lines += 1
-        try:
-            entry = json.loads(raw.decode("utf-8"))
-            if not isinstance(entry, dict):
-                raise ValueError("journal line is not an object")
-        except (ValueError, UnicodeDecodeError) as error:
-            scan.issues.append(LineIssue(
-                line_no=scan.lines, offset=line_start, kind="torn",
-                detail=f"not a JSON object: {error}"))
-            continue
-        expected = line_crc(entry)
-        if entry.get("crc") != expected:
-            scan.issues.append(LineIssue(
-                line_no=scan.lines, offset=line_start, kind="corrupt",
-                detail=f"CRC mismatch (recorded {entry.get('crc')!r}, "
-                       f"computed {expected!r})"))
-            continue
-        scan.checked += 1
-        entries.append(entry)
-    return entries, scan
-
-
-def scan_journal(path: str) -> JournalScan:
+def scan_journal(path: str) -> LineScan:
     """Integrity-check a journal without interpreting it (``fsck``)."""
-    return _scan_lines(path)[1]
+    return scan_sealed(path)[1]
 
 
-def repair_journal(path: str) -> Tuple[JournalScan, int]:
+def repair_journal(path: str) -> Tuple[LineScan, int]:
     """Truncate a journal to its last verifiable prefix.
 
     Returns the pre-repair scan and the number of bytes dropped (zero
@@ -203,10 +107,12 @@ def read_journal(path: str) -> JournalState:
     only means one deterministic experiment re-runs on resume.  A bad
     **interior** line is refused with a pointer at ``repro journal
     fsck`` — verified lines follow it, so silently dropping it would
-    resume from a journal whose history is provably damaged.
+    resume from a journal whose history is provably damaged.  Alert
+    lines keep only the alert's own fields, as the live alert history
+    holds them.
     """
     state = JournalState()
-    entries, scan = _scan_lines(path)
+    entries, scan = scan_sealed(path)
     if scan.interior:
         first = scan.interior[0]
         raise JournalError(
@@ -230,7 +136,8 @@ def read_journal(path: str) -> JournalState:
         elif kind == "stop":
             state.stop = entry
         elif kind == "alert":
-            state.alerts.append(entry)
+            state.alerts.append({key: value for key, value in entry.items()
+                                 if key not in ("type", "crc")})
         else:
             state.dropped_lines += 1
     return state
@@ -253,9 +160,8 @@ class JournalWriter:
     """Appends header/record/summary lines with per-append durability.
 
     Opening the writer truncates a torn tail in place (the crash
-    signature resume already tolerates): appending after one would glue
-    the next record onto the partial line and turn a recoverable tail
-    into interior corruption.
+    signature resume already tolerates; see
+    :class:`~repro.obs.timeseries.SealedWriter`).
     """
 
     def __init__(self, path: str, jobspec: CampaignJobSpec,
@@ -268,15 +174,7 @@ class JournalWriter:
         # does not re-fire on the re-append — self-clearing, exactly
         # like the transient faults the campaign injects.
         self._chaos_salt = state.dropped_lines
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        if os.path.exists(path):
-            scan = scan_journal(path)
-            offset = scan.truncate_offset()
-            if scan.torn_tail is not None and offset is not None:
-                with open(path, "r+b") as handle:
-                    handle.truncate(offset)
-        self._handle = open(path, "a", encoding="utf-8")
+        self._log = SealedWriter(path)
         if state.header is None:
             self._append({"type": "header", "version": JOURNAL_VERSION,
                           "jobspec": jobspec.to_dict()})
@@ -288,9 +186,7 @@ class JournalWriter:
         if chaos.fire("torn_write", key=key, attempt=self._chaos_salt):
             # A power cut mid-write: half the line lands on disk and
             # the writing process dies (ChaosError unwinds it).
-            self._handle.write(line[:max(1, len(line) // 2)])
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
+            self._log.write(line[:max(1, len(line) // 2)])
             raise ChaosError(
                 "chaos-injected torn journal write "
                 f"(index {key}); resume to recover")
@@ -301,9 +197,7 @@ class JournalWriter:
             crc = line_crc(entry)
             bad = format(int(crc, 16) ^ 0xFFFFFFFF, "08x")
             line = line.replace(f'"crc": "{crc}"', f'"crc": "{bad}"')
-        self._handle.write(line + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        self._log.write(line + "\n")
 
     def append_record(self, record: Dict) -> None:
         entry = dict(record)
@@ -358,8 +252,7 @@ class JournalWriter:
         self._append(entry)
 
     def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.close()
+        self._log.close()
 
     def __enter__(self) -> "JournalWriter":
         return self

@@ -8,7 +8,9 @@ from its batch barriers — never from worker hot paths — which is the
 barrier-clock sampling contract ``DESIGN.md`` describes: samples land
 on the same schedule for serial, sharded and resumed executions, and a
 campaign that opts out of everything pays one no-op method call per
-record batch.
+record batch.  Samples are timed by the campaign tally's own clock, and
+``/status`` is built by :func:`repro.obs.live.build_status`, the same
+function ``repro top <journal>`` rebuilds it with.
 """
 
 from __future__ import annotations
@@ -18,17 +20,14 @@ from typing import Any, Dict, Optional, Sequence
 
 from ..obs import metrics as obs_metrics
 from ..obs.alerts import AlertEngine, AlertEvent, AlertRule
+from ..obs.live import build_status
 from ..obs.logsetup import get_logger
 from ..obs.server import ObsServer
-from ..obs.timeseries import (DEFAULT_INTERVAL_S, TimeseriesSampler,
-                              tsdb_path_for)
+from ..obs.timeseries import TimeseriesSampler, tsdb_path_for
 from .journal import JournalWriter
 from .metrics import CampaignMetrics
 
 log = get_logger("repro.runtime.liveobs")
-
-#: How many trailing EWMA values /status ships for the sparkline.
-_SERIES_LENGTH = 60
 
 
 class CampaignObservability:
@@ -45,7 +44,6 @@ class CampaignObservability:
                  serve_obs: Optional[str] = None,
                  alert_rules: Optional[Sequence[AlertRule]] = None,
                  replayed_alerts: Optional[Sequence[Dict[str, Any]]] = None,
-                 sample_interval: float = DEFAULT_INTERVAL_S,
                  workers: int = 0):
         self.label = label
         self._metrics = metrics
@@ -57,8 +55,7 @@ class CampaignObservability:
         # replays from the journal.
         self._prev: Dict[str, Any] = metrics.snapshot().to_dict()
         self.sampler = TimeseriesSampler(
-            path=tsdb_path_for(journal) if journal else None,
-            interval=sample_interval)
+            path=tsdb_path_for(journal) if journal else None)
         self.alerts = AlertEngine(rules=alert_rules,
                                   on_event=self._journal_event)
         if replayed_alerts:
@@ -89,10 +86,8 @@ class CampaignObservability:
 
     # -- /status -------------------------------------------------------
     def status(self) -> Dict[str, Any]:
-        """The ``/status`` payload (also what ``repro top`` renders):
-        the snapshot's fields plus the live-only ones."""
+        """The ``/status`` payload (also what ``repro top`` renders)."""
         snap = self._metrics.snapshot()
-        samples = self.sampler.samples[-_SERIES_LENGTH:]
         workers: Dict[str, Any] = {}
         if self._workers:
             # The pool keeps this gauge current as workers come and go.
@@ -100,20 +95,11 @@ class CampaignObservability:
             alive = (gauge.value()
                      if isinstance(gauge, obs_metrics.Gauge) else 0.0)
             workers = {"configured": self._workers, "alive": int(alive)}
-        return {
-            "campaign": self.label,
-            **snap.to_dict(),
-            "throughput": (self.sampler.ewma
-                           if self.sampler.ewma is not None
-                           else snap.throughput),
-            "eta_s": snap.eta_s,
-            "elapsed_s": snap.wall_s,
-            "workers": workers,
-            "series": [sample.get("ewma", 0.0) for sample in samples],
-            "alerts": self.alerts.active,
-            "alert_history": list(self.alerts.history),
-            "finished": False,
-        }
+        return build_status(
+            self.label, snap.to_dict(), elapsed_s=snap.wall_s,
+            samples=self.sampler.samples, eta_s=snap.eta_s,
+            workers=workers, alerts=self.alerts.active,
+            alert_history=list(self.alerts.history), finished=False)
 
     def close(self) -> None:
         """Final sample, then tear down exporter and sidecar writer."""

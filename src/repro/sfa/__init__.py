@@ -10,7 +10,7 @@ ATPG-style fault collapsing, plus a structural lint gate for the
 design zoo:
 
 * :mod:`repro.sfa.graph` — structural graph, levels, loops, cones,
-  observability closures, post-dominators;
+  observability and sequential closures;
 * :mod:`repro.sfa.observe` — stuck-value propagation, dead LUT entries,
   sequential washout, and the workload-aware difference simulator;
 * :mod:`repro.sfa.collapse` — behavioural equivalence classes;
@@ -18,14 +18,13 @@ design zoo:
 * :mod:`repro.sfa.lint` — ``repro lint`` findings with severities.
 """
 
-from .collapse import (FaultClass, behavioral_signature, collapse_faultload,
-                       dominance_summary)
-from .graph import StructuralGraph, sequential_depth
+from .collapse import FaultClass, behavioral_signature, collapse_faultload
+from .graph import StructuralGraph
 from .lint import (Finding, LintReport, bundled_designs, lint_bundled,
                    lint_design)
 from .observe import (ConstantPropagation, ObservabilityAnalysis,
                       WorkloadProfile, resolve_flip)
-from .prune import PrunePlan, StaticFaultAnalysis, build_plan
+from .prune import PrunePlan, StaticFaultAnalysis
 
 __all__ = [
     "ConstantPropagation",
@@ -38,12 +37,9 @@ __all__ = [
     "StructuralGraph",
     "WorkloadProfile",
     "behavioral_signature",
-    "build_plan",
     "bundled_designs",
     "collapse_faultload",
-    "dominance_summary",
     "lint_bundled",
     "lint_design",
     "resolve_flip",
-    "sequential_depth",
 ]

@@ -28,9 +28,8 @@ indeterminations), delay faults (their mechanism depends on routing
 congestion state), multi-bit flips and any unknown model are never
 collapsed — each stays a singleton.
 
-Dominance (one fault's detection implying another's) is computed only
-as reporting metadata: campaign attribution uses equivalence alone,
-keeping the report math exact.
+Campaign attribution keys on equivalence alone, keeping the report
+math exact.
 """
 
 from __future__ import annotations
@@ -153,27 +152,3 @@ def collapse_faultload(faults: Sequence[Fault], cycles: int,
     classes.sort(key=lambda cls: cls.representative)
     return classes
 
-
-def dominance_summary(classes: Sequence[FaultClass],
-                      faults: Sequence[Fault],
-                      analysis: ObservabilityAnalysis) -> Dict[str, int]:
-    """Reporting metadata: how many LUT-fault classes sit behind a
-    combinational post-dominator (their activation is graded by a
-    single downstream net — the classic dominance relation).
-
-    Never used for attribution; purely a measure of how much further a
-    dominance-based collapse could squeeze the faultload.
-    """
-    try:
-        ipdom = analysis.graph.immediate_post_dominators()
-    except ValueError:  # combinational loops: dominance undefined
-        return {"classes": len(classes), "dominated_lut_classes": 0}
-    dominated = 0
-    for cls in classes:
-        fault = faults[cls.representative]
-        if fault.target.kind is not TargetKind.LUT:
-            continue
-        out = analysis.mapped.luts[fault.target.index].out
-        if ipdom.get(out) is not None:
-            dominated += 1
-    return {"classes": len(classes), "dominated_lut_classes": dominated}

@@ -17,9 +17,8 @@ rest of :mod:`repro.sfa` builds on:
 * **observability closure** — the nets from which a primary output is
   (sequentially) reachable, the cheap upper bound every prune rule
   starts from;
-* **post-dominators** — for each net, the unique combinational net every
-  path to an observable sink must cross (fault-collapsing theory's
-  dominance relation).
+* **sequential closure** — the flip-flops one cycle downstream of each
+  flip-flop, which sequential washout follows.
 """
 
 from __future__ import annotations
@@ -90,7 +89,6 @@ class StructuralGraph:
         self._comb_observable: Optional[Set[int]] = None
         self._observable: Optional[Set[int]] = None
         self._ff_successors: Optional[List[Set[int]]] = None
-        self._ipdom: Optional[Dict[int, Optional[int]]] = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -320,64 +318,6 @@ class StructuralGraph:
         return self._ff_successors
 
     # ------------------------------------------------------------------
-    # post-dominators
-    # ------------------------------------------------------------------
-    def immediate_post_dominators(self) -> Dict[int, Optional[int]]:
-        """Immediate post-dominator per combinational net.
-
-        Net *d* post-dominates net *n* when every combinational path
-        from *n* to an observable sink passes through *d*; the immediate
-        post-dominator is the closest such net.  ``None`` marks nets
-        whose paths reach a sink directly (or fan out to several sinks
-        with no common gate) — the virtual sink is their only
-        post-dominator.  Fault collapsing uses this relation: an
-        activation that provably propagates to *n* is graded by what
-        happens at *d*.
-        """
-        if self._ipdom is not None:
-            return self._ipdom
-        if self.combinational_loops():
-            raise ValueError(
-                "post-dominators undefined on designs with "
-                "combinational loops")
-        sinks = self.sink_nets()
-        levels = self.levels()
-        order = sorted(self.cell_of_net, key=lambda net: levels[net])
-        # Post-dominator sets as int bitmasks over net ids; the virtual
-        # sink is implicit (every set reaches it).  Reverse-topological
-        # single pass is exact on a DAG.
-        postdom: Dict[int, int] = {}
-        full = (1 << self.n_nets) - 1
-        for net in reversed(order):
-            if net in sinks:
-                # Paths may leave through the sink directly; only the
-                # net itself is guaranteed on every path.
-                postdom[net] = 1 << net
-                continue
-            meet = full
-            succs = [self.cells[cell][0] for cell in self.readers[net]]
-            if not succs:
-                postdom[net] = 1 << net
-                continue
-            for succ in succs:
-                meet &= postdom.get(succ, 1 << succ)
-            postdom[net] = meet | (1 << net)
-        ipdom: Dict[int, Optional[int]] = {}
-        for net in order:
-            candidates = postdom[net] & ~(1 << net)
-            best: Optional[int] = None
-            bits = candidates
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                candidate = low.bit_length() - 1
-                if best is None or levels[candidate] < levels[best]:
-                    best = candidate
-            ipdom[net] = best
-        self._ipdom = ipdom
-        return ipdom
-
-    # ------------------------------------------------------------------
     def dead_cells(self) -> List[int]:
         """Cells whose output transitively feeds no sink (dead logic)."""
         observable = self.comb_observable_nets()
@@ -411,26 +351,3 @@ class StructuralGraph:
                 unregistered.append(net)
         return unregistered
 
-
-def sequential_depth(graph: StructuralGraph, ff_index: int,
-                     limit: int) -> Optional[int]:
-    """Cycles until a flip-flop's influence set goes extinct, if ever.
-
-    Follows the FF-to-FF successor relation from *ff_index*; returns the
-    number of cycles after which no flip-flop can still be corrupted, or
-    ``None`` when the influence set survives past *limit* cycles (e.g.
-    feedback keeps it alive indefinitely).
-    """
-    successors = graph.ff_successors()
-    current = {ff_index}
-    for depth in range(limit + 1):
-        if not current:
-            return depth
-        nxt: Set[int] = set()
-        for ff in current:
-            nxt |= successors[ff]
-        if nxt == current and current:
-            # Fixed point with survivors: never extinct.
-            return None
-        current = nxt
-    return None

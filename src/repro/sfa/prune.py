@@ -303,12 +303,3 @@ class StaticFaultAnalysis:
                 return "workload-silent"
         return None
 
-
-def build_plan(mapped: MappedNetlist, faults: Sequence[Fault],
-               cycles: int, inputs: Optional[Dict[str, int]] = None,
-               timing: Optional["TimingAnalysis"] = None,
-               trusted: bool = True) -> PrunePlan:
-    """One-call convenience wrapper: analyse, then plan *faults*."""
-    sfa = StaticFaultAnalysis(mapped, cycles, inputs=inputs,
-                              timing=timing, trusted=trusted)
-    return sfa.plan(faults)

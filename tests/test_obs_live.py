@@ -25,15 +25,16 @@ from repro.cli import main as cli_main
 from repro.core import FaultModel
 from repro.errors import ObservabilityError
 from repro.obs import server as obs_server
+from repro.obs import timeseries
 from repro.obs.alerts import (AlertEngine, AlertRule, built_in_rules,
                               parse_rule_spec)
 from repro.obs.live import (outcome_bar, render_dashboard, run_top,
                             sparkline, status_from_journal)
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.server import ObsServer, parse_serve_spec
-from repro.obs.timeseries import (TimeseriesSampler, TsdbWriter,
-                                  line_crc, read_tsdb, seal_line,
-                                  tsdb_path_for)
+from repro.obs.timeseries import (SERIES_LENGTH, SealedWriter,
+                                  TimeseriesSampler, line_crc, read_tsdb,
+                                  seal_line, tsdb_path_for)
 from repro.runtime import (CampaignJobSpec, JobRunner, read_journal,
                            resume_campaign, run_campaign)
 from repro.runtime.metrics import MetricsSnapshot
@@ -58,17 +59,10 @@ def clean_chaos():
     chaos.clear()
 
 
-class FakeClock:
-    """Deterministic monotonic clock: each read advances by ``step``."""
-
-    def __init__(self, step=1.0):
-        self.now = 0.0
-        self.step = step
-
-    def __call__(self):
-        value = self.now
-        self.now += self.step
-        return value
+@pytest.fixture
+def every_barrier(monkeypatch):
+    """Sample at every barrier instead of once a second."""
+    monkeypatch.setattr(timeseries, "SAMPLE_INTERVAL_S", 0.0)
 
 
 def snap(completed=0, skipped=0, total=COUNT, **kwargs):
@@ -82,7 +76,7 @@ def snap(completed=0, skipped=0, total=COUNT, **kwargs):
 class TestTsdb:
     def test_roundtrip_preserves_samples(self, tmp_path):
         path = str(tmp_path / "run.tsdb")
-        with TsdbWriter(path) as writer:
+        with SealedWriter(path) as writer:
             writer.append({"t": 0.5, "n": 1, "outcomes": {"latent": 1}})
             writer.append({"t": 1.5, "n": 2, "outcomes": {"latent": 2}})
         samples, dropped = read_tsdb(path)
@@ -93,22 +87,31 @@ class TestTsdb:
                    for sample in samples)
 
     def test_torn_tail_is_dropped_then_truncated(self, tmp_path):
-        path = str(tmp_path / "run.tsdb")
-        with TsdbWriter(path) as writer:
-            writer.append({"t": 0.0, "n": 1})
-            writer.append({"t": 1.0, "n": 2})
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"t": 2.0, "n"')  # crash mid-append
-        samples, dropped = read_tsdb(path)
-        assert [sample["n"] for sample in samples] == [1, 2]
-        assert dropped == 1
-        # Reopening for append truncates the torn tail in place, so the
-        # next sample never glues onto the crash signature.
-        with TsdbWriter(path) as writer:
-            writer.append({"t": 2.0, "n": 3})
-        samples, dropped = read_tsdb(path)
-        assert [sample["n"] for sample in samples] == [1, 2, 3]
-        assert dropped == 0
+        tails = (
+            '{"t": 2.0, "n"',  # crash mid-append
+            # A complete line whose CRC fails, as the journal treats it.
+            seal_line({"t": 2.0, "n": 7}).replace('"n": 7', '"n": 8')
+            + "\n",
+            # A sealed line whose terminator never landed.
+            seal_line({"t": 2.0, "n": 7}),
+        )
+        for number, tail in enumerate(tails):
+            path = str(tmp_path / f"run{number}.tsdb")
+            with SealedWriter(path) as writer:
+                writer.append({"t": 0.0, "n": 1})
+                writer.append({"t": 1.0, "n": 2})
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write(tail)
+            samples, dropped = read_tsdb(path)
+            assert [sample["n"] for sample in samples] == [1, 2]
+            assert dropped == 1
+            # Reopening for append truncates the torn tail in place, so
+            # the next sample never glues onto the crash signature.
+            with SealedWriter(path) as writer:
+                writer.append({"t": 2.0, "n": 3})
+            samples, dropped = read_tsdb(path)
+            assert [sample["n"] for sample in samples] == [1, 2, 3]
+            assert dropped == 0
 
     def test_interior_corruption_costs_one_sample_not_the_file(
             self, tmp_path):
@@ -131,20 +134,21 @@ class TestTsdb:
 
 class TestSampler:
     def test_interval_throttles_between_samples(self):
-        sampler = TimeseriesSampler(interval=1.0,
-                                    clock=FakeClock(step=0.4))
-        taken = [sampler.sample(snap(completed=i)) is not None
-                 for i in range(1, 7)]
+        sampler = TimeseriesSampler()
+        taken = [sampler.sample(snap(completed=i, wall_s=0.4 * i))
+                 is not None for i in range(1, 7)]
         # t = 0.4, 0.8, 1.2, 1.6, 2.0, 2.4 against a 1.0 s spacing.
         assert taken == [True, False, False, True, False, False]
-        assert sampler.sample(snap(completed=7), force=True) is not None
+        assert sampler.sample(snap(completed=7, wall_s=2.8),
+                              force=True) is not None
 
-    def test_sample_shape_and_ewma_smoothing(self):
-        sampler = TimeseriesSampler(interval=0.0, clock=FakeClock())
-        first = sampler.sample(snap(completed=2,
+    def test_sample_shape_and_ewma_smoothing(self, every_barrier):
+        sampler = TimeseriesSampler()
+        first = sampler.sample(snap(completed=2, wall_s=1.0,
                                     outcomes={"failure": 2}))
-        second = sampler.sample(snap(completed=6,
+        second = sampler.sample(snap(completed=6, wall_s=2.0,
                                      outcomes={"failure": 6}))
+        assert first["t"] == 1.0 and second["t"] == 2.0
         assert first["n"] == 2 and second["n"] == 6
         assert first["throughput"] == pytest.approx(2.0)
         assert second["throughput"] == pytest.approx(4.0)
@@ -157,12 +161,11 @@ class TestSampler:
             assert field in second
 
     def test_ring_buffer_is_bounded(self):
-        sampler = TimeseriesSampler(interval=0.0, capacity=4,
-                                    clock=FakeClock(step=0.1))
-        for i in range(10):
-            sampler.sample(snap(completed=i), force=True)
-        assert len(sampler.samples) == 4
-        assert sampler.last["n"] == 9
+        sampler = TimeseriesSampler()
+        for i in range(SERIES_LENGTH + 10):
+            sampler.sample(snap(completed=i, wall_s=0.1 * i), force=True)
+        assert len(sampler.samples) == SERIES_LENGTH
+        assert sampler.last["n"] == SERIES_LENGTH + 9
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +258,12 @@ class TestAlertRules:
         assert [event.rule for event in events] == ["burst"]
         assert engine.history[-1]["severity"] == "critical"
 
-    def test_replayed_journal_lines_are_marked(self):
+    def test_replayed_journal_lines_are_marked(self, tmp_path):
+        journal = tmp_path / "alerts.jsonl"
+        journal.write_text(
+            seal_line({"type": "alert", "rule": "old", "t": 4.0}) + "\n")
         engine = AlertEngine()
-        engine.replay([{"type": "alert", "rule": "old", "t": 4.0,
-                        "crc": "xx"}])
+        engine.replay(read_journal(str(journal)).alerts)
         entry = engine.history[0]
         assert entry["rule"] == "old" and entry["replayed"] is True
         assert "crc" not in entry and "type" not in entry
@@ -336,9 +341,10 @@ def live_run(evaluation, tmp_path_factory):
 
     rules = built_in_rules() + [
         AlertRule("progress", field="n", op=">", value=2.0)]
-    result = run_campaign(jobspec, journal=journal, progress=scrape,
-                          serve_obs="127.0.0.1:0", alert_rules=rules,
-                          sample_interval=0.0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(timeseries, "SAMPLE_INTERVAL_S", 0.0)
+        result = run_campaign(jobspec, journal=journal, progress=scrape,
+                              serve_obs="127.0.0.1:0", alert_rules=rules)
     return {"result": result, "journal": journal, "captured": captured}
 
 
@@ -375,13 +381,27 @@ class TestEngineIntegration:
             in live_run["captured"]["/metrics"]
 
     def test_status_rebuilds_from_durable_state(self, live_run):
-        status, samples = status_from_journal(live_run["journal"])
+        status = status_from_journal(live_run["journal"])
         assert status["finished"] is True
         assert status["n"] == COUNT
         assert sum(status["outcomes"].values()) == COUNT
-        assert samples  # the sidecar feeds the offline sparkline
-        assert any(entry.get("rule") == "progress"
-                   for entry in status["alert_history"])
+        assert status["series"]  # the sidecar feeds the offline sparkline
+        live = json.loads(live_run["captured"]["/status"])
+        fired = [[entry for entry in history
+                  if entry.get("rule") == "progress"]
+                 for history in (live["alert_history"],
+                                 status["alert_history"])]
+        assert fired[0] and fired[1]
+        assert set(fired[1][0]) == set(fired[0][0])
+
+    def test_offline_status_reads_the_tally_clock(self, live_run):
+        status = status_from_journal(live_run["journal"])
+        samples, _dropped = read_tsdb(tsdb_path_for(live_run["journal"]))
+        assert status["elapsed_s"] == samples[-1]["t"]
+        assert status["elapsed_s"] >= sum(status["phases"].values())
+        ewma = [sample["ewma"] for sample in samples[-SERIES_LENGTH:]]
+        assert status["series"] == ewma
+        assert status["throughput"] == ewma[-1]
 
     def test_top_once_renders_the_finished_campaign(self, live_run,
                                                     capsys):
@@ -439,9 +459,10 @@ def resumed_run(evaluation, tmp_path_factory):
                                     timeout=5) as reply:
             statuses.append(json.loads(reply.read().decode("utf-8")))
 
-    result = resume_campaign(str(journal), progress=scrape,
-                             serve_obs="127.0.0.1:0",
-                             sample_interval=0.0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(timeseries, "SAMPLE_INTERVAL_S", 0.0)
+        result = resume_campaign(str(journal), progress=scrape,
+                                 serve_obs="127.0.0.1:0")
     return {"result": result, "journal": str(journal),
             "statuses": statuses, "fired_before_cut": fired_before_cut}
 
@@ -453,7 +474,7 @@ class TestResumedCampaign:
         assert expected["quarantined"] == 1
         samples, _dropped = read_tsdb(
             tsdb_path_for(resumed_run["journal"]))
-        offline, _samples = status_from_journal(resumed_run["journal"])
+        offline = status_from_journal(resumed_run["journal"])
         for surface in (resumed_run["statuses"][-1], samples[-1],
                         offline):
             assert surface["n"] == COUNT
@@ -532,7 +553,7 @@ class TestDashboard:
 @needs_fork
 class TestChaosHangAlert:
     def test_worker_hang_fires_alert_on_every_surface(
-            self, evaluation, tmp_path, capsys):
+            self, evaluation, tmp_path, capsys, every_barrier):
         spec = evaluation.spec(FaultModel.BITFLIP, "ffs", 1, 12)
         jobspec = CampaignJobSpec.from_evaluation(
             evaluation, spec, faultload_seed=evaluation.seed)
@@ -553,8 +574,7 @@ class TestChaosHangAlert:
 
         result = run_campaign(jobspec, workers=2, shard_timeout=1.0,
                               journal=journal, progress=scrape,
-                              serve_obs="127.0.0.1:0",
-                              sample_interval=0.0)
+                              serve_obs="127.0.0.1:0")
         assert len(result.experiments) == 12
 
         # 1. the Prometheus scrape taken *while running* carries the

@@ -20,8 +20,7 @@ from repro.runtime import (CampaignJobSpec, read_journal, resume_campaign,
                            run_campaign)
 from repro.sfa import (FaultClass, LintReport, ObservabilityAnalysis,
                        StructuralGraph, behavioral_signature,
-                       collapse_faultload, lint_bundled, lint_design,
-                       sequential_depth)
+                       collapse_faultload, lint_bundled, lint_design)
 from repro.synth import synthesize
 from repro import designs
 
@@ -57,12 +56,7 @@ class TestStructuralGraph:
         for ff in mapped.ffs:
             assert ff.q in observable
 
-    def test_feedback_keeps_influence_alive(self):
-        # A counter bit feeds itself: its influence set never dies out.
-        _mapped, graph = self._counter_graph()
-        assert sequential_depth(graph, 0, limit=64) is None
-
-    def test_comb_loop_detected_and_blocks_postdominators(self):
+    def test_comb_loop_detected(self):
         graph = StructuralGraph(
             n_nets=4, cells=[(2, (3,)), (3, (2,))], ff_pairs=[],
             bram_port_nets=[], bram_rdata_nets=[],
@@ -70,19 +64,6 @@ class TestStructuralGraph:
         loops = graph.combinational_loops()
         assert len(loops) == 1
         assert sorted(loops[0]) == [2, 3]
-        with pytest.raises(ValueError):
-            graph.immediate_post_dominators()
-
-    def test_postdominator_on_a_chain(self):
-        # in(2) -> cell(3) -> cell(4) -> output: 4 post-dominates 3.
-        # (Nets 0 and 1 are the reserved constants.)
-        graph = StructuralGraph(
-            n_nets=5, cells=[(3, (2,)), (4, (3,))], ff_pairs=[],
-            bram_port_nets=[], bram_rdata_nets=[],
-            input_nets={2}, output_nets={4})
-        ipdom = graph.immediate_post_dominators()
-        assert ipdom[3] == 4
-        assert ipdom[4] is None
 
 
 # ---------------------------------------------------------------------------
