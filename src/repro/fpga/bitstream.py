@@ -14,7 +14,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ..errors import BitstreamError
 from .architecture import (CB_BYTES, CB_FLAGS, CB_FLAG_FF_D_EXTERNAL,
@@ -171,19 +171,28 @@ class Bitstream:
         frame_addr, byte_off, bit_off = self.arch.bram_bit(block, addr, bit)
         self.set_bit(frame_addr, byte_off, bit_off, value)
 
+    def _bram_word_span(self, block: int,
+                        addr: int) -> Tuple[bytearray, int, int, int]:
+        """Frame, byte range (start, stop) and bit shift of one memory
+        word: the bytes its bits share, one bounds check for the word."""
+        frame_addr, byte_off, bit_off = self.arch.bram_bit(block, addr, 0)
+        stop = byte_off + (bit_off + self.arch.mem_geometry.width + 7) // 8
+        return self.frames[frame_addr], byte_off, stop, bit_off
+
     def get_bram_word(self, block: int, addr: int) -> int:
         """Read a whole memory word from the configuration image."""
-        width = self.arch.mem_geometry.width
-        value = 0
-        for bit in range(width):
-            value |= self.get_bram_bit(block, addr, bit) << bit
-        return value
+        frame, start, stop, shift = self._bram_word_span(block, addr)
+        mask = (1 << self.arch.mem_geometry.width) - 1
+        return (int.from_bytes(frame[start:stop], "little") >> shift) & mask
 
     def set_bram_word(self, block: int, addr: int, value: int) -> None:
-        """Write a whole memory word into the configuration image."""
-        width = self.arch.mem_geometry.width
-        for bit in range(width):
-            self.set_bram_bit(block, addr, bit, (value >> bit) & 1)
+        """Write a whole memory word (its low ``width`` bits) into the
+        configuration image."""
+        frame, start, stop, shift = self._bram_word_span(block, addr)
+        mask = ((1 << self.arch.mem_geometry.width) - 1) << shift
+        bits = int.from_bytes(frame[start:stop], "little")
+        bits = (bits & ~mask) | ((value << shift) & mask)
+        frame[start:stop] = bits.to_bytes(stop - start, "little")
 
     # -- whole-image operations -------------------------------------------
     def copy(self) -> "Bitstream":

@@ -27,6 +27,9 @@ from ..hdl.netlist import CONST0
 from .architecture import CB_BYTES, CMD_PULSE_GSR, PM_BYTES, FrameAddr
 from .implement import Implementation
 
+#: Expected pass-transistor bits of one routing column: (row, index) -> net.
+RouteBits = Dict[Tuple[int, int], int]
+
 
 class Device:
     """A configured generic FPGA.
@@ -60,6 +63,8 @@ class Device:
         # readback or a full re-download always sees live contents.
         self._mem: Dict[int, List[int]] = {}
         self._block_of = dict(impl.placement.block_of_bram)
+        self._bram_of_block = {block: index
+                               for index, block in self._block_of.items()}
         self._bram_frames = [FrameAddr("bram", self._block_of[index])
                              for index in range(len(self.mapped.brams))]
         #: Configuration frames written since the set was last cleared: a
@@ -85,9 +90,18 @@ class Device:
         # capacitance on whatever net owns that matrix).
         self._route_anomalies: Dict[int, Tuple[Set[int], Dict[int, int]]] = {}
         self._broken_nets: Set[int] = set()
-        self._expected_cache_version = -1
-        self._expected_by_col: Dict[int, Dict[Tuple[int, int], int]] = {}
-        self._pm_owner_by_col: Dict[int, Dict[Tuple[int, int], int]] = {}
+        # The expected pass-transistor map, by column, as (row, index) ->
+        # net.  Sink hops never change once routed: their map and each
+        # PM's trunk owner (row -> first net crossing it) are built on the
+        # first route decode.  Extra loads and detour bits are an overlay,
+        # rebuilt when the database's version moves.  A column that was
+        # never decoded is taken to match the database; one whose
+        # expected bits changed since its last decode is stale.
+        self._routed_bits: Optional[Dict[int, RouteBits]] = None
+        self._trunk_owner: Dict[int, Dict[int, int]] = {}
+        self._overlay_bits: Dict[int, RouteBits] = {}
+        self._overlay_version = -1
+        self._stale_route_cols: Set[int] = set()
         self._decode_all()
 
     # ------------------------------------------------------------------
@@ -137,6 +151,8 @@ class Device:
         the asynchronous LSR force can fire), so skipping it changes
         nothing."""
         new = self.config.frames[FrameAddr("cb", col)]
+        if new == old:
+            return
         for row, lut_index, ff_index in self._cb_sites.get(col, ()):
             offset = row * CB_BYTES
             if new[offset:offset + CB_BYTES] == old[offset:offset + CB_BYTES]:
@@ -146,36 +162,72 @@ class Device:
             if ff_index is not None:
                 self._decode_ff(ff_index)
 
-    def _expected_routes(self) -> None:
-        """(Re)build the expected pass-transistor map from the routing
-        database, cached against its version counter."""
-        routing = self.impl.routing
-        if self._expected_cache_version == routing.version:
+    def _decode_bram_words(self, block: int, old: bytes) -> None:
+        """Re-read the words of the memory mapped on *block* whose bits
+        differ from *old* (the frame before the write).  Live contents
+        are written through to the image, so an unchanged word already
+        holds what a re-read would give."""
+        bram_index = self._bram_of_block.get(block)
+        new = self.config.frames[FrameAddr("bram", block)]
+        if bram_index is None or new == old:
             return
-        expected: Dict[int, Dict[Tuple[int, int], int]] = {}
-        owner: Dict[int, Dict[Tuple[int, int], int]] = {}
+        cells = self._mem[bram_index]
+        width = self.arch.mem_geometry.width
+        word_mask = (1 << width) - 1
+        changed = (int.from_bytes(old, "little")
+                   ^ int.from_bytes(new, "little"))
+        while changed:
+            addr = ((changed & -changed).bit_length() - 1) // width
+            changed &= ~(word_mask << (addr * width))
+            if addr < len(cells):
+                cells[addr] = self.config.get_bram_word(block, addr)
+
+    def _sync_expected_routes(self) -> None:
+        """Bring the expected pass-transistor map up to the routing
+        database's version: build the sink-hop map and the trunk owners
+        once, rebuild the overlay from the routes that carry extra loads
+        or detour bits, and mark stale every column whose overlay entries
+        changed."""
+        routing = self.impl.routing
+        if self._routed_bits is None:
+            routed: Dict[int, RouteBits] = {}
+            trunk: Dict[int, Dict[int, int]] = {}
+            for net, route in routing.routes.items():
+                for sink in route.sinks:
+                    for row, col, index in sink.hops:
+                        routed.setdefault(col, {})[(row, index)] = net
+                        trunk.setdefault(col, {}).setdefault(row, net)
+            self._routed_bits, self._trunk_owner = routed, trunk
+        if self._overlay_version == routing.version:
+            return
+        overlay: Dict[int, RouteBits] = {}
         for net, route in routing.routes.items():
-            for row, col, index in route.pass_transistors():
-                expected.setdefault(col, {})[(row, index)] = net
-                owner.setdefault(col, {})[(row, index)] = net
-            for pm in route.pms:
-                owner.setdefault(pm[1], {}).setdefault((pm[0], -1), net)
-        self._expected_by_col = expected
-        self._pm_owner_by_col = owner
-        self._expected_cache_version = routing.version
+            if route.extra_loads or route.detour_bits:
+                for row, col, index in (*route.extra_loads,
+                                        *route.detour_bits):
+                    overlay.setdefault(col, {})[(row, index)] = net
+        previous = self._overlay_bits
+        self._stale_route_cols.update(
+            col for col in previous.keys() | overlay.keys()
+            if previous.get(col) != overlay.get(col))
+        self._overlay_bits = overlay
+        self._overlay_version = routing.version
 
     def _decode_route_column(self, col: int) -> None:
-        """Diff one routing frame against the structural database.
+        """Diff one routing frame against the structural database (call
+        :meth:`_sync_expected_routes` first).
 
         A cleared bit that the database says belongs to a routed net
         breaks that net (its sinks see a floating-low line).  A set bit
         the database does not know about loads the net whose trunk passes
         through that matrix (or nothing, if the matrix is unused).
         """
-        self._expected_routes()
-        expected = self._expected_by_col.get(col, {})
-        addr = FrameAddr("route", col)
-        frame = self.config.frames[addr]
+        self._stale_route_cols.discard(col)
+        expected = self._routed_bits.get(col, {})
+        overlay = self._overlay_bits.get(col)
+        if overlay:
+            expected = {**expected, **overlay}
+        frame = self.config.frames[FrameAddr("route", col)]
         broken: Set[int] = set()
         phantom: Dict[int, int] = {}
         # Check every expected bit is still set.
@@ -183,7 +235,7 @@ class Device:
             if not (frame[row * PM_BYTES + index // 8] >> (index % 8)) & 1:
                 broken.add(net)
         # Scan for set bits the database does not expect.
-        owner = self._pm_owner_by_col.get(col, {})
+        trunk = self._trunk_owner.get(col, {})
         for row in range(self.arch.rows):
             base = row * PM_BYTES
             for byte_off in range(PM_BYTES):
@@ -193,13 +245,10 @@ class Device:
                 for bit_off in range(8):
                     if not (byte >> bit_off) & 1:
                         continue
-                    index = byte_off * 8 + bit_off
-                    if (row, index) in expected:
+                    if (row, byte_off * 8 + bit_off) in expected:
                         continue
-                    net = owner.get((row, index))
-                    if net is None:
-                        # Any net whose trunk crosses this PM gains load.
-                        net = owner.get((row, -1))
+                    # The net whose trunk crosses this PM gains load.
+                    net = trunk.get(row)
                     if net is not None:
                         phantom[net] = phantom.get(net, 0) + 1
         if broken or phantom:
@@ -207,7 +256,6 @@ class Device:
         else:
             self._route_anomalies.pop(col, None)
         self._aggregate_route_anomalies()
-        self._timing_dirty = True
 
     def _aggregate_route_anomalies(self) -> None:
         broken: Set[int] = set()
@@ -223,6 +271,7 @@ class Device:
     def redecode_routing(self) -> None:
         """Re-decode every routing frame against the routing database and
         re-run timing (after the database itself was reset)."""
+        self._sync_expected_routes()
         for col in range(self.arch.cols):
             self._decode_route_column(col)
         self.refresh_timing()
@@ -252,19 +301,20 @@ class Device:
         if addr.kind == "cb":
             self._decode_cb_words(addr.major, old)
         elif addr.kind == "bram":
-            for bram_index, block in (
-                    self.impl.placement.block_of_bram.items()):
-                if block == addr.major:
-                    bram = self.mapped.brams[bram_index]
-                    self._mem[bram_index] = [
-                        self.config.get_bram_word(block, a)
-                        for a in range(bram.depth)]
+            self._decode_bram_words(addr.major, old)
         elif addr.kind == "route":
-            # Decode the column against the structural database: bits that
-            # disagree with it are configuration upsets (broken nets or
-            # phantom loads).  Timing is re-analysed lazily before the
-            # next clock cycle (a full download touches every column).
-            self._decode_route_column(addr.major)
+            # Bits that disagree with the structural database are
+            # configuration upsets (broken nets or phantom loads).  A column
+            # whose bytes and expected bits did not change since its last
+            # decode would decode to what it already has.
+            self._sync_expected_routes()
+            if (old != self.config.frames[addr]
+                    or addr.major in self._stale_route_cols):
+                self._decode_route_column(addr.major)
+            # Timing is re-analysed lazily before the next clock cycle,
+            # after every route write: a detour changes the database's
+            # delays without changing a configuration bit.
+            self._timing_dirty = True
 
     def read_frame(self, addr: FrameAddr) -> bytes:
         """Readback of one frame.
@@ -297,14 +347,12 @@ class Device:
         previous experiment's workload writes do not leak into the next.
         """
         for bram_index, bram in enumerate(self.mapped.brams):
-            block = self._block_of[bram_index]
             addr = self._bram_frames[bram_index]
+            old = self.config.get_frame(addr)
             self.config.set_frame(
                 addr, self.impl.golden_bitstream.get_frame(addr))
             self.dirty_frames.add(addr)
-            self._mem[bram_index] = [
-                self.impl.golden_bitstream.get_bram_word(block, a)
-                for a in range(bram.depth)]
+            self._decode_bram_words(addr.major, old)
             for net in bram.rdata:
                 self._values[net] = 0
         self.pulse_gsr()

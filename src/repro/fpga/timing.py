@@ -22,7 +22,7 @@ affect the circuit driven by this cell" (paper, section 6.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set
 
 from ..hdl.netlist import CONST0, CONST1
 from ..synth.mapped import MappedNetlist
@@ -51,8 +51,11 @@ class TimingAnalysis:
         self.mapped = mapped
         self.routing = routing
         self.params = params
-        #: Per-net injected extra delay (delay faults), in ns.
-        self.injected_delay: Dict[int, float] = {}
+        #: Longest sink path of every routed net, in PM hops: sinks never
+        #: change once routed (delay faults add loads and detours).
+        self._sink_hops: Dict[int, int] = {
+            net: max((sink.length for sink in route.sinks), default=0)
+            for net, route in routing.routes.items()}
         #: Per-net extra delay caused by configuration-memory upsets
         #: (phantom pass-transistor loads); owned by the device's
         #: routing-plane decoder.
@@ -69,19 +72,17 @@ class TimingAnalysis:
         """Propagation delay of *net* from driver to (worst) sink.
 
         Includes the configured routing length, the fan-out load, any
-        detour hops and any injected delta.
+        detour and any phantom load from configuration-memory upsets.
         """
         if net in (CONST0, CONST1):
             return 0.0
         params = self.params
         delay = params.t_net_base
-        if self.routing.is_routed(net):
-            route = self.routing.route_of(net)
-            worst = max((sink.length for sink in route.sinks), default=0)
-            delay += params.t_hop * (worst + route.detour_hops)
+        route = self.routing.routes.get(net)
+        if route is not None:
+            delay += params.t_hop * (self._sink_hops[net] + route.detour_hops)
             delay += (params.t_lut + params.t_net_base) * route.detour_luts
             delay += params.t_load * max(0, route.fanout - 1)
-        delay += self.injected_delay.get(net, 0.0)
         delay += self.seu_extra.get(net, 0.0)
         return delay
 
@@ -142,58 +143,6 @@ class TimingAnalysis:
         return {index for index in range(len(self.mapped.ffs))
                 if self.ff_slack(index) < 0.0}
 
-    # ------------------------------------------------------------------
-    # delay-fault interface
-    # ------------------------------------------------------------------
-    def inject_delay(self, net: int, delta_ns: float) -> None:
-        """Add *delta_ns* of propagation delay to *net* and re-analyse."""
-        self.injected_delay[net] = (self.injected_delay.get(net, 0.0)
-                                    + delta_ns)
-        self.recompute()
-
-    def remove_delay(self, net: int) -> None:
-        """Remove any injected delay from *net* and re-analyse."""
-        if self.injected_delay.pop(net, None) is not None:
-            self.recompute()
-
     def refresh_routing(self) -> None:
         """Re-analyse after the routing database changed (loads/detours)."""
         self.recompute()
-
-    def summary(self) -> Dict[str, float]:
-        """Headline numbers for reports."""
-        return {
-            "period_ns": self.period,
-            "critical_ns": self.critical_path(),
-            "violating_ffs": float(len(self.violating_ffs())),
-        }
-
-    def worst_ffs(self, count: int = 10) -> List[Tuple[int, float]]:
-        """The *count* flip-flops with the least setup slack.
-
-        Delay-fault studies use this to pick near-critical targets: a
-        small injected delta on a low-slack path flips outcomes, while
-        the same delta elsewhere is absorbed.
-        """
-        slacks = [(index, self.ff_slack(index))
-                  for index in range(len(self.mapped.ffs))]
-        slacks.sort(key=lambda pair: pair[1])
-        return slacks[:count]
-
-    def slack_histogram(self, bins: int = 8) -> List[Tuple[float, int]]:
-        """(bin upper bound, count) pairs over all FF slacks."""
-        slacks = [self.ff_slack(index)
-                  for index in range(len(self.mapped.ffs))]
-        if not slacks:
-            return []
-        low, high = min(slacks), max(slacks)
-        width = (high - low) / bins or 1.0
-        histogram = []
-        for bin_index in range(bins):
-            upper = low + (bin_index + 1) * width
-            lower = low + bin_index * width
-            count = sum(1 for s in slacks
-                        if lower <= s < upper
-                        or (bin_index == bins - 1 and s == high))
-            histogram.append((upper, count))
-        return histogram

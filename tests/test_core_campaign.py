@@ -329,8 +329,9 @@ class TestGoldenRestore:
     @pytest.fixture()
     def finished(self, monkeypatch):
         """Per ``Experiment.finish``: mechanism, the frames written before
-        the restore, and the frames differing from golden and still
-        marked written after it."""
+        the restore, the frames differing from golden and still marked
+        written after it, and the decoded state after it (broken nets,
+        phantom loads, violating FFs, memory words)."""
         records = []
         original = Experiment.finish
 
@@ -338,10 +339,16 @@ class TestGoldenRestore:
             device = self.campaign.device
             written = set(device.dirty_frames)
             cost = original(self, trace)
+            if device._timing_dirty:  # as the next clock edge would
+                device.refresh_timing()
             records.append((
                 self.mechanism, written,
                 device.config.diff_frames(self.campaign.impl.golden_bitstream),
-                set(device.dirty_frames)))
+                set(device.dirty_frames),
+                (set(device._broken_nets), dict(device.impl.timing.seu_extra),
+                 set(device._violating),
+                 [device.mem_words(index)
+                  for index in range(len(device.mapped.brams))])))
             return cost
 
         monkeypatch.setattr(Experiment, "finish", finish)
@@ -360,6 +367,15 @@ class TestGoldenRestore:
         monkeypatch.setattr(Device, "load_state", spy)
         evaluation = bubblesort[backend]
         campaign = evaluation.fades
+        device = campaign.device
+        golden = campaign.impl.golden_bitstream
+        golden_mem = [
+            tuple(golden.get_bram_word(
+                campaign.impl.placement.block_of_bram[index], addr)
+                for addr in range(bram.depth))
+            for index, bram in enumerate(device.mapped.brams)]
+        device.refresh_timing()
+        violating = set(device._violating)
         # The reference run fast-forwards to the golden checkpoint at
         # cycle 0 for the early faults and at 256 for the late ones.
         faults = one_fault_per_mechanism(campaign, early=40, late=300)
@@ -368,16 +384,68 @@ class TestGoldenRestore:
             "ff-lsr", "ff-gsr", "memory-rmw", "lut-rewrite", "cb-input-mux",
             "delay-fanout", "delay-reroute", "indet-ff", "indet-lut",
             "config_seu", "config_seu", "stuck_at", "bridging"]
-        for mechanism, _written, differing, dirty in finished:
+        for mechanism, _written, differing, dirty, decoded in finished:
             assert differing == [], mechanism
             assert dirty == set(), mechanism
+            assert decoded == (set(), {}, violating, golden_mem), mechanism
         if backend == "reference":
             # The reference run covered checkpoint fast-forward and the
             # workload's memory writes (Bubblesort stores to iram).
             assert 256 in loads
             assert any(addr.kind == "bram"
-                       for _mechanism, written, _differing, _dirty
-                       in finished for addr in written)
+                       for _mechanism, written, *_ in finished
+                       for addr in written)
+
+    def test_one_experiment_decodes_only_what_it_touched(self, bubblesort,
+                                                         monkeypatch):
+        # A full-download delay experiment re-decodes the route columns
+        # its bits touch, once at injection and once at removal, not the
+        # device's 384; a memory bit-flip re-reads the flipped word at
+        # injection and at restore, not its whole block twice.
+        from repro.core.injector import _DelayBase
+        from repro.fpga.bitstream import Bitstream
+        evaluation = bubblesort["compiled"]
+        campaign = evaluation.fades
+        device = campaign.device
+        assert device.arch.cols == 384
+        assert campaign.injector.full_download_delays
+        decoded, touched, words = [], set(), []
+        decode = Device._decode_route_column
+        touched_frames = _DelayBase._touched_frames
+        get_word = Bitstream.get_bram_word
+
+        def spy_decode(self, col):
+            decoded.append(col)
+            decode(self, col)
+
+        def spy_touched(self):
+            frames = touched_frames(self)
+            touched.update(addr.major for addr in frames)
+            return frames
+
+        def spy_word(self, block, addr):
+            if self is device.config:
+                words.append((block, addr))
+            return get_word(self, block, addr)
+
+        monkeypatch.setattr(Device, "_decode_route_column", spy_decode)
+        monkeypatch.setattr(_DelayBase, "_touched_frames", spy_touched)
+        monkeypatch.setattr(Bitstream, "get_bram_word", spy_word)
+        campaign.golden_run(evaluation.cycles)
+        faults = one_fault_per_mechanism(campaign, early=40, late=300)
+        for fault in (faults[5], faults[6]):  # delay-fanout, delay-reroute
+            decoded.clear()
+            touched.clear()
+            campaign.run_batch([fault], evaluation.cycles)
+            assert touched
+            assert set(decoded) <= touched
+            assert len(decoded) <= 2 * len(touched)
+        memory_fault = faults[2]  # memory-rmw
+        words.clear()
+        campaign.run_batch([memory_fault], evaluation.cycles)
+        target = memory_fault.target
+        block = campaign.impl.placement.block_of_bram[target.index]
+        assert words == [(block, target.addr)] * 2
 
     def test_workload_memory_writes_are_restored(self, bubblesort):
         # Stepping and checkpoint loads write memory contents through to

@@ -1,5 +1,7 @@
 """Tests for placement, routing, timing and device-vs-model equivalence."""
 
+import math
+
 import pytest
 
 from repro.errors import PlacementError
@@ -97,15 +99,19 @@ class TestTiming:
         assert impl.timing.violating_ffs() == set()
         assert impl.timing.period >= impl.timing.critical_path()
 
-    def test_injected_delay_creates_violation(self):
+    def test_detour_creates_violation(self):
         result, impl = implement_design(build_counter())
-        # Delay a routed net that feeds sequential logic: the counter FFs'
+        # Detour a routed net that feeds sequential logic: the counter FFs'
         # Q outputs drive the increment LUTs through the fabric.
         target = result.mapped.ffs[0].q
         assert impl.routing.is_routed(target)
-        impl.timing.inject_delay(target, impl.timing.period + 5.0)
+        params = impl.timing.params
+        impl.routing.set_detour(
+            target, math.ceil((impl.timing.period + 5.0) / params.t_hop))
+        impl.timing.refresh_routing()
         assert impl.timing.violating_ffs()
-        impl.timing.remove_delay(target)
+        impl.routing.clear_detour(target)
+        impl.timing.refresh_routing()
         assert impl.timing.violating_ffs() == set()
 
     def test_fanout_load_increases_delay(self):

@@ -5,6 +5,8 @@ device executes *from configuration memory*, so rewriting frames changes
 behaviour and restoring them restores it.
 """
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -210,3 +212,19 @@ class TestRoutingReconfiguration:
         assert impl.routing.route_of(net).detour_hops == 50
         jbits.clear_detour(net)
         assert impl.routing.route_of(net).detour_hops == 0
+
+    def test_database_only_detour_still_retimes(self):
+        # A partial detour rewrites its columns with unchanged bytes: no
+        # column needs a re-decode, but the next clock edge must still
+        # see the detour's delay, and then its removal.
+        result, impl, device = make_device(build_counter())
+        jbits = JBits(device)
+        net = result.mapped.ffs[0].q
+        hops = math.ceil((impl.timing.period + 5.0) / impl.timing.params.t_hop)
+        jbits.set_detour(net, hops, full_download=False)
+        assert device.config.diff_frames(impl.golden_bitstream) == []
+        device.step({"en": 1})
+        assert device._violating
+        jbits.clear_detour(net)
+        device.step()
+        assert device._violating == set()

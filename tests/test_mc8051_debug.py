@@ -1,4 +1,4 @@
-"""Tests for the debug/trace tooling and timing reports."""
+"""Tests for the debug/trace tooling."""
 
 import pytest
 
@@ -51,25 +51,3 @@ class TestLockstep:
         assert "cycle 12" in text
         assert "acc" in text
 
-
-class TestTimingReports:
-    def test_worst_ffs_sorted_by_slack(self):
-        from repro.fpga import implement
-        from repro.synth import synthesize
-        from repro.mc8051 import build_mc8051
-        impl = implement(synthesize(
-            build_mc8051(quick_bubblesort().rom).netlist).mapped)
-        worst = impl.timing.worst_ffs(5)
-        assert len(worst) == 5
-        slacks = [slack for _index, slack in worst]
-        assert slacks == sorted(slacks)
-        assert all(slack > 0 for slack in slacks)  # nominal design meets timing
-
-    def test_slack_histogram_covers_all_ffs(self):
-        from repro.fpga import implement
-        from repro.synth import synthesize
-        from helpers import build_counter
-        impl = implement(synthesize(build_counter(6)).mapped)
-        histogram = impl.timing.slack_histogram(bins=4)
-        assert sum(count for _upper, count in histogram) == \
-            len(impl.mapped.ffs)

@@ -273,11 +273,19 @@ CB_WRITES = st.lists(
               st.integers(min_value=0, max_value=0xFFFF)),
     min_size=1, max_size=12)
 
+ROUTE_AND_MEMORY_WRITES = st.lists(
+    st.tuples(st.sampled_from(["flip_used", "flip_unused", "load", "unload",
+                               "claim_set", "detour", "clear_detour",
+                               "full", "flip_bram", "raw_bram"]),
+              st.integers(min_value=0, max_value=2),
+              st.integers(min_value=0, max_value=0xFFFF)),
+    min_size=1, max_size=12)
+
 
 class TestIncrementalDecode:
-    """A CB-frame write re-decodes only the configuration words it
-    changed; the device must still end where a device booted from the
-    same image starts."""
+    """A frame write re-decodes only what it changed (CB words, route
+    columns, memory words); the device must still end where a device
+    booted from the same image starts, or a full re-decode ends."""
 
     @given(CB_WRITES)
     @settings(max_examples=25, deadline=None)
@@ -318,6 +326,118 @@ class TestIncrementalDecode:
         assert device._ff_srval == fresh._ff_srval
         assert device._ff_lsr == fresh._ff_lsr
         assert device._ff_invert_d == fresh._ff_invert_d
+
+    @given(ROUTE_AND_MEMORY_WRITES)
+    @settings(max_examples=40, deadline=None)
+    def test_incremental_route_and_memory_decode_equals_a_full_decode(
+            self, writes):
+        # Route and memory frames decode only the columns and words whose
+        # bytes (or, for routing, expected bits) changed since their last
+        # decode; a full re-decode of the same image must agree.
+        from repro.fpga import Device, FrameAddr, JBits, implement
+        from repro.fpga.architecture import PM_BYTES
+        from helpers import build_accumulator
+        impl = implement(synthesize(build_accumulator()).mapped)
+        device = Device(impl)
+        jbits = JBits(device)
+        routing = impl.routing
+        geometry = impl.arch.mem_geometry
+        # A few nets, so that operations often meet on one net.
+        nets = sorted(net for net, route in routing.routes.items()
+                      if route.pms)[:3]
+        used = sorted({hop for route in routing.routes.values()
+                       for sink in route.sinks for hop in sink.hops})
+        block = impl.placement.block_of_bram[0]
+        depth = impl.mapped.brams[0].depth
+        loads = []
+
+        def write_pt(row, col, index, value=None):
+            """Raw route-frame write of one pass-transistor bit (toggled
+            when *value* is None)."""
+            addr = FrameAddr("route", col)
+            frame = bytearray(device.config.get_frame(addr))
+            mask = 1 << (index % 8)
+            offset = row * PM_BYTES + index // 8
+            if value is None:
+                frame[offset] ^= mask
+            elif value:
+                frame[offset] |= mask
+            else:
+                frame[offset] &= ~mask
+            jbits.write_frame(addr, bytes(frame))
+
+        def rewrite_columns(net):
+            for col in sorted({col for _row, col
+                               in routing.route_of(net).pms}):
+                addr = FrameAddr("route", col)
+                jbits.write_frame(addr, device.config.get_frame(addr))
+
+        for kind, pick, value in writes:
+            net = nets[pick]
+            pms = routing.route_of(net).pms
+            if kind == "flip_used":  # an allocated bit: clearing breaks
+                write_pt(*used[value % len(used)])
+            elif kind == "flip_unused":  # setting adds phantom load
+                row, col = pms[value % len(pms)]
+                write_pt(row, col, 100 + value % 92)
+            elif kind == "load":
+                loads.append((net, jbits.enable_extra_load(net)))
+            elif kind == "unload" and loads:
+                jbits.disable_extra_load(*loads.pop(value % len(loads)))
+            elif kind == "claim_set":
+                # A raw write sets the bit the next extra load claims: the
+                # claim's frame write changes no byte, only expected bits.
+                row, col = pms[0]
+                write_pt(row, col, routing.pm_used[(row, col)], 1)
+                loads.append((net, jbits.enable_extra_load(net)))
+            elif kind == "detour":
+                routing.set_detour(net, value % 7)
+                if value & 1:
+                    route = routing.route_of(net)
+                    row, col = pms[0]
+                    bit = (row, col, routing.claim_pass_transistor(pms[0]))
+                    route.detour_bits.append(bit)
+                    routing.version += 1
+                    if value & 2:
+                        write_pt(*bit, 1)
+                rewrite_columns(net)
+            elif kind == "clear_detour":
+                routing.clear_detour(net)
+                rewrite_columns(net)
+            elif kind == "full":
+                image = device.config.copy()
+                if value & 1:
+                    row, col, index = used[value % len(used)]
+                    image.set_pass_transistor(
+                        row, col, index,
+                        1 - image.get_pass_transistor(row, col, index))
+                else:
+                    addr, bit = value % depth, value % geometry.width
+                    image.set_bram_bit(block, addr, bit,
+                                       1 - image.get_bram_bit(block, addr,
+                                                              bit))
+                jbits.write_full(image)
+            elif kind == "flip_bram":
+                jbits.flip_bram_bit(block, value % depth,
+                                    value % geometry.width)
+            elif kind == "raw_bram":
+                addr = FrameAddr("bram", block)
+                frame = bytearray(device.config.get_frame(addr))
+                words_bytes = depth * geometry.width // 8
+                for offset in range(value % 3 + 1):
+                    frame[(value + 5 * offset) % words_bytes] ^= \
+                        value % 255 + 1
+                jbits.write_frame(addr, bytes(frame))
+
+        def decoded():
+            return (set(device._broken_nets), dict(device._route_anomalies),
+                    dict(impl.timing.seu_extra), device.mem_words(0))
+
+        incremental = decoded()
+        device.redecode_routing()
+        assert decoded() == incremental
+        assert incremental[3] == tuple(device.config.get_bram_word(block, a)
+                                       for a in range(depth))
 
     @given(st.integers(min_value=0, max_value=20))
     @settings(max_examples=10, deadline=None)
