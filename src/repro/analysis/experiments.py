@@ -23,14 +23,11 @@ from typing import List, Optional, Tuple
 
 from ..core import (CampaignResult, FadesCampaign, FaultLoadSpec,
                     FaultModel, build_fades)
+from ..core.campaign import CHECKPOINT_INTERVAL
 from ..core.faults import DURATION_BANDS
 from ..faultload import is_adaptive
 from ..mc8051 import Iss, Mc8051Model, Workload, build_mc8051, bubblesort
 from ..vfit import VfitCampaign, VfitTimeModel
-
-#: Golden-run snapshot spacing of the standard testbed (also the
-#: :class:`repro.runtime.jobspec.CampaignJobSpec` default).
-CHECKPOINT_INTERVAL = 128
 
 #: Paper constants (section 6).
 PAPER_FAULTS_PER_EXPERIMENT = 3000

@@ -231,6 +231,12 @@ class Experiment:
         return cost
 
 
+#: Golden-run snapshot spacing of the 8051 testbed
+#: (``FadesCampaign(checkpoint_interval=...)``): the evaluation testbed
+#: and every campaign the runtime builds fast-forward from these.
+CHECKPOINT_INTERVAL = 128
+
+
 class FadesCampaign:
     """Run fault-emulation campaigns on one implemented design."""
 
@@ -266,10 +272,10 @@ class FadesCampaign:
         locmap.attach_placement(impl.placement)
         self.board = board if board is not None else Board()
         self.jbits = JBits(self.device, self.board)
-        #: Campaign seed: with the fault index it seeds every experiment's
-        #: injector draws (:func:`derive_fault_seed`).
+        #: Campaign seed: the default faultload seed of :meth:`run`, and
+        #: with the fault index the seed of every experiment's injector
+        #: draws (:func:`derive_fault_seed`).
         self.seed = seed
-        self.rng = random.Random(seed)
         self.injector = FadesInjector(
             self.jbits, full_download_delays=full_download_delays)
         self.injector.backend_label = self.backend
@@ -412,10 +418,12 @@ class FadesCampaign:
     # ------------------------------------------------------------------
     def run(self, spec: FaultLoadSpec, seed: Optional[int] = None
             ) -> CampaignResult:
-        """Generate and run a whole faultload; returns the aggregate."""
+        """Generate and run a whole faultload; returns the aggregate.
+
+        ``seed`` (default: the campaign's) draws the faultload, so
+        repeated calls with the same arguments run the same faults."""
         faults = generate_faultload(
-            spec, self.locmap, seed=self.rng.randrange(2**31)
-            if seed is None else seed,
+            spec, self.locmap, seed=self.seed if seed is None else seed,
             routed_nets=self.impl.routing.is_routed)
         return self.run_faults(faults, spec.workload_cycles,
                                label=spec.label(),
@@ -444,10 +452,11 @@ class FadesCampaign:
     def static_plan(self, faults: Sequence[Fault], cycles: int):
         """Static-analysis verdict over a faultload (:mod:`repro.sfa`).
 
-        The analyses (structural graph, observability cones, workload
-        profile) are cached per workload-and-length, like the golden
-        trace; only the per-faultload planning repeats.  Imported
-        lazily — :mod:`repro.sfa` depends on this package.
+        The analyses (structural graph, observability cones) are cached
+        per workload-and-length, like the golden trace, and the lane
+        engine's compiled design per netlist; only the per-faultload
+        planning (one lane pass per batch of bit-flips) repeats.
+        Imported lazily — :mod:`repro.sfa` depends on this package.
         """
         from ..sfa.prune import StaticFaultAnalysis
         key = (tuple(sorted(self.inputs.items())), cycles)

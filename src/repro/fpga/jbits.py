@@ -14,7 +14,7 @@ tool paid them.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..obs import metrics
 from .architecture import CB_BYTES, CMD_PULSE_GSR, PM_BYTES, FrameAddr
@@ -113,10 +113,6 @@ class JBits:
     # ------------------------------------------------------------------
     # memory-block helpers
     # ------------------------------------------------------------------
-    def read_bram_frame(self, block: int) -> bytes:
-        """Readback of one memory block's live contents."""
-        return self.read_frame(FrameAddr("bram", block))
-
     def flip_bram_bit(self, block: int, addr: int, bit: int) -> int:
         """Read-modify-write flip of one memory bit (paper, figure 4).
 
@@ -131,72 +127,14 @@ class JBits:
         return old
 
     # ------------------------------------------------------------------
-    # routing helpers (structural API over the routing database)
+    # routing helpers
     # ------------------------------------------------------------------
-    def enable_extra_load(self, net: int) -> Tuple[int, int, int]:
-        """Turn on an unused pass transistor along *net*'s path.
-
-        Structural registration goes through the routing database, then the
-        corresponding configuration bit is actually written (one routing
-        frame transaction).  Returns the (row, col, index) bit claimed.
-        """
-        bit = self.device.impl.routing.add_extra_load(net)
-        row, col, index = bit
-        addr, _offset = self.device.arch.pm_frame(row, col)
-        frame = bytearray(self.device.config.get_frame(addr))
-        self._set_pt(frame, row, index, 1)
-        self.write_frame(addr, bytes(frame))
-        return bit
-
-    def disable_extra_load(self, net: int,
-                           bit: Tuple[int, int, int]) -> None:
-        """Undo :meth:`enable_extra_load`."""
-        self.device.impl.routing.remove_extra_load(net, bit)
-        row, col, index = bit
-        addr, _offset = self.device.arch.pm_frame(row, col)
-        frame = bytearray(self.device.config.get_frame(addr))
-        self._set_pt(frame, row, index, 0)
-        self.write_frame(addr, bytes(frame))
-
     @staticmethod
     def _set_pt(frame: bytearray, row: int, index: int, value: int) -> None:
+        """Set pass transistor *index* of PM row *row* in a copy of its
+        route frame (the delay injections' read-modify-write)."""
         offset = row * PM_BYTES + index // 8
         if value:
             frame[offset] |= 1 << (index % 8)
         else:
             frame[offset] &= ~(1 << (index % 8))
-
-    def set_detour(self, net: int, extra_hops: int,
-                   full_download: bool = True) -> None:
-        """Reroute *net* through *extra_hops* additional PM segments
-        (paper, figure 7).
-
-        ``full_download`` reproduces the paper's observed behaviour: the
-        JBits/driver combination forced a full configuration download for
-        rerouting.  With ``False`` only the affected routing frames are
-        written (the partial path the paper could not use).
-        """
-        routing = self.device.impl.routing
-        routing.set_detour(net, extra_hops)
-        self._commit_routing(net, full_download)
-
-    def clear_detour(self, net: int, full_download: bool = False) -> None:
-        """Restore the original route of *net*."""
-        routing = self.device.impl.routing
-        routing.clear_detour(net)
-        self._commit_routing(net, full_download)
-
-    def _commit_routing(self, net: int, full_download: bool) -> None:
-        if full_download:
-            # The whole current image is re-downloaded.
-            self.write_full(self.device.config.copy())
-            return
-        route = self.device.impl.routing.route_of(net)
-        cols = sorted({col for _row, col in route.pms})
-        if not cols:
-            # Zero-length route (driver and sink co-located): still pay
-            # one frame write for the PM at the driver site.
-            cols = [route.driver_site[1] if route.driver_site[1] >= 0 else 0]
-        for col in cols:
-            addr = FrameAddr("route", col)
-            self.write_frame(addr, self.device.config.get_frame(addr))

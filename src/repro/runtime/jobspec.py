@@ -1,12 +1,13 @@
 """Picklable campaign descriptions for the execution runtime.
 
 A :class:`CampaignJobSpec` is everything a worker process needs to rebuild
-one experiment class from scratch — the workload, the seeds and the
-:class:`~repro.core.config.FaultLoadSpec` — without sharing any simulator
-state with the parent.  Workers receive the spec (pickled through the job
-queue), construct their own :class:`~repro.core.campaign.FadesCampaign`,
-regenerate the exact same faultload the parent planned from, and run only
-the fault indices they are handed.
+one experiment class from scratch — the Bubblesort input, the seeds and
+the :class:`~repro.core.config.FaultLoadSpec` — without sharing any
+simulator state with the parent.  Workers receive the spec (pickled
+through the job queue), construct their own
+:class:`~repro.core.campaign.FadesCampaign`, regenerate the exact same
+faultload the parent planned from, and run only the fault indices they
+are handed.
 
 Determinism contract
 --------------------
@@ -29,10 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.experiments import CHECKPOINT_INTERVAL
-from ..analysis.specfile import WORKLOADS
 from ..core import FaultModel, build_fades, pool_size
-from ..core.campaign import ExperimentResult, FadesCampaign
+from ..core.campaign import (CHECKPOINT_INTERVAL, ExperimentResult,
+                             FadesCampaign)
 from ..core.classify import Outcome
 from ..core.config import FaultLoadSpec
 from ..core.faults import Fault
@@ -51,11 +51,10 @@ class CampaignJobSpec:
     """
 
     spec: FaultLoadSpec
+    #: Bubblesort input of the 8051 workload.
     values: Tuple[int, ...] = (9, 3, 12, 5)
-    workload: str = "bubblesort"
     seed: int = 2006
     faultload_seed: Optional[int] = None
-    checkpoint_interval: int = CHECKPOINT_INTERVAL
     label: str = ""
     backend: str = "reference"
     #: Let :mod:`repro.sfa` resolve provably Silent faults statically
@@ -122,10 +121,8 @@ class CampaignJobSpec:
                 "lut_lines": spec.lut_lines,
             },
             "values": list(self.values),
-            "workload": self.workload,
             "seed": self.seed,
             "faultload_seed": self.faultload_seed,
-            "checkpoint_interval": self.checkpoint_interval,
             "label": self.label,
             "backend": self.backend,
             "prune_silent": self.prune_silent,
@@ -154,10 +151,8 @@ class CampaignJobSpec:
             )
             return cls(spec=spec,
                        values=tuple(data["values"]),
-                       workload=data["workload"],
                        seed=int(data["seed"]),
                        faultload_seed=data["faultload_seed"],
-                       checkpoint_interval=int(data["checkpoint_interval"]),
                        label=data["label"],
                        backend=data["backend"],
                        prune_silent=bool(data["prune_silent"]),
@@ -175,24 +170,19 @@ class CampaignJobSpec:
 
 
 def build_campaign(jobspec: CampaignJobSpec) -> FadesCampaign:
-    """Construct this process's own campaign for a job spec.
+    """Construct this process's own campaign for a job spec: the 8051
+    running Bubblesort over ``jobspec.values``.
 
     Mirrors ``Evaluation.fades`` exactly (same seed, same checkpoint
     interval) so engine results line up with the serial testbed.
     """
     # Imported per call: perfbench's layer tracer swaps in a timed
     # wrapper of repro.mc8051.build_mc8051 while it runs.
-    from ..mc8051 import build_mc8051
+    from ..mc8051 import bubblesort, build_mc8051
 
-    try:
-        factory = WORKLOADS[jobspec.workload]
-    except KeyError:
-        raise JournalError(
-            f"unknown workload {jobspec.workload!r}") from None
-    workload = factory(list(jobspec.values))
-    model = build_mc8051(workload.rom)
+    model = build_mc8051(bubblesort(list(jobspec.values)).rom)
     return build_fades(model.netlist, seed=jobspec.seed,
-                       checkpoint_interval=jobspec.checkpoint_interval,
+                       checkpoint_interval=CHECKPOINT_INTERVAL,
                        backend=jobspec.backend,
                        prune_silent=jobspec.prune_silent)
 

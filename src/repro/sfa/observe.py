@@ -1,23 +1,14 @@
 """Per-site observability: which faults can provably never be observed.
 
-Two families of analysis live here, both consumed by the campaign
-pruner (:mod:`repro.sfa.prune`) and the lint pass
-(:mod:`repro.sfa.lint`):
-
-* **Workload-independent** (:class:`ObservabilityAnalysis`) — stuck-value
-  propagation over golden-run invariants, reachable truth-table entry
-  masks per LUT (dead-LUT-bit detection), and sequential washout: a
-  transient whose influence set goes extinct before the end of the run
-  without ever touching an output or a memory port is Silent for *every*
-  workload.
-* **Workload-aware** (:class:`WorkloadProfile` / :func:`resolve_flip`) —
-  an exact difference simulation of one bit-flip against the recorded
-  golden net histories.  Only the dirty cone is re-evaluated each cycle,
-  so resolving a fault costs a small fraction of an emulation run; the
-  moment a difference reaches a primary output the analysis bails out
-  (the fault *may* be a Failure — emulate it), and a fault is Silent
-  only when every difference set is empty, exactly mirroring the
-  Silent criterion of :func:`repro.core.classify.classify`.
+:class:`ObservabilityAnalysis` holds the workload-independent facts
+consumed by the campaign pruner (:mod:`repro.sfa.prune`) and the lint
+pass (:mod:`repro.sfa.lint`): stuck-value propagation over golden-run
+invariants, reachable truth-table entry masks per LUT (dead-LUT-bit
+detection), and sequential washout — a transient whose influence set
+goes extinct before the end of the run without ever touching an output
+or a memory port is Silent for *every* workload.  The workload-aware
+verdict on single bit-flips is not made here: the pruner runs those
+faults on the lane engine (:mod:`repro.emu`).
 
 Soundness of the truth-table masks deserves a note: the reachable-entry
 mask is derived from golden-run constants, yet it is applied to *faulty*
@@ -30,15 +21,11 @@ its own output has never deviated, and a fault that only touches masked
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from ..hdl.netlist import CONST0, CONST1
 from ..synth.mapped import LUT_INPUTS, MappedNetlist
 from .graph import StructuralGraph
-
-#: Default cap on dirty-cone LUT evaluations per resolved fault.
-DEFAULT_EVAL_BUDGET = 200_000
 
 
 # ----------------------------------------------------------------------
@@ -259,268 +246,3 @@ class ObservabilityAnalysis:
                 return False
             current = stepped
         return not current
-
-
-# ----------------------------------------------------------------------
-# workload profile (golden recording)
-# ----------------------------------------------------------------------
-class WorkloadProfile:
-    """Bit-packed golden net histories plus per-cycle memory operations.
-
-    ``hist[net]`` holds the net's settled value at cycle *c* in bit *c*
-    — flip-flop outputs carry the *presented* value, memory read ports
-    the registered value read the previous cycle, matching both the
-    reference simulator and the device model.  Recording is a single
-    golden simulation, shared by every fault resolved against it.
-    """
-
-    def __init__(self, mapped: MappedNetlist, cycles: int,
-                 hist: List[int],
-                 mem_ops: List[List[Tuple[int, int, int, int]]]) -> None:
-        self.mapped = mapped
-        self.cycles = cycles
-        self.hist = hist
-        #: Per memory block, per cycle: (raddr, we, waddr, wdata).
-        self.mem_ops = mem_ops
-        self.block_of_rdata: Dict[int, Tuple[int, int]] = {}
-        for block, bram in enumerate(mapped.brams):
-            for position, net in enumerate(bram.rdata):
-                self.block_of_rdata[net] = (block, position)
-
-    @classmethod
-    def record(cls, mapped: MappedNetlist, cycles: int,
-               inputs: Optional[Dict[str, int]] = None) -> "WorkloadProfile":
-        """Run the golden workload once, recording every net's history."""
-        hist = [0] * mapped.n_nets
-        mem_ops: List[List[Tuple[int, int, int, int]]] = [
-            [] for _ in mapped.brams]
-        values = [0] * mapped.n_nets
-        ff_state = [ff.init for ff in mapped.ffs]
-        mem_state = [list(b.init) for b in mapped.brams]
-        held = dict(inputs or {})
-        compiled = []
-        for lut in mapped.luts:
-            ins = list(lut.ins) + [CONST0] * (LUT_INPUTS - len(lut.ins))
-            compiled.append((lut.out, lut.padded_tt(),
-                             ins[0], ins[1], ins[2], ins[3]))
-        values[CONST1] = 1
-        input_bits = [(net, (held.get(name, 0) >> position) & 1)
-                      for name, nets in mapped.inputs.items()
-                      for position, net in enumerate(nets)]
-        for cycle in range(cycles):
-            bit = 1 << cycle
-            for net, value in input_bits:
-                values[net] = value
-            for index, ff in enumerate(mapped.ffs):
-                values[ff.q] = ff_state[index]
-            for out, tt, i0, i1, i2, i3 in compiled:
-                values[out] = (tt >> (values[i0] | values[i1] << 1
-                                      | values[i2] << 2
-                                      | values[i3] << 3)) & 1
-            for net, value in enumerate(values):
-                if value:
-                    hist[net] |= bit
-            for index, ff in enumerate(mapped.ffs):
-                ff_state[index] = values[ff.d]
-            for block, bram in enumerate(mapped.brams):
-                cells = mem_state[block]
-                raddr = 0
-                for position, net in enumerate(bram.raddr):
-                    raddr |= values[net] << position
-                read = cells[raddr] if raddr < bram.depth else 0
-                we = 0 if bram.rom else values[bram.we]
-                waddr = wdata = 0
-                if we:
-                    for position, net in enumerate(bram.waddr):
-                        waddr |= values[net] << position
-                    for position, net in enumerate(bram.wdata):
-                        wdata |= values[net] << position
-                    if waddr < bram.depth:
-                        cells[waddr] = wdata
-                mem_ops[block].append((raddr, we, waddr, wdata))
-                for position, net in enumerate(bram.rdata):
-                    values[net] = (read >> position) & 1
-        return cls(mapped, cycles, hist, mem_ops)
-
-    def net_bit(self, net: int, cycle: int) -> int:
-        return (self.hist[net] >> cycle) & 1
-
-    def golden_mem_at(self, block: int, cycle: int) -> List[int]:
-        """Memory contents just before *cycle*'s read phase."""
-        bram = self.mapped.brams[block]
-        cells = list(bram.init)
-        for _raddr, we, waddr, wdata in self.mem_ops[block][:cycle]:
-            if we and waddr < bram.depth:
-                cells[waddr] = wdata
-        return cells
-
-
-# ----------------------------------------------------------------------
-# exact single-flip difference simulation
-# ----------------------------------------------------------------------
-def _port_value(nets: Sequence[int], overrides: Dict[int, int],
-                hist: Sequence[int], cycle: int) -> int:
-    """Faulty value of a multi-bit memory port under *overrides*."""
-    value = 0
-    for position, net in enumerate(nets):
-        bit = (overrides[net] if net in overrides
-               else (hist[net] >> cycle) & 1)
-        value |= bit << position
-    return value
-
-
-def resolve_flip(profile: WorkloadProfile, graph: StructuralGraph,
-                 start: int, cycles: int,
-                 ff_index: Optional[int] = None,
-                 mem_flip: Optional[Tuple[int, int, int]] = None,
-                 eval_budget: int = DEFAULT_EVAL_BUDGET) -> Optional[bool]:
-    """Decide whether one bit-flip is Silent, by difference simulation.
-
-    Seeds either a flip-flop flip (presented value at *start*) or a
-    memory-cell flip ``(block, addr, bit)`` applied before *start*'s
-    read phase, then propagates only the faulty-vs-golden differences
-    cycle by cycle against the recorded golden histories.
-
-    Returns ``True`` when the fault is provably Silent (every
-    difference set empties out, no output net ever differed), ``False``
-    when a difference reaches a primary output or survives to the final
-    state (possibly Failure or Latent — emulate it), and ``None`` when
-    the evaluation budget runs out before a verdict.
-    """
-    mapped = profile.mapped
-    hist = profile.hist
-    luts = mapped.luts
-    padded_ins: List[Tuple[int, ...]] = []
-    padded_tts: List[int] = []
-    for lut in luts:
-        padded_ins.append(tuple(lut.ins) + (CONST0,) *
-                          (LUT_INPUTS - len(lut.ins)))
-        padded_tts.append(lut.padded_tt())
-
-    ff_diff: Dict[int, int] = {}
-    rdata_diff: Dict[int, int] = {}
-    mem_diff: Dict[Tuple[int, int], int] = {}
-    golden_mem: List[List[int]] = []
-    if ff_index is not None:
-        ff_diff[ff_index] = profile.net_bit(
-            graph.ff_pairs[ff_index][0], start) ^ 1
-    if mem_flip is not None:
-        block, addr, bit = mem_flip
-        golden_word = profile.golden_mem_at(block, start)[addr]
-        mem_diff[(block, addr)] = golden_word ^ (1 << bit)
-    for block in range(len(mapped.brams)):
-        golden_mem.append(profile.golden_mem_at(block, start))
-
-    budget = eval_budget
-    for cycle in range(start, cycles):
-        overrides: Dict[int, int] = {}
-        for index, faulty in ff_diff.items():
-            overrides[graph.ff_pairs[index][0]] = faulty
-        overrides.update(rdata_diff)
-
-        # Propagate through the dirty combinational cone, in emission
-        # (topological) order via a min-heap of LUT indices.
-        pending: List[int] = []
-        queued: Set[int] = set()
-        for net in overrides:
-            for cell in graph.readers[net]:
-                if cell not in queued:
-                    queued.add(cell)
-                    heapq.heappush(pending, cell)
-        while pending:
-            cell = heapq.heappop(pending)
-            budget -= 1
-            if budget <= 0:
-                return None
-            i0, i1, i2, i3 = padded_ins[cell]
-            index = (overrides[i0] if i0 in overrides
-                     else (hist[i0] >> cycle) & 1)
-            index |= (overrides[i1] if i1 in overrides
-                      else (hist[i1] >> cycle) & 1) << 1
-            index |= (overrides[i2] if i2 in overrides
-                      else (hist[i2] >> cycle) & 1) << 2
-            index |= (overrides[i3] if i3 in overrides
-                      else (hist[i3] >> cycle) & 1) << 3
-            out = luts[cell].out
-            faulty = (padded_tts[cell] >> index) & 1
-            if faulty != (hist[out] >> cycle) & 1:
-                overrides[out] = faulty
-                for succ in graph.readers[out]:
-                    if succ not in queued:
-                        queued.add(succ)
-                        heapq.heappush(pending, succ)
-
-        for net in overrides:
-            if net in graph.output_nets:
-                return False
-
-        # Flip-flop capture: a difference survives only when a dirty
-        # net feeds a D input with a different value than golden.
-        next_ff_diff: Dict[int, int] = {}
-        for net, faulty in overrides.items():
-            for index in graph.ff_readers.get(net, ()):
-                next_ff_diff[index] = faulty
-
-        # Memory blocks: reconcile faulty reads/writes against the
-        # golden operations, then advance the rolling golden image.
-        next_rdata_diff: Dict[int, int] = {}
-        for block, bram in enumerate(mapped.brams):
-            g_raddr, g_we, g_waddr, g_wdata = profile.mem_ops[block][cycle]
-            dirty_ports = any(net in overrides
-                              for net in bram.raddr) or \
-                (not bram.rom and (bram.we in overrides or
-                                   any(net in overrides
-                                       for net in bram.waddr) or
-                                   any(net in overrides
-                                       for net in bram.wdata)))
-            has_diff = any(key[0] == block for key in mem_diff)
-            if not dirty_ports and not has_diff:
-                if g_we and g_waddr < bram.depth:
-                    golden_mem[block][g_waddr] = g_wdata
-                continue
-
-            f_raddr = _port_value(bram.raddr, overrides, hist, cycle)
-            cells = golden_mem[block]
-            g_read = cells[g_raddr] if g_raddr < bram.depth else 0
-            if f_raddr < bram.depth:
-                f_read = mem_diff.get((block, f_raddr), cells[f_raddr])
-            else:
-                f_read = 0
-            if bram.rom:
-                f_we = 0
-                f_waddr = f_wdata = 0
-            else:
-                f_we = (overrides[bram.we] if bram.we in overrides
-                        else (hist[bram.we] >> cycle) & 1)
-                f_waddr = _port_value(bram.waddr, overrides,
-                                      hist, cycle) if f_we else 0
-                f_wdata = _port_value(bram.wdata, overrides,
-                                      hist, cycle) if f_we else 0
-            reconcile: Set[int] = set()
-            if f_we and f_waddr < bram.depth:
-                reconcile.add(f_waddr)
-            if g_we and g_waddr < bram.depth:
-                reconcile.add(g_waddr)
-            pre = {addr: cells[addr] for addr in reconcile}
-            if g_we and g_waddr < bram.depth:
-                cells[g_waddr] = g_wdata
-            for addr in reconcile:
-                if f_we and addr == f_waddr:
-                    f_value = f_wdata
-                else:
-                    f_value = mem_diff.get((block, addr), pre[addr])
-                if f_value == cells[addr]:
-                    mem_diff.pop((block, addr), None)
-                else:
-                    mem_diff[(block, addr)] = f_value
-            if f_read != g_read:
-                for position, net in enumerate(bram.rdata):
-                    f_bit = (f_read >> position) & 1
-                    if f_bit != (g_read >> position) & 1:
-                        next_rdata_diff[net] = f_bit
-
-        ff_diff = next_ff_diff
-        rdata_diff = next_rdata_diff
-        if not ff_diff and not rdata_diff and not mem_diff:
-            return True
-    return not ff_diff and not mem_diff

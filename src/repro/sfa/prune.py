@@ -32,9 +32,15 @@ Every rule errs on the side of emulating.  The rules, cheapest first:
     endpoint: no new setup violation, hence no behavioural change at
     all (the device applies delay violations at FF capture only).
 ``workload-silent``
-    Exact difference simulation of a single bit-flip against the
-    recorded golden net histories (:func:`repro.sfa.observe.resolve_flip`)
-    proves every difference dies out without reaching an output.
+    A single flip-flop or memory bit-flip that no rule above resolved
+    runs on the lane engine (:func:`repro.emu.run_lanes`), one lane per
+    fault and up to ``lane_width() - 1`` faults per pass, against the
+    golden run in lane 0; a lane that ends with neither an output
+    divergence nor a final-state difference is Silent by the very
+    comparison :func:`repro.core.classify.classify` makes.  If the
+    design does not compile, or the run has no cycles (the lanes would
+    never apply the flip), the rule is skipped and those faults are
+    emulated.
 
 The planner only trusts semantic rules (constants, washout, workload)
 when the golden configuration is ``trusted`` — no timing-violating
@@ -53,12 +59,14 @@ if TYPE_CHECKING:  # type-only: sfa has no runtime fpga dependency
 
 from ..core.faults import Fault, FaultModel, TargetKind
 from ..core.injector import invert_lut_line, stuck_lut_line
+from ..obs.logsetup import get_logger
 from ..obs.metrics import counter
 from ..synth.mapped import MappedNetlist
 from .collapse import FaultClass, collapse_faultload
 from .graph import StructuralGraph
-from .observe import (DEFAULT_EVAL_BUDGET, ObservabilityAnalysis,
-                      WorkloadProfile, resolve_flip)
+from .observe import ObservabilityAnalysis
+
+log = get_logger("repro.sfa.prune")
 
 _PRUNED = counter("faults_pruned_total",
                   "Faults statically resolved as Silent, by rule")
@@ -125,7 +133,6 @@ class StaticFaultAnalysis:
         self.trusted = trusted
         self._graph: Optional[StructuralGraph] = None
         self._analysis: Optional[ObservabilityAnalysis] = None
-        self._profile: Optional[WorkloadProfile] = None
 
     # -- lazy layers ---------------------------------------------------
     @property
@@ -141,18 +148,8 @@ class StaticFaultAnalysis:
                 self.mapped, self.graph, assume_inputs=self.inputs)
         return self._analysis
 
-    @property
-    def profile(self) -> WorkloadProfile:
-        if self._profile is None:
-            self._profile = WorkloadProfile.record(
-                self.mapped, self.cycles, self.inputs)
-        return self._profile
-
     # -- planning ------------------------------------------------------
-    def plan(self, faults: Sequence[Fault], *,
-             collapse: bool = True,
-             use_workload: bool = True,
-             eval_budget: int = DEFAULT_EVAL_BUDGET) -> PrunePlan:
+    def plan(self, faults: Sequence[Fault]) -> PrunePlan:
         """Classify every fault as pruned, collapsed or to-emulate.
 
         A pruned verdict on a class representative extends to every
@@ -162,20 +159,21 @@ class StaticFaultAnalysis:
         collapsing by literal identity.
         """
         trusted = self.trusted and not self.graph.combinational_loops()
-        if collapse:
-            classes = collapse_faultload(
-                faults, self.cycles, self.analysis if trusted else None)
-        else:
-            classes = [FaultClass(("singleton", i), i, (i,))
-                       for i in range(len(faults))]
+        classes = collapse_faultload(
+            faults, self.cycles, self.analysis if trusted else None)
         plan = PrunePlan(cycles=self.cycles, classes=classes)
+        flips: List[FaultClass] = []
         for cls in classes:
             fault = faults[cls.representative]
-            rule = self._prune_rule(fault, trusted, use_workload,
-                                    eval_budget)
+            rule = self._prune_rule(fault, trusted)
             if rule is not None:
                 for member in cls.members:
                     plan.pruned[member] = rule
+            elif trusted and self._single_flip(fault):
+                flips.append(cls)
+        for cls in self._workload_silent(faults, flips):
+            for member in cls.members:
+                plan.pruned[member] = "workload-silent"
         for name, count in plan.stats().items():
             if name.startswith("rule:"):
                 _PRUNED.inc(count, rule=name[len("rule:"):])
@@ -183,8 +181,7 @@ class StaticFaultAnalysis:
         return plan
 
     # -- rules ---------------------------------------------------------
-    def _prune_rule(self, fault: Fault, trusted: bool,
-                    use_workload: bool, eval_budget: int) -> Optional[str]:
+    def _prune_rule(self, fault: Fault, trusted: bool) -> Optional[str]:
         if fault.extra_targets:
             return None
         model = fault.model
@@ -205,8 +202,7 @@ class StaticFaultAnalysis:
             return self._delay_below_slack(fault)
         if kind is TargetKind.LUT and model in (
                 FaultModel.PULSE, FaultModel.INDETERMINATION):
-            return self._lut_transient(fault, start, window,
-                                       use_workload)
+            return self._lut_transient(fault, start, window)
         if model is FaultModel.PULSE and kind is TargetKind.CB_INPUT:
             if self._ff_washout(fault.target.index, start, window):
                 return "washout"
@@ -217,12 +213,13 @@ class StaticFaultAnalysis:
             if self._ff_washout(fault.target.index, start, max(1, window)):
                 return "washout"
             return None
-        if model is FaultModel.BITFLIP:
-            return self._bitflip(fault, start, use_workload, eval_budget)
+        if model is FaultModel.BITFLIP and kind is TargetKind.FF:
+            if self._ff_washout(fault.target.index, start, 1):
+                return "washout"
         return None
 
-    def _lut_transient(self, fault: Fault, start: int, window: int,
-                       use_workload: bool) -> Optional[str]:
+    def _lut_transient(self, fault: Fault, start: int,
+                       window: int) -> Optional[str]:
         lut_index = fault.target.index
         lut = self.mapped.luts[lut_index]
         line = fault.target.line if fault.target.line is not None else -1
@@ -277,29 +274,56 @@ class StaticFaultAnalysis:
             return "delay-slack"
         return None
 
-    def _bitflip(self, fault: Fault, start: int, use_workload: bool,
-                 eval_budget: int) -> Optional[str]:
-        kind = fault.target.kind
-        if kind is TargetKind.FF:
-            if self._ff_washout(fault.target.index, start, 1):
-                return "washout"
-            if use_workload:
-                verdict = resolve_flip(
-                    self.profile, self.graph, start, self.cycles,
-                    ff_index=fault.target.index, eval_budget=eval_budget)
-                if verdict:
-                    return "workload-silent"
-            return None
-        if kind is TargetKind.MEMORY_BIT and use_workload:
-            block = fault.target.index
-            bram = self.mapped.brams[block]
-            addr, bit = fault.target.addr, fault.target.bit
-            if addr is None or bit is None or not 0 <= addr < bram.depth:
-                return None
-            verdict = resolve_flip(
-                self.profile, self.graph, start, self.cycles,
-                mem_flip=(block, addr, bit), eval_budget=eval_budget)
-            if verdict:
-                return "workload-silent"
-        return None
+    def _single_flip(self, fault: Fault) -> bool:
+        """Whether the lane engine can run *fault* as one bit-flip."""
+        if fault.model is not FaultModel.BITFLIP or fault.extra_targets:
+            return False
+        target = fault.target
+        if target.kind is TargetKind.FF:
+            return True
+        if target.kind is not TargetKind.MEMORY_BIT:
+            return False
+        bram = self.mapped.brams[target.index]
+        return (target.addr is not None and target.bit is not None
+                and 0 <= target.addr < bram.depth
+                and 0 <= target.bit < bram.width)
 
+    def _workload_silent(self, faults: Sequence[Fault],
+                         classes: Sequence[FaultClass]
+                         ) -> List[FaultClass]:
+        """The classes whose representative flip leaves neither an
+        output divergence nor a final-state difference on the lane
+        engine (golden in lane 0, one flip per lane)."""
+        if not classes or self.cycles <= 0:
+            # A run of no cycles: the lanes never apply a flip, while
+            # the device does (its flipped state is Latent).
+            return []
+        # Imported here so ``repro lint`` never loads the lane engine.
+        from .. import emu
+        try:
+            design = emu.compile_design(self.mapped)
+        except Exception as error:
+            log.warning("workload-silent rule skipped: the design does "
+                        "not compile (%s: %s)", type(error).__name__,
+                        error)
+            return []
+        silent: List[FaultClass] = []
+        width = emu.lane_width() - 1
+        for begin in range(0, len(classes), width):
+            batch = classes[begin:begin + width]
+            schedule = emu.BatchSchedule()
+            for lane, cls in enumerate(batch, start=1):
+                fault = faults[cls.representative]
+                target = fault.target
+                addr, bit = target.addr, target.bit
+                start = fault.injection_cycle(self.cycles)
+                if target.kind is TargetKind.FF:
+                    schedule.xor_ff(start, target.index, lane)
+                elif addr is not None and bit is not None:
+                    schedule.flip_mem(start, target.index, addr, bit, lane)
+            result = emu.run_lanes(design, len(batch) + 1, self.cycles,
+                                   inputs=self.inputs, schedule=schedule)
+            seen = result.fail_mask | result.latent_mask
+            silent.extend(cls for lane, cls in enumerate(batch, start=1)
+                          if not (seen >> lane) & 1)
+        return silent

@@ -68,7 +68,8 @@ class VfitCampaign:
         self.netlist = netlist
         self.inputs = dict(inputs or {})
         self.sim = FourValuedSim(netlist)
-        self.rng = random.Random(seed)
+        #: Default faultload seed of :meth:`run`.
+        self.seed = seed
         stats = netlist.stats()
         self.elements = stats["gates"] + stats["dffs"]
         self.time_model = VfitTimeModel(self.elements, timing_params)
@@ -129,10 +130,12 @@ class VfitCampaign:
     # ------------------------------------------------------------------
     def run(self, spec: FaultLoadSpec,
             seed: Optional[int] = None) -> CampaignResult:
-        """Generate and run a whole faultload; returns the aggregate."""
+        """Generate and run a whole faultload; returns the aggregate.
+
+        ``seed`` (default: the campaign's) draws the faultload, so
+        repeated calls with the same arguments run the same faults."""
         faults = vfit_faultload(
-            spec, self.netlist,
-            seed=self.rng.randrange(2**31) if seed is None else seed)
+            spec, self.netlist, seed=self.seed if seed is None else seed)
         return self.run_faults(faults, spec.workload_cycles,
                                label=f"vfit:{spec.label()}")
 

@@ -117,6 +117,21 @@ class TestCampaignInvariants:
             assert campaign.device.config.diff_frames(golden) == []
             assert campaign.device.dirty_frames == set()
 
+    def test_seedless_runs_draw_the_same_faults(self, campaign):
+        # Without a seed, run() draws from the campaign's seed, not from a
+        # stream each call advances.
+        spec = FaultLoadSpec(FaultModel.BITFLIP, "ffs", count=6,
+                             workload_cycles=25)
+        first = campaign.run(spec)
+        second = campaign.run(spec)
+        faults = [e.fault for e in first.experiments]
+        assert faults == [e.fault for e in second.experiments]
+        assert faults == generate_faultload(
+            spec, campaign.locmap, seed=campaign.seed,
+            routed_nets=campaign.impl.routing.is_routed)
+        assert [e.outcome for e in first.experiments] \
+            == [e.outcome for e in second.experiments]
+
     def test_run_aggregates_costs(self, campaign):
         spec = FaultLoadSpec(FaultModel.BITFLIP, "ffs", count=4,
                              workload_cycles=25)

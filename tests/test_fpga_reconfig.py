@@ -26,6 +26,24 @@ def make_device(netlist):
     return result, impl, device
 
 
+def write_pass_transistor(jbits, bit, value):
+    """Route-frame read-modify-write of one pass transistor."""
+    row, col, index = bit
+    image = jbits.device.config.copy()
+    image.set_pass_transistor(row, col, index, value)
+    addr = FrameAddr("route", col)
+    jbits.write_frame(addr, image.get_frame(addr))
+
+
+def rewrite_route_columns(jbits, net):
+    """Partial commit of a routing-database change to *net*: its route
+    frames are rewritten with their current (unchanged) bytes."""
+    route = jbits.device.impl.routing.route_of(net)
+    for col in sorted({col for _row, col in route.pms}):
+        addr = FrameAddr("route", col)
+        jbits.write_frame(addr, jbits.device.config.get_frame(addr))
+
+
 class TestLutReconfiguration:
     def test_lut_rewrite_changes_behaviour_and_restores(self):
         result, impl, device = make_device(build_alu4())
@@ -106,7 +124,7 @@ class TestBramReconfiguration:
         _result, impl, device = make_device(build_accumulator())
         jbits = JBits(device)
         block = impl.placement.block_of_bram[0]
-        frame = jbits.read_bram_frame(block)
+        frame = jbits.read_frame(FrameAddr("bram", block))
         # Initial contents: mem[i] = (3*i + 1) % 256.
         assert frame[0] == 1
         assert frame[5] == 16
@@ -188,10 +206,12 @@ class TestRoutingReconfiguration:
         _result, impl, device = make_device(build_counter())
         jbits = JBits(device)
         net = next(iter(impl.routing.routes))
-        bit = jbits.enable_extra_load(net)
+        bit = impl.routing.add_extra_load(net)
+        write_pass_transistor(jbits, bit, 1)
         row, col, index = bit
         assert device.config.get_pass_transistor(row, col, index) == 1
-        jbits.disable_extra_load(net, bit)
+        impl.routing.remove_extra_load(net, bit)
+        write_pass_transistor(jbits, bit, 0)
         assert device.config.get_pass_transistor(row, col, index) == 0
         assert device.config.diff_frames(impl.golden_bitstream) == []
 
@@ -204,13 +224,15 @@ class TestRoutingReconfiguration:
         moved = REGISTRY.get("reconfig_bytes_total")
         before = (downloads.value(op="write_full", kind="full"),
                   moved.value(op="write_full", kind="full"))
-        jbits.set_detour(net, 50, full_download=True)
+        impl.routing.set_detour(net, 50)
+        jbits.write_full(device.config.copy())
         assert downloads.value(op="write_full", kind="full") == before[0] + 1
         assert moved.value(op="write_full", kind="full") - before[1] == \
             device.arch.full_config_bytes
         assert board.snapshot()[0] == 1
         assert impl.routing.route_of(net).detour_hops == 50
-        jbits.clear_detour(net)
+        impl.routing.clear_detour(net)
+        rewrite_route_columns(jbits, net)
         assert impl.routing.route_of(net).detour_hops == 0
 
     def test_database_only_detour_still_retimes(self):
@@ -221,10 +243,13 @@ class TestRoutingReconfiguration:
         jbits = JBits(device)
         net = result.mapped.ffs[0].q
         hops = math.ceil((impl.timing.period + 5.0) / impl.timing.params.t_hop)
-        jbits.set_detour(net, hops, full_download=False)
+        assert impl.routing.route_of(net).pms
+        impl.routing.set_detour(net, hops)
+        rewrite_route_columns(jbits, net)
         assert device.config.diff_frames(impl.golden_bitstream) == []
         device.step({"en": 1})
         assert device._violating
-        jbits.clear_detour(net)
+        impl.routing.clear_detour(net)
+        rewrite_route_columns(jbits, net)
         device.step()
         assert device._violating == set()

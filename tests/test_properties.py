@@ -366,6 +366,12 @@ class TestIncrementalDecode:
                 frame[offset] &= ~mask
             jbits.write_frame(addr, bytes(frame))
 
+        def load(net):
+            """Claim an extra load on *net* and set its bit."""
+            bit = routing.add_extra_load(net)
+            write_pt(*bit, 1)
+            loads.append((net, bit))
+
         def rewrite_columns(net):
             for col in sorted({col for _row, col
                                in routing.route_of(net).pms}):
@@ -381,15 +387,17 @@ class TestIncrementalDecode:
                 row, col = pms[value % len(pms)]
                 write_pt(row, col, 100 + value % 92)
             elif kind == "load":
-                loads.append((net, jbits.enable_extra_load(net)))
+                load(net)
             elif kind == "unload" and loads:
-                jbits.disable_extra_load(*loads.pop(value % len(loads)))
+                unloaded, bit = loads.pop(value % len(loads))
+                routing.remove_extra_load(unloaded, bit)
+                write_pt(*bit, 0)
             elif kind == "claim_set":
                 # A raw write sets the bit the next extra load claims: the
                 # claim's frame write changes no byte, only expected bits.
                 row, col = pms[0]
                 write_pt(row, col, routing.pm_used[(row, col)], 1)
-                loads.append((net, jbits.enable_extra_load(net)))
+                load(net)
             elif kind == "detour":
                 routing.set_detour(net, value % 7)
                 if value & 1:

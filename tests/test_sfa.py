@@ -239,6 +239,15 @@ class TestPrunePlan:
         plan = campaign.static_plan([fault], cycles=20)
         assert plan.pruned == {0: "delay-slack"}
 
+    def test_zero_cycle_flips_stay_emulated(self, campaign):
+        # The lane engine applies no flip to a run of no cycles; the
+        # device does, and leaves the flipped state Latent.
+        spec = FaultLoadSpec(model=FaultModel.BITFLIP, pool="ffs",
+                             count=4, workload_cycles=0)
+        faults = generate_faultload(spec, campaign.locmap, seed=1)
+        assert campaign.static_plan(faults, cycles=0).pruned == {}
+        assert campaign.run_faults(faults, 0).counts().latent == 4
+
     def test_plan_partitions_the_faultload(self, campaign):
         spec = FaultLoadSpec(model=FaultModel.BITFLIP, pool="ffs",
                              count=16, workload_cycles=20)
@@ -327,6 +336,14 @@ def bitflip_runs(evaluation, bitflip_spec):
     return baseline, pruned
 
 
+@pytest.fixture(scope="module")
+def memory_runs(evaluation):
+    spec = evaluation.spec(FaultModel.BITFLIP, "memory:iram", 1, count=24)
+    baseline = evaluation.run_fades(spec)
+    pruned = Evaluation(prune_silent=True).run_fades(spec)
+    return baseline, pruned
+
+
 class TestMc8051Acceptance:
     def test_prunes_at_least_ten_percent(self, bitflip_runs):
         _baseline, pruned = bitflip_runs
@@ -347,6 +364,18 @@ class TestMc8051Acceptance:
             assert baseline.experiments[index].outcome is Outcome.SILENT
             assert pruned.experiments[index].outcome is Outcome.SILENT
 
+    def test_memory_flips_pruned_only_when_silent(self, memory_runs):
+        # Memory bit-flips reach no cheap rule: every prune here is the
+        # lane engine's workload-silent verdict.
+        baseline, pruned = memory_runs
+        flagged = [index for index, e in enumerate(pruned.experiments)
+                   if e.pruned]
+        assert flagged
+        for index in flagged:
+            assert baseline.experiments[index].outcome is Outcome.SILENT
+        assert [e.outcome for e in pruned.experiments] \
+            == [e.outcome for e in baseline.experiments]
+
     def test_emulation_time_counts_emulated_faults_only(self, bitflip_runs):
         _baseline, pruned = bitflip_runs
         for experiment in pruned.experiments:
@@ -356,6 +385,39 @@ class TestMc8051Acceptance:
                     if not e.pruned and e.collapsed_from is None]
         total = sum(e.cost.total_s for e in emulated)
         assert pruned.total_emulation_s == pytest.approx(total)
+
+
+class TestWorkloadSilentFallback:
+    def test_plan_without_a_compiled_design(self, evaluation, bitflip_spec,
+                                            monkeypatch):
+        # The workload-silent rule needs the lane engine; when the design
+        # does not compile, planning still returns, those faults are
+        # emulated, and every other rule's verdict stands.
+        from repro import emu
+        campaign = evaluation.fades
+        cycles = bitflip_spec.workload_cycles
+        faults = generate_faultload(
+            evaluation.spec(FaultModel.BITFLIP, "ffs", 1, count=48),
+            campaign.locmap, seed=2006,
+            routed_nets=campaign.impl.routing.is_routed)
+        faults.append(Fault(FaultModel.PULSE,
+                            Target(TargetKind.LUT, 0, line=-1), 5,
+                            duration_cycles=0.3, phase=0.1))
+        full = campaign.static_plan(faults, cycles)
+        assert "workload-silent" in full.pruned.values()
+        assert full.pruned[len(faults) - 1] == "window0-noop"
+
+        def broken(mapped):
+            raise RuntimeError("compiler defect")
+
+        monkeypatch.setattr(emu, "compile_design", broken)
+        degraded = campaign.static_plan(faults, cycles)
+        assert degraded.pruned == {
+            index: rule for index, rule in full.pruned.items()
+            if rule != "workload-silent"}
+        resolved = {index for index, rule in full.pruned.items()
+                    if rule == "workload-silent"}
+        assert resolved <= set(degraded.survivors())
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,16 @@ class TestCampaign:
         assert result.counts().total == 8
         assert result.failure_percent() > 0
 
+    def test_seedless_runs_draw_the_same_faults(self, counter_campaign):
+        spec = FaultLoadSpec(FaultModel.BITFLIP, "ffs", count=6,
+                             workload_cycles=25)
+        first = counter_campaign.run(spec)
+        second = counter_campaign.run(spec)
+        faults = [e.fault for e in first.experiments]
+        assert faults == [e.fault for e in second.experiments]
+        assert faults == vfit_faultload(spec, counter_campaign.netlist,
+                                        seed=counter_campaign.seed)
+
     def test_experiment_leaves_no_residual_forces(self, counter_campaign):
         spec = FaultLoadSpec(FaultModel.INDETERMINATION, "ffs", count=5,
                              workload_cycles=25, duration_range=(1, 5))
