@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from ..core import (CampaignResult, FadesCampaign, FaultLoadSpec,
                     FaultModel, build_fades)
@@ -52,10 +52,7 @@ class Evaluation:
 
     values: Tuple[int, ...] = (9, 3, 12, 5)   # short sort for fast benches
     seed: int = 2006
-    #: With ``workers >= 2``, :meth:`run_fades` fans each experiment
-    #: class out across the :mod:`repro.runtime` worker pool; below that
-    #: it runs in process on :attr:`fades`, reusing one built design and
-    #: golden trace across a report's classes (same results either way).
+    #: Worker processes per experiment class (:meth:`run_fades`).
     workers: int = 0
     #: Simulator backend for FADES campaigns: ``reference`` steps the
     #: device model per experiment; ``compiled`` packs experiments into
@@ -109,8 +106,7 @@ class Evaluation:
             self._fades = build_fades(
                 self.model.netlist, seed=self.seed,
                 checkpoint_interval=CHECKPOINT_INTERVAL,
-                backend=self.backend,
-                prune_silent=self.prune_silent)
+                backend=self.backend)
         return self._fades
 
     @property
@@ -126,27 +122,21 @@ class Evaluation:
         (:func:`repro.faultload.is_adaptive`)."""
         return is_adaptive(self.strategy, self.epsilon, self.budget)
 
-    def run_fades(self, spec: FaultLoadSpec,
-                  seed: Optional[int] = None) -> CampaignResult:
-        """Run one FADES experiment class, honouring :attr:`workers`.
+    def run_fades(self, spec: FaultLoadSpec, seed: Optional[int] = None,
+                  **options: Any) -> CampaignResult:
+        """Run one FADES experiment class through
+        :func:`~repro.runtime.run_campaign` (``options`` are its keywords).
 
-        ``workers < 2`` runs the class in process on :attr:`fades`, which
-        keeps the built design and the golden trace of earlier classes;
-        :func:`~repro.runtime.run_campaign` would rebuild both for every
-        class.  ``workers >= 2`` dispatches through the campaign runtime.
-        Both seed every experiment's injector from its fault index, so
-        they return identical results.  Adaptive settings (non-uniform
-        :attr:`strategy`, :attr:`epsilon` or :attr:`budget`) always
-        route through the runtime engine — its incremental dispatch loop
-        hosts the stopping controller.
+        With no :attr:`workers` and no journal it runs in process on
+        :attr:`fades`, reusing the design and golden trace across a
+        report's classes; otherwise each worker rebuilds the campaign.
         """
-        seed = self.seed if seed is None else seed
-        if self.workers >= 2 or self.adaptive:
-            from ..runtime import CampaignJobSpec, run_campaign
-            jobspec = CampaignJobSpec.from_evaluation(
-                self, spec, faultload_seed=seed)
-            return run_campaign(jobspec, workers=self.workers)
-        return self.fades.run(spec, seed=seed)
+        from ..runtime import CampaignJobSpec, run_campaign
+        jobspec = CampaignJobSpec.from_evaluation(
+            self, spec, faultload_seed=self.seed if seed is None else seed)
+        if self.workers <= 0 and options.get("journal") is None:
+            options["campaign"] = self.fades
+        return run_campaign(jobspec, workers=self.workers, **options)
 
     # -- derived parameters -------------------------------------------------
     @property

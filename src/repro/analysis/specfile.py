@@ -102,7 +102,8 @@ def run_spec(spec: Dict) -> Dict:
             oscillate=entry.get("oscillate", False),
             mechanism=entry.get("mechanism", ""))
         tool_name = entry.get("tool", "fades")
-        tool = evaluation.fades if tool_name == "fades" else evaluation.vfit
+        run = evaluation.run_fades if tool_name == "fades" \
+            else evaluation.vfit.run
         record: Dict = {
             "name": entry.get("name", f"experiment{index}"),
             "tool": tool_name,
@@ -111,8 +112,8 @@ def run_spec(spec: Dict) -> Dict:
             "count": fault_spec.count,
         }
         try:
-            result = tool.run(fault_spec,
-                              seed=entry.get("seed", spec.get("seed", 0)))
+            result = run(fault_spec,
+                         seed=entry.get("seed", spec.get("seed", 0)))
         except UnsupportedFaultError as error:
             record["error"] = str(error)
             report["experiments"].append(record)

@@ -433,43 +433,39 @@ def cmd_journal(args: argparse.Namespace) -> int:
     return 1 if verdict == "torn-tail" else 2
 
 
+def _configure(evaluation: Evaluation, args: argparse.Namespace) -> None:
+    """Copy the campaign settings campaign and report share."""
+    for name in ("workers", "backend", "prune_silent", "strategy",
+                 "confidence", "epsilon", "budget"):
+        setattr(evaluation, name, getattr(args, name))
+
+
 def cmd_campaign(evaluation: Evaluation, args: argparse.Namespace) -> int:
-    evaluation.backend = args.backend
-    evaluation.prune_silent = args.prune_silent
-    evaluation.strategy = args.strategy
-    evaluation.confidence = args.confidence
-    evaluation.epsilon = args.epsilon
-    evaluation.budget = args.budget
+    _configure(evaluation, args)
     model = FaultModel(args.model)
     spec = evaluation.spec(model, args.pool, band=args.band,
                            count=args.count, oscillate=args.oscillate,
                            mechanism=args.mechanism)
-    live_requested = args.serve_obs is not None or bool(args.alert)
-    engine_requested = (args.workers > 0 or args.journal is not None
-                        or args.trace is not None
-                        or evaluation.adaptive or live_requested)
-    if engine_requested and args.tool != "fades":
+    runtime_flags = (args.workers > 0 or args.journal is not None
+                     or args.trace is not None or evaluation.adaptive
+                     or args.serve_obs is not None or bool(args.alert))
+    if runtime_flags and args.tool != "fades":
         log.error("--workers/--journal/--trace/--serve-obs, "
                   "the alert flags and the planner flags "
                   "(--strategy/--epsilon/--budget) need --tool fades "
                   "(the runtime engine drives FADES campaigns only)")
         return 1
     _install_chaos(args.chaos)
-    if engine_requested:
-        from .runtime import CampaignJobSpec, run_campaign
-        jobspec = CampaignJobSpec.from_evaluation(
-            evaluation, spec, faultload_seed=args.seed)
-        result = run_campaign(jobspec, workers=args.workers,
-                              journal=args.journal, trace=args.trace,
-                              shard_timeout=args.shard_timeout,
-                              progress=_progress_printer(
-                                  jobspec.effective_budget()),
-                              **_liveobs_kwargs(args))
+    if args.tool == "vfit":
+        result = evaluation.vfit.run(spec, seed=args.seed)
+    else:
+        result = evaluation.run_fades(
+            spec, seed=args.seed, journal=args.journal, trace=args.trace,
+            shard_timeout=args.shard_timeout,
+            progress=_progress_printer(args.budget or args.count),
+            **_liveobs_kwargs(args))
         if args.trace:
             log.info("trace written to %s", args.trace)
-    else:
-        tool = evaluation.fades if args.tool == "fades" else evaluation.vfit
-        result = tool.run(spec, seed=args.seed)
     if args.metrics:
         _export_metrics(args.metrics)
     _render_result(
@@ -575,13 +571,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "lint":
             return cmd_lint(args)
         if args.command == "report":
-            evaluation.workers = args.workers
-            evaluation.backend = args.backend
-            evaluation.prune_silent = args.prune_silent
-            evaluation.strategy = args.strategy
-            evaluation.confidence = args.confidence
-            evaluation.epsilon = args.epsilon
-            evaluation.budget = args.budget
+            _configure(evaluation, args)
             console(full_report(evaluation, count=args.count))
             return 0
         if args.command == "run-spec":

@@ -51,8 +51,7 @@ def build_fades(netlist: Netlist, arch: Optional[Architecture] = None,
                 full_download_delays: bool = True,
                 inputs: Optional[dict] = None,
                 checkpoint_interval: int = 0,
-                backend: str = "reference",
-                prune_silent: bool = False) -> FadesCampaign:
+                backend: str = "reference") -> FadesCampaign:
     """Synthesise, implement and wrap a design into a FADES campaign.
 
     ``inputs`` holds constant primary-input values for the whole run
@@ -60,9 +59,9 @@ def build_fades(netlist: Netlist, arch: Optional[Architecture] = None,
     ``checkpoint_interval`` enables golden-run snapshots every N cycles so
     experiments fast-forward over their fault-free prefix; ``backend``
     selects the workload simulator (``reference`` or the bit-parallel
-    ``compiled`` engine of :mod:`repro.emu`); ``prune_silent`` lets the
-    static fault analysis (:mod:`repro.sfa`) resolve provably Silent
-    faults without emulating them.
+    ``compiled`` engine of :mod:`repro.emu`).  Static fault pruning is a
+    setting of the campaign run (a :mod:`repro.runtime` job spec), not
+    of the design.
     """
     result = synthesize(netlist)
     impl = implement(result.mapped, arch=arch)
@@ -71,8 +70,7 @@ def build_fades(netlist: Netlist, arch: Optional[Architecture] = None,
                          full_download_delays=full_download_delays,
                          inputs=inputs,
                          checkpoint_interval=checkpoint_interval,
-                         backend=backend,
-                         prune_silent=prune_silent)
+                         backend=backend)
 
 
 __all__ = [

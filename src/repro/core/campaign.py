@@ -36,7 +36,8 @@ from ..obs import metrics as obs_metrics
 from ..obs.tracing import span
 from ..synth.locmap import LocationMap
 from .classify import Outcome, OutcomeCounts, classify
-from .config import FaultLoadSpec, generate_faultload, pool_size
+from .config import (FaultLoadSpec, check_cycles, generate_faultload,
+                     pool_size)
 from .faults import Fault
 from .injector import FadesInjector
 from .timing_model import EmulationTimeModel, ExperimentCost, FadesTimingParams
@@ -246,15 +247,10 @@ class FadesCampaign:
                  full_download_delays: bool = True,
                  inputs: Optional[Dict[str, int]] = None,
                  checkpoint_interval: int = 0,
-                 backend: str = "reference",
-                 prune_silent: bool = False):
+                 backend: str = "reference"):
         self.impl = impl
         self.locmap = locmap
         self.inputs = dict(inputs or {})
-        #: Static fault analysis (:mod:`repro.sfa`): resolve provably
-        #: Silent faults without emulating them and collapse
-        #: behaviourally identical faults onto one representative.
-        self.prune_silent = prune_silent
         self._static: Dict[tuple, object] = {}
         #: Simulator backend: ``reference`` runs each experiment through
         #: the device simulator; ``compiled`` packs experiments into the
@@ -301,6 +297,7 @@ class FadesCampaign:
         Every campaign sharing this object — e.g. the experiment classes
         of a multi-class report — simulates the golden run exactly once.
         """
+        check_cycles(cycles)
         key = self._golden_key(cycles)
         cached = self._golden.get(key)
         if cached is not None:
@@ -458,6 +455,7 @@ class FadesCampaign:
         planning (one lane pass per batch of bit-flips) repeats.
         Imported lazily — :mod:`repro.sfa` depends on this package.
         """
+        check_cycles(cycles)
         from ..sfa.prune import StaticFaultAnalysis
         key = (tuple(sorted(self.inputs.items())), cycles)
         sfa = self._static.get(key)
@@ -471,57 +469,15 @@ class FadesCampaign:
             self._static[key] = sfa
         return sfa.plan(faults)
 
-    def _run_pruned(self, faults: Sequence[Fault], cycles: int,
-                    pool: int) -> List[ExperimentResult]:
-        """Emulate only what static analysis cannot resolve.
-
-        Provably Silent faults are journalled directly (``pruned``);
-        equivalence-class members inherit their representative's
-        outcome (``collapsed_from``).  Survivors keep their faultload
-        indices, so their injector draws are those of an unpruned run.
-        """
-        plan = self.static_plan(faults, cycles)
-        survivors = plan.survivors()
-        emulated = self.run_batch(
-            [faults[index] for index in survivors], cycles, pool=pool,
-            indices=survivors)
-        by_index = dict(zip(survivors, emulated))
-        collapsed = plan.collapsed
-        results: List[ExperimentResult] = []
-        for index, fault in enumerate(faults):
-            if index in plan.pruned:
-                results.append(ExperimentResult(
-                    fault=fault, outcome=Outcome.SILENT,
-                    cost=ExperimentCost(), pruned=True))
-                continue
-            representative = collapsed.get(index)
-            if representative is not None:
-                rep = by_index[representative]
-                results.append(ExperimentResult(
-                    fault=fault, outcome=rep.outcome,
-                    cost=ExperimentCost(),
-                    first_divergence=rep.first_divergence,
-                    collapsed_from=representative))
-                continue
-            results.append(by_index[index])
-        return results
-
     def run_faults(self, faults: Sequence[Fault], cycles: int,
                    label: str = "", pool: int = 0) -> CampaignResult:
-        """Run a pre-generated fault list.
-
-        With :attr:`prune_silent` the list first passes through
-        :meth:`static_plan`; pruned and collapsed records carry zero
-        cost (the board never saw them) and stay out of the emulated
-        time (:attr:`CampaignResult.mean_emulation_s`).
+        """Run a pre-generated fault list, every fault emulated (static
+        pruning is a job-spec setting of :func:`repro.runtime.run_campaign`).
         """
         golden = self.golden_run(cycles)
-        result = CampaignResult(spec_label=label, golden=golden)
-        if self.prune_silent:
-            result.experiments = self._run_pruned(faults, cycles, pool)
-        else:
-            result.experiments = self.run_batch(faults, cycles, pool=pool)
-        return result
+        return CampaignResult(spec_label=label, golden=golden,
+                              experiments=self.run_batch(faults, cycles,
+                                                         pool=pool))
 
     # ------------------------------------------------------------------
     def screen_sensitive_ffs(self, cycles: int, samples_per_ff: int = 2,

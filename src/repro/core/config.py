@@ -50,9 +50,18 @@ class FaultLoadSpec:
     oscillate: bool = False
     lut_lines: bool = False  # pulses may hit input lines, not just outputs
 
+    def __post_init__(self) -> None:
+        check_cycles(self.workload_cycles)
+
     def label(self) -> str:
         """Short identifier used in reports."""
         return f"{self.model.value}/{self.pool}/{self.duration_range}"
+
+
+def check_cycles(cycles: int) -> None:
+    """Reject a run of no cycles: it observes nothing."""
+    if cycles < 1:
+        raise InjectionError(f"a run needs at least one cycle, not {cycles}")
 
 
 def pool_targets(spec: FaultLoadSpec, locmap: LocationMap) -> List[Target]:
@@ -70,8 +79,9 @@ def pool_targets(spec: FaultLoadSpec, locmap: LocationMap) -> List[Target]:
             indices = list(range(len(locmap.mapped.ffs)))
         return [Target(TargetKind.FF, index) for index in indices]
     if kind == "memory":
-        name = parts[1]
-        bram_index = locmap.memory(name)
+        if len(parts) < 2:
+            raise LocationError(f"pool {spec.pool!r}: expected memory:<block>")
+        bram_index = locmap.memory(parts[1])
         bram = locmap.mapped.brams[bram_index]
         lo, hi = spec.mem_addr_range or (0, bram.depth)
         return [Target(TargetKind.MEMORY_BIT, bram_index, addr=addr, bit=bit)
@@ -92,16 +102,17 @@ def pool_targets(spec: FaultLoadSpec, locmap: LocationMap) -> List[Target]:
         return targets
     if kind == "nets":
         mapped = locmap.mapped
-        if parts[1] == "seq":
+        if parts[1:2] == ["seq"]:
             nets = [ff.q for ff in mapped.ffs]
-        elif parts[1] == "comb":
+        elif parts[1:2] == ["comb"]:
             if len(parts) > 2:
                 indices = locmap.luts_in_unit(parts[2])
             else:
                 indices = range(len(mapped.luts))
             nets = [mapped.luts[i].out for i in indices]
         else:
-            raise InjectionError(f"unknown net pool {spec.pool!r}")
+            raise LocationError(f"pool {spec.pool!r}: expected "
+                                "nets:seq or nets:comb[:<unit>]")
         return [Target(TargetKind.NET, net) for net in nets]
     raise InjectionError(f"unknown location pool {spec.pool!r}")
 
@@ -138,7 +149,7 @@ def finish_fault(spec: FaultLoadSpec, target: Target,
     """
     lo, hi = spec.duration_range
     duration = rng.uniform(lo, hi)
-    start = rng.randrange(max(1, spec.workload_cycles))
+    start = rng.randrange(spec.workload_cycles)
     magnitude = rng.uniform(*spec.magnitude_range_ns)
     value = rng.randrange(2) \
         if spec.model is FaultModel.INDETERMINATION else None

@@ -1,12 +1,12 @@
 """Campaign execution engine: the public entry points of the runtime.
 
-:func:`run_campaign` takes a :class:`~repro.runtime.jobspec.CampaignJobSpec`
-and returns the very same :class:`~repro.core.campaign.CampaignResult`
-the serial ``FadesCampaign.run`` path produces, whatever the execution
+:func:`run_campaign` runs every FADES experiment class: it takes a
+:class:`~repro.runtime.jobspec.CampaignJobSpec` and returns the same
+:class:`~repro.core.campaign.CampaignResult` whatever the execution
 strategy:
 
-* ``workers=0`` — in-process, on the engine's own campaign (still gains
-  journaling and metrics);
+* ``workers=0`` — in process, on a campaign built from the job spec or
+  handed in already built (``campaign=``);
 * ``workers>=1`` — a multiprocessing pool; each worker rebuilds the
   campaign from the job spec, so no simulator state crosses process
   boundaries.
@@ -33,9 +33,9 @@ import threading
 from typing import Dict, List, Optional, Union
 
 from ..core import pool_size
-from ..core.campaign import CampaignResult
+from ..core.campaign import CampaignResult, FadesCampaign
 from ..core.classify import Outcome
-from ..errors import CampaignInterrupted, JournalError
+from ..errors import CampaignInterrupted, CampaignRuntimeError, JournalError
 from ..core.faults import Fault
 from ..core.timing_model import ExperimentCost
 from ..faultload import (FaultStream, SequentialController, StopDecision,
@@ -68,7 +68,8 @@ def run_campaign(jobspec: CampaignJobSpec, workers: int = 0,
                  trace: Optional[str] = None,
                  shard_timeout: Optional[float] = None,
                  serve_obs: Optional[str] = None,
-                 alert_rules: Optional[List[AlertRule]] = None
+                 alert_rules: Optional[List[AlertRule]] = None,
+                 campaign: Optional[FadesCampaign] = None
                  ) -> CampaignResult:
     """Execute one experiment class; see the module docstring.
 
@@ -82,7 +83,14 @@ def run_campaign(jobspec: CampaignJobSpec, workers: int = 0,
     the campaign's lifetime; ``alert_rules`` replaces the built-in
     alert rule set.  Time-series samples persist to
     ``<journal>.tsdb`` when journaling.
+
+    ``campaign`` is an already-built campaign of the job spec's design,
+    seed and backend to run on; pool workers and resumes rebuild theirs
+    from the job spec, so it excludes ``workers`` and ``journal``.
     """
+    if campaign is not None and (workers > 0 or journal is not None):
+        raise CampaignRuntimeError(
+            "a pre-built campaign runs in process and without a journal")
     trace_writer: Optional[TraceWriter] = None
     if trace is not None:
         TRACER.reset(enabled=True, tid=PARENT_TID)
@@ -93,7 +101,7 @@ def run_campaign(jobspec: CampaignJobSpec, workers: int = 0,
             return _execute(jobspec, workers, journal, progress,
                             max_retries, trace_writer,
                             shard_timeout, serve_obs=serve_obs,
-                            alert_rules=alert_rules)
+                            alert_rules=alert_rules, campaign=campaign)
     finally:
         if trace_writer is not None:
             # Parent spans (campaign root + engine phases) land last;
@@ -110,13 +118,15 @@ def _execute(jobspec: CampaignJobSpec, workers: int,
              trace_writer: Optional[TraceWriter],
              shard_timeout: Optional[float] = None,
              serve_obs: Optional[str] = None,
-             alert_rules: Optional[List[AlertRule]] = None
+             alert_rules: Optional[List[AlertRule]] = None,
+             campaign: Optional[FadesCampaign] = None
              ) -> CampaignResult:
     metrics = CampaignMetrics(progress=progress, backend=jobspec.backend)
     budget = jobspec.effective_budget()
     cycles = jobspec.spec.workload_cycles
     with metrics.phase("setup"):
-        campaign = build_campaign(jobspec)
+        if campaign is None:
+            campaign = build_campaign(jobspec)
         # Adaptive campaigns materialise faults window by window
         # (stream.ensure); the list below grows in place as the campaign
         # extends.  A fixed budget is drawn whole, here.
@@ -282,17 +292,20 @@ def _execute(jobspec: CampaignJobSpec, workers: int,
         try:
             # Each window is drained completely before its attribution
             # and stopping check, so both see a complete record prefix.
+            # The phases tile the campaign span: barrier checks and the
+            # pool's shutdown are experiments, closing down aggregation.
             start = 0
             for end in checkpoints:
                 pending = prepare_window(start, end)
                 with metrics.phase("experiments"):
                     executor.run(pending, take)
                     attribute(start, end)
-                if check_stop(end):
-                    break
+                    if check_stop(end):
+                        break
                 start = end
         finally:
-            executor.close()
+            with metrics.phase("experiments"):
+                executor.close()
 
         final = stop_decision.n if stop_decision is not None else budget
         if controller is not None:
@@ -311,12 +324,15 @@ def _execute(jobspec: CampaignJobSpec, workers: int,
                     {index: record["outcome"]
                      for index, record in records.items()},
                     confidence=jobspec.confidence)
-        if writer is not None:
-            if stop_decision is not None:
-                writer.append_stop(stop_decision.to_dict())
-            writer.append_summary(result.counts(),
-                                  result.total_emulation_s,
-                                  metrics.snapshot().wall_s)
+            if writer is not None:
+                if stop_decision is not None:
+                    writer.append_stop(stop_decision.to_dict())
+                writer.append_summary(result.counts(),
+                                      result.total_emulation_s,
+                                      metrics.snapshot().wall_s)
+            # Freeing a design built above takes milliseconds: inside
+            # the phase, not uncovered when the frame returns.
+            del campaign, stream, executor
     except CampaignInterrupted:
         # Every drained in-flight record is already journaled; the stop
         # line marks the interruption so resume (and humans reading the
@@ -325,14 +341,15 @@ def _execute(jobspec: CampaignJobSpec, workers: int,
             writer.append_interrupt()
         raise
     finally:
-        for signum, handler in previous_handlers.items():
-            signal.signal(signum, handler)
-        if live is not None:
-            # Before the journal closes: the final forced sample may
-            # still journal an alert firing.
-            live.close()
-        if writer is not None:
-            writer.close()
+        with metrics.phase("aggregate"):
+            for signum, handler in previous_handlers.items():
+                signal.signal(signum, handler)
+            if live is not None:
+                # Before the journal closes: the final forced sample may
+                # still journal an alert firing.
+                live.close()
+            if writer is not None:
+                writer.close()
     metrics.finish()
     return result
 

@@ -21,8 +21,8 @@ same spec and seed.  Two derivations guarantee it:
   from :func:`repro.core.campaign.derive_fault_seed`, a pure function of
   the campaign seed and the fault index — so an experiment's outcome
   cannot depend on which worker runs it or on how many experiments ran
-  before it.  ``FadesCampaign.run`` follows the same rule, so a serial
-  campaign equals ``run_campaign(workers=0)`` by construction.
+  before it.  So a run on a pre-built campaign equals one on a rebuilt
+  campaign, and both equal ``FadesCampaign.run`` over that faultload.
 """
 
 from __future__ import annotations
@@ -45,9 +45,8 @@ from ..faultload import FaultStream, is_adaptive
 class CampaignJobSpec:
     """One experiment class, self-contained and picklable.
 
-    ``faultload_seed`` defaults to ``seed`` — the same convention as
-    ``FadesCampaign.run(spec, seed=...)`` call sites use throughout the
-    analysis layer.
+    ``faultload_seed`` defaults to ``seed``, the campaign seed — as
+    ``FadesCampaign.run(spec)`` draws its faultload.
     """
 
     spec: FaultLoadSpec
@@ -183,8 +182,7 @@ def build_campaign(jobspec: CampaignJobSpec) -> FadesCampaign:
     model = build_mc8051(bubblesort(list(jobspec.values)).rom)
     return build_fades(model.netlist, seed=jobspec.seed,
                        checkpoint_interval=CHECKPOINT_INTERVAL,
-                       backend=jobspec.backend,
-                       prune_silent=jobspec.prune_silent)
+                       backend=jobspec.backend)
 
 
 class JobRunner:

@@ -275,7 +275,7 @@ class ShardQueue:
 
 
 class InProcessExecutor:
-    """Runs the queue's shards in this process, on the engine's own
+    """Runs the queue's shards in this process, on the engine's
     campaign; backoff waits are slept out between shards."""
 
     def __init__(self, runner: JobRunner, queue: ShardQueue) -> None:
@@ -308,7 +308,7 @@ class InProcessExecutor:
                 "campaign interrupted between experiments")
 
     def close(self) -> None:
-        """Nothing to release: the campaign belongs to the engine."""
+        """Nothing to release: the campaign is not this executor's."""
 
 
 def _mp_context() -> Any:

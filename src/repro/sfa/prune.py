@@ -38,8 +38,7 @@ Every rule errs on the side of emulating.  The rules, cheapest first:
     golden run in lane 0; a lane that ends with neither an output
     divergence nor a final-state difference is Silent by the very
     comparison :func:`repro.core.classify.classify` makes.  If the
-    design does not compile, or the run has no cycles (the lanes would
-    never apply the flip), the rule is skipped and those faults are
+    design does not compile, the rule is skipped and those faults are
     emulated.
 
 The planner only trusts semantic rules (constants, washout, workload)
@@ -294,9 +293,7 @@ class StaticFaultAnalysis:
         """The classes whose representative flip leaves neither an
         output divergence nor a final-state difference on the lane
         engine (golden in lane 0, one flip per lane)."""
-        if not classes or self.cycles <= 0:
-            # A run of no cycles: the lanes never apply a flip, while
-            # the device does (its flipped state is Latent).
+        if not classes:
             return []
         # Imported here so ``repro lint`` never loads the lane engine.
         from .. import emu

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ..errors import InjectionError, UnsupportedFaultError
+from ..errors import InjectionError, LocationError, UnsupportedFaultError
 from ..hdl import logic
 from ..hdl.netlist import Netlist
 from ..hdl.simulator import FourValuedSim
@@ -124,6 +124,8 @@ def vfit_pool_targets(netlist: Netlist, pool: str,
                    if len(parts) == 1 or dff.unit == parts[1]]
         return [Target(TargetKind.FF, i) for i in indices]
     if kind == "memory":
+        if len(parts) < 2:
+            raise LocationError(f"VFIT pool {pool!r}: expected memory:<block>")
         name = parts[1]
         for index, bram in enumerate(netlist.brams):
             if bram.name == name:

@@ -79,11 +79,19 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "essential" in out
 
-    def test_bad_pool_reports_error(self, capsys):
-        code = main(["--values", "7,2,5", "campaign", "--model", "pulse",
-                     "--pool", "nonsense", "--count", "2"])
+    @pytest.mark.parametrize("flags", [
+        ["--model", "pulse", "--pool", "nonsense"],
+        ["--model", "bitflip", "--pool", "memory"],
+        ["--model", "delay", "--pool", "nets"],
+        ["--tool", "vfit", "--model", "bitflip", "--pool", "memory"],
+    ], ids=["nonsense", "bare-memory", "bare-nets", "vfit-bare-memory"])
+    def test_bad_pool_reports_error(self, capsys, flags):
+        code = main(["--values", "7,2,5", "campaign", *flags,
+                     "--count", "2"])
         assert code == 1
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error" in err
+        assert "Traceback" not in err
 
     def test_campaign_workers_journal_then_resume(self, capsys, tmp_path):
         journal = str(tmp_path / "campaign.jsonl")

@@ -318,9 +318,11 @@ class TestEngineTracing:
         indices = {event["args"]["index"] for event in events
                    if event["name"] == "experiment"}
         assert indices == {0, 1, 2, 3}
-        # Engine phases partition the campaign wall-clock.
+        # Engine phases tile the campaign wall-clock: pool shutdown and
+        # closing down run inside them, so only statement-sized gaps
+        # remain.
         summary = summarize_trace(events)
-        assert summary["phase_coverage"] == pytest.approx(1.0, abs=0.05)
+        assert summary["phase_coverage"] == pytest.approx(1.0, abs=0.02)
         assert tracing.TRACER.enabled is False  # cleaned up
 
     def test_serial_trace_and_metrics(self, tmp_path, jobspec):

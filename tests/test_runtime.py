@@ -18,7 +18,7 @@ from repro.core import FaultModel, build_fades
 from repro.core.campaign import Experiment, derive_fault_seed
 from repro.core.classify import Outcome
 from repro.core.faults import Fault, Target, TargetKind
-from repro.errors import JournalError
+from repro.errors import CampaignRuntimeError, JournalError
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.runtime import (CampaignJobSpec, CampaignMetrics, JobRunner,
                            MAX_SHARD_SIZE, ShardQueue, read_journal,
@@ -62,20 +62,26 @@ class TestDeterminism:
     ], ids=["bitflip-ffs-band1", "oscillating-indet-ffs-band2"])
     def test_serial_equals_engine(self, model, band, oscillate, backend,
                                   prune_silent):
-        # A fresh testbed per case: both sides then start from an empty
-        # board log, so even the emulated-time floats must agree.
+        # A fresh testbed per side: each then starts from an empty board
+        # log, so even the emulated-time floats must agree.  The
+        # evaluation runs in process on its own pre-built campaign; the
+        # engine rebuilds one from the job spec.
         evaluation = Evaluation(backend=backend, prune_silent=prune_silent)
         spec = evaluation.spec(model, "ffs", band, COUNT,
                                oscillate=oscillate)
-        serial = evaluation.fades.run(spec, seed=evaluation.seed)
         engine = run_campaign(CampaignJobSpec.from_evaluation(
             evaluation, spec, faultload_seed=evaluation.seed), workers=0)
-        assert len(serial.experiments) == len(engine.experiments) == COUNT
-        for mine, theirs in zip(serial.experiments, engine.experiments):
-            assert mine.outcome is theirs.outcome
-            assert mine.first_divergence == theirs.first_divergence
-            assert mine.cost == theirs.cost
-        assert serial.total_emulation_s == engine.total_emulation_s
+        serials = [evaluation.run_fades(spec)]
+        if not prune_silent:
+            serials.append(Evaluation(backend=backend).fades.run(spec))
+        for serial in serials:
+            assert len(serial.experiments) == len(engine.experiments) \
+                == COUNT
+            for mine, theirs in zip(serial.experiments, engine.experiments):
+                assert mine.outcome is theirs.outcome
+                assert mine.first_divergence == theirs.first_divergence
+                assert mine.cost == theirs.cost
+            assert serial.total_emulation_s == engine.total_emulation_s
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_worker_pool_matches_serial(self, jobspec, serial_result,
@@ -106,6 +112,49 @@ class TestDeterminism:
                          for index in range(64)]
         assert seeds != [derive_fault_seed(2007, index)
                          for index in range(64)]
+
+
+class TestPrebuiltCampaign:
+    @pytest.fixture()
+    def build_calls(self, monkeypatch):
+        from repro.runtime import engine
+        calls = []
+        original = engine.build_campaign
+
+        def counting(jobspec):
+            calls.append(jobspec)
+            return original(jobspec)
+
+        monkeypatch.setattr(engine, "build_campaign", counting)
+        return calls
+
+    @pytest.mark.parametrize("mode", ["workers", "journal"])
+    def test_refused_with_workers_or_journal(self, jobspec, build_calls,
+                                             tmp_path, mode):
+        # Pool workers and resumes rebuild the campaign from the job
+        # spec, so a pre-built one cannot serve them; the engine says so
+        # before it builds, runs or journals anything.
+        campaign = build_fades(build_counter(), seed=1, inputs={"en": 1})
+        journal = tmp_path / "refused.jsonl"
+        options = {"workers": 2} if mode == "workers" \
+            else {"journal": str(journal)}
+        with pytest.raises(CampaignRuntimeError):
+            run_campaign(jobspec, campaign=campaign, **options)
+        assert build_calls == []
+        assert campaign.golden_simulations == 0
+        assert not journal.exists()
+
+    def test_adaptive_evaluation_builds_nothing(self, build_calls):
+        # An adaptive class runs through the window loop, in process on
+        # the evaluation's own campaign: the design and the golden run
+        # serve every class.
+        evaluation = Evaluation(values=(7, 2, 5), epsilon=0.3, budget=4)
+        for pool in ("ffs", "memory:iram"):
+            spec = evaluation.spec(FaultModel.BITFLIP, pool, 1, 4)
+            result = evaluation.run_fades(spec)
+            assert result.stop is not None
+        assert build_calls == []
+        assert evaluation.fades.golden_simulations == 1
 
 
 class Interrupted(RuntimeError):

@@ -14,7 +14,7 @@ import pytest
 from repro.analysis import Evaluation
 from repro.core import (Fault, FaultLoadSpec, FaultModel, Outcome, Target,
                         TargetKind, generate_faultload, row_from_campaign)
-from repro.errors import ReproError
+from repro.errors import InjectionError, ReproError
 from repro.hdl import Rtl
 from repro.runtime import (CampaignJobSpec, read_journal, resume_campaign,
                            run_campaign)
@@ -239,14 +239,23 @@ class TestPrunePlan:
         plan = campaign.static_plan([fault], cycles=20)
         assert plan.pruned == {0: "delay-slack"}
 
-    def test_zero_cycle_flips_stay_emulated(self, campaign):
-        # The lane engine applies no flip to a run of no cycles; the
-        # device does, and leaves the flipped state Latent.
+    def test_zero_cycle_runs_are_rejected(self, campaign):
+        # A run of no cycles observes nothing (and the device and the
+        # lane engine would disagree on a flip in it): the spec, the
+        # planner and the golden run on either backend refuse it.
+        with pytest.raises(InjectionError):
+            FaultLoadSpec(model=FaultModel.BITFLIP, pool="ffs", count=4,
+                          workload_cycles=0)
         spec = FaultLoadSpec(model=FaultModel.BITFLIP, pool="ffs",
-                             count=4, workload_cycles=0)
+                             count=4, workload_cycles=1)
         faults = generate_faultload(spec, campaign.locmap, seed=1)
-        assert campaign.static_plan(faults, cycles=0).pruned == {}
-        assert campaign.run_faults(faults, 0).counts().latent == 4
+        with pytest.raises(InjectionError):
+            campaign.static_plan(faults, cycles=0)
+        for backend in ("reference", "compiled"):
+            built = make_campaign(designs.counter(4), inputs={"en": 1},
+                                  backend=backend)
+            with pytest.raises(InjectionError):
+                built.run_faults(faults, 0)
 
     def test_plan_partitions_the_faultload(self, campaign):
         spec = FaultLoadSpec(model=FaultModel.BITFLIP, pool="ffs",
@@ -295,11 +304,14 @@ class TestPruneSilentIdenticalTables:
     def test_tables_identical(self, name, builder, inputs):
         netlist = builder()
         baseline = make_campaign(netlist, inputs=inputs)
-        pruned = make_campaign(netlist, inputs=inputs, prune_silent=True)
+        pruned = make_campaign(netlist, inputs=inputs)
         resolved = 0
         for spec in self.SPECS:
             ref = baseline.run(spec, seed=2006)
-            opt = pruned.run(spec, seed=2006)
+            opt = run_campaign(
+                CampaignJobSpec(spec=spec, faultload_seed=2006,
+                                prune_silent=True),
+                campaign=pruned)
             assert [e.outcome for e in opt.experiments] \
                 == [e.outcome for e in ref.experiments]
             ref_row = row_from_campaign(ref, spec.model.value, name, "b")
