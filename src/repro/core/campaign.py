@@ -278,7 +278,9 @@ class FadesCampaign:
         self.time_model = EmulationTimeModel(self.board, timing_params)
         self._golden: Dict[tuple, Trace] = {}
         #: How many golden runs were actually *simulated* (as opposed to
-        #: served from the cache) — multi-class reports should see 1.
+        #: served from the cache) — multi-class reports should see 1.  A
+        #: compiled campaign's golden run is lane 0 of its first lane
+        #: pass, so that pass counts as its one simulation.
         self.golden_simulations = 0
 
     # ------------------------------------------------------------------
@@ -291,29 +293,56 @@ class FadesCampaign:
         golden trace."""
         return (tuple(sorted(self.inputs.items())), cycles, self.backend)
 
+    @property
+    def trusted(self) -> bool:
+        """Whether the golden configuration meets timing and routes every
+        net: only then do the compiled lane model and the SFA's semantic
+        rules describe the device."""
+        device = self.device
+        return not device._violating and not device._broken_nets
+
+    @property
+    def on_lanes(self) -> bool:
+        """Whether experiments run on the lane engine: the compiled
+        backend on a trusted golden configuration.  Otherwise they step
+        the reference device, fast-forwarding from the checkpoints of
+        the golden run."""
+        return self.backend == "compiled" and self.trusted
+
+    def cached_golden(self, cycles: int) -> Optional[Trace]:
+        """The golden trace of *cycles* if one is cached, else ``None``."""
+        return self._golden.get(self._golden_key(cycles))
+
+    def keep_golden(self, cycles: int, trace: Trace) -> Trace:
+        """Cache *trace* as the golden run of *cycles*; it counts as one
+        of :attr:`golden_simulations`."""
+        self._golden[self._golden_key(cycles)] = trace
+        self.golden_simulations += 1
+        return trace
+
     def golden_run(self, cycles: int) -> Trace:
         """Fault-free reference trace (cached per workload and length).
 
         Every campaign sharing this object — e.g. the experiment classes
         of a multi-class report — simulates the golden run exactly once.
+        On the reference device it also records the checkpoints that
+        experiments fast-forward from.  A compiled campaign's lane
+        batches fill the cache from their lane 0
+        (:func:`repro.emu.run_lane_batch`); a one-lane pass runs here
+        only when no batch ran first.
         """
         check_cycles(cycles)
-        key = self._golden_key(cycles)
-        cached = self._golden.get(key)
+        cached = self.cached_golden(cycles)
         if cached is not None:
             return cached
-        device = self.device
-        if (self.backend == "compiled"
-                and not device._violating and not device._broken_nets):
+        if self.on_lanes:
             from ..emu.backend import compiled_golden
             trace = compiled_golden(self, cycles)
             if trace is not None:
-                self.golden_simulations += 1
-                self._golden[key] = trace
-                return trace
+                return self.keep_golden(cycles, trace)
             # Compilation failed: the campaign has been degraded to the
-            # reference backend — re-key the cache and simulate below.
-            key = self._golden_key(cycles)
+            # reference backend — simulate below, under its cache key.
+        device = self.device
         device.reset_system()
         trace = Trace(tuple(device.mapped.outputs))
         interval = self.checkpoint_interval
@@ -324,11 +353,9 @@ class FadesCampaign:
             trace.record(device.step(self.inputs if cycle == 0 else None))
         trace.final_state = device.state_snapshot()
         trace.cycles = cycles
-        self.golden_simulations += 1
-        self._golden[key] = trace
         if interval:
-            self._checkpoints[key] = checkpoints
-        return trace
+            self._checkpoints[self._golden_key(cycles)] = checkpoints
+        return self.keep_golden(cycles, trace)
 
     # ------------------------------------------------------------------
     def run_experiment(self, fault: Fault, cycles: int, pool: int = 0,
@@ -353,7 +380,7 @@ class FadesCampaign:
         # at or before the injection instant is available.
         first_cycle = 0
         checkpoints = self._checkpoints.get(self._golden_key(cycles), {})
-        golden_cached = self._golden.get(self._golden_key(cycles))
+        golden_cached = self.cached_golden(cycles)
         usable = [c for c in checkpoints if c <= start]
         if usable and golden_cached is not None and start > 0:
             first_cycle = max(usable)
@@ -443,6 +470,8 @@ class FadesCampaign:
             from ..emu import run_lane_batch
             return run_lane_batch(self, faults, cycles, pool=pool,
                                   indices=indices)
+        # The golden run's checkpoints fast-forward every experiment.
+        self.golden_run(cycles)
         return [self.run_experiment(fault, cycles, pool=pool, index=index)
                 for fault, index in zip(faults, indices)]
 
@@ -460,12 +489,9 @@ class FadesCampaign:
         key = (tuple(sorted(self.inputs.items())), cycles)
         sfa = self._static.get(key)
         if sfa is None:
-            device = self.device
             sfa = StaticFaultAnalysis(
                 self.locmap.mapped, cycles, inputs=self.inputs,
-                timing=self.impl.timing,
-                trusted=(not device._violating
-                         and not device._broken_nets))
+                timing=self.impl.timing, trusted=self.trusted)
             self._static[key] = sfa
         return sfa.plan(faults)
 
@@ -474,10 +500,10 @@ class FadesCampaign:
         """Run a pre-generated fault list, every fault emulated (static
         pruning is a job-spec setting of :func:`repro.runtime.run_campaign`).
         """
-        golden = self.golden_run(cycles)
-        return CampaignResult(spec_label=label, golden=golden,
-                              experiments=self.run_batch(faults, cycles,
-                                                         pool=pool))
+        experiments = self.run_batch(faults, cycles, pool=pool)
+        return CampaignResult(spec_label=label,
+                              golden=self.golden_run(cycles),
+                              experiments=experiments)
 
     # ------------------------------------------------------------------
     def screen_sensitive_ffs(self, cycles: int, samples_per_ff: int = 2,

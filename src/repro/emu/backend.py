@@ -11,7 +11,9 @@ per-experiment workload execution: it turns the experiment's activation
 window into lane-masked operations on a
 :class:`~repro.emu.lanes.BatchSchedule`, and one lane-engine pass
 evaluates up to ``lane_width() - 1`` experiments against the golden run
-in lane 0.
+in lane 0.  That lane 0 is also the campaign's golden trace: the first
+pass fills the golden cache, so a compiled campaign simulates its
+golden workload once.
 
 Faults whose effect cannot be expressed as lane operations
 (configuration-memory upsets, permanent models) run the reference
@@ -32,7 +34,7 @@ from ..obs import metrics as obs_metrics
 from ..obs.logsetup import get_logger
 from ..obs.tracing import span
 from .compiler import compile_design
-from .lanes import BatchSchedule, run_lanes
+from .lanes import BatchSchedule, LaneResult, run_lanes
 
 log = get_logger("repro.emu.backend")
 
@@ -48,8 +50,12 @@ _FALLBACKS = obs_metrics.counter(
 #: ``lane_width() - 1`` fault experiments.  Lane vectors are arbitrary-
 #: precision ints sized by the *occupied* lanes of each batch, so a wide
 #: default only makes batches fuller (fewer engine passes), never wider
-#: than the faults at hand.
-DEFAULT_LANES = 256
+#: than the faults at hand.  A pass's cost grows far slower than its
+#: width, so lane time per fault falls up to this width and no further
+#: (4,095 FF flips over the 569-cycle sort on a 2-vCPU host: 0.39 ms
+#: at 256 lanes, 0.14 ms at 1,024, 0.072 ms at 4,096 and 8,192), and a
+#: paper-scale 3,000-fault experiment runs in one pass.
+DEFAULT_LANES = 4096
 
 
 def lane_width() -> int:
@@ -109,15 +115,23 @@ def compile_or_fallback(campaign):
 def compiled_golden(campaign, cycles: int) -> Optional[Trace]:
     """Golden run through the lane engine (single lane, no faults).
 
-    Returns ``None`` when compilation fails; the campaign is then
-    already degraded to the reference backend and the caller falls
-    through to the reference simulation loop.
+    Only a compiled campaign that runs no lane batch needs this pass:
+    every other one takes its golden trace from lane 0 of its first
+    batch (:func:`run_lane_batch`).  Returns ``None`` when compilation
+    fails; the campaign is then already degraded to the reference
+    backend and the caller falls through to the reference simulation
+    loop.
     """
     design = compile_or_fallback(campaign)
     if design is None:
         return None
     with span("run", cycles=cycles, lanes=1, backend="compiled"):
         lane_result = run_lanes(design, 1, cycles, inputs=campaign.inputs)
+    return _lane0_trace(campaign, lane_result, cycles)
+
+
+def _lane0_trace(campaign, lane_result: LaneResult, cycles: int) -> Trace:
+    """Lane 0 of a pass, the golden run, as a :class:`Trace`."""
     trace = Trace(tuple(campaign.impl.mapped.outputs))
     for sample in lane_result.samples:
         trace.record(sample)
@@ -197,21 +211,24 @@ def run_lane_batch(campaign, faults: Sequence[Fault], cycles: int,
     ``indices`` carries each fault's campaign index (default: its
     position), which seeds its experiment's injector draws.  Supported
     faults accumulate into lane batches; the others run the reference
-    experiment in place.
+    experiment in place.  The golden run is not simulated on its own:
+    lane 0 of the first pass becomes the campaign's golden trace (one
+    ``golden_simulations``), unless one is cached already.
     """
     if indices is None:
         indices = range(len(faults))
     results: List[Optional[ExperimentResult]] = [None] * len(faults)
-    campaign.golden_run(cycles)
     design = (compile_or_fallback(campaign)
               if campaign.backend == "compiled" else None)
     width = lane_width()
-    # Without a compiled design (compilation failed, or the golden run
-    # already degraded the campaign), or when the device's *golden*
-    # configuration already has timing violations or broken routes —
-    # outside the compiled model — every fault takes the reference path.
-    guard = design is None or bool(campaign.device._violating
-                                   or campaign.device._broken_nets)
+    # Without a compiled design (compilation failed and degraded the
+    # campaign), or when the device's *golden* configuration already has
+    # timing violations or broken routes — outside the compiled model —
+    # every fault takes the reference path, fast-forwarding from the
+    # golden run's checkpoints.
+    guard = not campaign.on_lanes
+    if guard:
+        campaign.golden_run(cycles)
 
     batch: List = []  # (result slot, fault, replay cost)
     schedule = BatchSchedule()
@@ -225,6 +242,9 @@ def run_lane_batch(campaign, faults: Sequence[Fault], cycles: int,
             lane_result = run_lanes(design, lanes, cycles,
                                     inputs=campaign.inputs,
                                     schedule=schedule)
+        if campaign.cached_golden(cycles) is None:
+            campaign.keep_golden(
+                cycles, _lane0_trace(campaign, lane_result, cycles))
         with span("classify", backend="compiled"):
             for slot, (position, fault, cost) in enumerate(batch):
                 bit = 1 << (slot + 1)

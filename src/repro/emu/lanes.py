@@ -16,6 +16,10 @@ compiled design's ``step`` function:
   cycles (pulse and indetermination faults on LUTs), evaluated through
   the compiled design's hooked step variant.
 
+Memory ports are served per distinct address, not per lane: the lanes
+are split on each address bit (:func:`split_by_address`), and each
+group reads or writes its word with one masked operation.
+
 Failure detection is a lane-wise XOR of every primary-output plane
 against lane 0 broadcast; latent detection compares final packed state
 the same way.  Both feed :mod:`repro.core.classify` unchanged.
@@ -24,14 +28,14 @@ the same way.  Both feed :mod:`repro.core.classify` unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..obs import metrics as obs_metrics
 from .compiler import CompiledDesign, tt_function
 
 _LANE_CYCLES = obs_metrics.counter(
     "emu_lane_cycles_total",
-    "Clock cycles evaluated by the lane engine (per lane batch).")
+    "Lane-cycles evaluated by the lane engine (lanes times cycles).")
 
 
 class BatchSchedule:
@@ -116,6 +120,31 @@ class LaneResult:
     fail_mask: int = 0
     latent_mask: int = 0
     first_divergence: Dict[int, int] = field(default_factory=dict)
+
+
+def split_by_address(mask: int, planes: Sequence[int]
+                     ) -> List[Tuple[int, int]]:
+    """Partition the lanes of *mask* by the address they spell.
+
+    ``planes[k]`` is address bit *k* as a lane plane.  Returns one
+    ``(lanes, address)`` pair per distinct address among the lanes of
+    *mask*: the ``lanes`` masks partition *mask*, and every lane of a
+    group spells that group's address.  Splitting on each address bit
+    costs a few masked operations per group, however many lanes share
+    an address.
+    """
+    groups = [(mask, 0)] if mask else []
+    for offset, plane in enumerate(planes):
+        bit = 1 << offset
+        split = []
+        for lanes, addr in groups:
+            ones = lanes & plane
+            if ones:
+                split.append((ones, addr | bit))
+            if ones != lanes:
+                split.append((lanes ^ ones, addr))
+        groups = split
+    return groups
 
 
 def _make_hook(pairs: List[Tuple], mask_all: int):
@@ -233,63 +262,35 @@ def run_lanes(design: CompiledDesign, lanes: int, cycles: int,
 
         for mem_index, spec in enumerate(design.mems):
             cells = mems[mem_index]
-            addr0 = 0
-            diff = 0
-            for offset, port in enumerate(spec.b_raddr):
-                plane = ports[port]
-                addr0 |= (plane & 1) << offset
-                diff |= plane ^ ((plane & 1) * mask_all)
-            if addr0 < spec.depth:
-                read = list(cells[addr0])
+            depth, width = spec.depth, spec.width
+            # One masked read and write per distinct address: lanes
+            # that diverged onto other addresses form their own groups.
+            groups = split_by_address(
+                mask_all, [ports[port] for port in spec.b_raddr])
+            if len(groups) == 1:
+                addr = groups[0][1]
+                read = list(cells[addr]) if addr < depth else [0] * width
             else:
-                read = [0] * spec.width
-            if diff:
-                lanes_left = diff
-                while lanes_left:
-                    low = lanes_left & -lanes_left
-                    lanes_left ^= low
-                    lane = low.bit_length() - 1
-                    addr = 0
-                    for offset, port in enumerate(spec.b_raddr):
-                        addr |= ((ports[port] >> lane) & 1) << offset
-                    if addr == addr0:
-                        continue
-                    cell = cells[addr] if addr < spec.depth else None
-                    for bit in range(spec.width):
-                        value = ((cell[bit] >> lane) & 1) if cell else 0
-                        read[bit] = (read[bit] & ~low) | (value << lane)
+                read = [0] * width
+                for lanes_at, addr in groups:
+                    if addr < depth:
+                        cell = cells[addr]
+                        for bit in range(width):
+                            read[bit] |= cell[bit] & lanes_at
             if not spec.rom:
                 write_en = ports[spec.b_we]
                 if write_en:
-                    waddr0 = 0
-                    wdiff = 0
-                    for offset, port in enumerate(spec.b_waddr):
-                        plane = ports[port]
-                        waddr0 |= (plane & 1) << offset
-                        wdiff |= plane ^ ((plane & 1) * mask_all)
-                    uniform = write_en & ~wdiff
-                    if uniform and waddr0 < spec.depth:
-                        cell = cells[waddr0]
-                        for bit in range(spec.width):
-                            cell[bit] = ((cell[bit] & ~uniform)
-                                         | (ports[spec.b_wdata[bit]]
-                                            & uniform))
-                    divergent = write_en & wdiff
-                    while divergent:
-                        low = divergent & -divergent
-                        divergent ^= low
-                        lane = low.bit_length() - 1
-                        waddr = 0
-                        for offset, port in enumerate(spec.b_waddr):
-                            waddr |= ((ports[port] >> lane) & 1) << offset
-                        if waddr >= spec.depth:
-                            continue
-                        cell = cells[waddr]
-                        for bit in range(spec.width):
-                            value = (ports[spec.b_wdata[bit]] >> lane) & 1
-                            cell[bit] = (cell[bit] & ~low) | (value << lane)
+                    wdata = [ports[port] for port in spec.b_wdata]
+                    for lanes_at, addr in split_by_address(
+                            write_en, [ports[port] for port in spec.b_waddr]):
+                        if addr < depth:
+                            cell = cells[addr]
+                            keep = ~lanes_at
+                            for bit in range(width):
+                                cell[bit] = ((cell[bit] & keep)
+                                             | (wdata[bit] & lanes_at))
             base = spec.r_base
-            for bit in range(spec.width):
+            for bit in range(width):
                 rdata[base + bit] = read[bit]
 
     latent = 0
@@ -309,5 +310,5 @@ def run_lanes(design: CompiledDesign, lanes: int, cycles: int,
     result.final_state = (tuple(plane & 1 for plane in state),
                           tuple(final_mems))
     if cycles > 0:
-        _LANE_CYCLES.inc(cycles, lanes=lanes)
+        _LANE_CYCLES.inc(lanes * cycles)
     return result

@@ -165,7 +165,15 @@ def _execute(jobspec: CampaignJobSpec, workers: int,
                       exact=controller is None)
 
     with metrics.phase("golden"):
-        golden = campaign.golden_run(cycles)
+        if campaign.backend == "compiled":
+            from ..emu.backend import compile_or_fallback
+            compile_or_fallback(campaign)
+        # Experiments that step the reference device fast-forward from
+        # the golden run's checkpoints, so it runs first for them.  A
+        # compiled campaign's first lane pass caches the golden trace
+        # from its lane 0 instead (read back at aggregation).
+        if not campaign.on_lanes:
+            campaign.golden_run(cycles)
 
     # Bound below, before any experiment runs; None only so the take /
     # check_stop closures resolve while the coordinator is being built.
@@ -315,7 +323,11 @@ def _execute(jobspec: CampaignJobSpec, workers: int,
                 _SAVED.inc(saved, reason=stop_decision.reason)
 
         with metrics.phase("aggregate"):
-            result = _assemble(jobspec, golden, faults[:final], records)
+            # From the cache, unless no lane batch ran in this process
+            # (every fault resolved statically, run on the reference
+            # path or sent to pool workers): then a one-lane pass.
+            result = _assemble(jobspec, campaign.golden_run(cycles),
+                               faults[:final], records)
             if stop_decision is not None:
                 result.stop = stop_decision.to_dict()
             if jobspec.adaptive:

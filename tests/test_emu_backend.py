@@ -12,13 +12,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import FaultLoadSpec, FaultModel, generate_faultload
 from repro.core.campaign import BACKENDS, check_backend
+from repro.core.classify import Outcome
 from repro.core.faults import Fault, Target, TargetKind
 from repro.designs import counter, fir_filter, uart_tx
-from repro.emu import compile_design, lane_width, supports_fault
+from repro.emu import (BatchSchedule, compile_design, lane_width, run_lanes,
+                       supports_fault)
+from repro.emu import lanes as lanes_module
 from repro.emu.compiler import _fold_constants, bool_expr, tt_function
+from repro.emu.lanes import split_by_address
 from repro.errors import SimulationError
 from repro.hdl.netlist import CONST0, CONST1
 from repro.obs.metrics import REGISTRY
@@ -268,6 +273,143 @@ class TestMc8051Smoke:
 
 
 # ---------------------------------------------------------------------------
+# Divergent memory addressing: one masked access per distinct address
+# ---------------------------------------------------------------------------
+def per_lane_addresses(mask, planes):
+    """Reference for :func:`split_by_address`: the per-lane extraction the
+    lane engine used to run, spelling each lane's address bit by bit.
+    Returns ``address -> lanes``."""
+    groups = {}
+    lanes_left = mask
+    while lanes_left:
+        low = lanes_left & -lanes_left
+        lanes_left ^= low
+        lane = low.bit_length() - 1
+        addr = 0
+        for offset, plane in enumerate(planes):
+            addr |= ((plane >> lane) & 1) << offset
+        groups[addr] = groups.get(addr, 0) | low
+    return groups
+
+
+@st.composite
+def masks_and_planes(draw):
+    lanes = draw(st.integers(min_value=1, max_value=300))
+    full = (1 << lanes) - 1
+    plane = st.one_of(st.integers(min_value=0, max_value=full),
+                      st.sampled_from([0, full]))
+    return (draw(st.integers(min_value=0, max_value=full)),
+            draw(st.lists(plane, max_size=9)))
+
+
+class TestAddressSplit:
+    @settings(max_examples=200, deadline=None)
+    @given(masks_and_planes())
+    def test_groups_partition_the_mask_by_address(self, case):
+        mask, planes = case
+        groups = split_by_address(mask, planes)
+        covered = 0
+        for lanes, _addr in groups:
+            assert lanes and not lanes & covered
+            covered |= lanes
+        assert covered == mask
+        # One group per address, holding exactly the lanes that spell it.
+        assert {addr: lanes for lanes, addr in groups} == \
+            per_lane_addresses(mask, planes)
+
+
+def _schedule_flips(faults, cycles):
+    """One bit-flip per lane from lane 1, as the compiled backend
+    schedules them."""
+    schedule = BatchSchedule()
+    for lane, fault in enumerate(faults, start=1):
+        start = fault.injection_cycle(cycles)
+        for target in fault.all_targets:
+            if target.kind is TargetKind.FF:
+                schedule.xor_ff(start, target.index, lane)
+            else:
+                schedule.flip_mem(start, target.index, target.addr,
+                                  target.bit, lane)
+    return schedule
+
+
+class TestWideMemoryBatch:
+    """One 321-lane pass of FF and ``iram`` flips on the 8051, whose
+    128x8 iram has 7-bit ports: every lane must read and write as if it
+    ran alone, and agree with the reference device."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        from repro.analysis.experiments import Evaluation
+        evaluation = Evaluation(backend="compiled")
+        campaign = evaluation.fades
+        cycles = evaluation.cycles
+        faults = []
+        for pool, seed in (("ffs", 31), ("memory:iram", 32)):
+            spec = evaluation.spec(FaultModel.BITFLIP, pool, 1, count=160)
+            faults += generate_faultload(spec, campaign.locmap, seed=seed)
+        random.Random(33).shuffle(faults)
+        design = compile_design(campaign.impl.mapped)
+        iram_groups = [1]
+        original = lanes_module.split_by_address
+
+        def recording(mask, planes):
+            groups = original(mask, planes)
+            if len(planes) == 7:  # an iram port (the ROM's are 9 bits)
+                iram_groups.append(len(groups))
+            return groups
+
+        lanes_module.split_by_address = recording
+        try:
+            result = run_lanes(design, len(faults) + 1, cycles,
+                               inputs=campaign.inputs,
+                               schedule=_schedule_flips(faults, cycles))
+        finally:
+            lanes_module.split_by_address = original
+        return evaluation, design, faults, result, max(iram_groups)
+
+    def test_batch_mixes_kinds_and_diverges_in_address(self, wide):
+        _evaluation, _design, faults, result, widest = wide
+        kinds = {fault.target.kind for fault in faults}
+        assert kinds == {TargetKind.FF, TargetKind.MEMORY_BIT}
+        assert result.lanes == len(faults) + 1 >= 301
+        # On some cycles the lanes spread over several iram addresses.
+        assert widest > 1
+
+    def test_lanes_match_the_fault_run_alone(self, wide):
+        evaluation, design, faults, result, _widest = wide
+        cycles, inputs = evaluation.cycles, evaluation.fades.inputs
+        for lane in random.Random(34).sample(range(1, len(faults) + 1), 32):
+            alone = run_lanes(design, 2, cycles, inputs=inputs,
+                              schedule=_schedule_flips([faults[lane - 1]],
+                                                       cycles))
+            fault = faults[lane - 1]
+            assert (alone.fail_mask >> 1) & 1 == \
+                (result.fail_mask >> lane) & 1, fault
+            assert (alone.latent_mask >> 1) & 1 == \
+                (result.latent_mask >> lane) & 1, fault
+            assert alone.first_divergence.get(1) == \
+                result.first_divergence.get(lane), fault
+
+    def test_lanes_match_the_reference_device(self, wide):
+        from repro.analysis.experiments import Evaluation
+        evaluation, _design, faults, result, _widest = wide
+        reference = Evaluation().fades
+        for lane in random.Random(35).sample(range(1, len(faults) + 1), 12):
+            if (result.fail_mask >> lane) & 1:
+                outcome = Outcome.FAILURE
+            elif (result.latent_mask >> lane) & 1:
+                outcome = Outcome.LATENT
+            else:
+                outcome = Outcome.SILENT
+            experiment = reference.run_experiment(
+                faults[lane - 1], evaluation.cycles, index=lane)
+            assert experiment.outcome is outcome, faults[lane - 1]
+            assert experiment.first_divergence == \
+                result.first_divergence.get(lane), faults[lane - 1]
+
+
+# ---------------------------------------------------------------------------
 # Runtime integration
 # ---------------------------------------------------------------------------
 class TestRuntimeIntegration:
@@ -296,3 +438,88 @@ class TestRuntimeIntegration:
                 == [e.outcome for e in serial.experiments])
         assert engine.total_emulation_s == pytest.approx(
             serial.total_emulation_s)
+
+
+class TestGoldenFromLaneZero:
+    """A compiled campaign's golden trace is lane 0 of its first pass."""
+
+    VALUES = (7, 2, 5)
+
+    @pytest.fixture()
+    def passes(self, monkeypatch):
+        from repro.emu import backend
+        widths = []
+        original = backend.run_lanes
+
+        def recording(design, lanes, cycles, **kwargs):
+            widths.append(lanes)
+            return original(design, lanes, cycles, **kwargs)
+
+        monkeypatch.setattr(backend, "run_lanes", recording)
+        monkeypatch.setenv("REPRO_EMU_LANES", "4")
+        return widths
+
+    @pytest.fixture(scope="class")
+    def reference_golden(self):
+        from repro.analysis.experiments import Evaluation
+        evaluation = Evaluation(values=self.VALUES)
+        return evaluation.fades.golden_run(evaluation.cycles)
+
+    def _assert_golden(self, golden, campaign, cycles, reference_golden):
+        from repro.emu.backend import compiled_golden
+        fresh = compiled_golden(campaign, cycles)
+        for other in (fresh, reference_golden):
+            assert golden.samples == other.samples
+            assert golden.final_state == other.final_state
+
+    def _evaluation(self):
+        from repro.analysis.experiments import Evaluation
+        evaluation = Evaluation(values=self.VALUES, backend="compiled")
+        return evaluation, evaluation.spec(FaultModel.BITFLIP, "ffs", 1,
+                                           count=6)
+
+    def test_run_campaign(self, passes, reference_golden):
+        from repro.runtime import CampaignJobSpec, run_campaign
+        from repro.runtime.jobspec import build_campaign
+        evaluation, spec = self._evaluation()
+        jobspec = CampaignJobSpec.from_evaluation(evaluation, spec)
+        campaign = build_campaign(jobspec)
+        result = run_campaign(jobspec, campaign=campaign)
+        assert passes == [4, 4]
+        assert campaign.golden_simulations == 1
+        self._assert_golden(result.golden, campaign, evaluation.cycles,
+                            reference_golden)
+
+    def test_evaluation_run_fades(self, passes, reference_golden):
+        evaluation, spec = self._evaluation()
+        result = evaluation.run_fades(spec)
+        assert passes == [4, 4]
+        assert evaluation.fades.golden_simulations == 1
+        self._assert_golden(result.golden, evaluation.fades,
+                            evaluation.cycles, reference_golden)
+
+    def test_no_lane_batch_still_returns_the_golden_trace(
+            self, passes, reference_golden):
+        # Permanent faults take the reference path, so no batch runs: the
+        # first experiment's classification takes the one-lane pass.
+        evaluation, _spec = self._evaluation()
+        faults = [Fault(FaultModel.STUCK_AT, Target(TargetKind.FF, ff),
+                        start_cycle=5, value=ff % 2) for ff in (0, 7, 30)]
+        assert not any(supports_fault(fault) for fault in faults)
+        result = evaluation.fades.run_faults(faults, evaluation.cycles)
+        assert passes == [1]
+        assert evaluation.fades.golden_simulations == 1
+        self._assert_golden(result.golden, evaluation.fades,
+                            evaluation.cycles, reference_golden)
+
+
+class TestLaneCycleCounter:
+    def test_one_unlabelled_series_of_lane_cycles(self):
+        metric = REGISTRY.get("emu_lane_cycles_total")
+        campaign = make_campaign(build_counter(4), inputs={"en": 1})
+        design = compile_design(campaign.impl.mapped)
+        before = metric.value()
+        for lanes in (2, 5, 9):
+            run_lanes(design, lanes, 10, inputs={"en": 1})
+        assert metric.value() - before == (2 + 5 + 9) * 10
+        assert list(metric.series()) == [()]
