@@ -8,9 +8,9 @@ the shape assertions recorded in ``DESIGN.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ..core import (FaultModel, Target, TargetKind)
+from ..core import FaultModel, Target, TargetKind, pulse_equivalent_mbu
 from ..core.faults import Fault
 from ..errors import UnsupportedFaultError
 from .experiments import (Evaluation, PAPER_FAULTS_PER_EXPERIMENT,
@@ -257,25 +257,16 @@ def generate_table4(evaluation: Evaluation,
     the occurrence of a bit-flip in many of these FFs".
     """
     fades = evaluation.fades
-    device = fades.device
     locmap = fades.locmap
-    registers = [name for name in evaluation.model.register_signals
-                 if name in locmap.signals]
+    # Register -> its flip-flops, for registers held wholly in FFs.
+    registers = {
+        name: [bit.index for bit in locmap.signals[name].bits]
+        for name in evaluation.model.register_signals
+        if name in locmap.signals
+        and all(bit.kind == "ff" for bit in locmap.signals[name].bits)}
 
-    def register_values() -> Dict[str, int]:
-        values = {}
-        for name in registers:
-            bits = locmap.signals[name].bits
-            value = 0
-            ok = True
-            for position, bit in enumerate(bits):
-                if bit.kind != "ff":
-                    ok = False
-                    break
-                value |= device.ff_state()[bit.index] << position
-            if ok:
-                values[name] = value
-        return values
+    def value(state: Sequence[int], ffs: List[int]) -> int:
+        return sum(state[ff] << position for position, ff in enumerate(ffs))
 
     candidates = (locmap.luts_in_unit("MEM") + locmap.luts_in_unit("FSM")
                   + locmap.luts_in_unit("ALU"))
@@ -284,23 +275,16 @@ def generate_table4(evaluation: Evaluation,
     for lut_index in candidates:
         if len(rows) >= max_rows:
             break
-        # Golden register snapshot one cycle after the injection point.
-        device.reset_system()
-        device.run(inject_cycle + 1)
-        golden = register_values()
-        # Faulty run: one-cycle pulse on the LUT output at inject_cycle.
-        fault = Fault(FaultModel.PULSE, Target(TargetKind.LUT, lut_index),
-                      inject_cycle, duration_cycles=1.0)
-        device.reset_system()
-        injection = fades.injector.prepare(fault)
-        device.run(inject_cycle)
-        injection.inject()
-        device.step()
-        injection.remove()
-        faulty = register_values()
-        fades._restore_configuration()
-        affected = [(name, golden[name], faulty[name])
-                    for name in golden if golden[name] != faulty[name]]
+        # One-cycle pulse on the LUT output at inject_cycle, against the
+        # golden state one cycle later.
+        equivalent = pulse_equivalent_mbu(fades, lut_index, inject_cycle)
+        golden = equivalent.golden_ffs
+        faulty = list(golden)
+        for ff in equivalent.flipped_ffs:
+            faulty[ff] ^= 1
+        affected = [(name, value(golden, ffs), value(faulty, ffs))
+                    for name, ffs in registers.items()
+                    if value(golden, ffs) != value(faulty, ffs)]
         if len(affected) >= 2:
             site = fades.impl.placement.site_of_lut[lut_index]
             rows.append(MultipleBitflipRow(

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import SimulationError
 from ..fpga.board import Board
@@ -182,10 +182,7 @@ class Experiment:
         self.mechanism = self.injection.mechanism_label or fault.model.value
         self.start = fault.injection_cycle(cycles)
         self.window = fault.activation_window
-        #: Cycles whose capture edge the fault is live at, clipped to the
-        #: run (a window past the end is removed after the last cycle).
-        self.active = range(self.start,
-                            min(self.start + self.window, cycles))
+        self.active = fault.active_cycles(cycles)
         self._live = False
 
     def inject(self) -> None:
@@ -454,7 +451,8 @@ class FadesCampaign:
                                pool=pool_size(spec, self.locmap))
 
     def run_batch(self, faults: Sequence[Fault], cycles: int, pool: int = 0,
-                  indices: Optional[Sequence[int]] = None
+                  indices: Optional[Sequence[int]] = None,
+                  progress: Optional[Callable[[], None]] = None
                   ) -> List[ExperimentResult]:
         """Run a fault list through the selected backend, in fault order.
 
@@ -463,25 +461,34 @@ class FadesCampaign:
         fault's result never depends on the batch it runs in.  The
         reference backend runs one experiment per fault; the compiled
         backend packs supported faults into bit-lane batches.
+        ``progress`` (if given) is called after each experiment's
+        reconfiguration protocol, so a pool worker keeps its heartbeat
+        through a wide lane batch.
         """
         if indices is None:
             indices = range(len(faults))
         if self.backend == "compiled":
             from ..emu import run_lane_batch
             return run_lane_batch(self, faults, cycles, pool=pool,
-                                  indices=indices)
+                                  indices=indices, progress=progress)
         # The golden run's checkpoints fast-forward every experiment.
         self.golden_run(cycles)
-        return [self.run_experiment(fault, cycles, pool=pool, index=index)
-                for fault, index in zip(faults, indices)]
+        results = []
+        for fault, index in zip(faults, indices):
+            results.append(self.run_experiment(fault, cycles, pool=pool,
+                                               index=index))
+            if progress is not None:
+                progress()
+        return results
 
     def static_plan(self, faults: Sequence[Fault], cycles: int):
         """Static-analysis verdict over a faultload (:mod:`repro.sfa`).
 
-        The analyses (structural graph, observability cones) are cached
-        per workload-and-length, like the golden trace, and the lane
-        engine's compiled design per netlist; only the per-faultload
-        planning (one lane pass per batch of bit-flips) repeats.
+        The analyses (structural graph, reachable truth-table entries)
+        are cached per workload-and-length, like the golden trace, and
+        the lane engine's compiled design per netlist; only the
+        per-faultload planning (one lane pass per batch of lane-judged
+        faults) repeats.
         Imported lazily — :mod:`repro.sfa` depends on this package.
         """
         check_cycles(cycles)

@@ -147,6 +147,13 @@ class Fault:
         clamped onto the last emulated cycle."""
         return min(self.start_cycle, max(0, cycles - 1))
 
+    def active_cycles(self, cycles: int) -> range:
+        """Cycles of a *cycles*-long experiment whose capture edge the
+        fault is live at, clipped to the run (a window past the end is
+        removed after the last cycle)."""
+        start = self.injection_cycle(cycles)
+        return range(start, min(start + self.activation_window, cycles))
+
     @property
     def all_targets(self) -> Tuple[Target, ...]:
         """Primary plus extra targets (multiplicity >= 1)."""

@@ -133,6 +133,8 @@ class PulseEquivalent:
     cycle: int
     flipped_ffs: Tuple[int, ...]
     mbu: Optional[Fault]   # None if the pulse touched no flip-flop
+    #: Golden flip-flop state one cycle after the probe point.
+    golden_ffs: Tuple[int, ...]
 
 
 def pulse_equivalent_mbu(campaign, lut_index: int,
@@ -145,16 +147,17 @@ def pulse_equivalent_mbu(campaign, lut_index: int,
     this is that experiment, automated.
     """
     device = campaign.device
-    # Golden flip-flop state one cycle after the probe point.
+    # One run to the probe point serves both the golden cycle and the
+    # pulsed one.
     device.reset_system()
-    device.run(cycle + 1)
+    device.run(cycle)
+    prefix = device.save_state()
+    device.step()
     golden = device.ff_state()
-    # Pulse run.
+    device.load_state(prefix)
     fault = Fault(FaultModel.PULSE, Target(TargetKind.LUT, lut_index),
                   cycle, duration_cycles=1.0)
-    device.reset_system()
     injection = campaign.injector.prepare(fault)
-    device.run(cycle)
     injection.inject()
     device.step()
     injection.remove()
@@ -166,4 +169,4 @@ def pulse_equivalent_mbu(campaign, lut_index: int,
     # the next evaluation, so the two runs align cycle for cycle.
     mbu = multi_ff_bitflip(flipped, cycle + 1) if flipped else None
     return PulseEquivalent(lut_index=lut_index, cycle=cycle,
-                           flipped_ffs=flipped, mbu=mbu)
+                           flipped_ffs=flipped, mbu=mbu, golden_ffs=golden)

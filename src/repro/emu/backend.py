@@ -9,7 +9,8 @@ Table 2 costs), injector RNG consumption and delay-fault timing analysis
 are bit-identical to the reference path.  What the adapter *skips* is the
 per-experiment workload execution: it turns the experiment's activation
 window into lane-masked operations on a
-:class:`~repro.emu.lanes.BatchSchedule`, and one lane-engine pass
+:class:`~repro.emu.lanes.BatchSchedule` (:func:`schedule_fault`, which
+the SFA's ``workload-silent`` prune rule shares), and one lane-engine pass
 evaluates up to ``lane_width() - 1`` experiments against the golden run
 in lane 0.  That lane 0 is also the campaign's golden trace: the first
 pass fills the golden cache, so a compiled campaign simulates its
@@ -23,7 +24,7 @@ experiment in place, in fault order.
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..core.campaign import _EXPERIMENTS, Experiment, ExperimentResult
 from ..core.classify import Outcome
@@ -33,6 +34,7 @@ from ..hdl.trace import Trace
 from ..obs import metrics as obs_metrics
 from ..obs.logsetup import get_logger
 from ..obs.tracing import span
+from ..synth.mapped import MappedNetlist
 from .compiler import compile_design
 from .lanes import BatchSchedule, LaneResult, run_lanes
 
@@ -140,6 +142,72 @@ def _lane0_trace(campaign, lane_result: LaneResult, cycles: int) -> Trace:
     return trace
 
 
+def schedule_fault(schedule: BatchSchedule, fault: Fault, lane: int,
+                   cycles: int, mapped: MappedNetlist,
+                   level: Optional[Callable[[int], int]] = None,
+                   violating: Sequence[int] = ()) -> None:
+    """Schedule *fault*'s effect on *lane* of a *cycles*-long pass.
+
+    The one translation of a fault into lane operations, shared by the
+    compiled backend's replay and the planner's ``workload-silent``
+    pass (:mod:`repro.sfa.prune`).  A LUT fault rewrites the golden
+    table of *mapped*, which is what the device's golden configuration
+    holds.  ``level(cycle)`` is an indetermination's forced level at
+    *cycle*, asked once per active cycle in order, or once at the
+    injection cycle for a flip-flop force that covers no capture edge;
+    without it the fault's own ``value`` is forced throughout.
+    ``violating`` lists the flip-flops that miss setup while a delay
+    fault is live.
+    """
+    start = fault.injection_cycle(cycles)
+    active = fault.active_cycles(cycles)
+    target = fault.target
+    model = fault.model
+
+    def forced(cycle: int) -> int:
+        if level is not None:
+            return level(cycle)
+        assert fault.value is not None, "an unvalued fault needs a level"
+        return fault.value
+
+    if model is FaultModel.BITFLIP:
+        for flipped in fault.all_targets:
+            if flipped.kind is TargetKind.FF:
+                schedule.xor_ff(start, flipped.index, lane)
+            else:
+                schedule.flip_mem(start, flipped.index, flipped.addr,
+                                  flipped.bit, lane)
+    elif model is FaultModel.PULSE:
+        if target.kind is TargetKind.LUT:
+            if active:
+                faulty_tt = invert_lut_line(
+                    mapped.luts[target.index].padded_tt(), target.line)
+                for cycle in active:
+                    schedule.override(cycle, target.index, lane, faulty_tt)
+        else:  # CB_INPUT: the capture inverter on the FF's data path
+            for cycle in active:
+                schedule.invert_capture(cycle, target.index, lane)
+    elif model is FaultModel.DELAY:
+        for cycle in active:
+            for ff in violating:
+                schedule.violating_capture(cycle, ff, lane)
+    elif target.kind is TargetKind.FF:  # INDETERMINATION
+        if not active:
+            # Sub-cycle, no capture edge: the asynchronous LSR force
+            # lands and is released before the next evaluation.
+            schedule.set_ff(start, target.index, lane, forced(start))
+        for cycle in active:
+            value = forced(cycle)
+            schedule.set_ff(cycle, target.index, lane, value)
+            schedule.pin_capture(cycle, target.index, lane, value)
+    else:  # INDETERMINATION on a LUT
+        golden_tt = mapped.luts[target.index].padded_tt()
+        for cycle in active:
+            schedule.override(cycle, target.index, lane,
+                              stuck_lut_line(golden_tt, target.line,
+                                             forced(cycle)))
+
+
 def _replay(campaign, fault: Fault, cycles: int, lane: int,
             schedule: BatchSchedule, pool: int, index: int):
     """Run one fault's :class:`Experiment` protocol; schedule its lane ops.
@@ -150,70 +218,37 @@ def _replay(campaign, fault: Fault, cycles: int, lane: int,
     experiment = Experiment(campaign, fault, cycles, pool, index)
     experiment.inject()
     injection = experiment.injection
-    start, active = experiment.start, experiment.active
-    model = fault.model
-    if model is FaultModel.BITFLIP:
-        for target in fault.all_targets:
-            if target.kind is TargetKind.FF:
-                schedule.xor_ff(start, target.index, lane)
-            else:
-                schedule.flip_mem(start, target.index, target.addr,
-                                  target.bit, lane)
-    elif model is FaultModel.PULSE:
-        if fault.target.kind is TargetKind.LUT:
-            if active:
-                faulty_tt = invert_lut_line(injection.golden.tt,
-                                            fault.target.line)
-                for cycle in active:
-                    schedule.override(cycle, fault.target.index, lane,
-                                      faulty_tt)
-        else:  # CB_INPUT: the capture inverter on the FF's data path
-            for cycle in active:
-                schedule.invert_capture(cycle, fault.target.index, lane)
-    elif model is FaultModel.DELAY:
-        # The injected loads/detour are live now; the device's timing
-        # analysis says which flip-flops miss setup while they persist.
-        violating = sorted(campaign.device._violating)
-        for cycle in active:
-            for ff in violating:
-                schedule.violating_capture(cycle, ff, lane)
-    else:  # INDETERMINATION
-        if fault.target.kind is TargetKind.FF:
-            if not active:
-                # Sub-cycle, no capture edge: the asynchronous LSR force
-                # lands and is released before the next evaluation.
-                schedule.set_ff(start, fault.target.index, lane,
-                                injection.value)
-            for cycle in active:
-                experiment.tick(cycle)
-                schedule.set_ff(cycle, fault.target.index, lane,
-                                injection.value)
-                schedule.pin_capture(cycle, fault.target.index, lane,
-                                     injection.value)
-        else:  # LUT
-            golden_tt = injection.golden.tt if active else 0
-            for cycle in active:
-                experiment.tick(cycle)
-                schedule.override(
-                    cycle, fault.target.index, lane,
-                    stuck_lut_line(golden_tt, fault.target.line,
-                                   injection.value))
+
+    def level(cycle: int) -> int:
+        # The reference executor ticks before every active cycle; an
+        # oscillating indetermination re-draws its level there.
+        if cycle in experiment.active:
+            experiment.tick(cycle)
+        return injection.value
+
+    # The injected loads/detour of a delay fault are live now; the
+    # device's timing analysis says which flip-flops miss setup.
+    schedule_fault(schedule, fault, lane, cycles, campaign.impl.mapped,
+                   level=level, violating=sorted(campaign.device._violating))
     experiment.remove()
     return experiment.finish()
 
 
 def run_lane_batch(campaign, faults: Sequence[Fault], cycles: int,
                    pool: int = 0,
-                   indices: Optional[Sequence[int]] = None
+                   indices: Optional[Sequence[int]] = None,
+                   progress: Optional[Callable[[], None]] = None
                    ) -> List[ExperimentResult]:
     """Run a fault list through the lane engine; results in fault order.
 
     ``indices`` carries each fault's campaign index (default: its
     position), which seeds its experiment's injector draws.  Supported
     faults accumulate into lane batches; the others run the reference
-    experiment in place.  The golden run is not simulated on its own:
-    lane 0 of the first pass becomes the campaign's golden trace (one
-    ``golden_simulations``), unless one is cached already.
+    experiment in place.  ``progress`` (if given) is called after each
+    fault's replay or reference experiment.  The golden run is not
+    simulated on its own: lane 0 of the first pass becomes the
+    campaign's golden trace (one ``golden_simulations``), unless one is
+    cached already.
     """
     if indices is None:
         indices = range(len(faults))
@@ -267,14 +302,16 @@ def run_lane_batch(campaign, faults: Sequence[Fault], cycles: int,
             _LANE_FAULTS.inc(mode="fallback")
             results[position] = campaign.run_experiment(
                 fault, cycles, pool=pool, index=index)
-            continue
-        _LANE_FAULTS.inc(mode="packed")
-        with span("experiment", index=index, model=fault.model.value,
-                  target=fault.target.kind.value, backend="compiled"):
-            cost = _replay(campaign, fault, cycles, len(batch) + 1,
-                           schedule, pool, index)
-        batch.append((position, fault, cost))
-        if len(batch) >= width - 1:
-            flush()
+        else:
+            _LANE_FAULTS.inc(mode="packed")
+            with span("experiment", index=index, model=fault.model.value,
+                      target=fault.target.kind.value, backend="compiled"):
+                cost = _replay(campaign, fault, cycles, len(batch) + 1,
+                               schedule, pool, index)
+            batch.append((position, fault, cost))
+            if len(batch) >= width - 1:
+                flush()
+        if progress is not None:
+            progress()
     flush()
     return results  # type: ignore[return-value]

@@ -293,10 +293,14 @@ def _execute(jobspec: CampaignJobSpec, workers: int,
                 JobRunner(jobspec, campaign=campaign, faults=faults,
                           pool=pool), queue)
         else:
+            lanes = 0
+            if campaign.on_lanes:
+                from ..emu import lane_width
+                lanes = lane_width() - 1
             executor = WorkerPool(
                 jobspec, workers, queue, shard_timeout=shard_timeout,
                 on_spans=None if trace_writer is None
-                else trace_writer.write)
+                else trace_writer.write, lanes=lanes)
         try:
             # Each window is drained completely before its attribution
             # and stopping check, so both see a complete record prefix.

@@ -276,12 +276,10 @@ class JobRunner:
             faults = [self.faults[index] for index in indices]
             results = self.campaign.run_batch(
                 faults, self.jobspec.spec.workload_cycles, pool=self.pool,
-                indices=list(indices))
+                indices=list(indices), progress=progress)
         except BaseException:
             self.campaign.recover()
             raise
-        if progress is not None:
-            progress()
         return [record_from_result(index, result)
                 for index, result in zip(indices, results)]
 

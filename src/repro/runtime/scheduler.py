@@ -57,9 +57,12 @@ Pool design points:
   ``worker_hang`` / ``slow_result`` fault points, so every recovery
   path above is testable deterministically.
 
-Pool shards are deliberately small (see :func:`shard_size`): results
-stream back to the journal at shard granularity, so smaller shards mean
-finer crash-safety and better load balance at a modest queueing cost.
+Pool shards of a device campaign are deliberately small (see
+:func:`shard_size`): results stream back to the journal at shard
+granularity, so smaller shards mean finer crash-safety and better load
+balance at a modest queueing cost.  A lane campaign instead splits each
+window evenly over the workers: a shard is one lane pass, whose cost
+grows far slower than its width.
 """
 
 from __future__ import annotations
@@ -150,12 +153,18 @@ class Shard:
     indices: Tuple[int, ...]
 
 
-def shard_size(pending: int, workers: int) -> int:
-    """Pool shard size for a window of *pending* indices: about four
-    shards per worker (load balance against stragglers), capped at
-    :data:`MAX_SHARD_SIZE` (journal granularity)."""
-    per_worker = -(-pending // (max(1, workers) * 4))
-    return max(1, min(MAX_SHARD_SIZE, per_worker))
+def shard_size(pending: int, workers: int, lanes: int = 0) -> int:
+    """Pool shard size for a window of *pending* indices.
+
+    A lane campaign (``lanes``: the faults one lane pass carries) gives
+    each worker an even share of the window, at most one pass.  A
+    device campaign takes about four shards per worker (load balance
+    against stragglers), capped at :data:`MAX_SHARD_SIZE` (journal
+    granularity)."""
+    workers = max(1, workers)
+    if lanes:
+        return max(1, min(lanes, -(-pending // workers)))
+    return max(1, min(MAX_SHARD_SIZE, -(-pending // (workers * 4))))
 
 
 class ShardQueue:
@@ -481,13 +490,16 @@ class WorkerPool:
     persist across :meth:`run` calls, idling at the engine's window
     barriers, until :meth:`close`.  With ``on_spans`` the workers trace,
     and each result's span batch is handed to it; worker metrics merge
-    into this process's registry either way.
+    into this process's registry either way.  ``lanes`` is the faults
+    one lane pass carries when the campaign runs on the lane engine
+    (0 otherwise); it sizes the shards (:func:`shard_size`).
     """
 
     def __init__(self, jobspec: CampaignJobSpec, workers: int,
                  queue: ShardQueue,
                  shard_timeout: Optional[float] = None,
-                 on_spans: Optional[SpanCallback] = None) -> None:
+                 on_spans: Optional[SpanCallback] = None,
+                 lanes: int = 0) -> None:
         if workers < 1:
             raise SchedulerError("worker pool needs at least one worker")
         self.jobspec = jobspec
@@ -495,6 +507,7 @@ class WorkerPool:
         self.queue = queue
         self.shard_timeout = shard_timeout
         self.on_spans = on_spans
+        self.lanes = lanes
         #: EWMA of observed per-experiment wall time (None until the
         #: first shard completes); feeds the watchdog deadline.
         self.ewma_experiment_s: Optional[float] = None
@@ -518,7 +531,8 @@ class WorkerPool:
         """Execute *indices*, handing each shard's records to
         ``on_records`` as workers finish them (arrival order)."""
         queue = self.queue
-        queue.extend(indices, shard_size(len(indices), self.workers))
+        queue.extend(indices,
+                     shard_size(len(indices), self.workers, self.lanes))
         while queue:
             if not queue.interrupted():
                 while len(self._pool) < min(self.workers, len(queue)):

@@ -1,21 +1,21 @@
-"""Static fault analysis: prove fault outcomes without emulating them.
+"""Static fault analysis: resolve fault outcomes without emulating them.
 
-Most faults in a FADES campaign are Silent, and many provably so before
-any emulation happens — the flipped state washes out of every
-observability cone, the rewritten truth-table entry is unreachable, or
-the injected delay sits inside the timing slack.  This package derives
-those proofs from the netlist (and, for single bit-flips, from one
-lane-engine pass of :mod:`repro.emu` against the golden run) and feeds
-them back into the campaign as pruning and ATPG-style fault
-collapsing, plus a structural lint gate for the design zoo:
+Most faults in a FADES campaign are Silent.  This package finds them
+before the campaign emulates them — by one lane-engine pass of
+:mod:`repro.emu` against the golden run for every fault the lane engine
+runs as the device does, plus two rules that simulate nothing (a
+transient that covers no capture edge, a delay inside the timing slack)
+— and feeds the verdicts back into the campaign as pruning and
+ATPG-style fault collapsing, plus a structural lint gate for the design
+zoo:
 
-* :mod:`repro.sfa.graph` — structural graph, levels, loops, cones,
-  observability and sequential closures;
-* :mod:`repro.sfa.observe` — stuck-value propagation, dead LUT entries
-  and sequential washout;
+* :mod:`repro.sfa.graph` — structural graph, levels, loops, cones and
+  the observability closure;
+* :mod:`repro.sfa.observe` — stuck-value propagation and the reachable
+  truth-table entries of each LUT;
 * :mod:`repro.sfa.collapse` — behavioural equivalence classes;
-* :mod:`repro.sfa.prune` — the campaign planner combining all rules,
-  whose ``workload-silent`` rule runs bit-flips on the lane engine;
+* :mod:`repro.sfa.prune` — the campaign planner, whose
+  ``workload-silent`` rule is the lane-engine pass;
 * :mod:`repro.sfa.lint` — ``repro lint`` findings with severities.
 """
 

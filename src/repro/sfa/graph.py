@@ -15,10 +15,7 @@ rest of :mod:`repro.sfa` builds on:
   designs cannot blow the recursion limit);
 * **cone extraction** — transitive combinational fan-in / fan-out;
 * **observability closure** — the nets from which a primary output is
-  (sequentially) reachable, the cheap upper bound every prune rule
-  starts from;
-* **sequential closure** — the flip-flops one cycle downstream of each
-  flip-flop, which sequential washout follows.
+  (sequentially) reachable, which separates dead logic from live.
 """
 
 from __future__ import annotations
@@ -88,7 +85,6 @@ class StructuralGraph:
         self._loops: Optional[List[List[int]]] = None
         self._comb_observable: Optional[Set[int]] = None
         self._observable: Optional[Set[int]] = None
-        self._ff_successors: Optional[List[Set[int]]] = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -304,18 +300,6 @@ class StructuralGraph:
                     visit(port)
         self._observable = observable
         return observable
-
-    # ------------------------------------------------------------------
-    # sequential closure
-    # ------------------------------------------------------------------
-    def ff_successors(self) -> List[Set[int]]:
-        """Per flip-flop: the flip-flops one cycle downstream of its Q."""
-        if self._ff_successors is None:
-            successors: List[Set[int]] = []
-            for q, _d in self.ff_pairs:
-                successors.append(self.affected_ffs(q))
-            self._ff_successors = successors
-        return self._ff_successors
 
     # ------------------------------------------------------------------
     def dead_cells(self) -> List[int]:

@@ -151,7 +151,7 @@ def lint_design(design: Design, name: str = "") -> LintReport:
             nets=[net]))
 
     if isinstance(design, MappedNetlist):
-        analysis = ObservabilityAnalysis(design, graph)
+        analysis = ObservabilityAnalysis(design)
         dead_entries = 0
         sites: List[int] = []
         for index in range(len(design.luts)):

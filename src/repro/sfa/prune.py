@@ -7,7 +7,7 @@ journalled directly, with a ``pruned`` marker, and never touch the
 device — and (b) the equivalence classes whose members inherit their
 representative's outcome (``collapsed`` marker).
 
-Every rule errs on the side of emulating.  The rules, cheapest first:
+Every rule errs on the side of emulating.  Two rules simulate nothing:
 
 ``window0-noop``
     A sub-cycle transient whose active window covers no clock edge is
@@ -17,35 +17,33 @@ Every rule errs on the side of emulating.  The rules, cheapest first:
     advances.  FF indeterminations are *excluded*: asserting the LSR
     line forces the flip-flop's state immediately, which removal does
     not undo.
-``dead-lut-entry``
-    The faulty truth table agrees with the golden one on every entry
-    reachable under golden-run constants and tied inputs — the rewrite
-    can never change the LUT's output (sound even though the masks come
-    from the golden run, because this LUT is the only fault site).
-``washout``
-    The corruption's influence set — followed through the FF-to-FF
-    successor relation — touches no primary output and no memory port,
-    and provably goes extinct before the end of the run.
 ``delay-slack``
     A fan-out delay whose worst-case extra propagation delay is below
     the timing slack of every combinationally reachable flip-flop
     endpoint: no new setup violation, hence no behavioural change at
     all (the device applies delay violations at FF capture only).
-``workload-silent``
-    A single flip-flop or memory bit-flip that no rule above resolved
-    runs on the lane engine (:func:`repro.emu.run_lanes`), one lane per
-    fault and up to ``lane_width() - 1`` faults per pass, against the
-    golden run in lane 0; a lane that ends with neither an output
-    divergence nor a final-state difference is Silent by the very
-    comparison :func:`repro.core.classify.classify` makes.  If the
-    design does not compile, the rule is skipped and those faults are
-    emulated.
 
-The planner only trusts semantic rules (constants, washout, workload)
-when the golden configuration is ``trusted`` — no timing-violating
-flip-flops and no broken nets, mirroring the guards on the compiled
-backend.  Skipping a fault never shifts another experiment's injector
-draws: every experiment seeds its own from its faultload index.
+The third is the one Silent verdict for everything else the lane engine
+runs exactly as the device does without the device's timing or the
+injector's randomiser — single flip-flop and memory bit-flips, LUT and
+CB-input pulses, and FF and LUT indeterminations with a drawn level
+that do not oscillate:
+
+``workload-silent``
+    Each such fault runs on the lane engine (:func:`repro.emu.run_lanes`),
+    one lane per fault and up to ``lane_width() - 1`` faults per pass,
+    against the golden run in lane 0, its lane operations built by the
+    compiled backend's own :func:`repro.emu.backend.schedule_fault`; a
+    lane that ends with neither an output divergence nor a final-state
+    difference is Silent by the very comparison
+    :func:`repro.core.classify.classify` makes.  If the design does not
+    compile, the rule is skipped and those faults are emulated.
+
+The planner only runs ``delay-slack`` and ``workload-silent`` when the
+golden configuration is ``trusted`` — no timing-violating flip-flops,
+no broken nets and no combinational loops, mirroring the guards on the
+compiled backend.  Skipping a fault never shifts another experiment's
+injector draws: every experiment seeds its own from its faultload index.
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ if TYPE_CHECKING:  # type-only: sfa has no runtime fpga dependency
     from ..fpga.timing import TimingAnalysis
 
 from ..core.faults import Fault, FaultModel, TargetKind
-from ..core.injector import invert_lut_line, stuck_lut_line
 from ..obs.logsetup import get_logger
 from ..obs.metrics import counter
 from ..synth.mapped import MappedNetlist
@@ -144,7 +141,7 @@ class StaticFaultAnalysis:
     def analysis(self) -> ObservabilityAnalysis:
         if self._analysis is None:
             self._analysis = ObservabilityAnalysis(
-                self.mapped, self.graph, assume_inputs=self.inputs)
+                self.mapped, assume_inputs=self.inputs)
         return self._analysis
 
     # -- planning ------------------------------------------------------
@@ -153,24 +150,24 @@ class StaticFaultAnalysis:
 
         A pruned verdict on a class representative extends to every
         member — they are behaviourally identical by construction.
-        Combinational loops disable all semantic rules (the reference
-        simulator's settled values are undefined there), leaving only
-        collapsing by literal identity.
+        Combinational loops disable the simulating rules (the reference
+        simulator's settled values are undefined there), leaving
+        ``window0-noop`` and collapsing by literal identity.
         """
         trusted = self.trusted and not self.graph.combinational_loops()
         classes = collapse_faultload(
             faults, self.cycles, self.analysis if trusted else None)
         plan = PrunePlan(cycles=self.cycles, classes=classes)
-        flips: List[FaultClass] = []
+        judged: List[FaultClass] = []
         for cls in classes:
             fault = faults[cls.representative]
             rule = self._prune_rule(fault, trusted)
             if rule is not None:
                 for member in cls.members:
                     plan.pruned[member] = rule
-            elif trusted and self._single_flip(fault):
-                flips.append(cls)
-        for cls in self._workload_silent(faults, flips):
+            elif trusted and self._lane_judged(fault):
+                judged.append(cls)
+        for cls in self._workload_silent(faults, judged):
             for member in cls.members:
                 plan.pruned[member] = "workload-silent"
         for name, count in plan.stats().items():
@@ -184,75 +181,15 @@ class StaticFaultAnalysis:
         if fault.extra_targets:
             return None
         model = fault.model
-        kind = fault.target.kind
-        start = fault.injection_cycle(self.cycles)
-        window = fault.activation_window
-        if window == 0 and model.transient:
-            config_only = (
+        if fault.activation_window == 0 and (
                 model is FaultModel.PULSE
                 or model is FaultModel.DELAY
                 or (model is FaultModel.INDETERMINATION
-                    and kind is TargetKind.LUT))
-            if config_only:
-                return "window0-noop"
-        if not trusted:
-            return None
-        if model is FaultModel.DELAY:
+                    and fault.target.kind is TargetKind.LUT)):
+            return "window0-noop"
+        if trusted and model is FaultModel.DELAY:
             return self._delay_below_slack(fault)
-        if kind is TargetKind.LUT and model in (
-                FaultModel.PULSE, FaultModel.INDETERMINATION):
-            return self._lut_transient(fault, start, window)
-        if model is FaultModel.PULSE and kind is TargetKind.CB_INPUT:
-            if self._ff_washout(fault.target.index, start, window):
-                return "washout"
-            return None
-        if model is FaultModel.INDETERMINATION and kind is TargetKind.FF:
-            # Even at window 0 the LSR assertion forces the state for
-            # one presented cycle.
-            if self._ff_washout(fault.target.index, start, max(1, window)):
-                return "washout"
-            return None
-        if model is FaultModel.BITFLIP and kind is TargetKind.FF:
-            if self._ff_washout(fault.target.index, start, 1):
-                return "washout"
         return None
-
-    def _lut_transient(self, fault: Fault, start: int,
-                       window: int) -> Optional[str]:
-        lut_index = fault.target.index
-        lut = self.mapped.luts[lut_index]
-        line = fault.target.line if fault.target.line is not None else -1
-        if line >= len(lut.ins):
-            return None  # the injector will reject it properly
-        golden = lut.padded_tt()
-        if fault.model is FaultModel.PULSE:
-            candidates = [invert_lut_line(golden, line)]
-        elif fault.value is not None and not fault.oscillate:
-            candidates = [stuck_lut_line(golden, line, fault.value)]
-        else:
-            # Randomised level: invisible only if both levels are.
-            candidates = [stuck_lut_line(golden, line, 0),
-                          stuck_lut_line(golden, line, 1)]
-        if all(self.analysis.lut_change_invisible(lut_index, tt)
-               for tt in candidates):
-            return "dead-lut-entry"
-        if self.analysis.comb_effect_only(lut.out):
-            return "washout"
-        seeds = self.graph.affected_ffs(lut.out)
-        cone = self.graph.comb_fanout(lut.out)
-        cone.add(lut.out)
-        if cone & self.graph.output_nets:
-            return None
-        if any(net in self.graph.bram_readers for net in cone):
-            return None
-        remaining = max(0, self.cycles - (start + window))
-        if self.analysis.washed_out(seeds, window, remaining):
-            return "washout"
-        return None
-
-    def _ff_washout(self, ff_index: int, start: int, window: int) -> bool:
-        remaining = max(0, self.cycles - (start + window))
-        return self.analysis.washed_out({ff_index}, window, remaining)
 
     def _delay_below_slack(self, fault: Fault) -> Optional[str]:
         if self.timing is None:
@@ -273,30 +210,43 @@ class StaticFaultAnalysis:
             return "delay-slack"
         return None
 
-    def _single_flip(self, fault: Fault) -> bool:
-        """Whether the lane engine can run *fault* as one bit-flip."""
-        if fault.model is not FaultModel.BITFLIP or fault.extra_targets:
-            return False
+    def _lane_judged(self, fault: Fault) -> bool:
+        """Whether the lane engine runs *fault* as the device would,
+        needing neither the device's timing nor the injector's
+        randomiser."""
+        model = fault.model
         target = fault.target
-        if target.kind is TargetKind.FF:
-            return True
-        if target.kind is not TargetKind.MEMORY_BIT:
+        if fault.extra_targets or (
+                model is FaultModel.INDETERMINATION
+                and (fault.value is None or fault.oscillate)):
             return False
-        bram = self.mapped.brams[target.index]
-        return (target.addr is not None and target.bit is not None
-                and 0 <= target.addr < bram.depth
-                and 0 <= target.bit < bram.width)
+        if target.kind is TargetKind.FF:
+            return model in (FaultModel.BITFLIP,
+                             FaultModel.INDETERMINATION)
+        if target.kind is TargetKind.LUT:
+            # A line past the LUT's inputs is the injector's to reject.
+            return (model in (FaultModel.PULSE, FaultModel.INDETERMINATION)
+                    and target.line < len(self.mapped.luts[target.index].ins))
+        if target.kind is TargetKind.CB_INPUT:
+            return model is FaultModel.PULSE
+        if target.kind is TargetKind.MEMORY_BIT:
+            bram = self.mapped.brams[target.index]
+            return (model is FaultModel.BITFLIP
+                    and 0 <= target.addr < bram.depth
+                    and 0 <= target.bit < bram.width)
+        return False
 
     def _workload_silent(self, faults: Sequence[Fault],
                          classes: Sequence[FaultClass]
                          ) -> List[FaultClass]:
-        """The classes whose representative flip leaves neither an
-        output divergence nor a final-state difference on the lane
-        engine (golden in lane 0, one flip per lane)."""
+        """The classes whose representative leaves neither an output
+        divergence nor a final-state difference on the lane engine
+        (golden in lane 0, one fault per lane)."""
         if not classes:
             return []
         # Imported here so ``repro lint`` never loads the lane engine.
         from .. import emu
+        from ..emu.backend import schedule_fault
         try:
             design = emu.compile_design(self.mapped)
         except Exception as error:
@@ -310,14 +260,8 @@ class StaticFaultAnalysis:
             batch = classes[begin:begin + width]
             schedule = emu.BatchSchedule()
             for lane, cls in enumerate(batch, start=1):
-                fault = faults[cls.representative]
-                target = fault.target
-                addr, bit = target.addr, target.bit
-                start = fault.injection_cycle(self.cycles)
-                if target.kind is TargetKind.FF:
-                    schedule.xor_ff(start, target.index, lane)
-                elif addr is not None and bit is not None:
-                    schedule.flip_mem(start, target.index, addr, bit, lane)
+                schedule_fault(schedule, faults[cls.representative], lane,
+                               self.cycles, self.mapped)
             result = emu.run_lanes(design, len(batch) + 1, self.cycles,
                                    inputs=self.inputs, schedule=schedule)
             seen = result.fail_mask | result.latent_mask

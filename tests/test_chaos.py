@@ -190,6 +190,25 @@ class TestQuarantine:
         assert resumed.experiments[3].quarantined
 
 
+    def test_pooled_lane_poison_fault_is_bisected(self):
+        # A lane campaign's shard is a worker's whole share of the
+        # window; bisection still isolates the poison fault.
+        evaluation = Evaluation(backend="compiled")
+        spec = evaluation.spec(FaultModel.BITFLIP, "ffs", 1, COUNT)
+        jobspec = CampaignJobSpec.from_evaluation(
+            evaluation, spec, faultload_seed=evaluation.seed)
+        serial = run_campaign(jobspec)
+        chaos.install(ChaosPlan.from_spec(
+            "seed=4;worker_crash:index=3:always"))
+        result = run_campaign(jobspec, workers=2, max_retries=1)
+        assert result.experiments[3].quarantined
+        assert [outcome for index, outcome in enumerate(outcomes(result))
+                if index != 3] == [outcome for index, outcome
+                                   in enumerate(outcomes(serial))
+                                   if index != 3]
+        assert result.counts().quarantined == 1
+
+
 # ---------------------------------------------------------------------------
 # journal integrity: torn writes, bit-rot, fsck
 # ---------------------------------------------------------------------------

@@ -291,6 +291,42 @@ class TestScheduler:
         ids = [shard.shard_id] + [half.shard_id for half in halves]
         assert sorted(ids) == list(range(4, 7))
 
+    def test_lane_shards_split_the_window_over_the_workers(self):
+        assert shard_size(765, workers=2, lanes=4095) == 383
+        assert shard_size(9000, workers=2, lanes=4095) == 4095
+        assert shard_size(765, workers=2) == MAX_SHARD_SIZE
+
+    def test_lane_shard_heartbeats_between_replays(self):
+        # A pool worker hangs its heartbeat on run_indices' progress; a
+        # wide lane shard must keep calling it, not only once at its end.
+        compiled = Evaluation(backend="compiled")
+        spec = compiled.spec(FaultModel.BITFLIP, "ffs", 1, COUNT)
+        runner = JobRunner(CampaignJobSpec.from_evaluation(
+            compiled, spec, faultload_seed=compiled.seed))
+        beats = []
+        runner.run_indices(range(COUNT), progress=lambda: beats.append(1))
+        assert len(beats) == COUNT
+
+    @pytest.mark.skipif(not HAS_FORK,
+                        reason="worker pool needs the fork start method")
+    def test_pooled_lane_campaign_runs_one_pass_per_worker(self):
+        # Each pass of L lanes over C cycles adds L * C lane-cycles (lane
+        # 0 is the golden run), and the worker counters merge into this
+        # process's registry; the parent adds one one-lane golden pass
+        # at aggregation.
+        compiled = Evaluation(backend="compiled")
+        count = 40
+        spec = compiled.spec(FaultModel.BITFLIP, "ffs", 1, count)
+        jobspec = CampaignJobSpec.from_evaluation(
+            compiled, spec, faultload_seed=compiled.seed)
+        in_process = run_campaign(jobspec)
+        lane_cycles = REGISTRY.get("emu_lane_cycles_total")
+        before = lane_cycles.total()
+        pooled = run_campaign(jobspec, workers=2)
+        lanes = (lane_cycles.total() - before) // spec.workload_cycles
+        assert divergences(pooled) == divergences(in_process)
+        assert lanes - count - 1 <= 2
+
     @pytest.mark.skipif(not HAS_FORK,
                         reason="crash simulation needs fork start method")
     def test_worker_crash_requeues_and_respawns(self, jobspec,

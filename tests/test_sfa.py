@@ -14,6 +14,7 @@ import pytest
 from repro.analysis import Evaluation
 from repro.core import (Fault, FaultLoadSpec, FaultModel, Outcome, Target,
                         TargetKind, generate_faultload, row_from_campaign)
+from repro.core.injector import stuck_lut_line
 from repro.errors import InjectionError, ReproError
 from repro.hdl import Rtl
 from repro.runtime import (CampaignJobSpec, read_journal, resume_campaign,
@@ -72,27 +73,13 @@ class TestStructuralGraph:
 class TestObservability:
     def _analysis(self, inputs=None):
         mapped = synthesize(designs.counter(4)).mapped
-        graph = StructuralGraph.from_design(mapped)
-        return mapped, ObservabilityAnalysis(mapped, graph,
-                                             assume_inputs=inputs)
+        return mapped, ObservabilityAnalysis(mapped, assume_inputs=inputs)
 
     def test_reachable_mask_covers_padded_entries(self):
         mapped, analysis = self._analysis()
         for index in range(len(mapped.luts)):
             mask = analysis.reachable_mask(index)
             assert 0 < mask < (1 << 16) or mask == (1 << 16) - 1
-
-    def test_identity_rewrite_is_invisible(self):
-        mapped, analysis = self._analysis()
-        for index, lut in enumerate(mapped.luts):
-            assert analysis.lut_change_invisible(index, lut.padded_tt())
-
-    def test_output_inversion_is_visible_somewhere(self):
-        mapped, analysis = self._analysis()
-        visible = [index for index, lut in enumerate(mapped.luts)
-                   if not analysis.lut_change_invisible(
-                       index, lut.padded_tt() ^ 0xFFFF)]
-        assert visible  # inverting every entry must matter for some LUT
 
     def test_tied_input_kills_entries(self):
         # With `en` assumed constant 1, the entries where the enable
@@ -273,6 +260,73 @@ class TestPrunePlan:
         assert stats["faults"] == len(faults)
         assert stats["pruned"] == len(pruned)
 
+    def test_randomness_guard(self, campaign, monkeypatch):
+        # Only an indetermination that draws its level (unvalued) or
+        # re-draws it every cycle (oscillating) needs the injector's
+        # randomiser; a bit-flip or a pulse drawn with --oscillate is
+        # still lane-judged.
+        from repro import emu
+        passes = []
+        run_lanes = emu.run_lanes
+
+        def spy(design, lanes, *args, **kwargs):
+            passes.append(lanes)
+            return run_lanes(design, lanes, *args, **kwargs)
+
+        monkeypatch.setattr(emu, "run_lanes", spy)
+        lut = Target(TargetKind.LUT, 0, line=-1)
+        ff = Target(TargetKind.FF, 0)
+        judged = [
+            Fault(FaultModel.BITFLIP, ff, 5, oscillate=True),
+            Fault(FaultModel.PULSE, lut, 5, duration_cycles=3.0,
+                  oscillate=True),
+            Fault(FaultModel.PULSE, Target(TargetKind.CB_INPUT, 0), 5,
+                  duration_cycles=3.0, oscillate=True),
+            Fault(FaultModel.INDETERMINATION, ff, 5, value=1,
+                  duration_cycles=3.0),
+            Fault(FaultModel.INDETERMINATION, lut, 5, value=0,
+                  duration_cycles=3.0),
+        ]
+        drawing = [
+            Fault(FaultModel.INDETERMINATION, ff, 5, duration_cycles=3.0),
+            Fault(FaultModel.INDETERMINATION, lut, 5, duration_cycles=3.0),
+            Fault(FaultModel.INDETERMINATION, ff, 5, value=1,
+                  duration_cycles=3.0, oscillate=True),
+            Fault(FaultModel.INDETERMINATION, lut, 5, value=1,
+                  duration_cycles=3.0, oscillate=True),
+        ]
+        for fault in judged + drawing:
+            passes.clear()
+            campaign.static_plan([fault], cycles=20)
+            assert passes == ([2] if fault in judged else []), fault
+
+    def test_dead_entry_rewrite_is_workload_silent(self):
+        # A LUT rewrite that only changes truth-table entries the tied
+        # inputs make unreachable can never change the LUT's output.
+        inputs = {"sample": 5, "valid": 1}
+        campaign = make_campaign(designs.fir_filter(), inputs=inputs)
+        mapped = campaign.locmap.mapped
+        analysis = ObservabilityAnalysis(mapped, assume_inputs=inputs)
+        faults = []
+        for index, lut in enumerate(mapped.luts):
+            golden = lut.padded_tt()
+            mask = analysis.reachable_mask(index)
+            for line in range(len(lut.ins)):
+                for value in (0, 1):
+                    faulty = stuck_lut_line(golden, line, value)
+                    if faulty != golden and not (faulty ^ golden) & mask:
+                        faults.append(Fault(
+                            FaultModel.INDETERMINATION,
+                            Target(TargetKind.LUT, index, line=line), 7,
+                            duration_cycles=6.0, value=value))
+        assert faults
+        plan = campaign.static_plan(faults, cycles=40)
+        assert plan.pruned == dict.fromkeys(range(len(faults)),
+                                            "workload-silent")
+        emulated = make_campaign(designs.fir_filter(), inputs=inputs)
+        assert all(result.outcome is Outcome.SILENT
+                   for result in emulated.run_batch(faults, 40))
+
     def test_pruned_verdict_extends_to_class_members(self):
         plan_cls = FaultClass(("ff-flip", 0, 5), 0, (0, 2))
         assert plan_cls.collapsed == (2,)
@@ -356,6 +410,18 @@ def memory_runs(evaluation):
     return baseline, pruned
 
 
+@pytest.fixture(scope="module")
+def pruning_evaluation():
+    return Evaluation(prune_silent=True)
+
+
+LANE_JUDGED_CLASSES = [
+    (FaultModel.PULSE, "luts"),
+    (FaultModel.INDETERMINATION, "ffs"),
+    (FaultModel.INDETERMINATION, "luts"),
+]
+
+
 class TestMc8051Acceptance:
     def test_prunes_at_least_ten_percent(self, bitflip_runs):
         _baseline, pruned = bitflip_runs
@@ -380,6 +446,23 @@ class TestMc8051Acceptance:
         # Memory bit-flips reach no cheap rule: every prune here is the
         # lane engine's workload-silent verdict.
         baseline, pruned = memory_runs
+        flagged = [index for index, e in enumerate(pruned.experiments)
+                   if e.pruned]
+        assert flagged
+        for index in flagged:
+            assert baseline.experiments[index].outcome is Outcome.SILENT
+        assert [e.outcome for e in pruned.experiments] \
+            == [e.outcome for e in baseline.experiments]
+
+    @pytest.mark.parametrize("model,pool", LANE_JUDGED_CLASSES,
+                             ids=["pulse-luts", "indet-ffs", "indet-luts"])
+    def test_lane_judged_classes_pruned_only_when_silent(
+            self, evaluation, pruning_evaluation, model, pool):
+        # LUT pulses and valued FF/LUT indeterminations reach the lane
+        # engine's workload-silent verdict like bit-flips do.
+        spec = evaluation.spec(model, pool, 1, count=24)
+        baseline = evaluation.run_fades(spec)
+        pruned = pruning_evaluation.run_fades(spec)
         flagged = [index for index, e in enumerate(pruned.experiments)
                    if e.pruned]
         assert flagged
