@@ -7,6 +7,7 @@ ASCII rendering for bench output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -23,6 +24,8 @@ class FigureBar:
     failure: float = 0.0
     latent: float = 0.0
     silent: float = 0.0
+    #: A time bar's emulated seconds per fault; NaN when no experiment
+    #: of its class was emulated (all pruned).
     mean_time_s: Optional[float] = None
     n: int = 0
     failure_ci: str = ""  # Wilson interval rendering of the failure rate
@@ -38,7 +41,10 @@ class Figure:
     def render(self) -> str:
         lines = [self.title, "-" * len(self.title)]
         for bar in self.bars:
-            if bar.mean_time_s is not None:
+            if bar.mean_time_s is not None and math.isnan(bar.mean_time_s):
+                lines.append(f"{bar.label:<28} no emulated experiments"
+                             f"  (n={bar.n})")
+            elif bar.mean_time_s is not None:
                 lines.append(f"{bar.label:<28} {bar.mean_time_s:8.3f} s/fault"
                              f"  (n={bar.n})")
             else:
@@ -76,17 +82,16 @@ def generate_fig10(evaluation: Evaluation,
     """
     figure = Figure("Figure 10. Mean emulation time per experiment class "
                     "(emulated seconds per fault)")
-    for name, spec in evaluation.experiment_matrix(count):
-        result = evaluation.run_fades(spec)
-        figure.bars.append(FigureBar(
-            label=name, mean_time_s=result.mean_emulation_s,
-            n=len(result.experiments)))
     oscillating = evaluation.spec(FaultModel.INDETERMINATION, "ffs", 2,
                                   count, oscillate=True)
-    result = evaluation.run_fades(oscillating)
-    figure.bars.append(FigureBar(
-        label="indet/Sequential osc. 11-20",
-        mean_time_s=result.mean_emulation_s, n=len(result.experiments)))
+    for name, spec in evaluation.experiment_matrix(count) + [
+            ("indet/Sequential osc. 11-20", oscillating)]:
+        result = evaluation.run_fades(spec)
+        # A class whose every fault was pruned has no time to draw.
+        figure.bars.append(FigureBar(
+            label=name, n=len(result.experiments),
+            mean_time_s=(result.mean_emulation_s
+                         if result.emulated_count() else math.nan)))
     return figure
 
 

@@ -49,14 +49,15 @@ _FALLBACKS = obs_metrics.counter(
     "by cause.")
 
 #: Default lane count.  Lane 0 is the golden run, so a batch carries
-#: ``lane_width() - 1`` fault experiments.  Lane vectors are arbitrary-
-#: precision ints sized by the *occupied* lanes of each batch, so a wide
-#: default only makes batches fuller (fewer engine passes), never wider
-#: than the faults at hand.  A pass's cost grows far slower than its
-#: width, so lane time per fault falls up to this width and no further
-#: (4,095 FF flips over the 569-cycle sort on a 2-vCPU host: 0.39 ms
-#: at 256 lanes, 0.14 ms at 1,024, 0.072 ms at 4,096 and 8,192), and a
-#: paper-scale 3,000-fault experiment runs in one pass.
+#: ``lane_width() - 1`` fault experiments.  A pass's planes are only as
+#: wide as its *live* faults (:mod:`repro.emu.lanes`: a fault holds a
+#: slot from its first operation until it fails or re-converges), so a
+#: wide default only makes batches fuller: fewer passes, each paying its
+#: per-cycle overhead once.  Lane time per fault falls up to this width
+#: and no further (4,095 FF flips over the 569-cycle sort on a 2-vCPU
+#: host: 0.36 ms at 256 lanes, 0.14 ms at 1,024, 0.063 ms at 4,096 and
+#: 0.064 ms at 8,192), and a paper-scale 3,000-fault experiment runs in
+#: one pass.
 DEFAULT_LANES = 4096
 
 

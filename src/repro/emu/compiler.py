@@ -168,14 +168,6 @@ class CompiledDesign:
     live_luts: int
 
 
-def _operand(net: int) -> str:
-    if net == CONST0:
-        return "0"
-    if net == CONST1:
-        return "M"
-    return f"v{net}"
-
-
 def _generate_mapped(mapped: MappedNetlist) -> Tuple[str, Dict]:
     """Generate the step functions' source plus the port-layout metadata."""
     # Fold constant LUT operands once; keep the original padded input
@@ -210,50 +202,39 @@ def _generate_mapped(mapped: MappedNetlist) -> Tuple[str, Dict]:
             live_nets.update(net for net in lut.ins
                              if net not in (CONST0, CONST1))
 
-    loads: List[str] = []
+    # Where each net that no LUT drives is read from.
+    sources: Dict[int, str] = {}
     for ff_index, ff in enumerate(mapped.ffs):
-        if ff.q in live_nets:
-            loads.append(f"    v{ff.q} = S[{ff_index}]")
+        sources[ff.q] = f"S[{ff_index}]"
     input_positions = []
     flat_in = 0
     for name, nets in mapped.inputs.items():
         positions = []
         for net in nets:
             positions.append(flat_in)
-            if net in live_nets:
-                loads.append(f"    v{net} = I[{flat_in}]")
+            sources[net] = f"I[{flat_in}]"
             flat_in += 1
         input_positions.append((name, tuple(positions)))
     n_r = 0
     for bram in mapped.brams:
         for net in bram.rdata:
-            if net in live_nets:
-                loads.append(f"    v{net} = R[{n_r}]")
+            sources[net] = f"R[{n_r}]"
             n_r += 1
 
-    body: List[str] = []
-    hooks: Dict[int, str] = {}
-    for index, lut in enumerate(mapped.luts):
-        if not live[index]:
-            continue
-        tt, nets = folded[index]
-        body.append(f"    v{lut.out} = "
-                    f"{bool_expr(tt, [f'v{n}' for n in nets])}")
-        padded = list(lut.ins) + [CONST0] * (4 - len(lut.ins))
-        args = ", ".join(_operand(net) for net in padded)
-        hooks[len(body) - 1] = (
-            f"    if {index} in OV:\n"
-            f"        v{lut.out} = OV[{index}](v{lut.out}, {args})")
+    # D/O/B stores by net: each is written right after its value exists.
+    stores: Dict[int, List[str]] = {}
 
-    stores: List[str] = []
+    def store(net: int, slot: str) -> None:
+        stores.setdefault(net, []).append(slot)
+
     for ff_index, ff in enumerate(mapped.ffs):
-        stores.append(f"    D[{ff_index}] = {_operand(ff.d)}")
+        store(ff.d, f"D[{ff_index}]")
     outputs = []
     flat_out = 0
     for name, nets in mapped.outputs.items():
         outputs.append((name, len(nets)))
         for net in nets:
-            stores.append(f"    O[{flat_out}] = {_operand(net)}")
+            store(net, f"O[{flat_out}]")
             flat_out += 1
     mems: List[MemSpec] = []
     n_b = 0
@@ -263,7 +244,7 @@ def _generate_mapped(mapped: MappedNetlist) -> Tuple[str, Dict]:
             nonlocal n_b
             indices = []
             for net in nets:
-                stores.append(f"    B[{n_b}] = {_operand(net)}")
+                store(net, f"B[{n_b}]")
                 indices.append(n_b)
                 n_b += 1
             return tuple(indices)
@@ -282,19 +263,74 @@ def _generate_mapped(mapped: MappedNetlist) -> Tuple[str, Dict]:
                             b_we=b_we, b_waddr=b_waddr, b_wdata=b_wdata))
         r_base += bram.width
 
+    # Locals are named by liveness: a value takes a free name when it is
+    # loaded or computed and gives it back after its last reader, so
+    # the step needs far fewer than 256 locals and no EXTENDED_ARG.  A
+    # LUT's reads include its raw operands, which the override hook
+    # passes, and its result never takes an operand's name, because the
+    # hook still reads the operands after the assignment.
+    order = [index for index in range(len(mapped.luts)) if live[index]]
+    operands = [[net for net in mapped.luts[index].ins
+                 if net not in (CONST0, CONST1)] for index in order]
+    last_read: Dict[int, int] = {}
+    for position, nets in enumerate(operands):
+        for net in nets:
+            last_read[net] = position
+    names: Dict[int, str] = {}
+    free: List[str] = []
+    n_locals = 0
+
+    def take(net: int) -> str:
+        nonlocal n_locals
+        if free:
+            name = free.pop()
+        else:
+            name = f"v{n_locals}"
+            n_locals += 1
+        names[net] = name
+        return name
+
+    def operand(net: int) -> str:
+        if net == CONST0:
+            return "0"
+        if net == CONST1:
+            return "M"
+        return names[net]
+
+    head = [f"    {slot} = {sources.get(net) or operand(net)}"
+            for net, slots in stores.items()
+            if net in sources or net in (CONST0, CONST1) for slot in slots]
+    blocks = []
+    for position, index in enumerate(order):
+        lut = mapped.luts[index]
+        tt, nets = folded[index]
+        loads = [f"    {take(net)} = {sources[net]}"
+                 for net in dict.fromkeys(operands[position])
+                 if net not in names]
+        expr = bool_expr(tt, [names[net] for net in nets])
+        result = take(lut.out)
+        padded = list(lut.ins) + [CONST0] * (4 - len(lut.ins))
+        args = ", ".join(operand(net) for net in padded)
+        hook = (f"    if {index} in OV:\n"
+                f"        {result} = OV[{index}]({result}, {args})")
+        tail = [f"    {slot} = {result}"
+                for slot in stores.get(lut.out, ())]
+        for net in dict.fromkeys(operands[position] + [lut.out]):
+            if last_read.get(net, -1) <= position:
+                free.append(names[net])
+        blocks.append((loads + [f"    {result} = {expr}"], hook, tail))
+
     lines = ["def step(M, S, I, R, D, O, B):"]
-    lines += loads or ["    pass"]
-    lines += body
-    lines += stores
+    body = list(head)
+    for statements, _hook, tail in blocks:
+        body += statements + tail
+    lines += body or ["    pass"]
     lines.append("")
     lines.append("def step_ov(M, S, I, R, D, O, B, OV):")
-    lines += loads or ["    pass"]
-    for offset, line in enumerate(body):
-        lines.append(line)
-        hook = hooks.get(offset)
-        if hook is not None:
-            lines.append(hook)
-    lines += stores
+    body = list(head)
+    for statements, hook, tail in blocks:
+        body += statements + [hook] + tail
+    lines += body or ["    pass"]
     lines.append("")
     meta = {
         "input_positions": tuple(input_positions),

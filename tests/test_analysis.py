@@ -4,12 +4,15 @@ Campaign counts are kept tiny — these tests validate structure and shape
 machinery, not statistics (the benchmarks do that at larger counts).
 """
 
+import math
+
 import pytest
 
 from repro.analysis import (Evaluation, PAPER_TABLE2, default_fault_count,
                             generate_fig10, generate_fig12, generate_table1,
                             generate_table2, generate_table3,
                             render_table1, render_table2, render_table3)
+from repro.analysis.experiments import PAPER_FAULTS_PER_EXPERIMENT
 from repro.core import FaultModel
 
 
@@ -103,3 +106,42 @@ class TestFigureGenerators:
             assert bar.n == 2
             assert bar.failure + bar.latent + bar.silent == \
                 pytest.approx(100.0)
+
+
+class TestPrunedClasses:
+    """Under ``--prune-silent`` a class can have every fault pruned: it
+    has no FADES time, so Table 2 and Fig. 10 neither show nor project
+    one for it."""
+
+    @pytest.fixture(scope="class")
+    def pruned(self):
+        return Evaluation(values=(7, 2, 5), prune_silent=True,
+                          backend="compiled")
+
+    def test_table2_projects_only_from_emulated_classes(self, pruned):
+        rows = generate_table2(pruned, count=2)
+        empty = [row for row in rows if math.isnan(row.fades_mean_s)]
+        timed = [row for row in rows if not math.isnan(row.fades_mean_s)]
+        assert empty and timed
+        for row in empty:
+            assert math.isnan(row.speedup)
+            assert math.isnan(row.fades_projected_s)
+            assert math.isnan(row.speedup_projected)
+        assert all(row.fades_mean_s > 0 for row in timed)
+        mean = sum(row.fades_projected_s for row in timed) / len(timed)
+        text = render_table2(rows)
+        assert (f"(the {len(timed)} of {len(rows)} classes with emulated "
+                f"faults): FADES {mean * PAPER_FAULTS_PER_EXPERIMENT:.0f} s"
+                in text)
+
+    def test_fig10_marks_classes_without_emulated_experiments(self,
+                                                               pruned):
+        figure = generate_fig10(pruned, count=2)
+        empty = [bar for bar in figure.bars if math.isnan(bar.mean_time_s)]
+        assert empty
+        assert all(bar.mean_time_s > 0 for bar in figure.bars
+                   if bar not in empty)
+        text = figure.render()
+        for bar in empty:
+            assert f"{bar.label:<28} no emulated experiments" in text
+        assert " 0.000 s/fault" not in text

@@ -8,6 +8,8 @@ over the tier-1 designs (counter, FIR, UART) and an mc8051 smoke
 program.
 """
 
+import dataclasses
+import dis
 import itertools
 import random
 
@@ -26,7 +28,9 @@ from repro.emu.compiler import _fold_constants, bool_expr, tt_function
 from repro.emu.lanes import split_by_address
 from repro.errors import SimulationError
 from repro.hdl.netlist import CONST0, CONST1
+from repro.hdl.rtl import Rtl
 from repro.obs.metrics import REGISTRY
+from repro.synth import synthesize
 
 from helpers import build_accumulator, build_counter
 from test_core_injector import make_campaign
@@ -103,6 +107,20 @@ class TestCompileCaching:
 # ---------------------------------------------------------------------------
 # The seam itself
 # ---------------------------------------------------------------------------
+class TestStepLocals:
+    def test_mc8051_step_needs_no_extended_arg(self):
+        """Locals named by liveness: the 8051's step addresses every
+        local with one byte."""
+        from repro.analysis.experiments import Evaluation
+        design = compile_design(
+            Evaluation(values=(7, 2, 5)).fades.impl.mapped)
+        assert design.live_luts > 1000
+        for function in (design.step, design.step_hooked):
+            assert function.__code__.co_nlocals < 256
+        assert not any(instruction.opname == "EXTENDED_ARG"
+                       for instruction in dis.get_instructions(design.step))
+
+
 class TestBackendSeam:
     def test_backends_listed(self):
         assert BACKENDS == ("reference", "compiled")
@@ -407,6 +425,236 @@ class TestWideMemoryBatch:
             assert experiment.outcome is outcome, faults[lane - 1]
             assert experiment.first_divergence == \
                 result.first_divergence.get(lane), faults[lane - 1]
+
+
+# ---------------------------------------------------------------------------
+# Lane recycling: a fault holds a slot only while it is live
+# ---------------------------------------------------------------------------
+def _schedule_ops(faults):
+    """A schedule with fault *k* on lane *k + 1*.  A fault is a list of
+    ``(method, leading args, trailing args)`` calls of
+    :class:`BatchSchedule`, the lane going between the two."""
+    schedule = BatchSchedule()
+    for lane, ops in enumerate(faults, start=1):
+        for method, leading, trailing in ops:
+            getattr(schedule, method)(*leading, lane, *trailing)
+    return schedule
+
+
+def _recording_widths(design):
+    """*design* with steps that record each cycle's slot range."""
+    widths = []
+
+    def step(mask_all, *args):
+        widths.append(mask_all.bit_length())
+        return design.step(mask_all, *args)
+
+    def step_hooked(mask_all, *args):
+        widths.append(mask_all.bit_length())
+        return design.step_hooked(mask_all, *args)
+
+    return dataclasses.replace(design, step=step,
+                               step_hooked=step_hooked), widths
+
+
+def _assert_lanes_run_alone(design, cycles, faults, inputs=None):
+    """One pass of *faults*: every lane ends as it does alone in a 2-lane
+    pass, and lane 0 as a 1-lane pass."""
+    result = run_lanes(design, len(faults) + 1, cycles, inputs=inputs,
+                       schedule=_schedule_ops(faults))
+    golden = run_lanes(design, 1, cycles, inputs=inputs)
+    assert result.samples == golden.samples
+    assert result.final_state == golden.final_state
+    for lane, fault in enumerate(faults, start=1):
+        alone = run_lanes(design, 2, cycles, inputs=inputs,
+                          schedule=_schedule_ops([fault]))
+        failed = alone.fail_mask >> 1 & 1
+        assert result.fail_mask >> lane & 1 == failed, fault
+        assert result.first_divergence.get(lane) == \
+            alone.first_divergence.get(1), fault
+        if not failed:  # a failed lane has left the pass
+            assert result.latent_mask >> lane & 1 == \
+                alone.latent_mask >> 1 & 1, fault
+    return result
+
+
+def _lane_faults(design, mapped, cycles, max_lanes):
+    """Faults mixing every lane operation, memory flips included."""
+    cycle = st.integers(0, cycles - 1)
+    ff = st.integers(0, len(mapped.ffs) - 1)
+    level = st.integers(0, 1)
+    calls = [
+        st.tuples(st.just("xor_ff"), st.tuples(cycle, ff), st.just(())),
+        st.tuples(st.just("set_ff"), st.tuples(cycle, ff),
+                  st.tuples(level)),
+        st.tuples(st.just("pin_capture"), st.tuples(cycle, ff),
+                  st.tuples(level)),
+        st.tuples(st.just("invert_capture"), st.tuples(cycle, ff),
+                  st.just(())),
+        st.tuples(st.just("violating_capture"),
+                  st.tuples(st.sampled_from([0, 1]) | cycle, ff),
+                  st.just(())),
+        st.tuples(st.just("override"),
+                  st.tuples(cycle, st.integers(0, len(mapped.luts) - 1)),
+                  st.tuples(st.integers(0, 0xFFFF))),
+    ]
+    for index, spec in enumerate(design.mems):
+        calls.append(st.tuples(
+            st.just("flip_mem"),
+            st.tuples(cycle, st.just(index),
+                      st.integers(0, spec.depth - 1),
+                      st.integers(0, spec.width - 1)),
+            st.just(())))
+    fault = st.lists(st.one_of(calls), min_size=1, max_size=3)
+    return st.lists(fault, min_size=1, max_size=max_lanes)
+
+
+def _held(ff, *cycles):
+    """Calls that keep a lane live over *cycles* and change nothing: two
+    flips of one flip-flop on each cycle."""
+    return [("xor_ff", (cycle, ff), ()) for cycle in cycles for _ in (0, 1)]
+
+
+class TestLaneRecycling:
+    """A fault lane holds a slot from its first operation until it fails,
+    or until a convergence check after its last operation finds its state
+    equal to lane 0's; the slot range grows and narrows with the live
+    lanes.  None of it may change any lane's outcome."""
+
+    COUNTER_CYCLES = 100
+    CHECK = lanes_module.CHECK_INTERVAL
+
+    @pytest.fixture(scope="class")
+    def counter_design(self):
+        mapped = make_campaign(build_counter(4), inputs={"en": 1}) \
+            .impl.mapped
+        return compile_design(mapped), mapped
+
+    @pytest.fixture(scope="class")
+    def mc8051(self):
+        from repro.analysis.experiments import Evaluation
+        evaluation = Evaluation(values=(7, 2, 5), backend="compiled")
+        mapped = evaluation.fades.impl.mapped
+        return compile_design(mapped), mapped, evaluation.fades.inputs
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_counter_lanes_match_the_fault_run_alone(self, counter_design,
+                                                     data):
+        design, mapped = counter_design
+        faults = data.draw(_lane_faults(design, mapped, 70, 40))
+        _assert_lanes_run_alone(design, 70, faults, inputs={"en": 1})
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_mc8051_lanes_match_the_fault_run_alone(self, mc8051, data):
+        design, mapped, inputs = mc8051
+        assert [spec.rom for spec in design.mems] == [True, False]
+        faults = data.draw(_lane_faults(design, mapped, 100, 12))
+        _assert_lanes_run_alone(design, 100, faults, inputs=inputs)
+
+    def test_slot_range_grows_past_a_digit_and_narrows(self,
+                                                       counter_design):
+        design, _mapped = counter_design
+        recording, widths = _recording_widths(design)
+        late = self.COUNTER_CYCLES - 20
+        # Forty lanes join over the first cycles and change nothing.
+        faults = [_held(lane % 4, lane // 5 * 2, self.CHECK + 3)
+                  for lane in range(40)]
+        # Live past the check that releases the forty, in a low slot,
+        # then failing at its flip.
+        faults.append(_held(3, 1) + [("xor_ff", (late, 3), ())])
+        faults.append([("xor_ff", (20, 0), ())])
+        faults.append([("invert_capture", (late - 10, 1), ())])
+        result = _assert_lanes_run_alone(recording, self.COUNTER_CYCLES,
+                                         faults, inputs={"en": 1})
+        widths = widths[:self.COUNTER_CYCLES]  # the batch pass
+        assert widths[0] == 8
+        assert lanes_module.DIGIT_WIDTH in widths
+        assert max(widths) == len(faults) + 1 > lanes_module.DIGIT_WIDTH
+        assert widths[-1] == 8
+        assert result.first_divergence[41] == late
+        assert result.fail_mask >> 1 & (1 << 40) - 1 == 0
+
+    def test_failed_lanes_slot_is_reused(self, counter_design):
+        design, _mapped = counter_design
+        recording, widths = _recording_widths(design)
+        faults = [_held(lane % 4, 0, 60) for lane in range(6)]
+        faults += [
+            [("xor_ff", (2, 0), ())],              # fails at once
+            [("violating_capture", (20, 0), ())],  # takes its slot
+            [("pin_capture", (30, 2), (1,)), ("set_ff", (31, 3), (0,))],
+        ]
+        result = _assert_lanes_run_alone(recording, self.COUNTER_CYCLES,
+                                         faults, inputs={"en": 1})
+        # Nine fault lanes ran in seven slots: each failure freed one.
+        assert max(widths[:self.COUNTER_CYCLES]) == 8
+        assert result.fail_mask >> 7 == 0b111
+
+    def test_read_data_keeps_a_lane_live(self):
+        # A flipped word that the same cycle reads and rewrites: at the
+        # check the memory equals lane 0's, the registered read data
+        # does not, and the output shows it on the next cycle.
+        rtl = Rtl("mirror")
+        addr = rtl.input("addr", 2)
+        data = rtl.input("data", 4)
+        mem = rtl.memory("cell", depth=4, width=4, init=[3, 5, 9, 12])
+        mem.connect(raddr=addr, waddr=addr, wdata=data, we=1)
+        rtl.output("out", mem.rdata)
+        design = compile_design(synthesize(rtl.build()).mapped)
+        faults = [[("flip_mem", (self.CHECK - 1, 0, 1, 0), ())]]
+        result = _assert_lanes_run_alone(design, 2 * self.CHECK, faults,
+                                         inputs={"addr": 1, "data": 5})
+        assert result.first_divergence == {1: self.CHECK}
+
+    @pytest.fixture(scope="class")
+    def shift_design(self):
+        rtl = Rtl("shift")
+        din = rtl.input("din", 1)
+        first = rtl.register("r0", 1)
+        second = rtl.register("r1", 1)
+        first.drive(din)
+        second.drive(first.q)
+        rtl.output("out", second.q)
+        mapped = synthesize(rtl.build()).mapped
+        assert [ff.name for ff in mapped.ffs] == ["r0[0]", "r1[0]"]
+        return compile_design(mapped)
+
+    def _converging_with_a_raw_record(self):
+        # Flips r0 and pins r1's capture back on the cycle before the
+        # check, so it converges there with a raw next state of r1 that
+        # lane 0 never had.
+        edge = self.CHECK - 1
+        return [("xor_ff", (edge, 0), ()), ("pin_capture", (edge, 1), (0,))]
+
+    def test_violating_capture_reads_its_own_recorded_state(self,
+                                                            shift_design):
+        # Lane 2's violating capture reads the raw r1 of the cycle
+        # before, so it must hold its own slot by then.
+        faults = [self._converging_with_a_raw_record(),
+                  [("violating_capture", (self.CHECK, 1), ())]]
+        result = _assert_lanes_run_alone(shift_design, 2 * self.CHECK,
+                                         faults, inputs={"din": 0})
+        assert result.fail_mask == result.latent_mask == 0
+
+    def test_violating_capture_joins_a_released_slot(self, shift_design):
+        # Lanes 1-7 fill the first range; lane 8's violating capture
+        # joins a cycle before the check and grows the range.  The check
+        # releases lanes 1-7, lane 1 leaving a raw record lane 0 never
+        # had, and lane 9's violating capture takes lane 1's slot on the
+        # next cycle: it must read the record its own step writes there.
+        # The range narrows once lane 8 has left too.
+        recording, widths = _recording_widths(shift_design)
+        faults = [_held(1, 0) + self._converging_with_a_raw_record()]
+        faults += [_held(0, 0)] * 6
+        faults.append([("violating_capture", (self.CHECK, 1), ())])
+        faults.append([("violating_capture", (self.CHECK + 1, 1), ())])
+        result = _assert_lanes_run_alone(recording, 3 * self.CHECK,
+                                         faults, inputs={"din": 0})
+        assert result.fail_mask == result.latent_mask == 0
+        widths = widths[:3 * self.CHECK]  # the batch pass
+        assert widths[self.CHECK - 2:self.CHECK + 1] == [8, 10, 10]
+        assert widths[2 * self.CHECK - 1:2 * self.CHECK + 1] == [10, 8]
 
 
 # ---------------------------------------------------------------------------

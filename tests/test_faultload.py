@@ -140,6 +140,75 @@ class TestController:
         assert tally_prefix(records, 4) is None  # index 2 missing
 
 
+class TestStoppingCoverage:
+    """The stopping rule's coverage on seeded synthetic outcome streams:
+    2,000 multinomial streams per (failure, latent, silent) profile, each
+    checked at the controller's own checkpoints until it stops."""
+
+    PROFILES = [(0.30, 0.20, 0.50), (0.05, 0.10, 0.85),
+                (1 / 3, 1 / 3, 1 / 3)]
+    STREAMS = 2000
+
+    @pytest.fixture(scope="class")
+    def stops(self):
+        numpy = pytest.importorskip("numpy")
+        rng = numpy.random.default_rng(2006)
+        checkpoints = SequentialController(
+            epsilon=0.05, budget=3000).checkpoints()
+        stretches = numpy.diff([0] + checkpoints)
+        stops = []
+        for rates in self.PROFILES:
+            # A stream's tally at each checkpoint: the sum of one
+            # multinomial draw per stretch between checkpoints.
+            tallies = rng.multinomial(
+                stretches, rates,
+                size=(self.STREAMS, len(stretches))).cumsum(axis=1)
+            for stream in tallies:
+                controller = SequentialController(epsilon=0.05, budget=3000)
+                for n, (failure, latent, silent) in zip(checkpoints,
+                                                        stream.tolist()):
+                    counts = OutcomeCounts(failure=failure, latent=latent,
+                                           silent=silent)
+                    decision = controller.check(counts, n)
+                    if decision.stop:
+                        break
+                stops.append((rates, controller, counts, decision))
+        return stops
+
+    def _share(self, stops, rates, covered):
+        hits = [covered(*stop) for stop in stops if stop[0] == rates]
+        assert len(hits) == self.STREAMS
+        return sum(hits) / len(hits)
+
+    @pytest.mark.parametrize("rates", PROFILES)
+    def test_decision_intervals_cover_every_rate_together(self, stops,
+                                                          rates):
+        # The union bound's promise: at the stop, the decision-confidence
+        # intervals hold all three true rates at once in 95% of streams.
+        def covered(rates, controller, counts, _decision):
+            tally = (counts.failure, counts.latent, counts.silent)
+            return all(
+                interval.low <= rate <= interval.high
+                for rate, interval in zip(rates, (
+                    wilson(hits, counts.total,
+                           controller.decision_confidence)
+                    for hits in tally)))
+
+        assert self._share(stops, rates, covered) >= 0.95
+
+    @pytest.mark.parametrize("rates", PROFILES)
+    @pytest.mark.parametrize("outcome", ["failure", "latent", "silent"])
+    def test_reported_intervals_cover_their_own_rate(self, stops, rates,
+                                                      outcome):
+        position = ("failure", "latent", "silent").index(outcome)
+
+        def covered(rates, _controller, _counts, decision):
+            _hits, _trials, low, high = decision.intervals[outcome]
+            return low <= rates[position] <= high
+
+        assert self._share(stops, rates, covered) >= 0.92
+
+
 # ---------------------------------------------------------------------------
 # Strata and samplers
 # ---------------------------------------------------------------------------
