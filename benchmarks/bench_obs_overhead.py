@@ -33,7 +33,7 @@ import urllib.request
 from repro.core import FaultModel
 from repro.obs.tracing import TRACER
 from repro.runtime import CampaignJobSpec, CampaignObservability
-from repro.runtime.jobspec import JobRunner
+from repro.runtime.jobspec import JobRunner, build_campaign
 from repro.runtime.metrics import CampaignMetrics
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -66,7 +66,7 @@ def _bench_spec(evaluation):
     count = int(os.environ.get("REPRO_OBS_BENCH_FAULTS", "200"))
     spec = evaluation.spec(FaultModel.BITFLIP, "ffs", count=count)
     jobspec = CampaignJobSpec.from_evaluation(evaluation, spec)
-    return JobRunner(jobspec), tuple(range(count))
+    return JobRunner(jobspec, build_campaign(jobspec)), tuple(range(count))
 
 
 def _time_runs(runner, indices, enabled):
@@ -118,11 +118,11 @@ def _run_per_record(runner, indices, observe=None):
     """Per-record loop shared by both live-bench sides.
 
     The bare side runs the identical loop shape so the measured delta
-    is purely the observability work, not ``run_index`` call overhead.
+    is purely the observability work, not ``run_indices`` call overhead.
     """
     records = []
     for index in indices:
-        record = runner.run_index(index)
+        (record,) = runner.run_indices((index,))
         records.append(record)
         if observe is not None:
             observe(record)

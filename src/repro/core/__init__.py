@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..fpga.architecture import Architecture
-from ..fpga.board import Board, BoardParams
 from ..fpga.implement import implement
 from ..hdl.netlist import Netlist
 from ..synth import synthesize
@@ -45,10 +43,7 @@ from .timing_model import (EmulationTimeModel, ExperimentCost,
                            FadesTimingParams)
 
 
-def build_fades(netlist: Netlist, arch: Optional[Architecture] = None,
-                board_params: BoardParams = BoardParams(),
-                seed: int = 0,
-                full_download_delays: bool = True,
+def build_fades(netlist: Netlist, seed: int = 0,
                 inputs: Optional[dict] = None,
                 checkpoint_interval: int = 0,
                 backend: str = "reference") -> FadesCampaign:
@@ -64,11 +59,8 @@ def build_fades(netlist: Netlist, arch: Optional[Architecture] = None,
     of the design.
     """
     result = synthesize(netlist)
-    impl = implement(result.mapped, arch=arch)
-    board = Board(board_params)
-    return FadesCampaign(impl, result.locmap, board=board, seed=seed,
-                         full_download_delays=full_download_delays,
-                         inputs=inputs,
+    impl = implement(result.mapped)
+    return FadesCampaign(impl, result.locmap, seed=seed, inputs=inputs,
                          checkpoint_interval=checkpoint_interval,
                          backend=backend)
 

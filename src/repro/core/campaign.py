@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from ..errors import SimulationError
 from ..fpga.board import Board
@@ -40,8 +40,14 @@ from .config import (FaultLoadSpec, check_cycles, generate_faultload,
                      pool_size)
 from .faults import Fault
 from .injector import FadesInjector
-from .timing_model import EmulationTimeModel, ExperimentCost, FadesTimingParams
+from .timing_model import EmulationTimeModel, ExperimentCost
 
+if TYPE_CHECKING:  # type-only: the lane engine is imported on first use
+    from ..emu.compiler import CompiledDesign
+
+_INJECTIONS = obs_metrics.counter(
+    "injections_total",
+    "Prepared fault injections by model, target and simulator backend.")
 _RECONFIG_SECONDS = obs_metrics.histogram(
     "reconfig_seconds",
     "Emulated reconfiguration seconds per experiment by Table 1 mechanism.",
@@ -178,6 +184,9 @@ class Experiment:
         self.pool = pool
         campaign.injector.rng.seed(derive_fault_seed(campaign.seed, index))
         self._marker = campaign.time_model.begin_experiment()
+        _INJECTIONS.inc(model=fault.model.value,
+                        target=fault.target.kind.value,
+                        sim_backend=campaign.backend)
         self.injection = campaign.injector.prepare(fault)
         self.mechanism = self.injection.mechanism_label or fault.model.value
         self.start = fault.injection_cycle(cycles)
@@ -236,12 +245,15 @@ CHECKPOINT_INTERVAL = 128
 
 
 class FadesCampaign:
-    """Run fault-emulation campaigns on one implemented design."""
+    """Run fault-emulation campaigns on one implemented design.
+
+    :attr:`on_lanes` decides where the experiments run, and
+    :meth:`run_batch` runs every fault list: a runtime shard or
+    :meth:`run_faults`' whole faultload.
+    """
 
     def __init__(self, impl: Implementation, locmap: LocationMap,
                  board: Optional[Board] = None, seed: int = 0,
-                 timing_params: FadesTimingParams = FadesTimingParams(),
-                 full_download_delays: bool = True,
                  inputs: Optional[Dict[str, int]] = None,
                  checkpoint_interval: int = 0,
                  backend: str = "reference"):
@@ -253,6 +265,8 @@ class FadesCampaign:
         #: the device simulator; ``compiled`` packs experiments into the
         #: bit-lanes of the :mod:`repro.emu` engine (golden in lane 0).
         self.backend = check_backend(backend)
+        #: The compiled design, once :attr:`on_lanes` compiled it.
+        self.lane_design: Optional[CompiledDesign] = None
         #: Fast-forward optimisation: with a positive interval, the golden
         #: run stores device snapshots every N cycles and experiments
         #: restore the nearest one at or before the injection instant
@@ -269,10 +283,8 @@ class FadesCampaign:
         #: with the fault index the seed of every experiment's injector
         #: draws (:func:`derive_fault_seed`).
         self.seed = seed
-        self.injector = FadesInjector(
-            self.jbits, full_download_delays=full_download_delays)
-        self.injector.backend_label = self.backend
-        self.time_model = EmulationTimeModel(self.board, timing_params)
+        self.injector = FadesInjector(self.jbits)
+        self.time_model = EmulationTimeModel(self.board)
         self._golden: Dict[tuple, Trace] = {}
         #: How many golden runs were actually *simulated* (as opposed to
         #: served from the cache) — multi-class reports should see 1.  A
@@ -301,10 +313,21 @@ class FadesCampaign:
     @property
     def on_lanes(self) -> bool:
         """Whether experiments run on the lane engine: the compiled
-        backend on a trusted golden configuration.  Otherwise they step
-        the reference device, fast-forwarding from the checkpoints of
-        the golden run."""
-        return self.backend == "compiled" and self.trusted
+        backend on a trusted golden configuration whose design compiles.
+        Otherwise they step the reference device, fast-forwarding from
+        the checkpoints of the golden run.
+
+        The first call that gets past the trust test compiles the design
+        into :attr:`lane_design`; a compile failure degrades the campaign
+        to the reference backend
+        (:func:`repro.emu.backend.compile_or_fallback`).
+        """
+        if self.backend != "compiled" or not self.trusted:
+            return False
+        if self.lane_design is None:
+            from ..emu.backend import compile_or_fallback
+            self.lane_design = compile_or_fallback(self)
+        return self.lane_design is not None
 
     def cached_golden(self, cycles: int) -> Optional[Trace]:
         """The golden trace of *cycles* if one is cached, else ``None``."""
@@ -323,10 +346,9 @@ class FadesCampaign:
         Every campaign sharing this object — e.g. the experiment classes
         of a multi-class report — simulates the golden run exactly once.
         On the reference device it also records the checkpoints that
-        experiments fast-forward from.  A compiled campaign's lane
-        batches fill the cache from their lane 0
-        (:func:`repro.emu.run_lane_batch`); a one-lane pass runs here
-        only when no batch ran first.
+        experiments fast-forward from.  On lanes, the lane batches fill
+        the cache from their lane 0 (:func:`repro.emu.run_lane_batch`);
+        a one-lane pass runs here only when no batch ran first.
         """
         check_cycles(cycles)
         cached = self.cached_golden(cycles)
@@ -334,11 +356,7 @@ class FadesCampaign:
             return cached
         if self.on_lanes:
             from ..emu.backend import compiled_golden
-            trace = compiled_golden(self, cycles)
-            if trace is not None:
-                return self.keep_golden(cycles, trace)
-            # Compilation failed: the campaign has been degraded to the
-            # reference backend — simulate below, under its cache key.
+            return self.keep_golden(cycles, compiled_golden(self, cycles))
         device = self.device
         device.reset_system()
         trace = Trace(tuple(device.mapped.outputs))
@@ -454,20 +472,21 @@ class FadesCampaign:
                   indices: Optional[Sequence[int]] = None,
                   progress: Optional[Callable[[], None]] = None
                   ) -> List[ExperimentResult]:
-        """Run a fault list through the selected backend, in fault order.
+        """Run a fault list, in fault order: on the lane engine when the
+        campaign is :attr:`on_lanes`, else on the reference device.
 
         ``indices`` carries each fault's campaign index (default: its
         position), which seeds that experiment's injector draws — so a
-        fault's result never depends on the batch it runs in.  The
-        reference backend runs one experiment per fault; the compiled
-        backend packs supported faults into bit-lane batches.
+        fault's result never depends on the batch it runs in.  On lanes,
+        supported faults are packed into bit-lane batches; on the device,
+        the golden run goes first and each fault runs one experiment.
         ``progress`` (if given) is called after each experiment's
         reconfiguration protocol, so a pool worker keeps its heartbeat
         through a wide lane batch.
         """
         if indices is None:
             indices = range(len(faults))
-        if self.backend == "compiled":
+        if self.on_lanes:
             from ..emu import run_lane_batch
             return run_lane_batch(self, faults, cycles, pool=pool,
                                   indices=indices, progress=progress)

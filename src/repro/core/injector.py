@@ -28,16 +28,12 @@ them.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..errors import InjectionError, LocationError
 from ..fpga.bitstream import CbConfig
 from ..fpga.jbits import JBits
-from ..obs import metrics
 from .faults import Fault, FaultModel, TargetKind
-
-_INJECTIONS = metrics.counter(
-    "injections_total", "Prepared fault injections by model and target.")
 
 
 def invert_lut_line(tt: int, line: int, n_inputs: int = 4) -> int:
@@ -97,35 +93,25 @@ class Injection:
 class FadesInjector:
     """Factory of injections for one configured device.
 
-    Parameters
-    ----------
-    jbits:
-        Reconfiguration handle (carries the board cost accounting).
-    rng:
-        Randomiser used for indetermination levels (paper, section 4.4).
-    full_download_delays:
-        Reproduce the paper's observed behaviour of downloading a full
-        configuration file for delay injection (section 6.2).  Disable to
-        measure the partial-reconfiguration potential (ablation 2).
+    ``jbits`` is the reconfiguration handle (it carries the board cost
+    accounting).
     """
 
-    #: Simulator backend this injector serves; the owning campaign
-    #: overwrites it so ``injections_total`` can be split by backend.
-    backend_label = "reference"
-
-    def __init__(self, jbits: JBits, rng: Optional[random.Random] = None,
-                 full_download_delays: bool = True):
+    def __init__(self, jbits: JBits):
         self.jbits = jbits
         self.device = jbits.device
-        self.rng = rng if rng is not None else random.Random(0)
-        self.full_download_delays = full_download_delays
+        #: Randomiser of indetermination levels (paper, section 4.4);
+        #: every experiment reseeds it from its fault index.
+        self.rng = random.Random(0)
+        #: Reproduce the paper's observed behaviour of downloading a full
+        #: configuration file for delay injection (section 6.2).  Clear
+        #: it to measure the partial-reconfiguration potential
+        #: (ablation 2).
+        self.full_download_delays = True
 
     # ------------------------------------------------------------------
     def prepare(self, fault: Fault) -> Injection:
         """Build the mechanism-specific injection for *fault*."""
-        _INJECTIONS.inc(model=fault.model.value,
-                        target=fault.target.kind.value,
-                        sim_backend=self.backend_label)
         model = fault.model
         if model is FaultModel.BITFLIP and fault.extra_targets:
             from .multiple import prepare_multiple

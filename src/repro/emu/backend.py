@@ -13,17 +13,19 @@ window into lane-masked operations on a
 the SFA's ``workload-silent`` prune rule shares), and one lane-engine pass
 evaluates up to ``lane_width() - 1`` experiments against the golden run
 in lane 0.  That lane 0 is also the campaign's golden trace: the first
-pass fills the golden cache, so a compiled campaign simulates its
+pass fills the golden cache, so a campaign on lanes simulates its
 golden workload once.
 
-Faults whose effect cannot be expressed as lane operations
+Whether a campaign runs here at all is
+:attr:`~repro.core.campaign.FadesCampaign.on_lanes`, whose first call
+compiles the design through :func:`compile_or_fallback`.  On lanes,
+faults whose effect cannot be expressed as lane operations
 (configuration-memory upsets, permanent models) run the reference
 experiment in place, in fault order.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, List, Optional, Sequence
 
 from ..core.campaign import _EXPERIMENTS, Experiment, ExperimentResult
@@ -48,12 +50,12 @@ _FALLBACKS = obs_metrics.counter(
     "Campaigns degraded from the compiled to the reference backend, "
     "by cause.")
 
-#: Default lane count.  Lane 0 is the golden run, so a batch carries
+#: Lanes per batch.  Lane 0 is the golden run, so a batch carries
 #: ``lane_width() - 1`` fault experiments.  A pass's planes are only as
 #: wide as its *live* faults (:mod:`repro.emu.lanes`: a fault holds a
 #: slot from its first operation until it fails or re-converges), so a
-#: wide default only makes batches fuller: fewer passes, each paying its
-#: per-cycle overhead once.  Lane time per fault falls up to this width
+#: wide batch is only fuller: fewer passes, each paying its per-cycle
+#: overhead once.  Lane time per fault falls up to this width
 #: and no further (4,095 FF flips over the 569-cycle sort on a 2-vCPU
 #: host: 0.36 ms at 256 lanes, 0.14 ms at 1,024, 0.063 ms at 4,096 and
 #: 0.064 ms at 8,192), and a paper-scale 3,000-fault experiment runs in
@@ -62,12 +64,8 @@ DEFAULT_LANES = 4096
 
 
 def lane_width() -> int:
-    """Lanes per batch; override with ``REPRO_EMU_LANES`` (minimum 2)."""
-    try:
-        width = int(os.environ.get("REPRO_EMU_LANES", DEFAULT_LANES))
-    except ValueError:
-        width = DEFAULT_LANES
-    return max(2, width)
+    """Lanes per batch: :data:`DEFAULT_LANES`."""
+    return DEFAULT_LANES
 
 
 def supports_fault(fault: Fault) -> bool:
@@ -95,11 +93,13 @@ def supports_fault(fault: Fault) -> bool:
 def compile_or_fallback(campaign):
     """Compile the campaign's design, degrading gracefully on failure.
 
-    Returns the compiled design, or ``None`` after switching the
-    campaign to the reference backend — a compiler defect must cost a
-    campaign its speed-up, never its results.  The ``compile_fail``
-    chaos point fires inside the guarded region so the degradation path
-    stays testable without a real compiler bug.
+    Called once per campaign, by
+    :attr:`~repro.core.campaign.FadesCampaign.on_lanes`.  Returns the
+    compiled design, or ``None`` after switching the campaign to the
+    reference backend — a compiler defect must cost a campaign its
+    speed-up, never its results.  The ``compile_fail`` chaos point fires
+    inside the ``try``, so the degradation path stays testable without a
+    real compiler bug.
     """
     from .. import chaos
     try:
@@ -115,21 +115,17 @@ def compile_or_fallback(campaign):
         return None
 
 
-def compiled_golden(campaign, cycles: int) -> Optional[Trace]:
-    """Golden run through the lane engine (single lane, no faults).
+def compiled_golden(campaign, cycles: int) -> Trace:
+    """Golden run of a campaign on lanes through the lane engine (single
+    lane, no faults).
 
-    Only a compiled campaign that runs no lane batch needs this pass:
-    every other one takes its golden trace from lane 0 of its first
-    batch (:func:`run_lane_batch`).  Returns ``None`` when compilation
-    fails; the campaign is then already degraded to the reference
-    backend and the caller falls through to the reference simulation
-    loop.
+    Only a campaign that runs no lane batch needs this pass: every other
+    one takes its golden trace from lane 0 of its first batch
+    (:func:`run_lane_batch`).
     """
-    design = compile_or_fallback(campaign)
-    if design is None:
-        return None
     with span("run", cycles=cycles, lanes=1, backend="compiled"):
-        lane_result = run_lanes(design, 1, cycles, inputs=campaign.inputs)
+        lane_result = run_lanes(campaign.lane_design, 1, cycles,
+                                inputs=campaign.inputs)
     return _lane0_trace(campaign, lane_result, cycles)
 
 
@@ -240,7 +236,8 @@ def run_lane_batch(campaign, faults: Sequence[Fault], cycles: int,
                    indices: Optional[Sequence[int]] = None,
                    progress: Optional[Callable[[], None]] = None
                    ) -> List[ExperimentResult]:
-    """Run a fault list through the lane engine; results in fault order.
+    """Run a fault list of a campaign on lanes through the lane engine;
+    results in fault order.
 
     ``indices`` carries each fault's campaign index (default: its
     position), which seeds its experiment's injector draws.  Supported
@@ -254,18 +251,8 @@ def run_lane_batch(campaign, faults: Sequence[Fault], cycles: int,
     if indices is None:
         indices = range(len(faults))
     results: List[Optional[ExperimentResult]] = [None] * len(faults)
-    design = (compile_or_fallback(campaign)
-              if campaign.backend == "compiled" else None)
+    design = campaign.lane_design
     width = lane_width()
-    # Without a compiled design (compilation failed and degraded the
-    # campaign), or when the device's *golden* configuration already has
-    # timing violations or broken routes — outside the compiled model —
-    # every fault takes the reference path, fast-forwarding from the
-    # golden run's checkpoints.
-    guard = not campaign.on_lanes
-    if guard:
-        campaign.golden_run(cycles)
-
     batch: List = []  # (result slot, fault, replay cost)
     schedule = BatchSchedule()
 
@@ -299,7 +286,7 @@ def run_lane_batch(campaign, faults: Sequence[Fault], cycles: int,
         schedule = BatchSchedule()
 
     for position, (fault, index) in enumerate(zip(faults, indices)):
-        if guard or not supports_fault(fault):
+        if not supports_fault(fault):
             _LANE_FAULTS.inc(mode="fallback")
             results[position] = campaign.run_experiment(
                 fault, cycles, pool=pool, index=index)

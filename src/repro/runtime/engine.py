@@ -16,7 +16,9 @@ Either way :func:`_execute` runs one loop over the checkpoint windows
 executor takes its shards from one
 :class:`~repro.runtime.scheduler.ShardQueue`, which owns the retry,
 bisection and quarantine policy for both (see
-:mod:`repro.runtime.scheduler`).
+:mod:`repro.runtime.scheduler`).  Set-up builds the campaign's
+:class:`~repro.runtime.jobspec.JobRunner`, which draws the faultload;
+:attr:`~repro.core.campaign.FadesCampaign.on_lanes` sets the shard width.
 
 With ``journal=<path>`` every experiment record is streamed to an
 append-only JSONL file; re-running the same campaign (or calling
@@ -32,13 +34,12 @@ import signal
 import threading
 from typing import Dict, List, Optional, Union
 
-from ..core import pool_size
 from ..core.campaign import CampaignResult, FadesCampaign
 from ..core.classify import Outcome
 from ..errors import CampaignInterrupted, CampaignRuntimeError, JournalError
 from ..core.faults import Fault
 from ..core.timing_model import ExperimentCost
-from ..faultload import (FaultStream, SequentialController, StopDecision,
+from ..faultload import (SequentialController, StopDecision,
                          summarize_strata, tally_prefix)
 from ..obs import metrics as obs_metrics
 from ..obs.alerts import AlertRule
@@ -127,18 +128,12 @@ def _execute(jobspec: CampaignJobSpec, workers: int,
     with metrics.phase("setup"):
         if campaign is None:
             campaign = build_campaign(jobspec)
+        runner = JobRunner(jobspec, campaign)
         # Adaptive campaigns materialise faults window by window
         # (stream.ensure); the list below grows in place as the campaign
-        # extends.  A fixed budget is drawn whole, here.
-        stream = FaultStream(
-            jobspec.spec, campaign.locmap,
-            seed=jobspec.effective_faultload_seed(),
-            routed_nets=campaign.impl.routing.is_routed,
-            strategy=jobspec.strategy)
+        # extends.  A fixed budget is drawn whole, by the runner.
+        stream = runner.stream
         faults: List[Fault] = stream.faults
-        if not jobspec.adaptive:
-            stream.ensure(budget)
-        pool = pool_size(jobspec.spec, campaign.locmap)
 
         records: Dict[int, Dict] = {}
         writer: Optional[JournalWriter] = None
@@ -165,14 +160,16 @@ def _execute(jobspec: CampaignJobSpec, workers: int,
                       exact=controller is None)
 
     with metrics.phase("golden"):
-        if campaign.backend == "compiled":
-            from ..emu.backend import compile_or_fallback
-            compile_or_fallback(campaign)
         # Experiments that step the reference device fast-forward from
-        # the golden run's checkpoints, so it runs first for them.  A
-        # compiled campaign's first lane pass caches the golden trace
-        # from its lane 0 instead (read back at aggregation).
-        if not campaign.on_lanes:
+        # the golden run's checkpoints, so it runs first for them.  On
+        # lanes (decided here, where the design compiles) the first lane
+        # pass caches the golden trace from its lane 0 instead (read
+        # back at aggregation).
+        lanes = 0
+        if campaign.on_lanes:
+            from ..emu import lane_width
+            lanes = lane_width() - 1
+        else:
             campaign.golden_run(cycles)
 
     # Bound below, before any experiment runs; None only so the take /
@@ -289,14 +286,8 @@ def _execute(jobspec: CampaignJobSpec, workers: int,
             workers=max(0, workers))
         executor: Union[InProcessExecutor, WorkerPool]
         if workers <= 0:
-            executor = InProcessExecutor(
-                JobRunner(jobspec, campaign=campaign, faults=faults,
-                          pool=pool), queue)
+            executor = InProcessExecutor(runner, queue, lanes)
         else:
-            lanes = 0
-            if campaign.on_lanes:
-                from ..emu import lane_width
-                lanes = lane_width() - 1
             executor = WorkerPool(
                 jobspec, workers, queue, shard_timeout=shard_timeout,
                 on_spans=None if trace_writer is None
@@ -348,7 +339,7 @@ def _execute(jobspec: CampaignJobSpec, workers: int,
                                       metrics.snapshot().wall_s)
             # Freeing a design built above takes milliseconds: inside
             # the phase, not uncovered when the frame returns.
-            del campaign, stream, executor
+            del campaign, runner, stream, executor
     except CampaignInterrupted:
         # Every drained in-flight record is already journaled; the stop
         # line marks the interruption so resume (and humans reading the

@@ -5,9 +5,13 @@ one experiment class from scratch — the Bubblesort input, the seeds and
 the :class:`~repro.core.config.FaultLoadSpec` — without sharing any
 simulator state with the parent.  Workers receive the spec (pickled
 through the job queue), construct their own
-:class:`~repro.core.campaign.FadesCampaign`, regenerate the exact same
-faultload the parent planned from, and run only the fault indices they
-are handed.
+:class:`~repro.core.campaign.FadesCampaign` (:func:`build_campaign`), and
+run only the fault indices they are handed.
+
+A :class:`JobRunner` is the one place a job spec meets a campaign, in
+the engine and in each pool worker: it draws the faultload, sizes the
+target pool and runs every shard through
+:meth:`~repro.core.campaign.FadesCampaign.run_batch`.
 
 Determinism contract
 --------------------
@@ -186,74 +190,33 @@ def build_campaign(jobspec: CampaignJobSpec) -> FadesCampaign:
 
 
 class JobRunner:
-    """Executes individual fault indices of one job spec.
+    """Runs fault indices of one job spec on one campaign.
 
-    Each worker process owns exactly one runner; the engine's in-process
-    path reuses the parent's campaign through the keyword arguments.
+    A fixed budget's faultload (:attr:`stream`) is drawn whole here; an
+    adaptive campaign's grows window by window, as indices ask for it.
     """
 
-    def __init__(self, jobspec: CampaignJobSpec,
-                 campaign: Optional[FadesCampaign] = None,
-                 faults: Optional[Sequence[Fault]] = None,
-                 pool: Optional[int] = None):
+    def __init__(self, jobspec: CampaignJobSpec, campaign: FadesCampaign):
         self.jobspec = jobspec
-        self.campaign = campaign if campaign is not None \
-            else build_campaign(jobspec)
-        if faults is not None:
-            # Lists are aliased, not copied: the engine's adaptive path
-            # hands the runner a faultload that still grows as the
-            # stopping controller extends the campaign.
-            self.faults: List[Fault] = faults if isinstance(faults, list) \
-                else list(faults)
-        else:
-            self.faults = self._regenerate_faults()
-        self.pool = pool if pool is not None \
-            else pool_size(jobspec.spec, self.campaign.locmap)
-
-    def _regenerate_faults(self) -> List[Fault]:
-        """Re-derive the faultload this process was not handed.
-
-        Workers rebuild the exact sequence the parent planned from: the
-        planner's :class:`~repro.faultload.strata.FaultStream`,
-        materialised out to the budget (fault descriptors are cheap,
-        experiments are not).
-        """
-        jobspec = self.jobspec
-        stream = FaultStream(
-            jobspec.spec, self.campaign.locmap,
+        self.campaign = campaign
+        self.stream = FaultStream(
+            jobspec.spec, campaign.locmap,
             seed=jobspec.effective_faultload_seed(),
-            routed_nets=self.campaign.impl.routing.is_routed,
+            routed_nets=campaign.impl.routing.is_routed,
             strategy=jobspec.strategy)
-        return stream.ensure(jobspec.effective_budget())
-
-    def run_index(self, index: int) -> Dict:
-        """Run one experiment and return its journal record."""
-        result = self.campaign.run_experiment(
-            self.faults[index], self.jobspec.spec.workload_cycles,
-            pool=self.pool, index=index)
-        return record_from_result(index, result)
-
-    def batch_size(self) -> int:
-        """Experiments to hand to :meth:`run_indices` at a time.
-
-        The compiled backend evaluates a whole lane batch per simulator
-        pass, so shard-sized chunks should match its lane budget; the
-        reference backend gains nothing from batching.
-        """
-        if getattr(self.campaign, "backend", "reference") == "compiled":
-            from ..emu import lane_width
-            return max(1, lane_width() - 1)
-        return 1
+        if not jobspec.adaptive:
+            self.stream.ensure(jobspec.effective_budget())
+        self.pool = pool_size(jobspec.spec, campaign.locmap)
 
     def run_indices(self, indices: Sequence[int],
                     progress: Optional[Callable[[], None]] = None
                     ) -> List[Dict]:
         """Run several experiments; records in *indices* order.
 
-        Routes through the campaign's backend-aware batch path so the
-        compiled backend can pack the shard into bit lanes; each
-        experiment seeds itself from its index either way (see the
-        module docstring).
+        Every shard runs through the campaign's
+        :meth:`~repro.core.campaign.FadesCampaign.run_batch`, on lanes or
+        on the device; each experiment seeds itself from its index either
+        way (see the module docstring).
         ``progress`` (if given) is called between experiments — the
         scheduler's workers hang their heartbeat on it so the watchdog
         can tell a slow shard from a hung one.
@@ -264,18 +227,11 @@ class JobRunner:
         before the error propagates, so whatever runs next on this
         campaign (a retry, or a worker's next shard) starts from it.
         """
+        faults = self.stream.ensure(max(indices) + 1)
         try:
-            if self.batch_size() == 1:
-                records = []
-                for index in indices:
-                    records.append(self.run_index(index))
-                    if progress is not None:
-                        progress()
-                return records
-
-            faults = [self.faults[index] for index in indices]
             results = self.campaign.run_batch(
-                faults, self.jobspec.spec.workload_cycles, pool=self.pool,
+                [faults[index] for index in indices],
+                self.jobspec.spec.workload_cycles, pool=self.pool,
                 indices=list(indices), progress=progress)
         except BaseException:
             self.campaign.recover()

@@ -4,11 +4,15 @@ The engine hands each checkpoint window's pending fault indices to an
 executor (``run(indices, on_records)``).  Both executors take their
 work from one :class:`ShardQueue`:
 
-* :class:`InProcessExecutor` drains the queue in this process, in
-  shards of :meth:`~repro.runtime.jobspec.JobRunner.batch_size`, so the
-  compiled backend fills whole lane batches;
+* :class:`InProcessExecutor` drains the queue in this process, on the
+  engine's :class:`~repro.runtime.jobspec.JobRunner`;
 * :class:`WorkerPool` drives the queue's shards through worker
-  processes that persist across windows until :meth:`WorkerPool.close`.
+  processes that persist across windows until :meth:`WorkerPool.close`,
+  each on its own runner.
+
+Both size their shards from ``lanes``, the faults one lane pass carries
+when the campaign is :attr:`~repro.core.campaign.FadesCampaign.on_lanes`
+(0 otherwise).
 
 The queue owns the failure policy, so a serial campaign and a pooled
 one treat a failing shard the same way:
@@ -57,12 +61,12 @@ Pool design points:
   ``worker_hang`` / ``slow_result`` fault points, so every recovery
   path above is testable deterministically.
 
-Pool shards of a device campaign are deliberately small (see
-:func:`shard_size`): results stream back to the journal at shard
-granularity, so smaller shards mean finer crash-safety and better load
-balance at a modest queueing cost.  A lane campaign instead splits each
-window evenly over the workers: a shard is one lane pass, whose cost
-grows far slower than its width.
+Device shards are deliberately small: one fault in process, a few in
+the pool (see :func:`shard_size`).  Results stream back to the journal
+at shard granularity, so smaller shards mean finer crash-safety and
+better load balance at a modest queueing cost.  A lane campaign instead
+runs a lane pass per shard (in the pool, each window split evenly over
+the workers): a pass's cost grows far slower than its width.
 """
 
 from __future__ import annotations
@@ -85,7 +89,7 @@ from ..obs import metrics as obs_metrics
 from ..obs.logsetup import get_logger
 from ..obs.metrics import REGISTRY
 from ..obs.tracing import TRACER
-from .jobspec import CampaignJobSpec, JobRunner
+from .jobspec import CampaignJobSpec, JobRunner, build_campaign
 
 log = get_logger("repro.runtime.scheduler")
 
@@ -285,18 +289,22 @@ class ShardQueue:
 
 class InProcessExecutor:
     """Runs the queue's shards in this process, on the engine's
-    campaign; backoff waits are slept out between shards."""
+    campaign; backoff waits are slept out between shards.  A shard is
+    one lane pass (``lanes`` faults) when the campaign runs on the lane
+    engine, else one fault."""
 
-    def __init__(self, runner: JobRunner, queue: ShardQueue) -> None:
+    def __init__(self, runner: JobRunner, queue: ShardQueue,
+                 lanes: int) -> None:
         self.runner = runner
         self.queue = queue
+        self.lanes = lanes
 
     def run(self, indices: Sequence[int],
             on_records: RecordsCallback) -> None:
         """Execute *indices*, handing each shard's records to
         ``on_records`` as it finishes."""
         queue = self.queue
-        queue.extend(indices, self.runner.batch_size())
+        queue.extend(indices, self.lanes or 1)
         while queue:
             item = queue.pop()
             if item is None:
@@ -355,7 +363,7 @@ def _worker_main(worker_id: int, jobspec: CampaignJobSpec,
     chaos.install(chaos.ChaosPlan.from_spec(chaos_spec)
                   if chaos_spec else None)
     try:
-        runner = JobRunner(jobspec)
+        runner = JobRunner(jobspec, build_campaign(jobspec))
     except BaseException:
         conn.send(("fatal", worker_id, traceback.format_exc()))
         return

@@ -41,8 +41,8 @@ that do not oscillate:
 
 The planner only runs ``delay-slack`` and ``workload-silent`` when the
 golden configuration is ``trusted`` — no timing-violating flip-flops,
-no broken nets and no combinational loops, mirroring the guards on the
-compiled backend.  Skipping a fault never shifts another experiment's
+no broken nets and no combinational loops, the trust the compiled
+backend asks of a campaign on lanes.  Skipping a fault never shifts another experiment's
 injector draws: every experiment seeds its own from its faultload index.
 """
 

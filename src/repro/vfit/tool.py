@@ -23,7 +23,7 @@ from ..hdl.netlist import Netlist
 from ..hdl.simulator import FourValuedSim
 from ..hdl.trace import Trace
 from .commands import VfitCommands, vfit_pool_targets
-from .timing_model import VfitTimeModel, VfitTimingParams
+from .timing_model import VfitTimeModel
 
 
 def vfit_faultload(spec: FaultLoadSpec, netlist: Netlist,
@@ -63,7 +63,6 @@ class VfitCampaign:
     """Run simulator-command campaigns on one HDL model."""
 
     def __init__(self, netlist: Netlist, seed: int = 0,
-                 timing_params: VfitTimingParams = VfitTimingParams(),
                  inputs: Optional[dict] = None):
         self.netlist = netlist
         self.inputs = dict(inputs or {})
@@ -72,7 +71,7 @@ class VfitCampaign:
         self.seed = seed
         stats = netlist.stats()
         self.elements = stats["gates"] + stats["dffs"]
-        self.time_model = VfitTimeModel(self.elements, timing_params)
+        self.time_model = VfitTimeModel(self.elements)
         self._golden = {}
 
     # ------------------------------------------------------------------

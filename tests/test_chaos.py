@@ -304,17 +304,27 @@ class TestInterrupt:
 # ---------------------------------------------------------------------------
 # compiled-backend degradation
 # ---------------------------------------------------------------------------
+def compiled_injections():
+    metric = REGISTRY.get("injections_total")
+    return sum(value for labels, value in metric.series().items()
+               if dict(labels).get("sim_backend") == "compiled")
+
+
 class TestCompileFallback:
     def test_compile_fail_degrades_to_reference(self, jobspec,
                                                 serial_result):
         import dataclasses
         chaos.install(ChaosPlan.from_spec("seed=6;compile_fail"))
         fallbacks_before = counter_total("emu_backend_fallbacks_total")
+        compiled_before = compiled_injections()
         result = run_campaign(dataclasses.replace(jobspec,
                                                   backend="compiled"))
         assert counter_total("emu_backend_fallbacks_total") \
             > fallbacks_before
         assert outcomes(result) == outcomes(serial_result)
+        # Degraded before its first experiment: every injection is
+        # labelled with the backend that ran it.
+        assert compiled_injections() == compiled_before
 
 
 # ---------------------------------------------------------------------------

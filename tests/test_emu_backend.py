@@ -21,7 +21,7 @@ from repro.core.campaign import BACKENDS, check_backend
 from repro.core.classify import Outcome
 from repro.core.faults import Fault, Target, TargetKind
 from repro.designs import counter, fir_filter, uart_tx
-from repro.emu import (BatchSchedule, compile_design, lane_width, run_lanes,
+from repro.emu import (BatchSchedule, compile_design, run_lanes,
                        supports_fault)
 from repro.emu import lanes as lanes_module
 from repro.emu.compiler import _fold_constants, bool_expr, tt_function
@@ -148,12 +148,6 @@ class TestBackendSeam:
         assert any(dict(labels).get("sim_backend") == "compiled"
                    for labels in metric.series())
 
-    def test_lane_width_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EMU_LANES", "8")
-        assert lane_width() == 8
-        monkeypatch.setenv("REPRO_EMU_LANES", "1")
-        assert lane_width() == 2  # floor: golden lane + one experiment
-
     def test_supports_fault(self):
         assert supports_fault(
             Fault(FaultModel.BITFLIP, Target(TargetKind.FF, 0),
@@ -253,7 +247,7 @@ class TestCampaignEquivalence:
 
     def test_narrow_lanes_split_batches(self, monkeypatch):
         """Results are batch-size independent (forces multiple flushes)."""
-        monkeypatch.setenv("REPRO_EMU_LANES", "3")
+        monkeypatch.setattr("repro.emu.backend.DEFAULT_LANES", 3)
         reference = make_campaign(build_counter(4), inputs={"en": 1},
                                   seed=3)
         compiled = make_campaign(build_counter(4), inputs={"en": 1},
@@ -704,7 +698,7 @@ class TestGoldenFromLaneZero:
             return original(design, lanes, cycles, **kwargs)
 
         monkeypatch.setattr(backend, "run_lanes", recording)
-        monkeypatch.setenv("REPRO_EMU_LANES", "4")
+        monkeypatch.setattr(backend, "DEFAULT_LANES", 4)
         return widths
 
     @pytest.fixture(scope="class")

@@ -23,6 +23,7 @@ from repro.analysis import Evaluation
 from repro.chaos import ChaosPlan
 from repro.cli import main as cli_main
 from repro.core import FaultModel
+from repro.core.campaign import FadesCampaign
 from repro.errors import ObservabilityError
 from repro.obs import server as obs_server
 from repro.obs import timeseries
@@ -35,8 +36,8 @@ from repro.obs.server import ObsServer, parse_serve_spec
 from repro.obs.timeseries import (SERIES_LENGTH, SealedWriter,
                                   TimeseriesSampler, line_crc, read_tsdb,
                                   seal_line, tsdb_path_for)
-from repro.runtime import (CampaignJobSpec, JobRunner, read_journal,
-                           resume_campaign, run_campaign)
+from repro.runtime import (CampaignJobSpec, read_journal, resume_campaign,
+                           run_campaign)
 from repro.runtime.metrics import MetricsSnapshot
 
 COUNT = 8
@@ -429,15 +430,15 @@ def resumed_run(evaluation, tmp_path_factory):
     jobspec = CampaignJobSpec.from_evaluation(
         evaluation, spec, faultload_seed=evaluation.seed)
     journal = tmp_path_factory.mktemp("resumed") / "campaign.jsonl"
-    original = JobRunner.run_index
+    original = FadesCampaign.run_experiment
 
-    def sabotage(self, index):
+    def sabotage(self, fault, cycles, pool=0, index=0):
         if index == 1:
             raise ValueError("poison fault")
-        return original(self, index)
+        return original(self, fault, cycles, pool=pool, index=index)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(JobRunner, "run_index", sabotage)
+        patch.setattr(FadesCampaign, "run_experiment", sabotage)
         run_campaign(jobspec, journal=str(journal), max_retries=0)
     lines = journal.read_text().splitlines()
     entries = [json.loads(line) for line in lines]

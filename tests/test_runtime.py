@@ -15,7 +15,8 @@ import pytest
 
 from repro.analysis import Evaluation
 from repro.core import FaultModel, build_fades
-from repro.core.campaign import Experiment, derive_fault_seed
+from repro.core.campaign import (Experiment, FadesCampaign,
+                                 derive_fault_seed)
 from repro.core.classify import Outcome
 from repro.core.faults import Fault, Target, TargetKind
 from repro.errors import CampaignRuntimeError, JournalError
@@ -302,10 +303,30 @@ class TestScheduler:
         compiled = Evaluation(backend="compiled")
         spec = compiled.spec(FaultModel.BITFLIP, "ffs", 1, COUNT)
         runner = JobRunner(CampaignJobSpec.from_evaluation(
-            compiled, spec, faultload_seed=compiled.seed))
+            compiled, spec, faultload_seed=compiled.seed), compiled.fades)
         beats = []
         runner.run_indices(range(COUNT), progress=lambda: beats.append(1))
         assert len(beats) == COUNT
+
+    def test_compiled_campaign_off_lanes_runs_one_fault_per_shard(
+            self, jobspec, serial_result, monkeypatch):
+        # An untrusted golden configuration keeps a compiled campaign on
+        # the device, where in process it shards like a reference
+        # campaign: a raising experiment re-runs only itself.
+        monkeypatch.setattr(FadesCampaign, "trusted",
+                            property(lambda self: False))
+        shards = []
+        original = JobRunner.run_indices
+
+        def counting(self, indices, progress=None):
+            shards.append(len(indices))
+            return original(self, indices, progress=progress)
+
+        monkeypatch.setattr(JobRunner, "run_indices", counting)
+        result = run_campaign(dataclasses.replace(jobspec,
+                                                  backend="compiled"))
+        assert shards == [1] * COUNT
+        assert divergences(result) == divergences(serial_result)
 
     @pytest.mark.skipif(not HAS_FORK,
                         reason="worker pool needs the fork start method")
@@ -333,15 +354,15 @@ class TestScheduler:
                                                 serial_result, tmp_path,
                                                 monkeypatch):
         flag = tmp_path / "crashed-once"
-        original = JobRunner.run_index
+        original = FadesCampaign.run_experiment
 
-        def sabotage(self, index):
+        def sabotage(self, fault, cycles, pool=0, index=0):
             if index == 2 and not flag.exists():
                 flag.write_text("boom")
                 os._exit(13)
-            return original(self, index)
+            return original(self, fault, cycles, pool=pool, index=index)
 
-        monkeypatch.setattr(JobRunner, "run_index", sabotage)
+        monkeypatch.setattr(FadesCampaign, "run_experiment", sabotage)
         snapshots = []
         result = run_campaign(jobspec, workers=2,
                               progress=snapshots.append)
@@ -357,14 +378,14 @@ class TestScheduler:
         # campaign: after the retry budget it is bisected out,
         # journaled as Quarantined, and every other fault still
         # classifies exactly as an undisturbed run.
-        original = JobRunner.run_index
+        original = FadesCampaign.run_experiment
 
-        def sabotage(self, index):
+        def sabotage(self, fault, cycles, pool=0, index=0):
             if index == 1:
                 raise ValueError("always broken")
-            return original(self, index)
+            return original(self, fault, cycles, pool=pool, index=index)
 
-        monkeypatch.setattr(JobRunner, "run_index", sabotage)
+        monkeypatch.setattr(FadesCampaign, "run_experiment", sabotage)
         result = run_campaign(jobspec, workers=1, max_retries=1)
         assert len(result.experiments) == COUNT
         poisoned = result.experiments[1]
