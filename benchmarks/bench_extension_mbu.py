@@ -34,13 +34,13 @@ def test_extension_mbu(benchmark, evaluation, bench_count, record_artefact):
         matched = checked = 0
         n_luts = len(fades.locmap.mapped.luts)
         probe = max(4, cycles // 3)
-        for lut_index in range(0, n_luts, max(1, n_luts // 10)):
-            equivalent = pulse_equivalent_mbu(fades, lut_index, probe)
+        sample = range(0, n_luts, max(1, n_luts // 10))
+        for equivalent in pulse_equivalent_mbu(fades, sample, probe):
             if equivalent.mbu is None:
                 continue
             pulse = Fault(FaultModel.PULSE,
-                          Target(TargetKind.LUT, lut_index), probe,
-                          duration_cycles=1.0)
+                          Target(TargetKind.LUT, equivalent.lut_index),
+                          probe, duration_cycles=1.0)
             checked += 1
             matched += (fades.run_experiment(pulse, cycles).outcome
                         == fades.run_experiment(equivalent.mbu,

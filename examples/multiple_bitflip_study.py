@@ -91,11 +91,12 @@ def demonstrate_mbu_equivalence(evaluation, sample=12):
     probe = max(4, cycles // 3)
     matched = checked = 0
     n_luts = len(fades.locmap.mapped.luts)
-    for lut_index in range(0, n_luts, max(1, n_luts // sample)):
-        equivalent = pulse_equivalent_mbu(fades, lut_index, probe)
+    luts = range(0, n_luts, max(1, n_luts // sample))
+    for equivalent in pulse_equivalent_mbu(fades, luts, probe):
         if equivalent.mbu is None:
             continue
-        pulse = Fault(FaultModel.PULSE, Target(TargetKind.LUT, lut_index),
+        pulse = Fault(FaultModel.PULSE,
+                      Target(TargetKind.LUT, equivalent.lut_index),
                       probe, duration_cycles=1.0)
         pulse_outcome = fades.run_experiment(pulse, cycles).outcome
         mbu_outcome = fades.run_experiment(equivalent.mbu, cycles).outcome

@@ -2,9 +2,9 @@
 
 One :class:`Evaluation` object lazily builds everything the paper's
 evaluation needs — the microcontroller model, the synthesised/implemented
-design, a FADES campaign and a VFIT campaign — and exposes the experiment
-classes (fault model x location x duration band) that tables 2/3 and
-figures 10–15 sweep.
+design, a FADES campaign and a VFIT campaign — and runs each experiment
+class (fault model x location x duration band) once
+(:meth:`Evaluation.result`); section 6's classes are data, below.
 
 Scaling: the paper injects 3000 faults per experiment on a 1303-cycle
 workload.  A pure-Python substrate cannot afford that per bench run, so
@@ -18,8 +18,8 @@ compared directly.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core import (CampaignResult, FadesCampaign, FaultLoadSpec,
                     FaultModel, build_fades)
@@ -77,6 +77,8 @@ class Evaluation:
     _cycles: int = 0
     _fades: Optional[FadesCampaign] = None
     _vfit: Optional[VfitCampaign] = None
+    _results: Dict[Tuple, CampaignResult] = field(
+        default_factory=dict, init=False, repr=False)
 
     # -- lazy pieces -----------------------------------------------------
     @property
@@ -138,6 +140,32 @@ class Evaluation:
             options["campaign"] = self.fades
         return run_campaign(jobspec, workers=self.workers, **options)
 
+    def result(self, tool: str, model: FaultModel, pool: str,
+               band: int = 1, count: Optional[int] = None,
+               oscillate: bool = False, mechanism: str = "",
+               seed: Optional[int] = None) -> CampaignResult:
+        """One experiment class run through *tool* (``fades`` or
+        ``vfit``), its faultload drawn at *seed* (default :attr:`seed`),
+        memoised per distinct class.  Like :attr:`fades`, the memo
+        assumes the settings above are fixed before the first run."""
+        spec = self.spec(model, pool, band, count, oscillate, mechanism)
+        seed = self.seed if seed is None else seed
+        key = (tool, model, pool, band, spec.count, oscillate, mechanism,
+               seed)
+        if key not in self._results:
+            run = self.run_fades if tool == "fades" else self.vfit.run
+            self._results[key] = run(spec, seed=seed)
+        return self._results[key]
+
+    def band_sweep(self, tool: str, model: FaultModel, pool: str,
+                   bands: Tuple[int, ...] = (0, 1, 2),
+                   count: Optional[int] = None) -> List[CampaignResult]:
+        """One :meth:`result` per duration band; band *b* draws its
+        faultload at ``seed + b`` (Table 3 and Figs. 12–15)."""
+        return [self.result(tool, model, pool, band, count,
+                            seed=self.seed + band)
+                for band in bands]
+
     # -- derived parameters -------------------------------------------------
     @property
     def period_ns(self) -> float:
@@ -185,27 +213,6 @@ class Evaluation:
             mechanism=mechanism,
         )
 
-    def experiment_matrix(self, count: Optional[int] = None
-                          ) -> List[Tuple[str, FaultLoadSpec]]:
-        """The paper's experiment classes (table 2 / figure 10 rows)."""
-        return [
-            ("bitflip/FFs", self.spec(FaultModel.BITFLIP, "ffs", 1, count)),
-            ("bitflip/Memory",
-             self.spec(FaultModel.BITFLIP, "memory:iram", 1, count)),
-            ("pulse/Comb(<1)",
-             self.spec(FaultModel.PULSE, "luts", 0, count)),
-            ("pulse/Comb(>=1)",
-             self.spec(FaultModel.PULSE, "luts", 1, count)),
-            ("delay/Sequential",
-             self.spec(FaultModel.DELAY, "nets:seq", 1, count)),
-            ("delay/Comb",
-             self.spec(FaultModel.DELAY, "nets:comb", 1, count)),
-            ("indet/Sequential",
-             self.spec(FaultModel.INDETERMINATION, "ffs", 1, count)),
-            ("indet/Comb",
-             self.spec(FaultModel.INDETERMINATION, "luts", 1, count)),
-        ]
-
     # -- paper-scale projections ------------------------------------------
     def project_fades_seconds(self, mean_transfer_s: float) -> float:
         """Per-fault FADES time at the paper's workload length."""
@@ -217,6 +224,35 @@ class Evaluation:
         model = VfitTimeModel(PAPER_MODEL_ELEMENTS,
                               self.vfit.time_model.params)
         return model.cost(PAPER_WORKLOAD_CYCLES).total_s
+
+
+#: Bit-flips into the workload's data (Table 2, Fig. 11's memory bar).
+MEMORY_BITFLIPS = ("bitflip/Memory", FaultModel.BITFLIP, "memory:iram", 1)
+
+#: Table 2's and Fig. 10's classes, at the evaluation seed: name, fault
+#: model, location pool, duration band.
+TIMED_CLASSES: Tuple[Tuple[str, FaultModel, str, int], ...] = (
+    ("bitflip/FFs", FaultModel.BITFLIP, "ffs", 1),
+    MEMORY_BITFLIPS,
+    ("pulse/Comb(<1)", FaultModel.PULSE, "luts", 0),
+    ("pulse/Comb(>=1)", FaultModel.PULSE, "luts", 1),
+    ("delay/Sequential", FaultModel.DELAY, "nets:seq", 1),
+    ("delay/Comb", FaultModel.DELAY, "nets:comb", 1),
+    ("indet/Sequential", FaultModel.INDETERMINATION, "ffs", 1),
+    ("indet/Comb", FaultModel.INDETERMINATION, "luts", 1),
+)
+
+#: Table 3's rows: fault model, location pool, location label and the
+#: duration bands swept (:meth:`Evaluation.band_sweep`).
+COMPARISON_ROWS: Tuple[Tuple[FaultModel, str, str, Tuple[int, ...]], ...] = (
+    (FaultModel.BITFLIP, "ffs", "FFs", (1,)),
+    (FaultModel.BITFLIP, "memory:iram", "Memory", (1,)),
+    (FaultModel.PULSE, "luts:ALU", "ALU", (0, 1, 2)),
+    (FaultModel.DELAY, "nets:seq", "FFs", (0, 1, 2)),
+    (FaultModel.DELAY, "nets:comb:ALU", "ALU", (0, 1, 2)),
+    (FaultModel.INDETERMINATION, "ffs", "FFs", (0, 1, 2)),
+    (FaultModel.INDETERMINATION, "luts:ALU", "ALU", (0, 1, 2)),
+)
 
 
 #: Paper-reported reference values for EXPERIMENTS.md comparisons.

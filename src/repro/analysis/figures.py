@@ -13,7 +13,8 @@ from typing import List, Optional
 
 from ..core import FaultModel, Outcome
 from ..core.faults import BAND_LABELS, Fault, Target, TargetKind
-from .experiments import Evaluation, default_fault_count
+from .experiments import (MEMORY_BITFLIPS, TIMED_CLASSES, Evaluation,
+                          default_fault_count)
 
 
 @dataclass
@@ -82,11 +83,13 @@ def generate_fig10(evaluation: Evaluation,
     """
     figure = Figure("Figure 10. Mean emulation time per experiment class "
                     "(emulated seconds per fault)")
-    oscillating = evaluation.spec(FaultModel.INDETERMINATION, "ffs", 2,
-                                  count, oscillate=True)
-    for name, spec in evaluation.experiment_matrix(count) + [
-            ("indet/Sequential osc. 11-20", oscillating)]:
-        result = evaluation.run_fades(spec)
+    classes = [(name, model, pool, band, False)
+               for name, model, pool, band in TIMED_CLASSES]
+    classes.append(("indet/Sequential osc. 11-20",
+                    FaultModel.INDETERMINATION, "ffs", 2, True))
+    for name, model, pool, band, oscillate in classes:
+        result = evaluation.result("fades", model, pool, band, count,
+                                   oscillate=oscillate)
         # A class whose every fault was pruned has no time to draw.
         figure.bars.append(FigureBar(
             label=name, n=len(result.experiments),
@@ -122,63 +125,62 @@ def generate_fig11(evaluation: Evaluation, count: Optional[int] = None,
     bar = _bar_from(result, f"Registers ({len(eligible)} eligible FFs)")
     figure.bars.append(bar)
 
-    spec = evaluation.spec(FaultModel.BITFLIP, "memory:iram", 1, n)
-    result = evaluation.run_fades(spec)
+    _name, model, pool, band = MEMORY_BITFLIPS
+    result = evaluation.result("fades", model, pool, band, n)
     figure.bars.append(_bar_from(result, "Memory (occupied positions)"))
     return figure
 
 
-def _band_sweep(evaluation: Evaluation, model: FaultModel, pool: str,
-                label: str, count: Optional[int]) -> List[FigureBar]:
-    bars = []
-    for band, band_label in enumerate(BAND_LABELS):
-        spec = evaluation.spec(model, pool, band, count)
-        result = evaluation.run_fades(spec, seed=evaluation.seed + band)
-        bars.append(_bar_from(result, f"{label} {band_label}"))
-    return bars
+def _sweep_figure(evaluation: Evaluation, title: str, sweeps,
+                  count: Optional[int]) -> Figure:
+    """A figure of band sweeps: one bar per (label, model, pool) and
+    duration band (:meth:`Evaluation.band_sweep`)."""
+    figure = Figure(title)
+    for label, model, pool in sweeps:
+        results = evaluation.band_sweep("fades", model, pool, count=count)
+        figure.bars += [_bar_from(result, f"{label} {band_label}")
+                        for band_label, result in zip(BAND_LABELS, results)]
+    return figure
+
+
+def _unit_sweeps(label: str, model: FaultModel, pool: str):
+    """Sweeps over the combinational units (Figs. 13–15)."""
+    return [(f"{label} {unit}", model, f"{pool}:{unit}")
+            for unit in ("ALU", "MEM", "FSM")]
 
 
 def generate_fig12(evaluation: Evaluation,
                    count: Optional[int] = None) -> Figure:
     """Figure 12: delay and indetermination into sequential logic."""
-    figure = Figure("Figure 12. Delay and indetermination emulation into "
-                    "sequential logic (by fault duration)")
-    figure.bars += _band_sweep(evaluation, FaultModel.DELAY, "nets:seq",
-                               "delay", count)
-    figure.bars += _band_sweep(evaluation, FaultModel.INDETERMINATION,
-                               "ffs", "indetermination", count)
-    return figure
+    return _sweep_figure(
+        evaluation, "Figure 12. Delay and indetermination emulation into "
+        "sequential logic (by fault duration)",
+        [("delay", FaultModel.DELAY, "nets:seq"),
+         ("indetermination", FaultModel.INDETERMINATION, "ffs")], count)
 
 
 def generate_fig13(evaluation: Evaluation,
                    count: Optional[int] = None) -> Figure:
     """Figure 13: pulse emulation per combinational unit (ALU/MEM/FSM)."""
-    figure = Figure("Figure 13. Results from pulse emulation "
-                    "(per unit, by fault duration)")
-    for unit in ("ALU", "MEM", "FSM"):
-        figure.bars += _band_sweep(evaluation, FaultModel.PULSE,
-                                   f"luts:{unit}", f"pulse {unit}", count)
-    return figure
+    return _sweep_figure(
+        evaluation, "Figure 13. Results from pulse emulation "
+        "(per unit, by fault duration)",
+        _unit_sweeps("pulse", FaultModel.PULSE, "luts"), count)
 
 
 def generate_fig14(evaluation: Evaluation,
                    count: Optional[int] = None) -> Figure:
     """Figure 14: indetermination into combinational units."""
-    figure = Figure("Figure 14. Results from indetermination emulation "
-                    "into combinational logic")
-    for unit in ("ALU", "MEM", "FSM"):
-        figure.bars += _band_sweep(evaluation, FaultModel.INDETERMINATION,
-                                   f"luts:{unit}", f"indet {unit}", count)
-    return figure
+    return _sweep_figure(
+        evaluation, "Figure 14. Results from indetermination emulation "
+        "into combinational logic",
+        _unit_sweeps("indet", FaultModel.INDETERMINATION, "luts"), count)
 
 
 def generate_fig15(evaluation: Evaluation,
                    count: Optional[int] = None) -> Figure:
     """Figure 15: delay into combinational units."""
-    figure = Figure("Figure 15. Results from delay emulation into "
-                    "combinational logic")
-    for unit in ("ALU", "MEM", "FSM"):
-        figure.bars += _band_sweep(evaluation, FaultModel.DELAY,
-                                   f"nets:comb:{unit}", f"delay {unit}",
-                                   count)
-    return figure
+    return _sweep_figure(
+        evaluation, "Figure 15. Results from delay emulation into "
+        "combinational logic",
+        _unit_sweeps("delay", FaultModel.DELAY, "nets:comb"), count)

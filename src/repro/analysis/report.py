@@ -5,6 +5,10 @@ at the library default of 24 faults per experiment class
 (:func:`~repro.analysis.experiments.default_fault_count`).
 ``EXPERIMENTS.md`` is at the benches' scale of 12; refresh it with
 ``REPRO_FAULTS=12 python -m repro.analysis.report``.
+
+Each distinct experiment class runs once
+(:meth:`~repro.analysis.experiments.Evaluation.result`), and so counts
+once in the pruning, planner and quarantine sections.
 """
 
 from __future__ import annotations
@@ -45,10 +49,19 @@ def full_report(evaluation: Optional[Evaluation] = None,
             sections.append(build())
     if evaluation.prune_silent:
         with span("report", artefact="static-pruning"):
-            sections.append(_pruning_summary())
+            sections.append(_counter_summary(
+                "Statically pruned faults (repro.sfa)",
+                "faults_pruned_total",
+                "resolved without emulation: {:.0f} faults", "rule",
+                "fault_classes_total",
+                "equivalence classes planned: {:.0f}"))
     if evaluation.adaptive:
         with span("report", artefact="adaptive-planning"):
-            sections.append(_adaptive_summary())
+            sections.append(_counter_summary(
+                "Statistical campaign planning (repro.faultload)",
+                "experiments_saved_total",
+                "experiments saved by early stopping: {:.0f}", "reason",
+                "stopping_rule_checks_total", "stopping-rule checks: {:.0f}"))
     quarantine = _quarantine_summary()
     if quarantine is not None:
         with span("report", artefact="quarantine"):
@@ -56,50 +69,27 @@ def full_report(evaluation: Optional[Evaluation] = None,
     return "\n\n".join(sections)
 
 
-def _pruning_summary() -> str:
-    """The "statically pruned" section of a ``--prune-silent`` report.
+def _counter_summary(title: str, counter: str, total_line: str,
+                     label: str, extra: str, extra_line: str) -> str:
+    """A report section over counters accumulated across every campaign
+    the report ran: *counter*'s total, its value per *label*, and the
+    *extra* counter's total when it is non-zero.
 
-    Reads the :mod:`repro.sfa` planning counters accumulated across
-    every campaign the report ran — how many faults were resolved
-    without emulation, and by which rule.
+    The ``--prune-silent`` section reads the :mod:`repro.sfa` planning
+    counters (faults resolved without emulation, by rule); the adaptive
+    one reads the :mod:`repro.faultload` counters (budgeted experiments
+    never emulated, by reason, and stopping-rule checks).
     """
     from ..obs.metrics import REGISTRY
-    lines = ["Statically pruned faults (repro.sfa)",
-             "===================================="]
-    pruned = REGISTRY.get("faults_pruned_total")
-    total = pruned.total() if pruned is not None else 0.0
-    lines.append(f"resolved without emulation: {total:.0f} faults")
-    if pruned is not None:
-        for key, value in sorted(pruned.series().items()):
-            rule = dict(key).get("rule", "?")
-            lines.append(f"  {rule:<16} {value:.0f}")
-    classes = REGISTRY.get("fault_classes_total")
-    if classes is not None and classes.total():
-        lines.append(f"equivalence classes planned: "
-                     f"{classes.total():.0f}")
-    return "\n".join(lines)
-
-
-def _adaptive_summary() -> str:
-    """The "statistical planner" section of an adaptive report.
-
-    Reads the :mod:`repro.faultload` counters accumulated across every
-    campaign the report ran — how many stopping-rule checks fired and
-    how many budgeted experiments were never emulated.
-    """
-    from ..obs.metrics import REGISTRY
-    lines = ["Statistical campaign planning (repro.faultload)",
-             "==============================================="]
-    saved = REGISTRY.get("experiments_saved_total")
-    total = saved.total() if saved is not None else 0.0
-    lines.append(f"experiments saved by early stopping: {total:.0f}")
-    if saved is not None:
-        for key, value in sorted(saved.series().items()):
-            reason = dict(key).get("reason", "?")
-            lines.append(f"  {reason:<16} {value:.0f}")
-    checks = REGISTRY.get("stopping_rule_checks_total")
-    if checks is not None and checks.total():
-        lines.append(f"stopping-rule checks: {checks.total():.0f}")
+    metric = REGISTRY.get(counter)
+    lines = [title, "=" * len(title), total_line.format(
+        metric.total() if metric is not None else 0.0)]
+    if metric is not None:
+        for key, value in sorted(metric.series().items()):
+            lines.append(f"  {dict(key).get(label, '?'):<16} {value:.0f}")
+    extra_metric = REGISTRY.get(extra)
+    if extra_metric is not None and extra_metric.total():
+        lines.append(extra_line.format(extra_metric.total()))
     return "\n".join(lines)
 
 

@@ -29,7 +29,7 @@ from ..core import FaultModel, Outcome
 from ..errors import UnsupportedFaultError, WorkloadError
 from ..mc8051 import (array_sum, bubblesort, fibonacci, multiply,
                       sum_of_squares, table_lookup)
-from .experiments import Evaluation
+from .experiments import Evaluation, default_fault_count
 from .stats import failure_interval
 
 #: Workload constructors addressable from spec files.
@@ -95,25 +95,22 @@ def run_spec(spec: Dict) -> Dict:
     }
     for index, entry in enumerate(spec["experiments"]):
         model = FaultModel(entry["model"])
-        fault_spec = evaluation.spec(
-            model, entry.get("pool", "ffs"),
-            band=entry.get("band", 1),
-            count=entry.get("count", 20),
-            oscillate=entry.get("oscillate", False),
-            mechanism=entry.get("mechanism", ""))
         tool_name = entry.get("tool", "fades")
-        run = evaluation.run_fades if tool_name == "fades" \
-            else evaluation.vfit.run
+        pool = entry.get("pool", "ffs")
+        count = entry.get("count", 20)
         record: Dict = {
             "name": entry.get("name", f"experiment{index}"),
             "tool": tool_name,
             "model": model.value,
-            "pool": fault_spec.pool,
-            "count": fault_spec.count,
+            "pool": pool,
+            "count": default_fault_count() if count is None else count,
         }
         try:
-            result = run(fault_spec,
-                         seed=entry.get("seed", spec.get("seed", 0)))
+            result = evaluation.result(
+                tool_name, model, pool, band=entry.get("band", 1),
+                count=count, oscillate=entry.get("oscillate", False),
+                mechanism=entry.get("mechanism", ""),
+                seed=entry.get("seed", spec.get("seed", 0)))
         except UnsupportedFaultError as error:
             record["error"] = str(error)
             report["experiments"].append(record)

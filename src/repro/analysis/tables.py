@@ -13,9 +13,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..core import FaultModel, Target, TargetKind, pulse_equivalent_mbu
 from ..core.faults import Fault
-from ..errors import UnsupportedFaultError
-from .experiments import (Evaluation, PAPER_FAULTS_PER_EXPERIMENT,
-                          PAPER_TABLE2)
+from ..vfit.commands import VFIT_MODELS
+from .experiments import (COMPARISON_ROWS, Evaluation,
+                          PAPER_FAULTS_PER_EXPERIMENT, PAPER_TABLE2,
+                          TIMED_CLASSES)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +112,7 @@ class SpeedupRow:
 
     experiment: str
     fades_mean_s: float          # measured on this testbed
-    vfit_mean_s: float           # measured (model-size-scaled) VFIT time
+    vfit_mean_s: float           # VFIT's time model (NaN: unsupported)
     speedup: float               # measured ratio
     fades_projected_s: float     # projected to the paper's scale
     vfit_projected_s: float
@@ -121,23 +122,19 @@ class SpeedupRow:
 
 def generate_table2(evaluation: Evaluation,
                     count: Optional[int] = None) -> List[SpeedupRow]:
-    """Run every experiment class through both tools and compare times."""
-    fades = evaluation.fades
-    vfit = evaluation.vfit
+    """Run every timed class through FADES and compare its time with
+    VFIT's time model."""
+    board = evaluation.fades.board
     rows: List[SpeedupRow] = []
+    vfit_s = evaluation.vfit.time_model.cost(evaluation.cycles).total_s
     vfit_projected = evaluation.project_vfit_seconds()
-    for name, spec in evaluation.experiment_matrix(count):
-        fades_result = evaluation.run_fades(spec)
-        try:
-            vfit_result = vfit.run(spec, seed=evaluation.seed)
-            vfit_mean = vfit_result.mean_emulation_s
-        except UnsupportedFaultError:
-            vfit_mean = float("nan")
-        if fades_result.emulated_count():
-            fades_mean = fades_result.mean_emulation_s
+    for name, model, pool, band in TIMED_CLASSES:
+        result = evaluation.result("fades", model, pool, band, count)
+        vfit_mean = vfit_s if model in VFIT_MODELS else float("nan")
+        if result.emulated_count():
+            fades_mean = result.mean_emulation_s
             projected = evaluation.project_fades_seconds(
-                fades_mean
-                - fades.board.workload_seconds(fades_result.golden.cycles))
+                fades_mean - board.workload_seconds(result.golden.cycles))
         else:  # every fault pruned: no FADES time to compare or project
             fades_mean = projected = float("nan")
         rows.append(SpeedupRow(
@@ -198,38 +195,15 @@ class ComparisonRow:
 def generate_table3(evaluation: Evaluation,
                     count: Optional[int] = None) -> List[ComparisonRow]:
     """The paper's FADES-vs-VFIT agreement experiment (section 6.3)."""
-    vfit = evaluation.vfit
-    experiments = [
-        (FaultModel.BITFLIP, "ffs", "FFs", (1,)),
-        (FaultModel.BITFLIP, "memory:iram", "Memory", (1,)),
-        (FaultModel.PULSE, "luts:ALU", "ALU", (0, 1, 2)),
-        (FaultModel.DELAY, "nets:seq", "FFs", (0, 1, 2)),
-        (FaultModel.DELAY, "nets:comb:ALU", "ALU", (0, 1, 2)),
-        (FaultModel.INDETERMINATION, "ffs", "FFs", (0, 1, 2)),
-        (FaultModel.INDETERMINATION, "luts:ALU", "ALU", (0, 1, 2)),
-    ]
-    rows: List[ComparisonRow] = []
-    for model, pool, location, bands in experiments:
-        fades_pct: List[float] = []
-        vfit_pct: List[float] = []
-        vfit_supported = True
-        for band in bands:
-            spec = evaluation.spec(model, pool, band, count)
-            fades_pct.append(
-                evaluation.run_fades(spec, seed=evaluation.seed + band)
-                .failure_percent())
-            if vfit_supported:
-                try:
-                    vfit_pct.append(
-                        vfit.run(spec, seed=evaluation.seed + band)
-                        .failure_percent())
-                except UnsupportedFaultError:
-                    vfit_supported = False
-        rows.append(ComparisonRow(
-            fault_model=model.value, location=location,
-            fades_pct=tuple(fades_pct),
-            vfit_pct=tuple(vfit_pct) if vfit_supported else None))
-    return rows
+    def percents(tool, model, pool, bands):
+        return tuple(result.failure_percent() for result
+                     in evaluation.band_sweep(tool, model, pool, bands, count))
+
+    return [ComparisonRow(model.value, location,
+                          percents("fades", model, pool, bands),
+                          percents("vfit", model, pool, bands)
+                          if model in VFIT_MODELS else None)
+            for model, pool, location, bands in COMPARISON_ROWS]
 
 
 def render_table3(rows: List[ComparisonRow]) -> str:
@@ -281,12 +255,11 @@ def generate_table4(evaluation: Evaluation,
                   + locmap.luts_in_unit("ALU"))
     inject_cycle = max(4, evaluation.cycles // 3)
     rows: List[MultipleBitflipRow] = []
-    for lut_index in candidates:
+    # One-cycle pulse on each LUT output at inject_cycle, against the
+    # golden state one cycle later.
+    for equivalent in pulse_equivalent_mbu(fades, candidates, inject_cycle):
         if len(rows) >= max_rows:
             break
-        # One-cycle pulse on the LUT output at inject_cycle, against the
-        # golden state one cycle later.
-        equivalent = pulse_equivalent_mbu(fades, lut_index, inject_cycle)
         golden = equivalent.golden_ffs
         faulty = list(golden)
         for ff in equivalent.flipped_ffs:
@@ -295,6 +268,7 @@ def generate_table4(evaluation: Evaluation,
                     for name, ffs in registers.items()
                     if value(golden, ffs) != value(faulty, ffs)]
         if len(affected) >= 2:
+            lut_index = equivalent.lut_index
             site = fades.impl.placement.site_of_lut[lut_index]
             rows.append(MultipleBitflipRow(
                 injection_point=f"CB{site} LUT {lut_index}",

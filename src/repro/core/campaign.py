@@ -538,21 +538,23 @@ class FadesCampaign:
         "susceptible of causing a failure when executing the selected
         workload" — the paper found 81 of 637 eligible.
 
-        ``seed`` randomises the per-FF injection instants; ``None`` keeps
-        the historical default (7) for backward compatibility.
+        Each of ``samples_per_ff`` rounds flips every flip-flop not yet
+        found sensitive once, at instants drawn in flip-flop order, and
+        runs them as one batch (:meth:`run_batch`).  ``seed`` randomises
+        the instants; ``None`` keeps the historical default (7).
         """
         rng = random.Random(7 if seed is None else seed)
-        sensitive: List[int] = []
         from .faults import FaultModel, Target, TargetKind
-        for ff_index in range(len(self.locmap.mapped.ffs)):
-            for _ in range(samples_per_ff):
-                fault = Fault(
-                    model=FaultModel.BITFLIP,
-                    target=Target(TargetKind.FF, ff_index),
-                    start_cycle=rng.randrange(cycles),
-                )
-                outcome = self.run_experiment(fault, cycles).outcome
-                if outcome is Outcome.FAILURE:
-                    sensitive.append(ff_index)
-                    break
-        return sensitive
+        pending = list(range(len(self.locmap.mapped.ffs)))
+        for _ in range(samples_per_ff):
+            faults = [Fault(model=FaultModel.BITFLIP,
+                            target=Target(TargetKind.FF, ff_index),
+                            start_cycle=rng.randrange(cycles))
+                      for ff_index in pending]
+            results = self.run_batch(faults, cycles)
+            pending = [ff_index for ff_index, result
+                       in zip(pending, results)
+                       if result.outcome is not Outcome.FAILURE]
+        insensitive = set(pending)
+        return [ff_index for ff_index in range(len(self.locmap.mapped.ffs))
+                if ff_index not in insensitive]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import InjectionError
 from ..fpga.architecture import FrameAddr
@@ -137,36 +137,43 @@ class PulseEquivalent:
     golden_ffs: Tuple[int, ...]
 
 
-def pulse_equivalent_mbu(campaign, lut_index: int,
-                         cycle: int) -> PulseEquivalent:
-    """Measure which FFs a one-cycle output pulse on *lut_index* corrupts,
-    and build the equivalent multiple bit-flip (paper, section 7.2).
+def pulse_equivalent_mbu(campaign, lut_indices: Iterable[int],
+                         cycle: int) -> List[PulseEquivalent]:
+    """Measure which FFs a one-cycle output pulse on each LUT of
+    *lut_indices* corrupts, and build each equivalent multiple bit-flip
+    (paper, section 7.2).
 
     "It will be necessary to perform several experiments to determine how
     each fault model could be emulated by means of a multiple bit-flip" —
-    this is that experiment, automated.
+    these are those experiments, automated.
     """
     device = campaign.device
-    # One run to the probe point serves both the golden cycle and the
+    # One run to the probe point serves the golden cycle and every
     # pulsed one.
     device.reset_system()
     device.run(cycle)
     prefix = device.save_state()
     device.step()
     golden = device.ff_state()
-    device.load_state(prefix)
-    fault = Fault(FaultModel.PULSE, Target(TargetKind.LUT, lut_index),
-                  cycle, duration_cycles=1.0)
-    injection = campaign.injector.prepare(fault)
-    injection.inject()
-    device.step()
-    injection.remove()
-    flipped = tuple(index for index, (a, b)
-                    in enumerate(zip(golden, device.ff_state())) if a != b)
-    campaign._restore_configuration()
-    # The pulse corrupts the state captured at the END of `cycle`; a
-    # bit-flip injected at `cycle + 1` flips exactly that state before
-    # the next evaluation, so the two runs align cycle for cycle.
-    mbu = multi_ff_bitflip(flipped, cycle + 1) if flipped else None
-    return PulseEquivalent(lut_index=lut_index, cycle=cycle,
-                           flipped_ffs=flipped, mbu=mbu, golden_ffs=golden)
+    equivalents: List[PulseEquivalent] = []
+    for lut_index in lut_indices:
+        device.load_state(prefix)
+        fault = Fault(FaultModel.PULSE, Target(TargetKind.LUT, lut_index),
+                      cycle, duration_cycles=1.0)
+        injection = campaign.injector.prepare(fault)
+        injection.inject()
+        device.step()
+        injection.remove()
+        flipped = tuple(index for index, (a, b)
+                        in enumerate(zip(golden, device.ff_state()))
+                        if a != b)
+        campaign._restore_configuration()
+        # The pulse corrupts the state captured at the END of `cycle`; a
+        # bit-flip injected at `cycle + 1` flips exactly that state
+        # before the next evaluation, so the two runs align cycle for
+        # cycle.
+        mbu = multi_ff_bitflip(flipped, cycle + 1) if flipped else None
+        equivalents.append(PulseEquivalent(
+            lut_index=lut_index, cycle=cycle, flipped_ffs=flipped, mbu=mbu,
+            golden_ffs=golden))
+    return equivalents

@@ -122,12 +122,13 @@ def _execute(jobspec: CampaignJobSpec, workers: int,
              alert_rules: Optional[List[AlertRule]] = None,
              campaign: Optional[FadesCampaign] = None
              ) -> CampaignResult:
-    metrics = CampaignMetrics(progress=progress, backend=jobspec.backend)
+    metrics = CampaignMetrics(progress=progress)
     budget = jobspec.effective_budget()
     cycles = jobspec.spec.workload_cycles
     with metrics.phase("setup"):
         if campaign is None:
             campaign = build_campaign(jobspec)
+        metrics.backend = campaign.backend
         runner = JobRunner(jobspec, campaign)
         # Adaptive campaigns materialise faults window by window
         # (stream.ensure); the list below grows in place as the campaign
@@ -171,6 +172,9 @@ def _execute(jobspec: CampaignJobSpec, workers: int,
             lanes = lane_width() - 1
         else:
             campaign.golden_run(cycles)
+        # The first on_lanes call degrades a campaign whose design does
+        # not compile; this phase and the later ones carry that backend.
+        metrics.backend = campaign.backend
 
     # Bound below, before any experiment runs; None only so the take /
     # check_stop closures resolve while the coordinator is being built.

@@ -166,12 +166,13 @@ class CampaignMetrics:
 
     def __init__(self, progress: Optional[ProgressCallback] = None,
                  clock: Callable[[], float] = time.monotonic,
-                 backend: str = "reference",
                  registry: obs_metrics.MetricsRegistry = obs_metrics.REGISTRY
                  ) -> None:
         self._progress = progress
         self._clock = clock
-        self._backend = backend
+        #: Labels each phase as it closes; the engine copies it from the
+        #: campaign, whose backend a compile failure can degrade.
+        self.backend = "reference"
         self._registry = registry
         self._baseline = self._health_totals()
         self._started = clock()
@@ -235,7 +236,7 @@ class CampaignMetrics:
                 self._phase_wall[name] = self._phase_wall.get(name, 0.0) \
                     + elapsed
                 _PHASE_SECONDS.observe(elapsed, phase=name,
-                                       sim_backend=self._backend)
+                                       sim_backend=self.backend)
 
     def _tally(self, record: Dict[str, Any]) -> str:
         outcome = str(record.get("outcome", "?"))

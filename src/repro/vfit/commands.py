@@ -24,6 +24,26 @@ from ..hdl.simulator import FourValuedSim
 from ..core.faults import Fault, FaultModel, Target, TargetKind
 
 
+#: The fault models simulator commands can inject.
+VFIT_MODELS = frozenset({FaultModel.BITFLIP, FaultModel.PULSE,
+                         FaultModel.INDETERMINATION})
+
+
+def check_vfit_model(model: FaultModel) -> None:
+    """Raise :class:`UnsupportedFaultError` unless VFIT can inject
+    *model*: decided from the model alone, before anything simulates."""
+    if model is FaultModel.DELAY:
+        # Paper, section 6.3: "VFIT requires the model to specify the
+        # delay of signals by means of generic clauses and the selected
+        # model does not include any of them".
+        raise UnsupportedFaultError(
+            "VFIT cannot inject delay faults: the model carries no "
+            "generic delay clauses")
+    if model not in VFIT_MODELS:
+        raise UnsupportedFaultError(
+            f"VFIT does not implement the {model.value} model")
+
+
 class VfitCommands:
     """Command-level injection session on one model simulator."""
 
@@ -37,6 +57,7 @@ class VfitCommands:
         """Activate *fault* (called at its injection instant)."""
         model = fault.model
         target = fault.target
+        check_vfit_model(model)
         if model is FaultModel.BITFLIP:
             if target.kind is TargetKind.FF:
                 current = self.sim.ff_state()[target.index]
@@ -57,7 +78,7 @@ class VfitCommands:
                 raise InjectionError(
                     "VFIT pulses target HDL signal nets")
             self.sim.force_invert_net(target.index)
-        elif model is FaultModel.INDETERMINATION:
+        else:  # indetermination
             if target.kind is TargetKind.FF:
                 self.sim.deposit_ff(target.index, logic.X)
                 dff = self.netlist.dffs[target.index]
@@ -67,16 +88,6 @@ class VfitCommands:
             else:
                 raise InjectionError(
                     "VFIT indetermination targets FFs or signal nets")
-        elif model is FaultModel.DELAY:
-            # Paper, section 6.3: "VFIT requires the model to specify the
-            # delay of signals by means of generic clauses and the selected
-            # model does not include any of them".
-            raise UnsupportedFaultError(
-                "VFIT cannot inject delay faults: the model carries no "
-                "generic delay clauses")
-        else:
-            raise UnsupportedFaultError(
-                f"VFIT does not implement the {model.value} model")
         self.commands_issued += 1
 
     def remove(self, fault: Fault) -> None:

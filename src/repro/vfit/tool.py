@@ -6,6 +6,8 @@ classes: same fault models, same duration bands, injection instants
 uniformly distributed over the workload — but VFIT draws locations from the
 *HDL model* (signals, storage elements, memory words) and injects with
 simulator commands on the four-valued model simulator.
+Every experiment of one length costs the same (:attr:`VfitCampaign.
+time_model`), so Table 2 prices VFIT from it without running a campaign.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from ..errors import LocationError
 from ..hdl.netlist import Netlist
 from ..hdl.simulator import FourValuedSim
 from ..hdl.trace import Trace
-from .commands import VfitCommands, vfit_pool_targets
+from .commands import VfitCommands, check_vfit_model, vfit_pool_targets
 from .timing_model import VfitTimeModel
 
 
@@ -132,7 +134,9 @@ class VfitCampaign:
         """Generate and run a whole faultload; returns the aggregate.
 
         ``seed`` (default: the campaign's) draws the faultload, so
-        repeated calls with the same arguments run the same faults."""
+        repeated calls with the same arguments run the same faults.  A
+        model VFIT cannot inject raises before anything runs."""
+        check_vfit_model(spec.model)
         faults = vfit_faultload(
             spec, self.netlist, seed=self.seed if seed is None else seed)
         return self.run_faults(faults, spec.workload_cycles,

@@ -4,16 +4,21 @@ Campaign counts are kept tiny — these tests validate structure and shape
 machinery, not statistics (the benchmarks do that at larger counts).
 """
 
+import json
 import math
+from collections import Counter
 
 import pytest
 
 from repro.analysis import (Evaluation, PAPER_TABLE2, default_fault_count,
-                            generate_fig10, generate_fig12, generate_table1,
-                            generate_table2, generate_table3,
+                            full_report, generate_fig10, generate_fig12,
+                            generate_table1, generate_table2,
+                            generate_table3, generate_table4,
                             render_table1, render_table2, render_table3)
-from repro.analysis.experiments import PAPER_FAULTS_PER_EXPERIMENT
+from repro.analysis.experiments import (PAPER_FAULTS_PER_EXPERIMENT,
+                                        TIMED_CLASSES)
 from repro.core import FaultModel
+from repro.vfit import VfitCampaign
 
 
 @pytest.fixture(scope="module")
@@ -31,12 +36,11 @@ class TestEvaluationSetup:
         assert evaluation.vfit.netlist is evaluation.model.netlist
         assert evaluation.fades.locmap.mapped.name == "mc8051"
 
-    def test_experiment_matrix_covers_all_models(self, evaluation):
-        matrix = evaluation.experiment_matrix(count=2)
-        models = {spec.model for _name, spec in matrix}
+    def test_timed_classes_cover_all_models(self):
+        models = {model for _name, model, _pool, _band in TIMED_CLASSES}
         assert models == {FaultModel.BITFLIP, FaultModel.PULSE,
                           FaultModel.DELAY, FaultModel.INDETERMINATION}
-        assert len(matrix) == 8
+        assert [name for name, *_ in TIMED_CLASSES] == list(PAPER_TABLE2)
 
     def test_delay_magnitudes_scale_with_period(self, evaluation):
         lo, hi = evaluation.delay_magnitudes()
@@ -78,6 +82,33 @@ class TestTableGenerators:
                 row.experiment.startswith("delay") or True
         assert "paper" in render_table2(rows)
 
+    def test_table2_prices_vfit_from_its_time_model(self, evaluation,
+                                                    monkeypatch):
+        def simulate(*_args, **_kwargs):
+            raise AssertionError("Table 2 simulated a VFIT experiment")
+
+        monkeypatch.setattr(VfitCampaign, "run_experiment", simulate)
+        rows = generate_table2(evaluation, count=2)
+        price = evaluation.vfit.time_model.cost(evaluation.cycles).total_s
+        for row in rows:
+            if row.experiment.startswith("delay"):
+                assert math.isnan(row.vfit_mean_s)
+            else:
+                assert row.vfit_mean_s == price
+
+    def test_table4_runs_its_probe_prefix_once(self, evaluation,
+                                               monkeypatch):
+        device = evaluation.fades.device
+        calls = Counter()
+        for name in ("reset_system", "run"):
+            def counted(*args, _name=name, _method=getattr(device, name),
+                        **kwargs):
+                calls[_name] += 1
+                return _method(*args, **kwargs)
+            monkeypatch.setattr(device, name, counted)
+        generate_table4(evaluation)
+        assert calls == {"reset_system": 1, "run": 1}
+
     def test_table2_paper_reference_complete(self):
         assert set(PAPER_TABLE2) == {
             "bitflip/FFs", "bitflip/Memory", "pulse/Comb(<1)",
@@ -106,6 +137,37 @@ class TestFigureGenerators:
             assert bar.n == 2
             assert bar.failure + bar.latent + bar.silent == \
                 pytest.approx(100.0)
+
+
+class TestReportPlan:
+    """A report runs each distinct experiment class once, and VFIT only
+    for Table 3's cells."""
+
+    def test_full_report_runs_each_class_once(self, monkeypatch):
+        import repro.runtime
+        jobspecs = []
+        run_campaign = repro.runtime.run_campaign
+
+        def counted(jobspec, **kwargs):
+            jobspecs.append(json.dumps(jobspec.to_dict(), sort_keys=True))
+            return run_campaign(jobspec, **kwargs)
+
+        monkeypatch.setattr(repro.runtime, "run_campaign", counted)
+        vfit_models = []
+        run_experiment = VfitCampaign.run_experiment
+
+        def simulated(self, fault, cycles):
+            vfit_models.append(fault.model)
+            return run_experiment(self, fault, cycles)
+
+        monkeypatch.setattr(VfitCampaign, "run_experiment", simulated)
+        full_report(Evaluation(values=(7, 2, 5), backend="compiled"),
+                    count=1)
+        assert len(jobspecs) == len(set(jobspecs)) == 44
+        # Table 3's 11 VFIT cells, one fault each: no delay, no Table 2.
+        assert Counter(vfit_models) == {FaultModel.BITFLIP: 2,
+                                        FaultModel.PULSE: 3,
+                                        FaultModel.INDETERMINATION: 6}
 
 
 class TestPrunedClasses:

@@ -310,6 +310,11 @@ def compiled_injections():
                if dict(labels).get("sim_backend") == "compiled")
 
 
+def phase_samples(phase, backend):
+    return REGISTRY.get("campaign_phase_seconds").count(
+        phase=phase, sim_backend=backend)
+
+
 class TestCompileFallback:
     def test_compile_fail_degrades_to_reference(self, jobspec,
                                                 serial_result):
@@ -317,14 +322,25 @@ class TestCompileFallback:
         chaos.install(ChaosPlan.from_spec("seed=6;compile_fail"))
         fallbacks_before = counter_total("emu_backend_fallbacks_total")
         compiled_before = compiled_injections()
+        compiled_phases = {phase: phase_samples(phase, "compiled")
+                           for phase in ("golden", "experiments",
+                                         "aggregate")}
+        reference_phases = {phase: phase_samples(phase, "reference")
+                            for phase in compiled_phases}
         result = run_campaign(dataclasses.replace(jobspec,
                                                   backend="compiled"))
         assert counter_total("emu_backend_fallbacks_total") \
             > fallbacks_before
         assert outcomes(result) == outcomes(serial_result)
         # Degraded before its first experiment: every injection is
-        # labelled with the backend that ran it.
+        # labelled with the backend that ran it, and so is every phase
+        # that closed after the degradation.
         assert compiled_injections() == compiled_before
+        for phase in ("golden", "experiments", "aggregate"):
+            assert phase_samples(phase, "compiled") == \
+                compiled_phases[phase]
+            assert phase_samples(phase, "reference") > \
+                reference_phases[phase]
 
 
 # ---------------------------------------------------------------------------

@@ -126,13 +126,12 @@ class TestPulseEquivalence:
         probe_cycle = 7
         matched = 0
         checked = 0
-        for lut_index in range(len(campaign.locmap.mapped.luts)):
-            equivalent = pulse_equivalent_mbu(campaign, lut_index,
-                                              probe_cycle)
+        luts = range(len(campaign.locmap.mapped.luts))
+        for equivalent in pulse_equivalent_mbu(campaign, luts, probe_cycle):
             if equivalent.mbu is None:
                 continue
             pulse = Fault(FaultModel.PULSE,
-                          Target(TargetKind.LUT, lut_index),
+                          Target(TargetKind.LUT, equivalent.lut_index),
                           probe_cycle, duration_cycles=1.0)
             pulse_result = campaign.run_experiment(pulse, cycles)
             mbu_result = campaign.run_experiment(equivalent.mbu, cycles)
@@ -144,8 +143,7 @@ class TestPulseEquivalence:
             f"MBU equivalent diverged for {checked - matched}/{checked}")
 
     def test_footprint_can_be_multiple(self, campaign):
-        widths = set()
-        for lut_index in range(len(campaign.locmap.mapped.luts)):
-            equivalent = pulse_equivalent_mbu(campaign, lut_index, 9)
-            widths.add(len(equivalent.flipped_ffs))
+        luts = range(len(campaign.locmap.mapped.luts))
+        widths = {len(equivalent.flipped_ffs)
+                  for equivalent in pulse_equivalent_mbu(campaign, luts, 9)}
         assert max(widths) >= 1

@@ -755,6 +755,29 @@ class TestGoldenFromLaneZero:
                             evaluation.cycles, reference_golden)
 
 
+class TestScreenOnLanes:
+    def test_one_sample_screen_is_one_lane_pass(self, monkeypatch):
+        # Fig. 11's screen: every flip-flop's bit-flip in one batch.
+        from repro.analysis.experiments import Evaluation
+        from repro.emu import backend
+        widths = []
+        original = backend.run_lanes
+
+        def recording(design, lanes, cycles, **kwargs):
+            widths.append(lanes)
+            return original(design, lanes, cycles, **kwargs)
+
+        monkeypatch.setattr(backend, "run_lanes", recording)
+        reference = Evaluation(values=(7, 2, 5))
+        compiled = Evaluation(values=(7, 2, 5), backend="compiled")
+        expected = reference.fades.screen_sensitive_ffs(60,
+                                                        samples_per_ff=1)
+        assert expected and widths == []
+        screened = compiled.fades.screen_sensitive_ffs(60, samples_per_ff=1)
+        assert screened == expected
+        assert widths == [len(compiled.fades.locmap.mapped.ffs) + 1]
+
+
 class TestLaneCycleCounter:
     def test_one_unlabelled_series_of_lane_cycles(self):
         metric = REGISTRY.get("emu_lane_cycles_total")

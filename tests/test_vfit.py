@@ -152,11 +152,27 @@ class TestCampaign:
         counter_campaign._golden.clear()
         assert counter_campaign.golden_run(25).samples == golden.samples
 
-    def test_delay_campaign_raises(self, counter_campaign):
+    def test_delay_campaign_raises(self, counter_campaign, monkeypatch):
+        import repro.vfit.tool
+        drawn = []
+
+        def draw(*_args, **_kwargs):
+            drawn.append(True)
+            return []
+
+        def simulate(*_args):
+            raise AssertionError("a delay campaign simulated a cycle")
+
+        monkeypatch.setattr(counter_campaign.sim, "step", simulate)
+        monkeypatch.setattr(repro.vfit.tool, "vfit_faultload", draw)
         spec = FaultLoadSpec(FaultModel.DELAY, "nets:seq", count=2,
                              workload_cycles=20)
-        with pytest.raises(UnsupportedFaultError):
+        with pytest.raises(UnsupportedFaultError,
+                           match="no generic delay clauses"):
             counter_campaign.run(spec, seed=1)
+        # Decided from the fault model: nothing drawn or simulated.
+        assert drawn == []
+        assert counter_campaign._golden == {}
 
 
 class TestTimeModel:
