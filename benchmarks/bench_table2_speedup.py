@@ -48,7 +48,7 @@ def _time_backend(backend: str, count: int, seed: int = 2006):
     spec = evaluation.spec(FaultModel.BITFLIP, "ffs", count=count)
     evaluation.fades.golden_run(evaluation.cycles)
     begin = time.perf_counter()
-    result = evaluation.run_fades(spec)
+    result = evaluation.run(spec)
     wall_s = time.perf_counter() - begin
     return wall_s, result, evaluation
 

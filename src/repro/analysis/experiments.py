@@ -3,8 +3,9 @@
 One :class:`Evaluation` object lazily builds everything the paper's
 evaluation needs — the microcontroller model, the synthesised/implemented
 design, a FADES campaign and a VFIT campaign — and runs each experiment
-class (fault model x location x duration band) once
-(:meth:`Evaluation.result`); section 6's classes are data, below.
+class (tool x fault model x location x duration band) once
+(:meth:`Evaluation.result`), both tools through the one runtime driver
+(:meth:`Evaluation.run`); section 6's classes are data, below.
 
 Scaling: the paper injects 3000 faults per experiment on a 1303-cycle
 workload.  A pure-Python substrate cannot afford that per bench run, so
@@ -52,7 +53,7 @@ class Evaluation:
 
     values: Tuple[int, ...] = (9, 3, 12, 5)   # short sort for fast benches
     seed: int = 2006
-    #: Worker processes per experiment class (:meth:`run_fades`).
+    #: Worker processes per experiment class (:meth:`run`).
     workers: int = 0
     #: Simulator backend for FADES campaigns: ``reference`` steps the
     #: device model per experiment; ``compiled`` packs experiments into
@@ -63,11 +64,12 @@ class Evaluation:
     #: guaranteed identical; only the wall-clock changes.
     prune_silent: bool = False
     #: Statistical campaign planning (:mod:`repro.faultload`):
-    #: ``strategy`` picks the sampler (``uniform`` is the historical
-    #: draw; ``stratified``/``importance`` allocate per resource
-    #: group), ``epsilon`` enables confidence-driven early stopping at
-    #: ±epsilon Wilson half-width, ``budget`` caps the experiment
-    #: count.  All defaults keep the fixed-budget behaviour bit-exact.
+    #: ``strategy`` picks the FADES sampler (``uniform`` is the
+    #: historical draw; ``stratified``/``importance`` allocate per
+    #: resource group), ``epsilon`` enables confidence-driven early
+    #: stopping at ±epsilon Wilson half-width, ``budget`` caps the
+    #: experiment count; the stopping rule and the cap apply to both
+    #: tools.  All defaults keep the fixed-budget behaviour bit-exact.
     strategy: str = "uniform"
     confidence: float = 0.95
     epsilon: Optional[float] = None
@@ -120,24 +122,28 @@ class Evaluation:
     # -- campaign execution -----------------------------------------------
     @property
     def adaptive(self) -> bool:
-        """Whether FADES campaigns use the statistical planner at all
+        """Whether campaigns use the statistical planner at all
         (:func:`repro.faultload.is_adaptive`)."""
         return is_adaptive(self.strategy, self.epsilon, self.budget)
 
-    def run_fades(self, spec: FaultLoadSpec, seed: Optional[int] = None,
-                  **options: Any) -> CampaignResult:
-        """Run one FADES experiment class through
-        :func:`~repro.runtime.run_campaign` (``options`` are its keywords).
+    def run(self, spec: FaultLoadSpec, seed: Optional[int] = None,
+            tool: str = "fades", **options: Any) -> CampaignResult:
+        """Run one experiment class of *tool* (``fades`` or ``vfit``)
+        through :func:`~repro.runtime.run_campaign` (``options`` are its
+        keywords), its faultload drawn at *seed* (default :attr:`seed`).
 
         With no :attr:`workers` and no journal it runs in process on
-        :attr:`fades`, reusing the design and golden trace across a
-        report's classes; otherwise each worker rebuilds the campaign.
+        :attr:`fades` or :attr:`vfit`, reusing the design and golden
+        trace across a report's classes; otherwise each worker rebuilds
+        the campaign.  A VFIT class takes none of the FADES settings
+        above (:meth:`~repro.runtime.CampaignJobSpec.from_evaluation`).
         """
         from ..runtime import CampaignJobSpec, run_campaign
         jobspec = CampaignJobSpec.from_evaluation(
-            self, spec, faultload_seed=self.seed if seed is None else seed)
+            self, spec, faultload_seed=self.seed if seed is None else seed,
+            tool=tool)
         if self.workers <= 0 and options.get("journal") is None:
-            options["campaign"] = self.fades
+            options["campaign"] = getattr(self, tool)
         return run_campaign(jobspec, workers=self.workers, **options)
 
     def result(self, tool: str, model: FaultModel, pool: str,
@@ -153,8 +159,7 @@ class Evaluation:
         key = (tool, model, pool, band, spec.count, oscillate, mechanism,
                seed)
         if key not in self._results:
-            run = self.run_fades if tool == "fades" else self.vfit.run
-            self._results[key] = run(spec, seed=seed)
+            self._results[key] = self.run(spec, seed=seed, tool=tool)
         return self._results[key]
 
     def band_sweep(self, tool: str, model: FaultModel, pool: str,

@@ -10,6 +10,8 @@ emulated, the fault location and duration, the observation points"
     python -m repro campaign --model pulse --pool luts:ALU --count 20
     python -m repro campaign --tool vfit --model bitflip --pool ffs
     python -m repro campaign --model bitflip --workers 4 --journal out.jsonl
+    python -m repro campaign --tool vfit --model bitflip --workers 4 \
+        --journal vfit.jsonl
     python -m repro campaign --model bitflip --workers 4 --trace t.json \
         --metrics m.prom
     python -m repro campaign --model bitflip --pool ffs --prune-silent
@@ -31,7 +33,11 @@ emulated, the fault location and duration, the observation points"
     python -m repro report --count 8 --workers 4
 
 All commands run on the 8051 + Bubblesort testbed; ``--values`` changes
-the array being sorted (and thereby the workload length).
+the array being sorted (and thereby the workload length).  A campaign of
+either tool (``--tool``) runs through the one runtime driver
+(:func:`repro.runtime.run_campaign`), so the runtime flags apply to both;
+``--backend compiled``, ``--prune-silent`` and a non-uniform
+``--strategy`` are FADES settings, which a VFIT campaign refuses.
 
 Output discipline: diagnostics and progress go through the ``repro.*``
 loggers to stderr (``--log-level`` / ``--log-json``); stdout carries only
@@ -54,6 +60,7 @@ from .core.faults import BAND_LABELS, DURATION_BANDS
 from .errors import CampaignInterrupted, ReproError
 from .obs import console, get_logger, setup_logging
 from .obs.metrics import REGISTRY
+from .runtime import TOOLS, check_tool
 
 log = get_logger("repro.cli")
 
@@ -118,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     campaign = commands.add_parser(
         "campaign", help="run one fault-injection campaign")
-    campaign.add_argument("--tool", choices=("fades", "vfit"),
+    campaign.add_argument("--tool", choices=TOOLS,
                           default="fades")
     campaign.add_argument("--model", required=True,
                           choices=[m.value for m in FaultModel])
@@ -446,26 +453,19 @@ def cmd_campaign(evaluation: Evaluation, args: argparse.Namespace) -> int:
     spec = evaluation.spec(model, args.pool, band=args.band,
                            count=args.count, oscillate=args.oscillate,
                            mechanism=args.mechanism)
-    runtime_flags = (args.workers > 0 or args.journal is not None
-                     or args.trace is not None or evaluation.adaptive
-                     or args.serve_obs is not None or bool(args.alert))
-    if runtime_flags and args.tool != "fades":
-        log.error("--workers/--journal/--trace/--serve-obs, "
-                  "the alert flags and the planner flags "
-                  "(--strategy/--epsilon/--budget) need --tool fades "
-                  "(the runtime engine drives FADES campaigns only)")
-        return 1
+    # The flags describe this one class, so a setting its tool cannot
+    # honour is refused as its job spec would (a report's VFIT cells
+    # drop the evaluation's FADES settings instead).
+    check_tool(args.tool, model, args.backend, args.prune_silent,
+               args.strategy)
     _install_chaos(args.chaos)
-    if args.tool == "vfit":
-        result = evaluation.vfit.run(spec, seed=args.seed)
-    else:
-        result = evaluation.run_fades(
-            spec, seed=args.seed, journal=args.journal, trace=args.trace,
-            shard_timeout=args.shard_timeout,
-            progress=_progress_printer(args.budget or args.count),
-            **_liveobs_kwargs(args))
-        if args.trace:
-            log.info("trace written to %s", args.trace)
+    result = evaluation.run(
+        spec, seed=args.seed, tool=args.tool, journal=args.journal,
+        trace=args.trace, shard_timeout=args.shard_timeout,
+        progress=_progress_printer(args.budget or args.count),
+        **_liveobs_kwargs(args))
+    if args.trace:
+        log.info("trace written to %s", args.trace)
     if args.metrics:
         _export_metrics(args.metrics)
     _render_result(

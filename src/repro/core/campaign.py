@@ -36,14 +36,14 @@ from ..obs import metrics as obs_metrics
 from ..obs.tracing import span
 from ..synth.locmap import LocationMap
 from .classify import Outcome, OutcomeCounts, classify
-from .config import (FaultLoadSpec, check_cycles, generate_faultload,
-                     pool_size)
+from .config import FaultLoadSpec, check_cycles
 from .faults import Fault
 from .injector import FadesInjector
 from .timing_model import EmulationTimeModel, ExperimentCost
 
-if TYPE_CHECKING:  # type-only: the lane engine is imported on first use
+if TYPE_CHECKING:  # type-only: both are imported on first use
     from ..emu.compiler import CompiledDesign
+    from ..faultload import DrawnFaults
 
 _INJECTIONS = obs_metrics.counter(
     "injections_total",
@@ -238,18 +238,78 @@ class Experiment:
         return cost
 
 
+class Campaign:
+    """One tool's fault-injection campaigns on one design: what the
+    runtime (:func:`repro.runtime.run_campaign`) drives.
+
+    A campaign draws a faultload (:meth:`fault_stream`), runs a fault
+    list in fault order (:meth:`run_batch`), serves the fault-free
+    reference run (:meth:`golden_run`), returns to the golden system
+    after an experiment raised (:meth:`recover`) and says whether its
+    experiments run on the lane engine (:attr:`on_lanes`);
+    :attr:`backend` labels the runtime's phases.  A job spec that prunes
+    also asks for a :meth:`static_plan`.  :class:`FadesCampaign` and
+    :class:`repro.vfit.VfitCampaign` are the two tools.
+    """
+
+    #: The default faultload seed of :meth:`run`.
+    seed: int
+    #: Label of the runtime's phases (``sim_backend``).
+    backend: str
+    #: Prefix of :meth:`run`'s result label.
+    label_prefix = ""
+
+    @property
+    def on_lanes(self) -> bool:
+        return False
+
+    def fault_stream(self, spec: FaultLoadSpec, seed: int,
+                     strategy: str = "uniform") -> DrawnFaults:
+        raise NotImplementedError
+
+    def run_batch(self, faults: Sequence[Fault], cycles: int, pool: int = 0,
+                  indices: Optional[Sequence[int]] = None,
+                  progress: Optional[Callable[[], None]] = None
+                  ) -> List[ExperimentResult]:
+        raise NotImplementedError
+
+    def golden_run(self, cycles: int) -> Trace:
+        raise NotImplementedError
+
+    def recover(self) -> None:
+        raise NotImplementedError
+
+    def static_plan(self, faults: Sequence[Fault], cycles: int):
+        raise NotImplementedError
+
+    def run(self, spec: FaultLoadSpec, seed: Optional[int] = None
+            ) -> CampaignResult:
+        """Generate and run a whole faultload; returns the aggregate.
+
+        ``seed`` (default: the campaign's) draws the faultload, so
+        repeated calls with the same arguments run the same faults."""
+        stream = self.fault_stream(spec,
+                                   self.seed if seed is None else seed)
+        cycles = spec.workload_cycles
+        experiments = self.run_batch(stream.ensure(spec.count), cycles,
+                                     pool=stream.pool)
+        return CampaignResult(spec_label=self.label_prefix + spec.label(),
+                              golden=self.golden_run(cycles),
+                              experiments=experiments)
+
+
 #: Golden-run snapshot spacing of the 8051 testbed
 #: (``FadesCampaign(checkpoint_interval=...)``): the evaluation testbed
 #: and every campaign the runtime builds fast-forward from these.
 CHECKPOINT_INTERVAL = 128
 
 
-class FadesCampaign:
+class FadesCampaign(Campaign):
     """Run fault-emulation campaigns on one implemented design.
 
     :attr:`on_lanes` decides where the experiments run, and
-    :meth:`run_batch` runs every fault list: a runtime shard or
-    :meth:`run_faults`' whole faultload.
+    :meth:`run_batch` runs every fault list: a runtime shard, or
+    :meth:`run`'s or :meth:`run_faults`' whole faultload.
     """
 
     def __init__(self, impl: Implementation, locmap: LocationMap,
@@ -455,18 +515,16 @@ class FadesCampaign:
         self.device.redecode_routing()
 
     # ------------------------------------------------------------------
-    def run(self, spec: FaultLoadSpec, seed: Optional[int] = None
-            ) -> CampaignResult:
-        """Generate and run a whole faultload; returns the aggregate.
-
-        ``seed`` (default: the campaign's) draws the faultload, so
-        repeated calls with the same arguments run the same faults."""
-        faults = generate_faultload(
-            spec, self.locmap, seed=self.seed if seed is None else seed,
-            routed_nets=self.impl.routing.is_routed)
-        return self.run_faults(faults, spec.workload_cycles,
-                               label=spec.label(),
-                               pool=pool_size(spec, self.locmap))
+    def fault_stream(self, spec: FaultLoadSpec, seed: int,
+                     strategy: str = "uniform") -> DrawnFaults:
+        """The faultload of *spec* drawn at *seed*
+        (:class:`~repro.faultload.FaultStream`): uniform, or by
+        *strategy* over the pool's strata, with net targets filtered
+        down to the routed lines."""
+        from ..faultload import FaultStream
+        return FaultStream(spec, self.locmap, seed=seed,
+                           routed_nets=self.impl.routing.is_routed,
+                           strategy=strategy)
 
     def run_batch(self, faults: Sequence[Fault], cycles: int, pool: int = 0,
                   indices: Optional[Sequence[int]] = None,

@@ -20,8 +20,9 @@ from typing import Optional
 
 from .sequential import (SequentialController, StopDecision,
                          TRACKED_OUTCOMES, plan_checkpoints, tally_prefix)
-from .strata import (STRATEGIES, FaultStream, StratifiedSampler, Stratum,
-                     cone_weight, partition_strata, summarize_strata)
+from .strata import (STRATEGIES, DrawnFaults, FaultStream,
+                     StratifiedSampler, Stratum, cone_weight,
+                     partition_strata, summarize_strata)
 
 
 def is_adaptive(strategy: str, epsilon: Optional[float],
@@ -33,6 +34,7 @@ def is_adaptive(strategy: str, epsilon: Optional[float],
 
 
 __all__ = [
+    "DrawnFaults",
     "FaultStream",
     "STRATEGIES",
     "SequentialController",

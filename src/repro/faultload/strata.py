@@ -33,10 +33,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Tuple)
 
 from ..core.config import (FaultLoadSpec, candidate_targets, finish_fault,
-                           iter_faultload)
+                           iter_faultload, pool_size)
 from ..core.faults import Fault, Target, TargetKind
 from ..synth.locmap import LocationMap
 
@@ -178,13 +179,39 @@ class StratifiedSampler:
         return finish_fault(self.spec, target, self._rng), stratum.key
 
 
-class FaultStream:
-    """A deterministic, lazily-materialised fault sequence.
+class DrawnFaults:
+    """A deterministic fault sequence, materialised on demand.
 
-    The runtime engine pulls faults in checkpoint-sized windows via
-    :meth:`ensure`; ``faults[i]`` and ``tags[i]`` stay stable once
-    issued, so fault indices keep their journal meaning.  With strategy
-    ``uniform`` the sequence is exactly the
+    ``draws`` yields (fault, stratum tag) pairs without end.  The runtime
+    engine pulls faults in checkpoint-sized windows via :meth:`ensure`;
+    ``faults[i]`` and ``tags[i]`` stay stable once issued, so fault
+    indices keep their journal meaning however far a campaign grows the
+    sequence.  ``pool`` is the size of the location pool the faults are
+    drawn from (what the fault-location process analyses).
+    """
+
+    def __init__(self, draws: Iterator[Tuple[Fault, str]], pool: int):
+        self.faults: List[Fault] = []
+        self.tags: List[str] = []
+        self.pool = pool
+        self._draws = draws
+
+    def ensure(self, count: int) -> List[Fault]:
+        """Materialise the sequence out to *count* faults (idempotent)."""
+        while len(self.faults) < count:
+            fault, tag = next(self._draws)
+            self.faults.append(fault)
+            self.tags.append(tag)
+        return self.faults
+
+    def __len__(self) -> int:
+        return len(self.faults)
+
+
+class FaultStream(DrawnFaults):
+    """FADES's fault sequence over one implementation's location pools.
+
+    With strategy ``uniform`` the sequence is exactly the
     :func:`~repro.core.config.generate_faultload` sequence (strata are
     reporting tags only); the stratified strategies re-order the draws
     through :class:`StratifiedSampler`.
@@ -198,36 +225,17 @@ class FaultStream:
             raise ValueError(
                 f"unknown sampling strategy {strategy!r} "
                 f"(choose from {', '.join(STRATEGIES)})")
-        self.strategy = strategy
-        self.spec = spec
-        self.faults: List[Fault] = []
-        self.tags: List[str] = []
         weight = cone_weight(locmap) if strategy == "importance" else None
         self.strata = partition_strata(spec, locmap, routed_nets, weight)
+        draws: Iterator[Tuple[Fault, str]]
         if strategy == "uniform":
             tag_of = {target: stratum.key for stratum in self.strata
                       for target in stratum.targets}
-            uniform = iter_faultload(spec, locmap, seed, routed_nets)
-
-            def draw() -> Tuple[Fault, str]:
-                fault = next(uniform)
-                return fault, tag_of[fault.target]
-
-            self._draw: Callable[[], Tuple[Fault, str]] = draw
+            draws = ((fault, tag_of[fault.target]) for fault
+                     in iter_faultload(spec, locmap, seed, routed_nets))
         else:
-            sampler = StratifiedSampler(spec, self.strata, seed=seed)
-            self._draw = sampler.__next__
-
-    def ensure(self, count: int) -> List[Fault]:
-        """Materialise the sequence out to *count* faults (idempotent)."""
-        while len(self.faults) < count:
-            fault, tag = self._draw()
-            self.faults.append(fault)
-            self.tags.append(tag)
-        return self.faults
-
-    def __len__(self) -> int:
-        return len(self.faults)
+            draws = StratifiedSampler(spec, self.strata, seed=seed)
+        super().__init__(draws, pool_size(spec, locmap))
 
 
 def summarize_strata(tags: Iterable[str], outcomes: Mapping[int, str],

@@ -1,10 +1,12 @@
 """Campaign execution runtime (R): parallel campaigns, resume, metrics.
 
 The paper's FADES tool exists to make fault-injection campaigns fast;
-this subsystem makes the reproduction's campaigns fast *and durable*:
+this subsystem makes the reproduction's campaigns — FADES's and the VFIT
+baseline's alike — fast *and durable*:
 
-* :mod:`repro.runtime.jobspec` — picklable campaign descriptions and the
-  determinism contract that makes any execution equal a serial one;
+* :mod:`repro.runtime.jobspec` — picklable campaign descriptions (tool
+  included) and the determinism contract that makes any execution equal
+  a serial one;
 * :mod:`repro.runtime.scheduler` — the shard queue that owns the
   failure policy (retry with backoff, bisection, quarantine) and the two
   executors that drain it: in-process, or a worker pool (crash and hang
@@ -31,8 +33,8 @@ schedule.
 """
 
 from .engine import resume_campaign, run_campaign
-from .jobspec import (CampaignJobSpec, JobRunner, build_campaign,
-                      record_from_result, result_from_record)
+from .jobspec import (TOOLS, CampaignJobSpec, JobRunner, build_campaign,
+                      check_tool, record_from_result, result_from_record)
 from .journal import (JOURNAL_VERSION, JournalState, JournalWriter,
                       check_compatible, read_journal, repair_journal,
                       scan_journal)
@@ -47,6 +49,8 @@ __all__ = [
     "CampaignJobSpec",
     "JobRunner",
     "build_campaign",
+    "check_tool",
+    "TOOLS",
     "record_from_result",
     "result_from_record",
     "JOURNAL_VERSION",

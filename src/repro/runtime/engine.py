@@ -1,8 +1,8 @@
 """Campaign execution engine: the public entry points of the runtime.
 
-:func:`run_campaign` runs every FADES experiment class: it takes a
-:class:`~repro.runtime.jobspec.CampaignJobSpec` and returns the same
-:class:`~repro.core.campaign.CampaignResult` whatever the execution
+:func:`run_campaign` runs every experiment class of either tool: it
+takes a :class:`~repro.runtime.jobspec.CampaignJobSpec` and returns the
+same :class:`~repro.core.campaign.CampaignResult` whatever the execution
 strategy:
 
 * ``workers=0`` — in process, on a campaign built from the job spec or
@@ -17,8 +17,10 @@ executor takes its shards from one
 :class:`~repro.runtime.scheduler.ShardQueue`, which owns the retry,
 bisection and quarantine policy for both (see
 :mod:`repro.runtime.scheduler`).  Set-up builds the campaign's
-:class:`~repro.runtime.jobspec.JobRunner`, which draws the faultload;
-:attr:`~repro.core.campaign.FadesCampaign.on_lanes` sets the shard width.
+:class:`~repro.runtime.jobspec.JobRunner`, which has the campaign draw
+the faultload; :attr:`~repro.core.campaign.Campaign.on_lanes` sets the
+shard width.  Nothing here depends on the tool: the job spec names it,
+and :func:`~repro.runtime.jobspec.build_campaign` builds its campaign.
 
 With ``journal=<path>`` every experiment record is streamed to an
 append-only JSONL file; re-running the same campaign (or calling
@@ -34,7 +36,7 @@ import signal
 import threading
 from typing import Dict, List, Optional, Union
 
-from ..core.campaign import CampaignResult, FadesCampaign
+from ..core.campaign import Campaign, CampaignResult
 from ..core.classify import Outcome
 from ..errors import CampaignInterrupted, CampaignRuntimeError, JournalError
 from ..core.faults import Fault
@@ -70,7 +72,7 @@ def run_campaign(jobspec: CampaignJobSpec, workers: int = 0,
                  shard_timeout: Optional[float] = None,
                  serve_obs: Optional[str] = None,
                  alert_rules: Optional[List[AlertRule]] = None,
-                 campaign: Optional[FadesCampaign] = None
+                 campaign: Optional[Campaign] = None
                  ) -> CampaignResult:
     """Execute one experiment class; see the module docstring.
 
@@ -85,9 +87,9 @@ def run_campaign(jobspec: CampaignJobSpec, workers: int = 0,
     alert rule set.  Time-series samples persist to
     ``<journal>.tsdb`` when journaling.
 
-    ``campaign`` is an already-built campaign of the job spec's design,
-    seed and backend to run on; pool workers and resumes rebuild theirs
-    from the job spec, so it excludes ``workers`` and ``journal``.
+    ``campaign`` is an already-built campaign of the job spec's tool,
+    design, seed and backend to run on; pool workers and resumes rebuild
+    theirs from the job spec, so it excludes ``workers`` and ``journal``.
     """
     if campaign is not None and (workers > 0 or journal is not None):
         raise CampaignRuntimeError(
@@ -120,7 +122,7 @@ def _execute(jobspec: CampaignJobSpec, workers: int,
              shard_timeout: Optional[float] = None,
              serve_obs: Optional[str] = None,
              alert_rules: Optional[List[AlertRule]] = None,
-             campaign: Optional[FadesCampaign] = None
+             campaign: Optional[Campaign] = None
              ) -> CampaignResult:
     metrics = CampaignMetrics(progress=progress)
     budget = jobspec.effective_budget()

@@ -1,17 +1,19 @@
 """Picklable campaign descriptions for the execution runtime.
 
 A :class:`CampaignJobSpec` is everything a worker process needs to rebuild
-one experiment class from scratch — the Bubblesort input, the seeds and
-the :class:`~repro.core.config.FaultLoadSpec` — without sharing any
-simulator state with the parent.  Workers receive the spec (pickled
+one experiment class from scratch — the tool, the Bubblesort input, the
+seeds and the :class:`~repro.core.config.FaultLoadSpec` — without sharing
+any simulator state with the parent.  Workers receive the spec (pickled
 through the job queue), construct their own
-:class:`~repro.core.campaign.FadesCampaign` (:func:`build_campaign`), and
-run only the fault indices they are handed.
+:class:`~repro.core.campaign.Campaign` of the spec's tool
+(:func:`build_campaign`), and run only the fault indices they are handed.
+A job spec refuses, when it is made, a class its tool cannot run
+(:func:`check_tool`).
 
 A :class:`JobRunner` is the one place a job spec meets a campaign, in
-the engine and in each pool worker: it draws the faultload, sizes the
-target pool and runs every shard through
-:meth:`~repro.core.campaign.FadesCampaign.run_batch`.
+the engine and in each pool worker: the campaign draws the faultload
+(:meth:`~repro.core.campaign.Campaign.fault_stream`) and runs every
+shard (:meth:`~repro.core.campaign.Campaign.run_batch`).
 
 Determinism contract
 --------------------
@@ -34,23 +36,51 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core import FaultModel, build_fades, pool_size
-from ..core.campaign import (CHECKPOINT_INTERVAL, ExperimentResult,
-                             FadesCampaign)
+from ..core import FaultModel, build_fades
+from ..core.campaign import CHECKPOINT_INTERVAL, Campaign, ExperimentResult
 from ..core.classify import Outcome
 from ..core.config import FaultLoadSpec
 from ..core.faults import Fault
 from ..core.timing_model import ExperimentCost
-from ..errors import JournalError
-from ..faultload import FaultStream, is_adaptive
+from ..errors import InjectionError, JournalError
+from ..faultload import is_adaptive
+from ..vfit import VfitCampaign
+from ..vfit.commands import check_vfit_model
+
+#: The tools a job spec can name: FADES and the VFIT baseline.
+TOOLS = ("fades", "vfit")
+
+
+def check_tool(tool: str, model: FaultModel, backend: str = "reference",
+               prune_silent: bool = False, strategy: str = "uniform"
+               ) -> None:
+    """Refuse a class *tool* cannot run: an unknown tool, or a VFIT
+    class with a fault model simulator commands cannot inject
+    (:func:`~repro.vfit.commands.check_vfit_model`) or a FADES setting
+    (the compiled backend, static pruning, stratified sampling)."""
+    if tool not in TOOLS:
+        raise InjectionError(
+            f"unknown tool {tool!r} (expected one of {', '.join(TOOLS)})")
+    if tool == "fades":
+        return
+    check_vfit_model(model)
+    for setting, fades_only in ((f"the {backend} backend",
+                                 backend != "reference"),
+                                ("static pruning (prune-silent)",
+                                 prune_silent),
+                                (f"the {strategy} strategy",
+                                 strategy != "uniform")):
+        if fades_only:
+            raise InjectionError(
+                f"VFIT cannot use {setting}: it is a FADES setting")
 
 
 @dataclass(frozen=True)
 class CampaignJobSpec:
     """One experiment class, self-contained and picklable.
 
-    ``faultload_seed`` defaults to ``seed``, the campaign seed — as
-    ``FadesCampaign.run(spec)`` draws its faultload.
+    ``faultload_seed`` defaults to ``seed``, the campaign seed — as a
+    campaign's ``run(spec)`` draws its faultload.
     """
 
     spec: FaultLoadSpec
@@ -59,6 +89,8 @@ class CampaignJobSpec:
     seed: int = 2006
     faultload_seed: Optional[int] = None
     label: str = ""
+    #: The injection tool (:data:`TOOLS`).
+    tool: str = "fades"
     backend: str = "reference"
     #: Let :mod:`repro.sfa` resolve provably Silent faults statically
     #: and collapse equivalent faults onto one representative.
@@ -73,20 +105,31 @@ class CampaignJobSpec:
     #: Hard experiment cap for adaptive campaigns (``None`` -> count).
     budget: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        check_tool(self.tool, self.spec.model, self.backend,
+                   self.prune_silent, self.strategy)
+
     @classmethod
     def from_evaluation(cls, evaluation, spec: FaultLoadSpec,
                         faultload_seed: Optional[int] = None,
-                        label: str = "") -> "CampaignJobSpec":
-        """Describe one experiment class of an evaluation testbed."""
+                        label: str = "", tool: str = "fades"
+                        ) -> "CampaignJobSpec":
+        """Describe one experiment class of an evaluation testbed.
+
+        The evaluation's backend, pruning and sampling strategy are
+        FADES settings, which a class of another tool goes without; its
+        label carries the tool's prefix (``vfit:``), as that campaign's
+        ``run`` labels its result."""
+        fades = {"backend": evaluation.backend,
+                 "prune_silent": evaluation.prune_silent,
+                 "strategy": evaluation.strategy} if tool == "fades" else {}
+        prefix = "" if tool == "fades" else f"{tool}:"
         return cls(spec=spec, values=tuple(evaluation.values),
                    seed=evaluation.seed, faultload_seed=faultload_seed,
-                   label=label or spec.label(),
-                   backend=evaluation.backend,
-                   prune_silent=evaluation.prune_silent,
-                   strategy=evaluation.strategy,
+                   label=label or prefix + spec.label(), tool=tool,
                    confidence=evaluation.confidence,
                    epsilon=evaluation.epsilon,
-                   budget=evaluation.budget)
+                   budget=evaluation.budget, **fades)
 
     def effective_faultload_seed(self) -> int:
         return self.seed if self.faultload_seed is None else \
@@ -127,6 +170,7 @@ class CampaignJobSpec:
             "seed": self.seed,
             "faultload_seed": self.faultload_seed,
             "label": self.label,
+            "tool": self.tool,
             "backend": self.backend,
             "prune_silent": self.prune_silent,
             "strategy": self.strategy,
@@ -157,6 +201,9 @@ class CampaignJobSpec:
                        seed=int(data["seed"]),
                        faultload_seed=data["faultload_seed"],
                        label=data["label"],
+                       # Journals written before job specs named their
+                       # tool hold FADES classes.
+                       tool=data.get("tool", "fades"),
                        backend=data["backend"],
                        prune_silent=bool(data["prune_silent"]),
                        strategy=data["strategy"],
@@ -172,18 +219,21 @@ class CampaignJobSpec:
         return replace(self, spec=replace(self.spec, count=count))
 
 
-def build_campaign(jobspec: CampaignJobSpec) -> FadesCampaign:
-    """Construct this process's own campaign for a job spec: the 8051
-    running Bubblesort over ``jobspec.values``.
+def build_campaign(jobspec: CampaignJobSpec) -> Campaign:
+    """Construct this process's own campaign for a job spec: the job
+    spec's tool on the 8051 running Bubblesort over ``jobspec.values``.
 
-    Mirrors ``Evaluation.fades`` exactly (same seed, same checkpoint
-    interval) so engine results line up with the serial testbed.
+    Mirrors ``Evaluation.fades`` and ``Evaluation.vfit`` exactly (same
+    seed, same checkpoint interval) so engine results line up with the
+    serial testbed.
     """
     # Imported per call: perfbench's layer tracer swaps in a timed
     # wrapper of repro.mc8051.build_mc8051 while it runs.
     from ..mc8051 import bubblesort, build_mc8051
 
     model = build_mc8051(bubblesort(list(jobspec.values)).rom)
+    if jobspec.tool == "vfit":
+        return VfitCampaign(model.netlist, seed=jobspec.seed)
     return build_fades(model.netlist, seed=jobspec.seed,
                        checkpoint_interval=CHECKPOINT_INTERVAL,
                        backend=jobspec.backend)
@@ -192,21 +242,19 @@ def build_campaign(jobspec: CampaignJobSpec) -> FadesCampaign:
 class JobRunner:
     """Runs fault indices of one job spec on one campaign.
 
-    A fixed budget's faultload (:attr:`stream`) is drawn whole here; an
-    adaptive campaign's grows window by window, as indices ask for it.
+    A fixed budget's faultload (:attr:`stream`, drawn by the campaign)
+    is drawn whole here; an adaptive campaign's grows window by window,
+    as indices ask for it.
     """
 
-    def __init__(self, jobspec: CampaignJobSpec, campaign: FadesCampaign):
+    def __init__(self, jobspec: CampaignJobSpec, campaign: Campaign):
         self.jobspec = jobspec
         self.campaign = campaign
-        self.stream = FaultStream(
-            jobspec.spec, campaign.locmap,
-            seed=jobspec.effective_faultload_seed(),
-            routed_nets=campaign.impl.routing.is_routed,
+        self.stream = campaign.fault_stream(
+            jobspec.spec, jobspec.effective_faultload_seed(),
             strategy=jobspec.strategy)
         if not jobspec.adaptive:
             self.stream.ensure(jobspec.effective_budget())
-        self.pool = pool_size(jobspec.spec, campaign.locmap)
 
     def run_indices(self, indices: Sequence[int],
                     progress: Optional[Callable[[], None]] = None
@@ -214,16 +262,16 @@ class JobRunner:
         """Run several experiments; records in *indices* order.
 
         Every shard runs through the campaign's
-        :meth:`~repro.core.campaign.FadesCampaign.run_batch`, on lanes or
-        on the device; each experiment seeds itself from its index either
-        way (see the module docstring).
+        :meth:`~repro.core.campaign.Campaign.run_batch`, whichever tool
+        and simulator it runs on; each experiment seeds itself from its
+        index (see the module docstring).
         ``progress`` (if given) is called between experiments — the
         scheduler's workers hang their heartbeat on it so the watchdog
         can tell a slow shard from a hung one.
 
         A failing experiment can raise between its injection and its
-        restore; the golden system (configuration and routing database,
-        :meth:`~repro.core.campaign.FadesCampaign.recover`) is restored
+        restore; the golden system
+        (:meth:`~repro.core.campaign.Campaign.recover`) is restored
         before the error propagates, so whatever runs next on this
         campaign (a retry, or a worker's next shard) starts from it.
         """
@@ -231,7 +279,7 @@ class JobRunner:
         try:
             results = self.campaign.run_batch(
                 [faults[index] for index in indices],
-                self.jobspec.spec.workload_cycles, pool=self.pool,
+                self.jobspec.spec.workload_cycles, pool=self.stream.pool,
                 indices=list(indices), progress=progress)
         except BaseException:
             self.campaign.recover()

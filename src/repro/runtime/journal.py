@@ -145,14 +145,17 @@ def read_journal(path: str) -> JournalState:
 
 def check_compatible(state: JournalState, jobspec: CampaignJobSpec,
                      path: str) -> None:
-    """Refuse to mix two different campaigns in one journal file."""
+    """Refuse to mix two different campaigns in one journal file.
+
+    The header's job spec is compared parsed, so a journal written
+    before a job-spec field existed still matches the class it holds."""
     if state.header is None:
         return
-    recorded = state.header.get("jobspec")
-    if recorded != jobspec.to_dict():
+    recorded = state.jobspec
+    if recorded != jobspec:
         raise JournalError(
             f"{path}: journal belongs to a different campaign "
-            f"(label {CampaignJobSpec.from_dict(recorded or {}).display_label()!r}); "
+            f"(label {recorded.display_label()!r}); "
             "use 'repro resume' or pick a fresh journal path")
 
 

@@ -11,7 +11,7 @@ work from one :class:`ShardQueue`:
   each on its own runner.
 
 Both size their shards from ``lanes``, the faults one lane pass carries
-when the campaign is :attr:`~repro.core.campaign.FadesCampaign.on_lanes`
+when the campaign is :attr:`~repro.core.campaign.Campaign.on_lanes`
 (0 otherwise).
 
 The queue owns the failure policy, so a serial campaign and a pooled

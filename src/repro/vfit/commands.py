@@ -44,6 +44,21 @@ def check_vfit_model(model: FaultModel) -> None:
             f"VFIT does not implement the {model.value} model")
 
 
+def check_vfit_target(model: FaultModel, kind: TargetKind) -> None:
+    """Raise unless simulator commands can inject *model* into a target
+    of *kind*: decided before anything simulates."""
+    check_vfit_model(model)
+    if model is FaultModel.BITFLIP and kind not in (TargetKind.FF,
+                                                    TargetKind.MEMORY_BIT):
+        raise InjectionError(f"VFIT bit-flip cannot target {kind.value}")
+    if model is FaultModel.PULSE and kind is not TargetKind.NET:
+        raise InjectionError("VFIT pulses target HDL signal nets")
+    if model is FaultModel.INDETERMINATION and kind not in (TargetKind.FF,
+                                                            TargetKind.NET):
+        raise InjectionError(
+            "VFIT indetermination targets FFs or signal nets")
+
+
 class VfitCommands:
     """Command-level injection session on one model simulator."""
 
@@ -57,12 +72,12 @@ class VfitCommands:
         """Activate *fault* (called at its injection instant)."""
         model = fault.model
         target = fault.target
-        check_vfit_model(model)
+        check_vfit_target(model, target.kind)
         if model is FaultModel.BITFLIP:
             if target.kind is TargetKind.FF:
                 current = self.sim.ff_state()[target.index]
                 self.sim.deposit_ff(target.index, logic.not4(current))
-            elif target.kind is TargetKind.MEMORY_BIT:
+            else:
                 name = self.netlist.brams[target.index].name
                 word = self.sim.mem_state(name)[target.addr]
                 if word is None:
@@ -70,24 +85,15 @@ class VfitCommands:
                 else:
                     flipped = word ^ (1 << target.bit)
                 self.sim.deposit_mem(name, target.addr, flipped)
-            else:
-                raise InjectionError(
-                    f"VFIT bit-flip cannot target {target.kind.value}")
         elif model is FaultModel.PULSE:
-            if target.kind is not TargetKind.NET:
-                raise InjectionError(
-                    "VFIT pulses target HDL signal nets")
             self.sim.force_invert_net(target.index)
         else:  # indetermination
             if target.kind is TargetKind.FF:
                 self.sim.deposit_ff(target.index, logic.X)
                 dff = self.netlist.dffs[target.index]
                 self.sim._forced[dff.q] = logic.X
-            elif target.kind is TargetKind.NET:
-                self.sim._forced[target.index] = logic.X
             else:
-                raise InjectionError(
-                    "VFIT indetermination targets FFs or signal nets")
+                self.sim._forced[target.index] = logic.X
         self.commands_issued += 1
 
     def remove(self, fault: Fault) -> None:

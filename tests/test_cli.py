@@ -84,7 +84,9 @@ class TestCommands:
         ["--model", "bitflip", "--pool", "memory"],
         ["--model", "delay", "--pool", "nets"],
         ["--tool", "vfit", "--model", "bitflip", "--pool", "memory"],
-    ], ids=["nonsense", "bare-memory", "bare-nets", "vfit-bare-memory"])
+        ["--tool", "vfit", "--model", "pulse", "--pool", "ffs"],
+    ], ids=["nonsense", "bare-memory", "bare-nets", "vfit-bare-memory",
+            "vfit-pulse-ffs"])
     def test_bad_pool_reports_error(self, capsys, flags):
         code = main(["--values", "7,2,5", "campaign", *flags,
                      "--count", "2"])
@@ -109,12 +111,28 @@ class TestCommands:
         assert "4 journaled, 0 pending" in captured.err
         assert "failure" in captured.out
 
-    def test_campaign_workers_rejects_vfit(self, capsys):
+    def test_campaign_vfit_workers_prints_the_in_process_run(self, capsys):
+        vfit = ["--values", "7,2,5", "campaign", "--tool", "vfit",
+                "--model", "bitflip", "--count", "2"]
+        assert main(vfit) == 0
+        in_process = capsys.readouterr().out
+        assert main(vfit + ["--workers", "2"]) == 0
+        assert capsys.readouterr().out == in_process
+
+    @pytest.mark.parametrize("flags,reason", [
+        (["--prune-silent"], "static pruning"),
+        (["--backend", "compiled"], "compiled backend"),
+        (["--strategy", "stratified"], "stratified strategy"),
+    ], ids=["prune-silent", "compiled", "stratified"])
+    def test_campaign_vfit_refuses_fades_settings(self, capsys, flags,
+                                                  reason):
         code = main(["--values", "7,2,5", "campaign", "--tool", "vfit",
-                     "--model", "bitflip", "--count", "2",
-                     "--workers", "2"])
+                     "--model", "bitflip", "--count", "2", *flags])
         assert code == 1
-        assert "error" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert reason in captured.err
+        assert "FADES setting" in captured.err
+        assert captured.out == ""
 
     def test_resume_missing_journal_fails_cleanly(self, capsys, tmp_path):
         code = main(["resume", str(tmp_path / "nope.jsonl")])

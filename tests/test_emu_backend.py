@@ -274,8 +274,8 @@ class TestMc8051Smoke:
     def test_mc8051_equivalence(self, evaluations, model, pool):
         reference, compiled = evaluations
         spec = reference.spec(model, pool, count=4)
-        a = reference.run_fades(spec)
-        b = compiled.run_fades(spec)
+        a = reference.run(spec)
+        b = compiled.run(spec)
         assert a.golden.samples == b.golden.samples
         assert a.golden.final_state == b.golden.final_state
         assert ([e.outcome for e in a.experiments]
@@ -670,7 +670,7 @@ class TestRuntimeIntegration:
 
         evaluation = Evaluation(backend="compiled")
         spec = evaluation.spec(FaultModel.BITFLIP, "ffs", count=6)
-        serial = evaluation.run_fades(spec)
+        serial = evaluation.run(spec)
 
         jobspec = CampaignJobSpec.from_evaluation(evaluation, spec)
         assert jobspec.backend == "compiled"
@@ -734,7 +734,7 @@ class TestGoldenFromLaneZero:
 
     def test_evaluation_run_fades(self, passes, reference_golden):
         evaluation, spec = self._evaluation()
-        result = evaluation.run_fades(spec)
+        result = evaluation.run(spec)
         assert passes == [4, 4]
         assert evaluation.fades.golden_simulations == 1
         self._assert_golden(result.golden, evaluation.fades,

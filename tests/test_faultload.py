@@ -297,6 +297,10 @@ class TestJobSpecCompat:
                                      for field in fields(FaultLoadSpec)}
         for key in data:
             partial = {k: v for k, v in data.items() if k != key}
+            if key == "tool":
+                # Headers written before job specs named their tool.
+                assert CampaignJobSpec.from_dict(partial).tool == "fades"
+                continue
             with pytest.raises(JournalError, match="malformed job spec"):
                 CampaignJobSpec.from_dict(partial)
 

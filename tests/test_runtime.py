@@ -4,10 +4,11 @@ The heart of this module is the determinism contract: for one job spec
 and seed, serial in-process execution, a one-worker pool and a
 four-worker pool must produce identical outcomes — and a campaign
 interrupted mid-flight must, after resume, tally exactly like one that
-never crashed.
+never crashed.  The contract tests run over both tools.
 """
 
 import dataclasses
+import json
 import multiprocessing
 import os
 
@@ -19,8 +20,10 @@ from repro.core.campaign import (Experiment, FadesCampaign,
                                  derive_fault_seed)
 from repro.core.classify import Outcome
 from repro.core.faults import Fault, Target, TargetKind
-from repro.errors import CampaignRuntimeError, JournalError
+from repro.errors import (CampaignRuntimeError, InjectionError,
+                          JournalError, UnsupportedFaultError)
 from repro.obs.metrics import REGISTRY, MetricsRegistry
+from repro.obs.timeseries import seal_line
 from repro.runtime import (CampaignJobSpec, CampaignMetrics, JobRunner,
                            MAX_SHARD_SIZE, ShardQueue, read_journal,
                            resume_campaign, run_campaign, shard_size)
@@ -38,15 +41,34 @@ def evaluation():
 
 
 @pytest.fixture(scope="module")
-def jobspec(evaluation):
-    spec = evaluation.spec(FaultModel.BITFLIP, "ffs", 1, COUNT)
-    return CampaignJobSpec.from_evaluation(evaluation, spec,
-                                           faultload_seed=evaluation.seed)
+def classes(evaluation):
+    """The bit-flip class of a tool (optionally adaptive) and its
+    in-process result, each run once, on first use."""
+    runs = {}
+
+    def run(tool, epsilon=None, budget=None):
+        key = (tool, epsilon, budget)
+        if key not in runs:
+            spec = evaluation.spec(FaultModel.BITFLIP, "ffs", 1, COUNT)
+            jobspec = dataclasses.replace(
+                CampaignJobSpec.from_evaluation(
+                    evaluation, spec, faultload_seed=evaluation.seed,
+                    tool=tool),
+                epsilon=epsilon, budget=budget)
+            runs[key] = jobspec, run_campaign(jobspec)
+        return runs[key]
+
+    return run
 
 
 @pytest.fixture(scope="module")
-def serial_result(jobspec):
-    return run_campaign(jobspec)
+def jobspec(classes):
+    return classes("fades")[0]
+
+
+@pytest.fixture(scope="module")
+def serial_result(classes):
+    return classes("fades")[1]
 
 
 def outcomes(result):
@@ -54,27 +76,35 @@ def outcomes(result):
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("prune_silent", [False, True],
-                             ids=["unpruned", "pruned"])
-    @pytest.mark.parametrize("backend", ["reference", "compiled"])
+    @pytest.mark.parametrize("tool,backend,prune_silent", [
+        ("fades", "reference", False),
+        ("fades", "reference", True),
+        ("fades", "compiled", False),
+        ("fades", "compiled", True),
+        ("vfit", "reference", False),
+    ], ids=["reference-unpruned", "reference-pruned", "compiled-unpruned",
+            "compiled-pruned", "vfit"])
     @pytest.mark.parametrize("model,band,oscillate", [
         (FaultModel.BITFLIP, 1, False),
         (FaultModel.INDETERMINATION, 2, True),
     ], ids=["bitflip-ffs-band1", "oscillating-indet-ffs-band2"])
-    def test_serial_equals_engine(self, model, band, oscillate, backend,
-                                  prune_silent):
+    def test_serial_equals_engine(self, model, band, oscillate, tool,
+                                  backend, prune_silent):
         # A fresh testbed per side: each then starts from an empty board
         # log, so even the emulated-time floats must agree.  The
         # evaluation runs in process on its own pre-built campaign; the
-        # engine rebuilds one from the job spec.
+        # engine rebuilds one from the job spec; the campaign's own
+        # ``run`` draws the same faultload.
         evaluation = Evaluation(backend=backend, prune_silent=prune_silent)
         spec = evaluation.spec(model, "ffs", band, COUNT,
                                oscillate=oscillate)
         engine = run_campaign(CampaignJobSpec.from_evaluation(
-            evaluation, spec, faultload_seed=evaluation.seed), workers=0)
-        serials = [evaluation.run_fades(spec)]
+            evaluation, spec, faultload_seed=evaluation.seed, tool=tool),
+            workers=0)
+        serials = [evaluation.run(spec, tool=tool)]
         if not prune_silent:
-            serials.append(Evaluation(backend=backend).fades.run(spec))
+            serials.append(
+                getattr(Evaluation(backend=backend), tool).run(spec))
         for serial in serials:
             assert len(serial.experiments) == len(engine.experiments) \
                 == COUNT
@@ -84,15 +114,26 @@ class TestDeterminism:
                 assert mine.cost == theirs.cost
             assert serial.total_emulation_s == engine.total_emulation_s
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_worker_pool_matches_serial(self, jobspec, serial_result,
+    @pytest.mark.parametrize("tool,epsilon,workers", [
+        ("fades", None, 1),
+        ("fades", None, 4),
+        ("vfit", None, 2),
+        ("vfit", 0.4, 2),
+    ], ids=["1", "4", "vfit-2", "vfit-adaptive-2"])
+    def test_worker_pool_matches_serial(self, classes, tool, epsilon,
                                         workers):
+        # The adaptive class looks once, at its budget of 6.
+        jobspec, serial_result = classes(tool, epsilon,
+                                         6 if epsilon else None)
         result = run_campaign(jobspec, workers=workers)
         assert outcomes(result) == outcomes(serial_result)
         assert result.counts().as_dict() == \
             serial_result.counts().as_dict()
         assert result.mean_emulation_s == \
             pytest.approx(serial_result.mean_emulation_s)
+        assert result.stop == serial_result.stop
+        assert result.strata == serial_result.strata
+        assert (result.stop is None) is (epsilon is None)
 
     def test_oscillating_faults_shard_deterministically(self, evaluation):
         # Oscillating indeterminations consume the injector randomiser
@@ -152,7 +193,7 @@ class TestPrebuiltCampaign:
         evaluation = Evaluation(values=(7, 2, 5), epsilon=0.3, budget=4)
         for pool in ("ffs", "memory:iram"):
             spec = evaluation.spec(FaultModel.BITFLIP, pool, 1, 4)
-            result = evaluation.run_fades(spec)
+            result = evaluation.run(spec)
             assert result.stop is not None
         assert build_calls == []
         assert evaluation.fades.golden_simulations == 1
@@ -163,8 +204,9 @@ class Interrupted(RuntimeError):
 
 
 class TestJournalResume:
-    def test_resume_after_interrupt(self, jobspec, serial_result,
-                                    tmp_path):
+    @pytest.mark.parametrize("tool", ["fades", "vfit"])
+    def test_resume_equals_uninterrupted(self, classes, tool, tmp_path):
+        jobspec, serial_result = classes(tool)
         journal = str(tmp_path / "campaign.jsonl")
 
         def crash_after_three(snapshot):
@@ -241,6 +283,50 @@ class TestJournalResume:
 
     def test_jobspec_roundtrips_through_header(self, jobspec):
         assert CampaignJobSpec.from_dict(jobspec.to_dict()) == jobspec
+
+    def test_header_without_tool_is_a_fades_campaign(self, jobspec,
+                                                     serial_result,
+                                                     tmp_path):
+        # A journal written before job specs named their tool: its
+        # header resumes as FADES, and the campaign still re-runs on it.
+        journal = tmp_path / "campaign.jsonl"
+
+        def crash_after_two(snapshot):
+            if snapshot.completed >= 2:
+                raise Interrupted()
+
+        with pytest.raises(Interrupted):
+            run_campaign(jobspec, journal=str(journal),
+                         progress=crash_after_two)
+        header, *records = journal.read_text().splitlines()
+        entry = json.loads(header)
+        assert entry["jobspec"].pop("tool") == "fades"
+        old = tmp_path / "old.jsonl"
+        old.write_text("\n".join([seal_line(entry)] + records) + "\n")
+        assert read_journal(str(old)).jobspec == jobspec
+        resumed = resume_campaign(str(old))
+        assert outcomes(resumed) == outcomes(serial_result)
+        again = run_campaign(jobspec, journal=str(old))
+        assert outcomes(again) == outcomes(serial_result)
+
+
+class TestTool:
+    @pytest.mark.parametrize("setting", [
+        {"backend": "compiled"}, {"prune_silent": True},
+        {"strategy": "stratified"}, {"tool": "hammer"},
+    ], ids=["compiled", "prune-silent", "stratified", "unknown-tool"])
+    def test_jobspec_refuses_what_its_tool_cannot_run(self, jobspec,
+                                                      setting):
+        # Refused when the job spec is made, before anything is built.
+        vfit = dataclasses.replace(jobspec, tool="vfit")
+        with pytest.raises(InjectionError):
+            dataclasses.replace(vfit, **setting)
+
+    def test_vfit_jobspec_refuses_delay_faults(self, jobspec):
+        delay = dataclasses.replace(jobspec.spec, model=FaultModel.DELAY)
+        with pytest.raises(UnsupportedFaultError,
+                           match="no generic delay clauses"):
+            dataclasses.replace(jobspec, tool="vfit", spec=delay)
 
 
 def drain(queue):

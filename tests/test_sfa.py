@@ -397,16 +397,16 @@ def bitflip_spec(evaluation):
 
 @pytest.fixture(scope="module")
 def bitflip_runs(evaluation, bitflip_spec):
-    baseline = evaluation.run_fades(bitflip_spec)
-    pruned = Evaluation(prune_silent=True).run_fades(bitflip_spec)
+    baseline = evaluation.run(bitflip_spec)
+    pruned = Evaluation(prune_silent=True).run(bitflip_spec)
     return baseline, pruned
 
 
 @pytest.fixture(scope="module")
 def memory_runs(evaluation):
     spec = evaluation.spec(FaultModel.BITFLIP, "memory:iram", 1, count=24)
-    baseline = evaluation.run_fades(spec)
-    pruned = Evaluation(prune_silent=True).run_fades(spec)
+    baseline = evaluation.run(spec)
+    pruned = Evaluation(prune_silent=True).run(spec)
     return baseline, pruned
 
 
@@ -461,8 +461,8 @@ class TestMc8051Acceptance:
         # LUT pulses and valued FF/LUT indeterminations reach the lane
         # engine's workload-silent verdict like bit-flips do.
         spec = evaluation.spec(model, pool, 1, count=24)
-        baseline = evaluation.run_fades(spec)
-        pruned = pruning_evaluation.run_fades(spec)
+        baseline = evaluation.run(spec)
+        pruned = pruning_evaluation.run(spec)
         flagged = [index for index, e in enumerate(pruned.experiments)
                    if e.pruned]
         assert flagged
