@@ -296,12 +296,18 @@ def cmd_info(evaluation: Evaluation) -> int:
 
 
 def _progress_printer(total: int):
-    """Progress-line callback for engine-backed commands (stderr)."""
+    """Progress-line callback for engine-backed commands (stderr): a
+    line every *total* / 20 records and at the end, each count once (the
+    campaign's final snapshot repeats its last record's count)."""
     stride = max(1, total // 20)
+    shown = -1
 
     def show(snapshot) -> None:
+        nonlocal shown
         done = snapshot.completed + snapshot.skipped
-        if snapshot.completed % stride == 0 or done >= snapshot.total:
+        if done != shown and (snapshot.completed % stride == 0
+                              or done >= snapshot.total):
+            shown = done
             log.info(snapshot.render())
 
     return show

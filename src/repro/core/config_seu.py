@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..errors import InjectionError
-from ..fpga.architecture import FrameAddr
+from ..fpga.architecture import FrameAddr, pm_bit
 from .campaign import CampaignResult, FadesCampaign
 from .faults import Fault, FaultModel, Target, TargetKind
 from .injector import FadesInjector, Injection
@@ -107,7 +107,6 @@ def used_route_bit(campaign: FadesCampaign, rng: random.Random,
     The worst-case (targeted) variant of the SEU study: upsetting a bit
     the design actually depends on.  Optionally restricted to one net.
     """
-    from ..fpga.architecture import PM_BYTES
     routing = campaign.impl.routing
     nets = [net] if net is not None else list(routing.routes)
     chosen = rng.choice(nets)
@@ -115,9 +114,9 @@ def used_route_bit(campaign: FadesCampaign, rng: random.Random,
     if not bits:
         raise InjectionError(f"net {chosen} occupies no pass transistors")
     row, col, index = rng.choice(bits)
-    return ConfigBit(FrameAddr("route", col),
-                     byte_off=row * PM_BYTES + index // 8,
-                     bit_off=index % 8)
+    byte_off, bit_off = pm_bit(row, index)
+    return ConfigBit(FrameAddr("route", col), byte_off=byte_off,
+                     bit_off=bit_off)
 
 
 def config_seu_fault(bit: ConfigBit, start_cycle: int) -> Fault:

@@ -28,9 +28,10 @@ them.
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import InjectionError, LocationError
+from ..fpga.architecture import FrameAddr, pm_bit
 from ..fpga.bitstream import CbConfig
 from ..fpga.jbits import JBits
 from .faults import Fault, FaultModel, TargetKind
@@ -383,7 +384,6 @@ class _DelayBase(Injection):
         raise NotImplementedError
 
     def _touched_frames(self):
-        from ..fpga.architecture import FrameAddr
         cols = sorted({col for _row, col, _pt in self.bits})
         if not cols:
             route = self.injector.device.impl.routing.route_of(self.net)
@@ -392,6 +392,13 @@ class _DelayBase(Injection):
             cols = [col]
         return [FrameAddr("route", col) for col in cols]
 
+    def _set_bits(self, frames: Dict[FrameAddr, bytearray]) -> None:
+        """Turn this fault's pass transistors on in *frames* (route
+        frames by address)."""
+        for row, col, index in self.bits:
+            byte_off, bit_off = pm_bit(row, index)
+            frames[FrameAddr("route", col)][byte_off] |= 1 << bit_off
+
     def inject(self) -> None:
         jbits = self.injector.jbits
         device = self.injector.device
@@ -399,15 +406,13 @@ class _DelayBase(Injection):
         if self.injector.full_download_delays:
             # Host-side image update, then one full-file download.
             image = device.config.copy()
-            for row, col, index in self.bits:
-                image.set_pass_transistor(row, col, index, 1)
+            self._set_bits(image.frames)
             jbits.write_full(image)
         else:
-            for addr in self._touched_frames():
-                frame = bytearray(device.config.get_frame(addr))
-                for row, col, index in self.bits:
-                    if col == addr.major:
-                        JBits._set_pt(frame, row, index, 1)
+            frames = {addr: bytearray(device.config.frames[addr])
+                      for addr in self._touched_frames()}
+            self._set_bits(frames)
+            for addr, frame in frames.items():
                 jbits.write_frame(addr, bytes(frame))
         device.refresh_timing()
 

@@ -49,6 +49,23 @@ CB_FLAG_LATCH_MODE = 5     # storage element acts as latch (reserved)
 # bytes 3..5 are reserved/manufacturer bits.
 
 
+def pm_bit(row: int, index: int) -> Tuple[int, int]:
+    """Byte and bit offset of pass transistor *index* of the PM in row
+    *row*, inside its column's routing frame.
+
+    Each PM's bitmap is :data:`PM_BYTES` bytes, rows in order; transistor
+    *index* is bit ``index % 8`` of the bitmap's byte ``index // 8``.
+    """
+    return row * PM_BYTES + index // 8, index % 8
+
+
+def pm_transistor(byte_off: int, bit_off: int) -> Tuple[int, int]:
+    """The (row, index) of the pass transistor at a routing frame's
+    byte and bit offset: the inverse of :func:`pm_bit`."""
+    row, byte_in_pm = divmod(byte_off, PM_BYTES)
+    return row, byte_in_pm * 8 + bit_off
+
+
 @dataclass(frozen=True)
 class FrameAddr:
     """Address of one configuration frame.
@@ -173,7 +190,7 @@ class Architecture:
     def pm_frame(self, row: int, col: int) -> Tuple[FrameAddr, int]:
         """Frame and byte offset of PM(row, col)'s pass-transistor bitmap."""
         self.check_site(row, col)
-        return FrameAddr("route", col), row * PM_BYTES
+        return FrameAddr("route", col), pm_bit(row, 0)[0]
 
     def bram_bit(self, block: int, addr: int,
                  bit: int) -> Tuple[FrameAddr, int, int]:

@@ -21,7 +21,7 @@ from .architecture import (CB_BYTES, CB_FLAGS, CB_FLAG_FF_D_EXTERNAL,
                            CB_FLAG_INVERT_FFIN, CB_FLAG_INVERT_LSR,
                            CB_FLAG_LATCH_MODE, CB_FLAG_SRVAL, CB_FLAG_USE_FF,
                            CB_TT_HI, CB_TT_LO, PM_BYTES, Architecture,
-                           FrameAddr)
+                           FrameAddr, pm_bit)
 
 
 @dataclass
@@ -144,14 +144,14 @@ class Bitstream:
     # -- PM pass transistors -------------------------------------------------
     def get_pass_transistor(self, row: int, col: int, index: int) -> int:
         """Read the control bit of one pass transistor of PM(row, col)."""
-        addr, offset = self.arch.pm_frame(row, col)
-        return self.get_bit(addr, offset + index // 8, index % 8)
+        addr, _offset = self.arch.pm_frame(row, col)
+        return self.get_bit(addr, *pm_bit(row, index))
 
     def set_pass_transistor(self, row: int, col: int, index: int,
                             value: int) -> None:
         """Turn a pass transistor of PM(row, col) on or off."""
-        addr, offset = self.arch.pm_frame(row, col)
-        self.set_bit(addr, offset + index // 8, index % 8, value)
+        addr, _offset = self.arch.pm_frame(row, col)
+        self.set_bit(addr, *pm_bit(row, index), value)
 
     def pm_used_count(self, row: int, col: int) -> int:
         """Number of pass transistors currently enabled in PM(row, col)."""

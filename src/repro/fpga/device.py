@@ -24,7 +24,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import ConfigurationError
 from ..hdl.netlist import CONST0
-from .architecture import CB_BYTES, CMD_PULSE_GSR, PM_BYTES, FrameAddr
+from .architecture import (CB_BYTES, CMD_PULSE_GSR, FrameAddr, pm_bit,
+                           pm_transistor)
 from .implement import Implementation
 
 #: Expected pass-transistor bits of one routing column: (row, index) -> net.
@@ -90,13 +91,15 @@ class Device:
         # capacitance on whatever net owns that matrix).
         self._route_anomalies: Dict[int, Tuple[Set[int], Dict[int, int]]] = {}
         self._broken_nets: Set[int] = set()
-        # The expected pass-transistor map, by column, as (row, index) ->
-        # net.  Sink hops never change once routed: their map and each
-        # PM's trunk owner (row -> first net crossing it) are built on the
-        # first route decode.  Extra loads and detour bits are an overlay,
-        # rebuilt when the database's version moves.  A column that was
-        # never decoded is taken to match the database; one whose
-        # expected bits changed since its last decode is stale.
+        # A column's expected frame is its golden frame (the routes' sink
+        # hops) plus an overlay of extra-load and detour bits, by column
+        # as (row, index) -> net, rebuilt when the database's version
+        # moves.  A column that was never decoded is taken to match the
+        # database; one whose overlay changed since its last decode is
+        # stale.  Only a column that disagrees with its expected frame
+        # needs the sink hops as (row, index) -> net, with each PM's
+        # trunk owner (row -> first net crossing it): both are built
+        # once, on the first such column.
         self._routed_bits: Optional[Dict[int, RouteBits]] = None
         self._trunk_owner: Dict[int, Dict[int, int]] = {}
         self._overlay_bits: Dict[int, RouteBits] = {}
@@ -183,21 +186,11 @@ class Device:
                 cells[addr] = self.config.get_bram_word(block, addr)
 
     def _sync_expected_routes(self) -> None:
-        """Bring the expected pass-transistor map up to the routing
-        database's version: build the sink-hop map and the trunk owners
-        once, rebuild the overlay from the routes that carry extra loads
-        or detour bits, and mark stale every column whose overlay entries
+        """Bring the expected-bit overlay up to the routing database's
+        version: rebuild it from the routes that carry extra loads or
+        detour bits, and mark stale every column whose overlay entries
         changed."""
         routing = self.impl.routing
-        if self._routed_bits is None:
-            routed: Dict[int, RouteBits] = {}
-            trunk: Dict[int, Dict[int, int]] = {}
-            for net, route in routing.routes.items():
-                for sink in route.sinks:
-                    for row, col, index in sink.hops:
-                        routed.setdefault(col, {})[(row, index)] = net
-                        trunk.setdefault(col, {}).setdefault(row, net)
-            self._routed_bits, self._trunk_owner = routed, trunk
         if self._overlay_version == routing.version:
             return
         overlay: Dict[int, RouteBits] = {}
@@ -213,44 +206,69 @@ class Device:
         self._overlay_bits = overlay
         self._overlay_version = routing.version
 
+    def _sink_hop_map(self) -> Dict[int, RouteBits]:
+        """The routed sink hops by column as (row, index) -> net, with
+        each PM's trunk owner alongside; built on the first call."""
+        if self._routed_bits is None:
+            routed: Dict[int, RouteBits] = {}
+            trunk: Dict[int, Dict[int, int]] = {}
+            for net, route in self.impl.routing.routes.items():
+                for sink in route.sinks:
+                    for row, col, index in sink.hops:
+                        routed.setdefault(col, {})[(row, index)] = net
+                        trunk.setdefault(col, {}).setdefault(row, net)
+            self._routed_bits, self._trunk_owner = routed, trunk
+        return self._routed_bits
+
+    def _expected_frame(self, col: int) -> bytearray:
+        """The routing frame the database expects in column *col*: the
+        golden frame, which holds exactly the routes' sink hops, with the
+        overlay's extra-load and detour bits set."""
+        golden = self.impl.golden_bitstream.frames[FrameAddr("route", col)]
+        overlay = self._overlay_bits.get(col)
+        if not overlay:
+            return golden
+        expected = bytearray(golden)
+        for row, index in overlay:
+            byte_off, bit_off = pm_bit(row, index)
+            expected[byte_off] |= 1 << bit_off
+        return expected
+
     def _decode_route_column(self, col: int) -> None:
         """Diff one routing frame against the structural database (call
         :meth:`_sync_expected_routes` first).
 
-        A cleared bit that the database says belongs to a routed net
-        breaks that net (its sinks see a floating-low line).  A set bit
-        the database does not know about loads the net whose trunk passes
-        through that matrix (or nothing, if the matrix is unused).
+        A frame equal to its expected frame has no anomaly.  Otherwise
+        each bit where the two differ is one: a cleared bit that the
+        database says belongs to a routed net breaks that net (its sinks
+        see a floating-low line), and a set bit the database does not
+        know about loads the net whose trunk passes through that matrix
+        (or nothing, if the matrix is unused).
         """
         self._stale_route_cols.discard(col)
-        expected = self._routed_bits.get(col, {})
-        overlay = self._overlay_bits.get(col)
-        if overlay:
-            expected = {**expected, **overlay}
         frame = self.config.frames[FrameAddr("route", col)]
+        expected = self._expected_frame(col)
         broken: Set[int] = set()
         phantom: Dict[int, int] = {}
-        # Check every expected bit is still set.
-        for (row, index), net in expected.items():
-            if not (frame[row * PM_BYTES + index // 8] >> (index % 8)) & 1:
-                broken.add(net)
-        # Scan for set bits the database does not expect.
-        trunk = self._trunk_owner.get(col, {})
-        for row in range(self.arch.rows):
-            base = row * PM_BYTES
-            for byte_off in range(PM_BYTES):
-                byte = frame[base + byte_off]
-                if not byte:
-                    continue
-                for bit_off in range(8):
-                    if not (byte >> bit_off) & 1:
-                        continue
-                    if (row, byte_off * 8 + bit_off) in expected:
-                        continue
+        if frame != expected:
+            owner = {**self._sink_hop_map().get(col, {}),
+                     **self._overlay_bits.get(col, {})}
+            trunk = self._trunk_owner.get(col, {})
+            # Little-endian, the frame's bit k is byte k // 8, bit k % 8.
+            differ = (int.from_bytes(frame, "little")
+                      ^ int.from_bytes(expected, "little"))
+            while differ:
+                byte_off, bit_off = divmod(
+                    (differ & -differ).bit_length() - 1, 8)
+                differ &= differ - 1
+                row, index = pm_transistor(byte_off, bit_off)
+                if (frame[byte_off] >> bit_off) & 1:
                     # The net whose trunk crosses this PM gains load.
                     net = trunk.get(row)
                     if net is not None:
                         phantom[net] = phantom.get(net, 0) + 1
+                else:
+                    broken.add(owner[(row, index)])
         if broken or phantom:
             self._route_anomalies[col] = (broken, phantom)
         else:

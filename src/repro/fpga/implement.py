@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..errors import BitstreamError
 from ..synth.mapped import MappedNetlist
-from .architecture import Architecture, device_for
+from .architecture import Architecture, FrameAddr, device_for, pm_bit
 from .bitstream import Bitstream, CbConfig
 from .placement import Placement, place
 from .routing import RoutingDb, route
@@ -59,9 +60,16 @@ def generate_bitstream(placement: Placement,
             config.srval = ff.init
             config.ff_d_external = not cb.packed
         image.set_cb(row, col, config)
+    columns = [image.frames[FrameAddr("route", col)]
+               for col in range(arch.cols)]
+    rows, cols = arch.rows, arch.cols
     for net_route in routing.routes.values():
         for row, col, index in net_route.pass_transistors():
-            image.set_pass_transistor(row, col, index, 1)
+            if not (0 <= row < rows and 0 <= col < cols):
+                raise BitstreamError(
+                    f"PM({row},{col}) outside the {rows}x{cols} grid")
+            byte_off, bit_off = pm_bit(row, index)
+            columns[col][byte_off] |= 1 << bit_off
     for bram_index, bram in enumerate(mapped.brams):
         block = placement.block_of_bram[bram_index]
         for addr, word in enumerate(bram.init):

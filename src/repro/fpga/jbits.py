@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..obs import metrics
-from .architecture import CB_BYTES, CMD_PULSE_GSR, PM_BYTES, FrameAddr
+from .architecture import CB_BYTES, CMD_PULSE_GSR, FrameAddr
 from .bitstream import Bitstream, CbConfig
 from .board import Board
 from .device import Device
@@ -125,16 +125,3 @@ class JBits:
         frame[byte_off] ^= 1 << bit_off
         self.write_frame(frame_addr, bytes(frame))
         return old
-
-    # ------------------------------------------------------------------
-    # routing helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _set_pt(frame: bytearray, row: int, index: int, value: int) -> None:
-        """Set pass transistor *index* of PM row *row* in a copy of its
-        route frame (the delay injections' read-modify-write)."""
-        offset = row * PM_BYTES + index // 8
-        if value:
-            frame[offset] |= 1 << (index % 8)
-        else:
-            frame[offset] &= ~(1 << (index % 8))

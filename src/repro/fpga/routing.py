@@ -110,9 +110,7 @@ class RoutingDb:
         """Allocate the next free pass transistor of *pm*."""
         used = self.pm_used.get(pm, 0)
         if used >= PM_PASS_TRANSISTORS:
-            raise RoutingError(
-                f"programmable matrix {pm} exhausted its "
-                f"{PM_PASS_TRANSISTORS} pass transistors (congestion)")
+            raise _congested(pm)
         self.pm_used[pm] = used + 1
         return used
 
@@ -205,6 +203,12 @@ class RoutingDb:
         }
 
 
+def _congested(pm: Pm) -> RoutingError:
+    return RoutingError(
+        f"programmable matrix {pm} exhausted its "
+        f"{PM_PASS_TRANSISTORS} pass transistors (congestion)")
+
+
 def _clamp_site(site: Site, rows: int, cols: int) -> Site:
     """Pull I/O pseudo-sites onto the PM grid."""
     row = min(max(site[0], 0), rows - 1)
@@ -214,14 +218,12 @@ def _clamp_site(site: Site, rows: int, cols: int) -> Site:
 
 def _l_path(src: Site, dst: Site) -> List[Pm]:
     """Horizontal-then-vertical Manhattan path, inclusive of both ends."""
-    path: List[Pm] = []
     row, col = src
-    step = 1 if dst[1] >= col else -1
-    for c in range(col, dst[1] + step, step):
-        path.append((row, c))
-    step = 1 if dst[0] >= row else -1
-    for r in range(row + step if path else row, dst[0] + step, step):
-        path.append((r, dst[1]))
+    dst_row, dst_col = dst
+    step = 1 if dst_col >= col else -1
+    path = [(row, c) for c in range(col, dst_col + step, step)]
+    step = 1 if dst_row >= row else -1
+    path += [(r, dst_col) for r in range(row + step, dst_row + step, step)]
     return path
 
 
@@ -282,23 +284,29 @@ def route(placement: Placement) -> RoutingDb:
         for pos, net in enumerate(nets):
             add_sink(net, Pin("out", -1, pos, site))
 
-    # Route each net sink by sink, sharing trunk pass transistors.
+    # Route each net sink by sink, sharing trunk pass transistors: the
+    # first sink through a PM claims its next free transistor, and every
+    # later sink of the net through that PM reuses the same hop.
+    pm_used = db.pm_used
     for net, pins in sinks.items():
         src = driver_site.get(net)
         if src is None:
             raise RoutingError(f"net {net} has sinks but no placed driver")
         src = _clamp_site(src, arch.rows, arch.cols)
         net_route = NetRoute(net=net, driver_site=src)
-        claimed: Dict[Pm, int] = {}
+        claimed: Dict[Pm, Tuple[int, int, int]] = {}
         for pin in pins:
             dst = _clamp_site(pin.site, arch.rows, arch.cols)
             hops: List[Tuple[int, int, int]] = []
             for pm in _l_path(src, dst):
-                index = claimed.get(pm)
-                if index is None:
-                    index = db.claim_pass_transistor(pm)
-                    claimed[pm] = index
-                hops.append((pm[0], pm[1], index))
+                hop = claimed.get(pm)
+                if hop is None:
+                    used = pm_used.get(pm, 0)
+                    if used >= PM_PASS_TRANSISTORS:
+                        raise _congested(pm)
+                    pm_used[pm] = used + 1
+                    hop = claimed[pm] = (pm[0], pm[1], used)
+                hops.append(hop)
             net_route.sinks.append(SinkRoute(pin=pin, hops=hops))
         db.routes[net] = net_route
     return db

@@ -59,6 +59,17 @@ class TestCommands:
         assert "n=3" in out
         assert "s/fault" in out
 
+    def test_progress_prints_each_count_once(self, capsys, tmp_path):
+        # The final snapshot repeats the last record's count: one line.
+        journal = str(tmp_path / "campaign.jsonl")
+        code = main(["--values", "7,2,5", "campaign", "--model", "bitflip",
+                     "--count", "3", "--journal", journal])
+        assert code == 0
+        assert capsys.readouterr().err.count("[3/3]") == 1
+        # A resume with nothing left to run still reports where it is.
+        assert main(["resume", journal]) == 0
+        assert capsys.readouterr().err.count("[3/3]") == 1
+
     def test_campaign_vfit(self, capsys):
         code = main(["--values", "7,2,5", "campaign", "--tool", "vfit",
                      "--model", "indetermination", "--count", "3"])

@@ -1,13 +1,17 @@
 """Tests for placement, routing, timing and device-vs-model equivalence."""
 
+import hashlib
 import math
 
 import pytest
 
-from repro.errors import PlacementError
-from repro.fpga import Device, demo_device, implement
+from repro.errors import BitstreamError, PlacementError
+from repro.fpga import Device, FrameAddr, demo_device, implement
+from repro.fpga.architecture import PM_BYTES
+from repro.fpga.implement import generate_bitstream
 from repro.fpga.placement import place
 from repro.hdl import NetlistSim
+from repro.mc8051 import bubblesort, build_mc8051
 from repro.synth import synthesize
 
 from helpers import (build_accumulator, build_alu4, build_counter,
@@ -91,6 +95,44 @@ class TestRouting:
             impl.golden_bitstream.pm_used_count(row, col)
             for (row, col) in impl.routing.pm_used)
         assert total == impl.routing.stats()["pass_transistors"]
+
+    def test_bitgen_refuses_a_bit_outside_the_grid(self):
+        _result, impl = implement_design(build_counter())
+        route = next(iter(impl.routing.routes.values()))
+        route.extra_loads.append((impl.arch.rows, 0, 0))
+        with pytest.raises(BitstreamError):
+            generate_bitstream(impl.placement, impl.routing)
+
+
+class TestGoldenImage:
+    """The 8051 testbed's golden configuration file, byte for byte."""
+
+    @pytest.mark.parametrize("values,digest", [
+        ((9, 3, 12, 5),
+         "f3ff55e96cbb89976cce6d224bbad254869890897e4cf699933e9c239b679200"),
+        ((9, 3, 12, 5, 7, 1, 11, 2, 8, 6, 10, 4),
+         "4713bdbf5212e9dbb0358c26c11bcab27343d14a705bc4cc659ab23b132e3c1e"),
+    ], ids=["short-sort", "long-sort"])
+    def test_mc8051_golden_image(self, values, digest, tmp_path):
+        impl = implement(synthesize(
+            build_mc8051(bubblesort(values).rom).netlist).mapped)
+        path = tmp_path / "golden.bit"
+        impl.golden_bitstream.save(str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        # Each routing column holds exactly its routes' pass transistors,
+        # so a column equal to its golden frame matches the database
+        # (the device's route decode relies on this).
+        expected = {}
+        for route in impl.routing.routes.values():
+            for row, col, index in route.pass_transistors():
+                expected.setdefault(col, set()).add((row, index))
+        for col in range(impl.arch.cols):
+            frame = impl.golden_bitstream.frames[FrameAddr("route", col)]
+            found = {(byte_off // PM_BYTES,
+                      byte_off % PM_BYTES * 8 + bit_off)
+                     for byte_off, byte in enumerate(frame) if byte
+                     for bit_off in range(8) if (byte >> bit_off) & 1}
+            assert found == expected.get(col, set()), col
 
 
 class TestTiming:

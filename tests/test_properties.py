@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (Outcome, classify, invert_lut_line, stuck_lut_line)
@@ -333,7 +334,9 @@ class TestIncrementalDecode:
             self, writes):
         # Route and memory frames decode only the columns and words whose
         # bytes (or, for routing, expected bits) changed since their last
-        # decode; a full re-decode of the same image must agree.
+        # decode, and a route column equal to its expected frame skips the
+        # bit-by-bit decode; a full decode of the same image, computed
+        # here from the routing database alone, must agree.
         from repro.fpga import Device, FrameAddr, JBits, implement
         from repro.fpga.architecture import PM_BYTES
         from helpers import build_accumulator
@@ -437,15 +440,51 @@ class TestIncrementalDecode:
                         value % 255 + 1
                 jbits.write_frame(addr, bytes(frame))
 
+        def reference_decode():
+            """Broken nets and phantom loads by net, from the database:
+            the expected bits are the sink hops plus the extra loads and
+            detour bits; a cleared expected bit breaks its net, and an
+            unexpected set bit loads the first net routed through its
+            PM (the trunk owner)."""
+            expected, trunk = {}, {}
+            for net, route in routing.routes.items():
+                for sink in route.sinks:
+                    for row, col, index in sink.hops:
+                        expected[(row, col, index)] = net
+                        trunk.setdefault((row, col), net)
+            for net, route in routing.routes.items():
+                for bit in (*route.extra_loads, *route.detour_bits):
+                    expected[bit] = net
+            broken, loads = set(), {}
+            for col in range(impl.arch.cols):
+                frame = device.config.frames[FrameAddr("route", col)]
+                for byte_off, byte in enumerate(frame):
+                    row, first = divmod(byte_off, PM_BYTES)
+                    for bit_off in range(8):
+                        bit = (row, col, first * 8 + bit_off)
+                        is_set = (byte >> bit_off) & 1
+                        if bit in expected and not is_set:
+                            broken.add(expected[bit])
+                        elif (is_set and bit not in expected
+                              and (row, col) in trunk):
+                            owner = trunk[(row, col)]
+                            loads[owner] = loads.get(owner, 0) + 1
+            return broken, loads
+
         def decoded():
             return (set(device._broken_nets), dict(device._route_anomalies),
                     dict(impl.timing.seu_extra), device.mem_words(0))
 
+        broken, loads = reference_decode()
+        t_load = impl.timing.params.t_load
         incremental = decoded()
-        device.redecode_routing()
-        assert decoded() == incremental
+        assert incremental[0] == broken
+        assert incremental[2] == pytest.approx(
+            {net: count * t_load for net, count in loads.items()})
         assert incremental[3] == tuple(device.config.get_bram_word(block, a)
                                        for a in range(depth))
+        device.redecode_routing()
+        assert decoded() == incremental
 
     @given(st.integers(min_value=0, max_value=20))
     @settings(max_examples=10, deadline=None)
