@@ -12,8 +12,7 @@ Run:  python examples/mc8051_campaign.py  [faults-per-class, default 15]
 
 import sys
 
-from repro.core import FaultLoadSpec, FaultModel, build_fades, render_table, \
-    row_from_campaign
+from repro.core import FaultLoadSpec, FaultModel, build_fades
 from repro.mc8051 import Iss, build_mc8051, bubblesort
 
 
@@ -46,20 +45,19 @@ def main(count: int = 15) -> None:
          "luts:ALU", {}),
     ]
 
-    rows = []
+    title = "Fault emulation campaign on the 8051 (Bubblesort workload)"
+    print()
+    print(title)
+    print("=" * len(title))
     for model_name, location, fault_model, pool, extra in experiments:
         spec = FaultLoadSpec(fault_model, pool, count=count,
                              workload_cycles=cycles,
                              duration_range=(1.0, 10.0), **extra)
         result = fades.run(spec)
-        rows.append(row_from_campaign(result, model_name, location, "1-10"))
-
-    print()
-    print(render_table(
-        "Fault emulation campaign on the 8051 (Bubblesort workload)",
-        rows,
-        note=f"{count} faults per class; durations uniform in 1-10 cycles; "
-             "emulated times use the 2006-era board model"))
+        print(f"{model_name:<16} {location:<11} {result.counts()}  "
+              f"t={result.mean_emulation_s:.3f} s/fault")
+    print(f"{count} faults per class; durations uniform in 1-10 cycles; "
+          "emulated times use the 2006-era board model")
 
 
 if __name__ == "__main__":

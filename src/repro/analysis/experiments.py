@@ -132,19 +132,18 @@ class Evaluation:
         through :func:`~repro.runtime.run_campaign` (``options`` are its
         keywords), its faultload drawn at *seed* (default :attr:`seed`).
 
-        With no :attr:`workers` and no journal it runs in process on
-        :attr:`fades` or :attr:`vfit`, reusing the design and golden
-        trace across a report's classes; otherwise each worker rebuilds
-        the campaign.  A VFIT class takes none of the FADES settings
+        It runs on :attr:`fades` or :attr:`vfit`, in process or in
+        :attr:`workers` forks of this process, with or without a
+        journal, so a report's classes share one design and golden
+        trace per tool.  A VFIT class takes none of the FADES settings
         above (:meth:`~repro.runtime.CampaignJobSpec.from_evaluation`).
         """
         from ..runtime import CampaignJobSpec, run_campaign
         jobspec = CampaignJobSpec.from_evaluation(
             self, spec, faultload_seed=self.seed if seed is None else seed,
             tool=tool)
-        if self.workers <= 0 and options.get("journal") is None:
-            options["campaign"] = getattr(self, tool)
-        return run_campaign(jobspec, workers=self.workers, **options)
+        return run_campaign(jobspec, workers=self.workers,
+                            campaign=getattr(self, tool), **options)
 
     def result(self, tool: str, model: FaultModel, pool: str,
                band: int = 1, count: Optional[int] = None,

@@ -19,8 +19,8 @@ Instrumented call sites use :func:`fire` / :func:`sleep` /
 :func:`check_raise`, which are no-ops when no plan is active.
 """
 
-from .harness import (ENV_VAR, active, active_spec, check_raise, clear,
-                      fire, install, sleep)
+from .harness import (ENV_VAR, active, check_raise, clear, fire, install,
+                      sleep)
 from .plan import POINTS, SLEEP_POINTS, ChaosPlan, ChaosRule
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "install",
     "clear",
     "active",
-    "active_spec",
     "fire",
     "sleep",
     "check_raise",

@@ -10,10 +10,10 @@ variable) and do nothing — at near-zero cost — when chaos is off::
     if chaos.fire("worker_crash", key=index, attempt=attempt):
         os._exit(CRASH_EXIT_CODE)
 
-Worker processes receive the parent's plan spec explicitly through the
-scheduler (start-method agnostic) and re-install it, so a plan is active
-on every process of a campaign, with fresh per-process ``limit``
-accounting but identical stateless decisions.
+Worker processes are forks of the parent and inherit its plan, so a
+plan is active on every process of a campaign: each worker starts a
+fresh fire tally (per-process ``limit`` accounting), and the stateless
+decisions are identical everywhere.
 """
 
 from __future__ import annotations
@@ -63,12 +63,6 @@ def active() -> Optional[ChaosPlan]:
         if spec:
             _active = ChaosPlan.from_spec(spec)
     return _active
-
-
-def active_spec() -> Optional[str]:
-    """Canonical spec of the active plan (worker propagation)."""
-    plan = active()
-    return plan.to_spec() if plan is not None else None
 
 
 def fire(point: str, key: int = 0, attempt: int = 0) -> bool:

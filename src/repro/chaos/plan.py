@@ -157,7 +157,7 @@ class ChaosPlan:
         return plan
 
     def to_spec(self) -> str:
-        """Canonical spec string (env propagation to spawned workers)."""
+        """Canonical spec string (the inverse of :meth:`from_spec`)."""
         terms = [f"seed={self.seed}"]
         terms.extend(self.rules[point].term()
                      for point in sorted(self.rules))

@@ -38,7 +38,6 @@ from .multiple import (MultiLsrBitflip, MultiMemoryBitflip, PulseEquivalent,
                        adjacent_memory_mbu, multi_ff_bitflip,
                        prepare_multiple, pulse_equivalent_mbu)
 from .permanent import bridge_lut_lines, prepare_permanent
-from .results import ResultRow, render_table, row_from_campaign
 from .timing_model import (EmulationTimeModel, ExperimentCost,
                            FadesTimingParams)
 
@@ -108,9 +107,6 @@ __all__ = [
     "pulse_equivalent_mbu",
     "bridge_lut_lines",
     "prepare_permanent",
-    "ResultRow",
-    "render_table",
-    "row_from_campaign",
     "EmulationTimeModel",
     "ExperimentCost",
     "FadesTimingParams",

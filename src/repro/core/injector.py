@@ -34,6 +34,7 @@ from ..errors import InjectionError, LocationError
 from ..fpga.architecture import FrameAddr, pm_bit
 from ..fpga.bitstream import CbConfig
 from ..fpga.jbits import JBits
+from ..fpga.timing import TimingParams
 from .faults import Fault, FaultModel, TargetKind
 
 
@@ -136,9 +137,10 @@ class FadesInjector:
         if model is FaultModel.DELAY:
             if fault.target.kind is not TargetKind.NET:
                 raise InjectionError("delay faults target nets")
-            mechanism = fault.mechanism or self._pick_delay_mechanism(fault)
+            mechanism, loads = delay_mechanism(
+                fault, self.device.impl.timing.params)
             if mechanism == "fanout":
-                return _FanoutDelay(self, fault)
+                return _FanoutDelay(self, fault, loads)
             return _RerouteDelay(self, fault)
         if model is FaultModel.INDETERMINATION:
             if fault.target.kind is TargetKind.FF:
@@ -153,12 +155,6 @@ class FadesInjector:
         # Permanent extension models (paper section 8, future work).
         from .permanent import prepare_permanent
         return prepare_permanent(self, fault)
-
-    def _pick_delay_mechanism(self, fault: Fault) -> str:
-        """Small requested delays -> fan-out loads; large -> rerouting."""
-        params = self.device.impl.timing.params
-        return "fanout" if fault.magnitude_ns <= 60 * params.t_load \
-            else "reroute"
 
     # -- shared site helpers ------------------------------------------------
     def ff_site(self, ff_index: int) -> Tuple[int, int]:
@@ -359,6 +355,27 @@ class _CbInputPulse(Injection):
 # ---------------------------------------------------------------------------
 # delays (section 4.3)
 # ---------------------------------------------------------------------------
+def delay_mechanism(fault: Fault, params: TimingParams
+                    ) -> Tuple[str, int]:
+    """How a delay *fault* is injected: its mechanism and, for
+    ``fanout``, the extra loads enabled (0 for ``reroute``).
+
+    A fault that names no mechanism takes fan-out loads up to 60 loads'
+    worth of delay and a reroute above.  Each load adds
+    :attr:`~repro.fpga.timing.TimingParams.t_load`; the achieved delay is
+    whatever the enabled loads add, and the pool of unused pass
+    transistors bounds it (paper: "good for small delays").  The static
+    planner (:mod:`repro.sfa.prune`) decides with this same function.
+    """
+    mechanism = fault.mechanism or (
+        "fanout" if fault.magnitude_ns <= 60 * params.t_load
+        else "reroute")
+    if mechanism != "fanout":
+        return "reroute", 0
+    return "fanout", min(max(1, round(fault.magnitude_ns / params.t_load)),
+                         192)
+
+
 class _DelayBase(Injection):
     """Shared transfer strategy of the two delay mechanisms.
 
@@ -437,14 +454,9 @@ class _FanoutDelay(_DelayBase):
 
     mechanism_label = "delay-fanout"
 
-    def __init__(self, injector: FadesInjector, fault: Fault):
+    def __init__(self, injector: FadesInjector, fault: Fault, loads: int):
         super().__init__(injector, fault)
-        params = injector.device.impl.timing.params
-        # The achieved delay is whatever the enabled loads actually add;
-        # the pool of unused pass transistors bounds it (paper: "good for
-        # small delays").
-        self.loads = min(max(1, round(fault.magnitude_ns / params.t_load)),
-                         192)
+        self.loads = loads
 
     def _apply_structural(self) -> None:
         from ..errors import RoutingError
@@ -507,8 +519,8 @@ class _RerouteDelay(_DelayBase):
     def _undo_structural(self) -> None:
         routing = self.injector.device.impl.routing
         routing.clear_detour(self.net)  # also clears detour_bits
-        for row, col, _index in self.bits:
-            routing.pm_used[(row, col)] -= 1
+        for bit in self.bits:
+            routing.release_pass_transistor(bit)
         self.bits.clear()
 
 

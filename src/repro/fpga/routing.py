@@ -100,19 +100,39 @@ class RoutingDb:
     def __init__(self, placement: Placement):
         self.placement = placement
         self.routes: Dict[int, NetRoute] = {}
+        #: Claimed pass transistors per PM.
         self.pm_used: Dict[Pm, int] = {}
+        #: Transistors given back below each PM's highest claim: a PM's
+        #: claimed ones are ``range(pm_used + len(released))`` less
+        #: these.
+        self._released: Dict[Pm, Set[int]] = {}
         #: Bumped on every run-time structural change; consumers (the
         #: device's routing-plane decoder) cache against it.
         self.version = 0
 
     # -- construction helpers -------------------------------------------
-    def claim_pass_transistor(self, pm: Pm) -> int:
-        """Allocate the next free pass transistor of *pm*."""
+    def lowest_free(self, pm: Pm) -> int:
+        """The pass transistor of *pm* the next claim takes."""
+        released = self._released.get(pm)
+        if released:
+            return min(released)
         used = self.pm_used.get(pm, 0)
         if used >= PM_PASS_TRANSISTORS:
             raise _congested(pm)
-        self.pm_used[pm] = used + 1
         return used
+
+    def claim_pass_transistor(self, pm: Pm) -> int:
+        """Allocate the lowest free pass transistor of *pm*."""
+        index = self.lowest_free(pm)
+        self._released.get(pm, set()).discard(index)
+        self.pm_used[pm] = self.pm_used.get(pm, 0) + 1
+        return index
+
+    def release_pass_transistor(self, bit: Tuple[int, int, int]) -> None:
+        """Give back a transistor a run-time change claimed."""
+        pm = (bit[0], bit[1])
+        self.pm_used[pm] -= 1
+        self._released.setdefault(pm, set()).add(bit[2])
 
     def free_pass_transistors(self, pm: Pm) -> int:
         """Unused pass transistors remaining in *pm*."""
@@ -141,7 +161,7 @@ class RoutingDb:
         """Undo :meth:`add_extra_load`."""
         route = self.route_of(net)
         route.extra_loads.remove(bit)
-        self.pm_used[(bit[0], bit[1])] -= 1
+        self.release_pass_transistor(bit)
         self.version += 1
 
     def set_detour(self, net: int, extra_hops: int,
@@ -175,6 +195,7 @@ class RoutingDb:
             for row, col, _index in net_route.pass_transistors():
                 pm_used[(row, col)] = pm_used.get((row, col), 0) + 1
         self.pm_used = pm_used
+        self._released.clear()
         self.version += 1
 
     # -- queries -----------------------------------------------------------

@@ -9,8 +9,8 @@ baseline's alike — fast *and durable*:
   a serial one;
 * :mod:`repro.runtime.scheduler` — the shard queue that owns the
   failure policy (retry with backoff, bisection, quarantine) and the two
-  executors that drain it: in-process, or a worker pool (crash and hang
-  detection, respawn);
+  executors that drain it: in-process, or a pool of workers forked from
+  the engine's built campaign (crash and hang detection, respawn);
 * :mod:`repro.runtime.journal` — the append-only JSONL result store
   enabling crash-safe checkpoint/resume, with per-line CRC integrity
   checking (``repro journal fsck``);

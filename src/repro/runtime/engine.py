@@ -5,22 +5,23 @@ takes a :class:`~repro.runtime.jobspec.CampaignJobSpec` and returns the
 same :class:`~repro.core.campaign.CampaignResult` whatever the execution
 strategy:
 
-* ``workers=0`` — in process, on a campaign built from the job spec or
-  handed in already built (``campaign=``);
-* ``workers>=1`` — a multiprocessing pool; each worker rebuilds the
-  campaign from the job spec, so no simulator state crosses process
-  boundaries.
+* ``workers=0`` — in process;
+* ``workers>=1`` — a pool of worker processes forked from this one
+  after set-up, each running on the campaign set-up built (a platform
+  without the ``fork`` start method is refused before set-up).
 
-Either way :func:`_execute` runs one loop over the checkpoint windows
-(prepare → execute → attribute → check the stopping rule), and the
-executor takes its shards from one
+Set-up builds the campaign once, from the job spec, unless it is handed
+in already built (``campaign=``), and then its
+:class:`~repro.runtime.jobspec.JobRunner`, which has the campaign draw
+the faultload.  :func:`_execute` runs one loop over the checkpoint
+windows (prepare → execute → attribute → check the stopping rule), and
+the executor takes its shards from one
 :class:`~repro.runtime.scheduler.ShardQueue`, which owns the retry,
 bisection and quarantine policy for both (see
-:mod:`repro.runtime.scheduler`).  Set-up builds the campaign's
-:class:`~repro.runtime.jobspec.JobRunner`, which has the campaign draw
-the faultload; :attr:`~repro.core.campaign.Campaign.on_lanes` sets the
-shard width.  Nothing here depends on the tool: the job spec names it,
-and :func:`~repro.runtime.jobspec.build_campaign` builds its campaign.
+:mod:`repro.runtime.scheduler`).
+:attr:`~repro.core.campaign.Campaign.on_lanes` sets the shard width.
+Nothing here depends on the tool: the job spec names it, and
+:func:`~repro.runtime.jobspec.build_campaign` builds its campaign.
 
 With ``journal=<path>`` every experiment record is streamed to an
 append-only JSONL file; re-running the same campaign (or calling
@@ -38,7 +39,7 @@ from typing import Dict, List, Optional, Union
 
 from ..core.campaign import Campaign, CampaignResult
 from ..core.classify import Outcome
-from ..errors import CampaignInterrupted, CampaignRuntimeError, JournalError
+from ..errors import CampaignInterrupted, JournalError
 from ..core.faults import Fault
 from ..core.timing_model import ExperimentCost
 from ..faultload import (SequentialController, StopDecision,
@@ -52,7 +53,8 @@ from .jobspec import (CampaignJobSpec, JobRunner, build_campaign,
 from .journal import JournalWriter, check_compatible, read_journal
 from .liveobs import CampaignObservability
 from .metrics import CampaignMetrics, ProgressCallback
-from .scheduler import InProcessExecutor, ShardQueue, WorkerPool
+from .scheduler import (InProcessExecutor, ShardQueue, WorkerPool,
+                        fork_context)
 
 log = get_logger("repro.runtime.engine")
 
@@ -88,12 +90,11 @@ def run_campaign(jobspec: CampaignJobSpec, workers: int = 0,
     ``<journal>.tsdb`` when journaling.
 
     ``campaign`` is an already-built campaign of the job spec's tool,
-    design, seed and backend to run on; pool workers and resumes rebuild
-    theirs from the job spec, so it excludes ``workers`` and ``journal``.
+    design, seed and backend to run on, in process or in the pool's
+    forked workers; without it, set-up builds one from the job spec.
     """
-    if campaign is not None and (workers > 0 or journal is not None):
-        raise CampaignRuntimeError(
-            "a pre-built campaign runs in process and without a journal")
+    if workers > 0:
+        fork_context()  # refuse a pool before anything is built
     trace_writer: Optional[TraceWriter] = None
     if trace is not None:
         TRACER.reset(enabled=True, tid=PARENT_TID)
@@ -295,7 +296,7 @@ def _execute(jobspec: CampaignJobSpec, workers: int,
             executor = InProcessExecutor(runner, queue, lanes)
         else:
             executor = WorkerPool(
-                jobspec, workers, queue, shard_timeout=shard_timeout,
+                runner, workers, queue, shard_timeout=shard_timeout,
                 on_spans=None if trace_writer is None
                 else trace_writer.write, lanes=lanes)
         try:

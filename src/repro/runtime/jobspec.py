@@ -1,27 +1,28 @@
 """Picklable campaign descriptions for the execution runtime.
 
-A :class:`CampaignJobSpec` is everything a worker process needs to rebuild
-one experiment class from scratch — the tool, the Bubblesort input, the
-seeds and the :class:`~repro.core.config.FaultLoadSpec` — without sharing
-any simulator state with the parent.  Workers receive the spec (pickled
-through the job queue), construct their own
-:class:`~repro.core.campaign.Campaign` of the spec's tool
-(:func:`build_campaign`), and run only the fault indices they are handed.
-A job spec refuses, when it is made, a class its tool cannot run
-(:func:`check_tool`).
+A :class:`CampaignJobSpec` describes one experiment class completely —
+the tool, the Bubblesort input, the seeds and the
+:class:`~repro.core.config.FaultLoadSpec` — so the class's
+:class:`~repro.core.campaign.Campaign` can be built from it alone
+(:func:`build_campaign`).  It heads the class's journal, from which a
+resume rebuilds the campaign.  A job spec refuses, when it is made, a
+class its tool cannot run (:func:`check_tool`).
 
-A :class:`JobRunner` is the one place a job spec meets a campaign, in
-the engine and in each pool worker: the campaign draws the faultload
+A :class:`JobRunner` is the one place a job spec meets a campaign: the
+campaign draws the faultload
 (:meth:`~repro.core.campaign.Campaign.fault_stream`) and runs every
-shard (:meth:`~repro.core.campaign.Campaign.run_batch`).
+shard (:meth:`~repro.core.campaign.Campaign.run_batch`).  The engine
+builds it in set-up; pool workers are forks of the engine and run on
+it.
 
 Determinism contract
 --------------------
 Sharded execution must be outcome-identical to serial execution for the
 same spec and seed.  Two derivations guarantee it:
 
-* the faultload seed is fixed in the spec, so every process draws the
-  identical fault list;
+* the faultload seed is fixed in the spec, so a resume draws the
+  identical fault list, and a worker that extends an adaptive faultload
+  it inherited draws what the engine draws;
 * every experiment seeds the injector randomiser (used by
   indetermination faults, and consumed per cycle in oscillating mode)
   from :func:`repro.core.campaign.derive_fault_seed`, a pure function of
@@ -220,8 +221,8 @@ class CampaignJobSpec:
 
 
 def build_campaign(jobspec: CampaignJobSpec) -> Campaign:
-    """Construct this process's own campaign for a job spec: the job
-    spec's tool on the 8051 running Bubblesort over ``jobspec.values``.
+    """Construct the campaign of a job spec: the job spec's tool on the
+    8051 running Bubblesort over ``jobspec.values``.
 
     Mirrors ``Evaluation.fades`` and ``Evaluation.vfit`` exactly (same
     seed, same checkpoint interval) so engine results line up with the

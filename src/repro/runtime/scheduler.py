@@ -8,7 +8,7 @@ work from one :class:`ShardQueue`:
   engine's :class:`~repro.runtime.jobspec.JobRunner`;
 * :class:`WorkerPool` drives the queue's shards through worker
   processes that persist across windows until :meth:`WorkerPool.close`,
-  each on its own runner.
+  each forked from the engine, so each runs on the engine's runner.
 
 Both size their shards from ``lanes``, the faults one lane pass carries
 when the campaign is :attr:`~repro.core.campaign.Campaign.on_lanes`
@@ -36,9 +36,13 @@ one treat a failing shard the same way:
 
 Pool design points:
 
-* **No shared simulator state.**  Workers receive only the picklable
-  :class:`~repro.runtime.jobspec.CampaignJobSpec` and rebuild their own
-  campaign; shards carry bare fault indices.
+* **One build per campaign.**  Every worker is a fork of the engine
+  (the ``fork`` start method; there is no pool without it), so it
+  starts with the engine's :class:`~repro.runtime.jobspec.JobRunner`:
+  the campaign, its drawn faultload, golden run, checkpoints and
+  compiled design.  A worker builds nothing, and its copy is its own:
+  shards carry bare fault indices, and what a worker's experiments
+  change stays in that worker.
 * **Parent-side assignment.**  Each worker holds at most one shard at a
   time, so when a worker dies the parent knows *exactly* which shard was
   in flight — no claim/ack protocol, no lost-message races.
@@ -56,10 +60,10 @@ Pool design points:
   deadline (explicit ``shard_timeout``, or an EWMA of observed
   per-experiment time with a generous floor) is killed and its shard
   retried — a *hung* worker can no longer stall the campaign forever.
-* **Chaos instrumentation.**  Workers re-install the parent's
-  :mod:`repro.chaos` plan and honour the ``worker_crash`` /
-  ``worker_hang`` / ``slow_result`` fault points, so every recovery
-  path above is testable deterministically.
+* **Chaos instrumentation.**  Workers inherit the parent's
+  :mod:`repro.chaos` plan, with a fresh fire tally, and honour the
+  ``worker_crash`` / ``worker_hang`` / ``slow_result`` fault points, so
+  every recovery path above is testable deterministically.
 
 Device shards are deliberately small: one fault in process, a few in
 the pool (see :func:`shard_size`).  Results stream back to the journal
@@ -89,7 +93,7 @@ from ..obs import metrics as obs_metrics
 from ..obs.logsetup import get_logger
 from ..obs.metrics import REGISTRY
 from ..obs.tracing import TRACER
-from .jobspec import CampaignJobSpec, JobRunner, build_campaign
+from .jobspec import JobRunner
 
 log = get_logger("repro.runtime.scheduler")
 
@@ -328,46 +332,41 @@ class InProcessExecutor:
         """Nothing to release: the campaign is not this executor's."""
 
 
-def _mp_context() -> Any:
-    """Prefer fork (workers skip re-importing the package); fall back to
-    the platform default elsewhere."""
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods:
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
+def fork_context() -> Any:
+    """The ``fork`` start method, the only one a pool uses: a worker
+    runs on the campaign it inherits from the engine."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        raise SchedulerError(
+            "a worker pool needs the fork start method, which this "
+            "platform lacks; run in process (workers=0)")
+    return multiprocessing.get_context("fork")
 
 
-def _worker_main(worker_id: int, jobspec: CampaignJobSpec,
-                 conn: Connection, trace: bool = False,
-                 chaos_spec: Optional[str] = None) -> None:
-    """Worker process body: build one campaign, then drain shards."""
+def _worker_main(worker_id: int, runner: JobRunner, conn: Connection,
+                 trace: bool = False) -> None:
+    """Worker process body: drain shards on the inherited runner."""
     parent = os.getppid()
     # The parent owns interrupt handling: on Ctrl-C it drains in-flight
     # shards and journals an interrupted stop line, which only works if
     # the terminal's process-group SIGINT doesn't kill the workers first.
-    # SIGTERM is the opposite case: under fork the child inherits the
-    # parent's graceful-shutdown handler, which would absorb the
-    # watchdog's terminate() as a polite stop request a hung worker
-    # never gets to honour — reset it so terminate() stays lethal.
+    # SIGTERM is the opposite case: the child inherits the parent's
+    # graceful-shutdown handler, which would absorb the watchdog's
+    # terminate() as a polite stop request a hung worker never gets to
+    # honour — reset it so terminate() stays lethal.
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except ValueError:  # pragma: no cover - non-main thread
         pass
-    # Under fork the child inherits the parent's tracer events, registry
-    # values and chaos fire-counts; reset all three so nothing is
-    # double-reported, and give this process its own span-stream id
-    # (tid 0 is the parent's).
+    # The child inherits the parent's tracer events, registry values and
+    # chaos fire tally; reset all three so nothing is double-reported
+    # and a plan's ``limit`` counts this process's fires, and give this
+    # process its own span-stream id (tid 0 is the parent's).
     TRACER.reset(enabled=trace, tid=worker_id + 1)
     REGISTRY.reset()
-    chaos.install(chaos.ChaosPlan.from_spec(chaos_spec)
-                  if chaos_spec else None)
-    try:
-        runner = JobRunner(jobspec, build_campaign(jobspec))
-    except BaseException:
-        conn.send(("fatal", worker_id, traceback.format_exc()))
-        return
-    conn.send(("ready", worker_id))
+    plan = chaos.active()
+    if plan is not None:
+        chaos.install(chaos.ChaosPlan(plan.seed, plan.rules))
     last_beat = time.monotonic()
 
     def beat() -> None:
@@ -428,19 +427,17 @@ def _worker_main(worker_id: int, jobspec: CampaignJobSpec,
 class _Worker:
     """Parent-side handle: process + its private message pipe."""
 
-    def __init__(self, ctx: Any, worker_id: int, jobspec: CampaignJobSpec,
-                 trace: bool = False,
-                 chaos_spec: Optional[str] = None) -> None:
+    def __init__(self, ctx: Any, worker_id: int, runner: JobRunner,
+                 trace: bool = False) -> None:
         self.worker_id = worker_id
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.shard: Optional[Shard] = None
-        self.ready = False
         self.hung = False
         self.assigned_at = 0.0
         self.last_activity = time.monotonic()
         self.process = ctx.Process(
             target=_worker_main,
-            args=(worker_id, jobspec, child_conn, trace, chaos_spec),
+            args=(worker_id, runner, child_conn, trace),
             daemon=True)
         self.process.start()
         # The parent must not hold the child's end open, or it would
@@ -492,25 +489,26 @@ class _Worker:
 
 
 class WorkerPool:
-    """Runs the queue's shards of one job spec across worker processes.
+    """Runs the queue's shards across worker processes.
 
-    Workers are spawned on demand, build their campaign once, and
-    persist across :meth:`run` calls, idling at the engine's window
-    barriers, until :meth:`close`.  With ``on_spans`` the workers trace,
+    Workers are forked on demand from this process, each running
+    *runner* (the engine's, with the campaign it built), and persist
+    across :meth:`run` calls, idling at the engine's window barriers,
+    until :meth:`close`.  With ``on_spans`` the workers trace,
     and each result's span batch is handed to it; worker metrics merge
     into this process's registry either way.  ``lanes`` is the faults
     one lane pass carries when the campaign runs on the lane engine
     (0 otherwise); it sizes the shards (:func:`shard_size`).
     """
 
-    def __init__(self, jobspec: CampaignJobSpec, workers: int,
+    def __init__(self, runner: JobRunner, workers: int,
                  queue: ShardQueue,
                  shard_timeout: Optional[float] = None,
                  on_spans: Optional[SpanCallback] = None,
                  lanes: int = 0) -> None:
         if workers < 1:
             raise SchedulerError("worker pool needs at least one worker")
-        self.jobspec = jobspec
+        self.runner = runner
         self.workers = workers
         self.queue = queue
         self.shard_timeout = shard_timeout
@@ -519,8 +517,7 @@ class WorkerPool:
         #: EWMA of observed per-experiment wall time (None until the
         #: first shard completes); feeds the watchdog deadline.
         self.ewma_experiment_s: Optional[float] = None
-        self._ctx = _mp_context()
-        self._chaos_spec = chaos.active_spec()
+        self._ctx = fork_context()
         self._pool: Dict[int, _Worker] = {}
         self._next_worker_id = 0
 
@@ -563,15 +560,14 @@ class WorkerPool:
         _WORKERS_ALIVE.set(0)
 
     def _spawn(self) -> None:
-        worker = _Worker(self._ctx, self._next_worker_id, self.jobspec,
-                         trace=self.on_spans is not None,
-                         chaos_spec=self._chaos_spec)
+        worker = _Worker(self._ctx, self._next_worker_id, self.runner,
+                         trace=self.on_spans is not None)
         self._pool[worker.worker_id] = worker
         self._next_worker_id += 1
         _WORKERS_ALIVE.set(len(self._pool))
 
     def _feed(self, worker: _Worker) -> None:
-        if worker.ready and worker.shard is None:
+        if worker.shard is None:
             item = self.queue.pop()
             if item is not None:
                 worker.assign(*item)
@@ -585,9 +581,7 @@ class WorkerPool:
         kind = message[0]
         if kind == "beat":
             return
-        if kind == "ready":
-            worker.ready = True
-        elif kind == "result":
+        if kind == "result":
             shard_id, records = message[2], message[3]
             spans, metrics_state = message[4], message[5]
             shard = worker.release()
@@ -607,10 +601,6 @@ class WorkerPool:
         elif kind == "error":
             worker.release()
             self.queue.fail(message[2], message[3], kind="error")
-        elif kind == "fatal":
-            raise SchedulerError(
-                f"worker {worker.worker_id} failed to start:\n"
-                f"{message[2]}")
         if alive:
             self._feed(worker)
 

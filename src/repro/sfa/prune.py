@@ -55,6 +55,7 @@ if TYPE_CHECKING:  # type-only: sfa has no runtime fpga dependency
     from ..fpga.timing import TimingAnalysis
 
 from ..core.faults import Fault, FaultModel, TargetKind
+from ..core.injector import delay_mechanism
 from ..obs.logsetup import get_logger
 from ..obs.metrics import counter
 from ..synth.mapped import MappedNetlist
@@ -195,14 +196,11 @@ class StaticFaultAnalysis:
         if self.timing is None:
             return None
         params = self.timing.params
-        mechanism = fault.mechanism or (
-            "fanout" if fault.magnitude_ns <= 60 * params.t_load
-            else "reroute")
+        mechanism, loads = delay_mechanism(fault, params)
         if mechanism != "fanout":
             return None  # reroutes can slow the path arbitrarily
         if self.timing.violating_ffs():
             return None
-        loads = min(max(1, round(fault.magnitude_ns / params.t_load)), 192)
         extra = loads * params.t_load
         endpoints = self.graph.affected_ffs(fault.target.index)
         if all(self.timing.ff_slack(ff) > extra + SLACK_EPSILON

@@ -215,6 +215,21 @@ class TestRoutingReconfiguration:
         assert device.config.get_pass_transistor(row, col, index) == 0
         assert device.config.diff_frames(impl.golden_bitstream) == []
 
+    def test_released_transistor_is_the_next_claim(self):
+        # Removing a load that is not its PM's last claim leaves a hole;
+        # the next claim fills it instead of re-issuing a transistor
+        # another load still holds.
+        _result, impl, _device = make_device(build_counter())
+        routing = impl.routing
+        net = next(net for net, route in routing.routes.items()
+                   if route.pms)
+        first = routing.add_extra_load(net)
+        second = routing.add_extra_load(net)
+        routing.remove_extra_load(net, first)
+        assert routing.add_extra_load(net) == first
+        assert sorted(routing.route_of(net).extra_loads) == \
+            sorted([first, second])
+
     def test_detour_full_download_accounting(self):
         _result, impl, device = make_device(build_counter())
         board = Board()

@@ -1,8 +1,7 @@
-"""Coverage for the smaller utility modules: traces, board, result tables."""
+"""Coverage for the smaller utility modules: traces and the board."""
 
 import pytest
 
-from repro.core import ResultRow, render_table
 from repro.fpga.board import Board, BoardParams
 from repro.hdl import NetlistSim, Trace, capture_run
 
@@ -88,37 +87,3 @@ class TestBoardModule:
     def test_workload_seconds_uses_clock(self):
         board = Board(BoardParams(clock_hz=1e6))
         assert board.workload_seconds(2_000_000) == pytest.approx(2.0)
-
-
-class TestResultTables:
-    def _row(self):
-        return ResultRow(fault_model="pulse", location="ALU",
-                         duration_band="1-10", failure_pct=12.5,
-                         latent_pct=25.0, silent_pct=62.5,
-                         mean_emulation_s=0.3, n_faults=8)
-
-    def test_row_render(self):
-        text = self._row().render()
-        assert "pulse" in text
-        assert "12.5%" in text
-        assert "n=8" in text
-
-    def test_render_table_with_note(self):
-        text = render_table("My table", [self._row()], note="footnote")
-        lines = text.splitlines()
-        assert lines[0] == "My table"
-        assert lines[1] == "=" * len("My table")
-        assert lines[-1] == "footnote"
-
-    def test_row_from_campaign(self):
-        from repro.core import (FaultLoadSpec, FaultModel,
-                                row_from_campaign)
-        from test_core_injector import make_campaign
-        campaign = make_campaign(build_counter(4), inputs={"en": 1})
-        spec = FaultLoadSpec(FaultModel.BITFLIP, "ffs", count=4,
-                             workload_cycles=20)
-        result = campaign.run(spec, seed=1)
-        row = row_from_campaign(result, "bitflip", "FFs", "1-10")
-        assert row.n_faults == 4
-        assert row.failure_pct + row.latent_pct + row.silent_pct == \
-            pytest.approx(100.0)

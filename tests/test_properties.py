@@ -399,7 +399,7 @@ class TestIncrementalDecode:
                 # A raw write sets the bit the next extra load claims: the
                 # claim's frame write changes no byte, only expected bits.
                 row, col = pms[0]
-                write_pt(row, col, routing.pm_used[(row, col)], 1)
+                write_pt(row, col, routing.lowest_free((row, col)), 1)
                 load(net)
             elif kind == "detour":
                 routing.set_detour(net, value % 7)

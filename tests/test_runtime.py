@@ -20,8 +20,8 @@ from repro.core.campaign import (Experiment, FadesCampaign,
                                  derive_fault_seed)
 from repro.core.classify import Outcome
 from repro.core.faults import Fault, Target, TargetKind
-from repro.errors import (CampaignRuntimeError, InjectionError,
-                          JournalError, UnsupportedFaultError)
+from repro.errors import (InjectionError, JournalError, SchedulerError,
+                          UnsupportedFaultError)
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.timeseries import seal_line
 from repro.runtime import (CampaignJobSpec, CampaignMetrics, JobRunner,
@@ -170,20 +170,73 @@ class TestPrebuiltCampaign:
         monkeypatch.setattr(engine, "build_campaign", counting)
         return calls
 
+    @pytest.mark.skipif(not HAS_FORK,
+                        reason="worker pool needs the fork start method")
     @pytest.mark.parametrize("mode", ["workers", "journal"])
-    def test_refused_with_workers_or_journal(self, jobspec, build_calls,
-                                             tmp_path, mode):
-        # Pool workers and resumes rebuild the campaign from the job
-        # spec, so a pre-built one cannot serve them; the engine says so
-        # before it builds, runs or journals anything.
-        campaign = build_fades(build_counter(), seed=1, inputs={"en": 1})
-        journal = tmp_path / "refused.jsonl"
-        options = {"workers": 2} if mode == "workers" \
-            else {"journal": str(journal)}
-        with pytest.raises(CampaignRuntimeError):
-            run_campaign(jobspec, campaign=campaign, **options)
+    def test_evaluation_builds_nothing_with_workers_or_journal(
+            self, build_calls, tmp_path, mode):
+        # Pool workers are forks of the engine and a journal changes
+        # nothing about the campaign, so the evaluation's own campaign
+        # serves both: one design, one golden run, and the in-process
+        # outcomes.
+        evaluation = Evaluation(values=(7, 2, 5))
+        spec = evaluation.spec(FaultModel.BITFLIP, "ffs", 1, 4)
+        in_process = evaluation.run(spec)
+        options = {}
+        if mode == "workers":
+            evaluation.workers = 2
+        else:
+            options["journal"] = str(tmp_path / "class.jsonl")
+        result = evaluation.run(spec, **options)
         assert build_calls == []
-        assert campaign.golden_simulations == 0
+        assert evaluation.fades.golden_simulations == 1
+        assert outcomes(result) == outcomes(in_process)
+
+    @pytest.mark.skipif(not HAS_FORK,
+                        reason="worker pool needs the fork start method")
+    @pytest.mark.parametrize("mode", ["fresh", "resumed"])
+    def test_pooled_compiled_campaign_compiles_once(self, tmp_path, mode):
+        # The engine compiles the design in its golden phase, and the
+        # workers it forks afterwards run on that compiled design.
+        evaluation = Evaluation(values=(7, 2, 5), backend="compiled")
+        spec = evaluation.spec(FaultModel.BITFLIP, "ffs", 1, COUNT)
+        jobspec = CampaignJobSpec.from_evaluation(
+            evaluation, spec, faultload_seed=evaluation.seed)
+        journal = str(tmp_path / "compiled.jsonl")
+        if mode == "resumed":
+            def crash_after_three(snapshot):
+                if snapshot.completed >= 3:
+                    raise Interrupted()
+
+            with pytest.raises(Interrupted):
+                run_campaign(jobspec, journal=journal,
+                             progress=crash_after_three)
+        import repro.emu  # noqa: F401  (registers emu_compile_total)
+        compiles = REGISTRY.get("emu_compile_total")
+        before = compiles.value(result="miss")
+        snapshots = []
+        if mode == "resumed":
+            result = resume_campaign(journal, workers=2,
+                                     progress=snapshots.append)
+        else:
+            result = run_campaign(jobspec, workers=2,
+                                  progress=snapshots.append)
+        assert compiles.value(result="miss") - before == 1
+        assert snapshots[-1].completed == (COUNT - 3 if mode == "resumed"
+                                           else COUNT)
+        assert outcomes(result) == outcomes(run_campaign(jobspec))
+
+    def test_pool_without_fork_is_refused_before_setup(
+            self, jobspec, build_calls, tmp_path, monkeypatch):
+        # A worker runs on the campaign it inherits from the engine, so a
+        # platform without fork has no pool; the engine says so before
+        # it builds, runs or journals anything.
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        journal = tmp_path / "refused.jsonl"
+        with pytest.raises(SchedulerError):
+            run_campaign(jobspec, workers=2, journal=str(journal))
+        assert build_calls == []
         assert not journal.exists()
 
     def test_adaptive_evaluation_builds_nothing(self, build_calls):
