@@ -52,9 +52,7 @@ def full_report(evaluation: Optional[Evaluation] = None,
             sections.append(_counter_summary(
                 "Statically pruned faults (repro.sfa)",
                 "faults_pruned_total",
-                "resolved without emulation: {:.0f} faults", "rule",
-                "fault_classes_total",
-                "equivalence classes planned: {:.0f}"))
+                "resolved without emulation: {:.0f} faults", "rule"))
     if evaluation.adaptive:
         with span("report", artefact="adaptive-planning"):
             sections.append(_counter_summary(
@@ -70,13 +68,14 @@ def full_report(evaluation: Optional[Evaluation] = None,
 
 
 def _counter_summary(title: str, counter: str, total_line: str,
-                     label: str, extra: str, extra_line: str) -> str:
+                     label: str, extra: Optional[str] = None,
+                     extra_line: str = "") -> str:
     """A report section over counters accumulated across every campaign
     the report ran: *counter*'s total, its value per *label*, and the
-    *extra* counter's total when it is non-zero.
+    *extra* counter's total (if one is named) when it is non-zero.
 
-    The ``--prune-silent`` section reads the :mod:`repro.sfa` planning
-    counters (faults resolved without emulation, by rule); the adaptive
+    The ``--prune-silent`` section reads the :mod:`repro.sfa` pruning
+    counter (faults resolved without emulation, by rule); the adaptive
     one reads the :mod:`repro.faultload` counters (budgeted experiments
     never emulated, by reason, and stopping-rule checks).
     """
@@ -87,7 +86,7 @@ def _counter_summary(title: str, counter: str, total_line: str,
     if metric is not None:
         for key, value in sorted(metric.series().items()):
             lines.append(f"  {dict(key).get(label, '?'):<16} {value:.0f}")
-    extra_metric = REGISTRY.get(extra)
+    extra_metric = REGISTRY.get(extra) if extra is not None else None
     if extra_metric is not None and extra_metric.total():
         lines.append(extra_line.format(extra_metric.total()))
     return "\n".join(lines)

@@ -328,11 +328,10 @@ def _render_result(heading: str, result) -> None:
     console(str(result.counts()))
     console(f"mean emulated time: {result.mean_emulation_s:.3f} s/fault "
             f"(campaign total {result.total_emulation_s:.1f} s)")
-    pruned, collapsed = result.pruned_count(), result.collapsed_count()
-    if pruned or collapsed:
-        console(f"statically resolved: {pruned} pruned (proven Silent), "
-                f"{collapsed} collapsed onto equivalence "
-                f"representatives; {result.emulated_count()} emulated")
+    pruned = result.pruned_count()
+    if pruned:
+        console(f"statically resolved: {pruned} pruned (proven Silent); "
+                f"{result.emulated_count()} emulated")
     quarantined = [(position, experiment) for position, experiment
                    in enumerate(result.experiments)
                    if getattr(experiment, "quarantined", False)]

@@ -81,9 +81,6 @@ class ExperimentResult:
     first_divergence: Optional[int] = None
     #: Statically proven Silent by :mod:`repro.sfa`; never emulated.
     pruned: bool = False
-    #: Faultload index of the equivalence-class representative whose
-    #: emulation produced this outcome (fault collapsing), if any.
-    collapsed_from: Optional[int] = None
     #: Excised by the runtime after exhausting retries and bisection
     #: (:class:`Outcome.QUARANTINED`); ``error`` carries the failure
     #: fingerprint that condemned it.
@@ -123,18 +120,11 @@ class CampaignResult:
         return sum(1 for experiment in self.experiments
                    if experiment.pruned)
 
-    def collapsed_count(self) -> int:
-        """Experiments attributed from an equivalence representative."""
-        return sum(1 for experiment in self.experiments
-                   if experiment.collapsed_from is not None)
-
     def _emulated(self) -> List[ExperimentResult]:
-        """Experiments that ran on the device: neither statically
-        resolved (pruned, collapsed) nor quarantined.  Only these paid
-        emulated time."""
+        """Experiments that ran on the device: neither pruned nor
+        quarantined.  Only these paid emulated time."""
         return [experiment for experiment in self.experiments
-                if not experiment.pruned and not experiment.quarantined
-                and experiment.collapsed_from is None]
+                if not experiment.pruned and not experiment.quarantined]
 
     def emulated_count(self) -> int:
         """Experiments that actually ran on the device."""
@@ -279,7 +269,8 @@ class Campaign:
     def recover(self) -> None:
         raise NotImplementedError
 
-    def static_plan(self, faults: Sequence[Fault], cycles: int):
+    def static_plan(self, faults: Sequence[Fault], cycles: int
+                    ) -> Dict[int, str]:
         raise NotImplementedError
 
     def run(self, spec: FaultLoadSpec, seed: Optional[int] = None
@@ -558,14 +549,16 @@ class FadesCampaign(Campaign):
                 progress()
         return results
 
-    def static_plan(self, faults: Sequence[Fault], cycles: int):
-        """Static-analysis verdict over a faultload (:mod:`repro.sfa`).
+    def static_plan(self, faults: Sequence[Fault], cycles: int
+                    ) -> Dict[int, str]:
+        """The faults :mod:`repro.sfa` proves Silent: position in
+        *faults* -> the rule that proved it.
 
-        The analyses (structural graph, reachable truth-table entries)
-        are cached per workload-and-length, like the golden trace, and
-        the lane engine's compiled design per netlist; only the
-        per-faultload planning (one lane pass per batch of lane-judged
-        faults) repeats.
+        The planner (and its structural graph) is cached per
+        workload-and-length, like the golden trace, and the lane
+        engine's compiled design per netlist; only the per-faultload
+        planning (one lane pass per batch of lane-judged faults)
+        repeats.
         Imported lazily — :mod:`repro.sfa` depends on this package.
         """
         check_cycles(cycles)

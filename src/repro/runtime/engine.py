@@ -14,8 +14,8 @@ Set-up builds the campaign once, from the job spec, unless it is handed
 in already built (``campaign=``), and then its
 :class:`~repro.runtime.jobspec.JobRunner`, which has the campaign draw
 the faultload.  :func:`_execute` runs one loop over the checkpoint
-windows (prepare → execute → attribute → check the stopping rule), and
-the executor takes its shards from one
+windows (prune → run → check the stopping rule), and the executor
+takes its shards from one
 :class:`~repro.runtime.scheduler.ShardQueue`, which owns the retry,
 bisection and quarantine policy for both (see
 :mod:`repro.runtime.scheduler`).
@@ -38,10 +38,8 @@ import threading
 from typing import Dict, List, Optional, Union
 
 from ..core.campaign import Campaign, CampaignResult
-from ..core.classify import Outcome
 from ..errors import CampaignInterrupted, JournalError
 from ..core.faults import Fault
-from ..core.timing_model import ExperimentCost
 from ..faultload import (SequentialController, StopDecision,
                          summarize_strata, tally_prefix)
 from ..obs import metrics as obs_metrics
@@ -49,7 +47,7 @@ from ..obs.alerts import AlertRule
 from ..obs.logsetup import get_logger
 from ..obs.tracing import PARENT_TID, TRACER, TraceWriter, span
 from .jobspec import (CampaignJobSpec, JobRunner, build_campaign,
-                      result_from_record)
+                      pruned_record, quarantined_record, result_from_record)
 from .journal import JournalWriter, check_compatible, read_journal
 from .liveobs import CampaignObservability
 from .metrics import CampaignMetrics, ProgressCallback
@@ -201,41 +199,27 @@ def _execute(jobspec: CampaignJobSpec, workers: int,
     def quarantine(index: int, reason: str) -> None:
         """Journal a poison fault the runtime excised (see scheduler)."""
         _QUARANTINED.inc()
-        take([_quarantined_record(index, reason)])
+        take([quarantined_record(index, reason)])
 
-    # Static fault analysis: journal provably-Silent faults directly and
-    # defer equivalence-class members to their representative's record.
+    # Static fault analysis: journal provably-Silent faults directly.
     # The plan is a pure function of the job spec (the faultload is
     # seed-derived), so resumed campaigns recompute the identical plan
     # and skip whatever of it is already journaled.  Under early
     # stopping the plan is recomputed per window, with the window's
     # local indices translated onto the campaign's.
-    collapsed: Dict[int, int] = {}
-
-    def prepare_window(start: int, end: int) -> List[int]:
-        """Materialise, prune and plan one window; pending indices."""
+    def prune_window(start: int, end: int) -> List[int]:
+        """Materialise and prune one window; pending indices."""
         if len(stream) < end:
             with metrics.phase("plan"):
                 stream.ensure(end)
         if jobspec.prune_silent:
             with metrics.phase("prune"):
-                plan = campaign.static_plan(faults[start:end], cycles)
-                for member, representative in plan.collapsed.items():
-                    collapsed[start + member] = start + representative
-                take([_pruned_record(start + index)
-                      for index in sorted(plan.pruned)
+                pruned = campaign.static_plan(faults[start:end], cycles)
+                take([pruned_record(start + index)
+                      for index in sorted(pruned)
                       if start + index not in records])
         return [index for index in range(start, end)
-                if index not in records and index not in collapsed]
-
-    def attribute(start: int, end: int) -> None:
-        """Collapsed-fault attribution: every representative of the
-        drained window has a record by now (journaled earlier or
-        emulated above)."""
-        take([_collapsed_record(member, representative,
-                                records[representative])
-              for member, representative in sorted(collapsed.items())
-              if start <= member < end and member not in records])
+                if index not in records]
 
     stop_decision: Optional[StopDecision] = None
 
@@ -300,16 +284,15 @@ def _execute(jobspec: CampaignJobSpec, workers: int,
                 on_spans=None if trace_writer is None
                 else trace_writer.write, lanes=lanes)
         try:
-            # Each window is drained completely before its attribution
-            # and stopping check, so both see a complete record prefix.
+            # Each window is drained completely before its stopping
+            # check, so the check sees a complete record prefix.
             # The phases tile the campaign span: barrier checks and the
             # pool's shutdown are experiments, closing down aggregation.
             start = 0
             for end in checkpoints:
-                pending = prepare_window(start, end)
+                pending = prune_window(start, end)
                 with metrics.phase("experiments"):
                     executor.run(pending, take)
-                    attribute(start, end)
                     if check_stop(end):
                         break
                 start = end
@@ -408,41 +391,3 @@ def _assemble(jobspec: CampaignJobSpec, golden, faults: List[Fault],
         result.experiments.append(
             result_from_record(fault, records[index]))
     return result
-
-
-def _pruned_record(index: int) -> Dict:
-    """Journal record for a fault the static analysis proved Silent."""
-    return {"index": index, "outcome": Outcome.SILENT.value,
-            "first_divergence": None, "cost": ExperimentCost().to_record(),
-            "pruned": True}
-
-
-def _collapsed_record(index: int, representative: int,
-                      rep_record: Dict) -> Dict:
-    """Journal record attributing a representative's outcome."""
-    record = {"index": index, "outcome": rep_record["outcome"],
-              "first_divergence": rep_record.get("first_divergence"),
-              "cost": ExperimentCost().to_record(),
-              "collapsed_from": representative}
-    if rep_record.get("quarantined"):
-        # A quarantined representative carries no outcome evidence to
-        # attribute; its class members inherit the exclusion.
-        record["quarantined"] = True
-        record["error"] = rep_record.get(
-            "error", f"representative {representative} quarantined")
-    return record
-
-
-def _fingerprint(reason: str) -> str:
-    """Compact, journal-friendly identity of a failure traceback."""
-    lines = [line.strip() for line in reason.strip().splitlines()
-             if line.strip()]
-    tail = lines[-1] if lines else "unknown failure"
-    return tail[:240]
-
-
-def _quarantined_record(index: int, reason: str) -> Dict:
-    """Journal record for a poison fault excised by the runtime."""
-    return {"index": index, "outcome": Outcome.QUARANTINED.value,
-            "first_divergence": None, "cost": ExperimentCost().to_record(),
-            "quarantined": True, "error": _fingerprint(reason)}

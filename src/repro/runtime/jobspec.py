@@ -93,8 +93,7 @@ class CampaignJobSpec:
     #: The injection tool (:data:`TOOLS`).
     tool: str = "fades"
     backend: str = "reference"
-    #: Let :mod:`repro.sfa` resolve provably Silent faults statically
-    #: and collapse equivalent faults onto one representative.
+    #: Let :mod:`repro.sfa` resolve provably Silent faults statically.
     prune_silent: bool = False
     #: Statistical campaign planning (:mod:`repro.faultload`).  The
     #: defaults describe a fixed-budget campaign: uniform sampling,
@@ -290,27 +289,39 @@ class JobRunner:
 
 
 # ---------------------------------------------------------------------------
-# Experiment <-> record conversion (the journal's unit of persistence)
+# Journal records (the journal's unit of persistence)
 # ---------------------------------------------------------------------------
 def record_from_result(index: int, result: ExperimentResult) -> Dict:
-    """Flatten one experiment into a JSON-compatible record."""
-    record = {
+    """Flatten one emulated experiment into a JSON-compatible record:
+    its outcome and cost, without markers."""
+    return {
         "index": index,
         "outcome": result.outcome.value,
         "first_divergence": result.first_divergence,
         "cost": result.cost.to_record(),
     }
-    # Markers only appear when set: an emulated record carries just its
-    # outcome and cost.
-    if result.pruned:
-        record["pruned"] = True
-    if result.collapsed_from is not None:
-        record["collapsed_from"] = result.collapsed_from
-    if result.quarantined:
-        record["quarantined"] = True
-        if result.error is not None:
-            record["error"] = result.error
-    return record
+
+
+def pruned_record(index: int) -> Dict:
+    """Journal record for a fault the static analysis proved Silent."""
+    return {"index": index, "outcome": Outcome.SILENT.value,
+            "first_divergence": None, "cost": ExperimentCost().to_record(),
+            "pruned": True}
+
+
+def _fingerprint(reason: str) -> str:
+    """Compact, journal-friendly identity of a failure traceback."""
+    lines = [line.strip() for line in reason.strip().splitlines()
+             if line.strip()]
+    tail = lines[-1] if lines else "unknown failure"
+    return tail[:240]
+
+
+def quarantined_record(index: int, reason: str) -> Dict:
+    """Journal record for a poison fault excised by the runtime."""
+    return {"index": index, "outcome": Outcome.QUARANTINED.value,
+            "first_divergence": None, "cost": ExperimentCost().to_record(),
+            "quarantined": True, "error": _fingerprint(reason)}
 
 
 def result_from_record(fault: Fault, record: Dict) -> ExperimentResult:
@@ -322,7 +333,6 @@ def result_from_record(fault: Fault, record: Dict) -> ExperimentResult:
             cost=ExperimentCost.from_record(record.get("cost") or {}),
             first_divergence=record.get("first_divergence"),
             pruned=bool(record.get("pruned", False)),
-            collapsed_from=record.get("collapsed_from"),
             quarantined=bool(record.get("quarantined", False)),
             error=record.get("error"),
         )

@@ -2,9 +2,9 @@
 
 The journal is the campaign's durable state.  Line one is a header
 carrying the full :class:`~repro.runtime.jobspec.CampaignJobSpec`; every
-subsequent line is one per-experiment record (see
-:func:`repro.runtime.jobspec.record_from_result`) or, after a campaign
-completes, a summary line with the aggregate tally.
+subsequent line is one per-experiment record (built in
+:mod:`repro.runtime.jobspec`: emulated, pruned or quarantined) or,
+after a campaign completes, a summary line with the aggregate tally.
 
 The journal is a sealed-line file (:mod:`repro.obs.timeseries` holds
 the one implementation of the format, shared with the ``.tsdb``
@@ -110,6 +110,10 @@ def read_journal(path: str) -> JournalState:
     resume from a journal whose history is provably damaged.  Alert
     lines keep only the alert's own fields, as the live alert history
     holds them.
+
+    A record that carries ``collapsed_from`` (an outcome copied from an
+    equivalent fault, which older versions journaled at zero cost) is
+    left out, so a resume emulates that index.
     """
     state = JournalState()
     entries, scan = scan_sealed(path)
@@ -129,7 +133,7 @@ def read_journal(path: str) -> JournalState:
                 state.header = entry
         elif kind == "record":
             index = entry.get("index")
-            if isinstance(index, int):
+            if isinstance(index, int) and "collapsed_from" not in entry:
                 state.records[index] = entry
         elif kind == "summary":
             state.summary = entry

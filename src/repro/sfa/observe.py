@@ -1,19 +1,11 @@
 """Per-site observability: netlist facts that hold in every cycle.
 
 :class:`ObservabilityAnalysis` holds the workload-independent facts
-consumed by fault collapsing (:mod:`repro.sfa.collapse`) and the lint
-pass (:mod:`repro.sfa.lint`): stuck-value propagation over golden-run
-invariants and the reachable truth-table entries of each LUT.  Whether
-a fault is Silent is not decided here: the pruner runs the faults the
-lane engine can express against the golden run (:mod:`repro.emu`).
-
-Soundness of the truth-table masks deserves a note: the reachable-entry
-mask is derived from golden-run constants, yet collapsing applies it to
-*faulty* configurations.  That is sound because the masked site is the
-only fault site — the LUT's inputs keep their golden values for as long
-as its own output has never deviated, and two rewrites that agree on
-every reachable entry make the output deviate on exactly the same
-cycles (induction over cycles and topological order within a cycle).
+the lint pass (:mod:`repro.sfa.lint`) reports: stuck-value propagation
+over golden-run invariants and the truth-table entries of each LUT
+that constant or tied inputs make unreachable.  Whether a fault is
+Silent is not decided here: the pruner runs the faults the lane engine
+can express against the golden run (:mod:`repro.emu`).
 """
 
 from __future__ import annotations
@@ -21,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..hdl.netlist import CONST0, CONST1
-from ..synth.mapped import LUT_INPUTS, MappedNetlist
+from ..synth.mapped import MappedNetlist
 
 
 # ----------------------------------------------------------------------
@@ -101,40 +93,6 @@ class ObservabilityAnalysis:
                  assume_inputs: Optional[Dict[str, int]] = None) -> None:
         self.mapped = mapped
         self.constants = ConstantPropagation(mapped, assume_inputs)
-        self._masks: Dict[int, int] = {}
-
-    # -- truth-table entry reachability --------------------------------
-    def reachable_mask(self, lut_index: int) -> int:
-        """16-bit mask of reachable entries of the *padded* truth table.
-
-        Entry *i* is reachable unless it disagrees with a constant
-        input, sets a padding position (the substrate ties unused LUT
-        inputs to constant 0), or assigns different values to two
-        positions fed by the same net.
-        """
-        cached = self._masks.get(lut_index)
-        if cached is not None:
-            return cached
-        lut = self.mapped.luts[lut_index]
-        known = self.constants.known
-        padded = list(lut.ins) + [CONST0] * (LUT_INPUTS - len(lut.ins))
-        mask = 0
-        for index in range(1 << LUT_INPUTS):
-            reachable = True
-            for position, net in enumerate(padded):
-                bit = (index >> position) & 1
-                value = known.get(net)
-                if value is not None and value != bit:
-                    reachable = False
-                    break
-                if padded.index(net) != position and \
-                        (index >> padded.index(net)) & 1 != bit:
-                    reachable = False
-                    break
-            if reachable:
-                mask |= 1 << index
-        self._masks[lut_index] = mask
-        return mask
 
     def dead_entry_lines(self, lut_index: int) -> List[int]:
         """Unreachable entries of the truth table at its *actual* arity.

@@ -1,11 +1,10 @@
 """Campaign pruning: resolve faults statically instead of emulating them.
 
-:class:`StaticFaultAnalysis` combines every analysis in the package
-into one planner.  Given a faultload it produces a :class:`PrunePlan`
-naming (a) the faults whose outcome is *provably Silent* — they are
-journalled directly, with a ``pruned`` marker, and never touch the
-device — and (b) the equivalence classes whose members inherit their
-representative's outcome (``collapsed`` marker).
+:class:`StaticFaultAnalysis` is the campaign planner.  Given a
+faultload it names the faults whose outcome is *provably Silent*, each
+with the rule that proved it; they are journalled directly, with a
+``pruned`` marker, and never touch the device.  Every other fault is
+emulated.
 
 Every rule errs on the side of emulating.  Two rules simulate nothing:
 
@@ -48,7 +47,7 @@ injector draws: every experiment seeds its own from its faultload index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 if TYPE_CHECKING:  # type-only: sfa has no runtime fpga dependency
@@ -59,65 +58,20 @@ from ..core.injector import delay_mechanism
 from ..obs.logsetup import get_logger
 from ..obs.metrics import counter
 from ..synth.mapped import MappedNetlist
-from .collapse import FaultClass, collapse_faultload
 from .graph import StructuralGraph
-from .observe import ObservabilityAnalysis
 
 log = get_logger("repro.sfa.prune")
 
 _PRUNED = counter("faults_pruned_total",
                   "Faults statically resolved as Silent, by rule")
-_CLASSES = counter("fault_classes_total",
-                   "Fault equivalence classes in planned campaigns")
 
 #: Margin below which timing slack is not trusted to absorb a delay.
 SLACK_EPSILON = 1e-9
 
 
-@dataclass
-class PrunePlan:
-    """The planner's verdict over one faultload."""
-
-    cycles: int
-    #: Faultload index -> rule that proved the fault Silent.
-    pruned: Dict[int, str] = field(default_factory=dict)
-    #: Equivalence classes over the *whole* faultload (singletons too).
-    classes: List[FaultClass] = field(default_factory=list)
-
-    @property
-    def collapsed(self) -> Dict[int, int]:
-        """Member index -> representative index, for members of
-        un-pruned multi-fault classes (the ones needing attribution)."""
-        attribution: Dict[int, int] = {}
-        for cls in self.classes:
-            if cls.representative in self.pruned:
-                continue
-            for member in cls.collapsed:
-                attribution[member] = cls.representative
-        return attribution
-
-    def survivors(self) -> List[int]:
-        """Indices the campaign must actually emulate, in order."""
-        skip = set(self.pruned)
-        skip.update(self.collapsed)
-        total = sum(len(cls.members) for cls in self.classes)
-        return [index for index in range(total) if index not in skip]
-
-    def stats(self) -> Dict[str, int]:
-        rules: Dict[str, int] = {}
-        for rule in self.pruned.values():
-            rules[rule] = rules.get(rule, 0) + 1
-        return {
-            "faults": sum(len(cls.members) for cls in self.classes),
-            "pruned": len(self.pruned),
-            "collapsed": len(self.collapsed),
-            "classes": len(self.classes),
-            **{f"rule:{name}": count for name, count in sorted(rules.items())},
-        }
-
-
 class StaticFaultAnalysis:
-    """All static analyses over one design + workload, lazily built."""
+    """The planner over one design + workload; its structural graph is
+    built on first use."""
 
     def __init__(self, mapped: MappedNetlist, cycles: int,
                  inputs: Optional[Dict[str, int]] = None,
@@ -129,7 +83,6 @@ class StaticFaultAnalysis:
         self.timing = timing
         self.trusted = trusted
         self._graph: Optional[StructuralGraph] = None
-        self._analysis: Optional[ObservabilityAnalysis] = None
 
     # -- lazy layers ---------------------------------------------------
     @property
@@ -138,44 +91,28 @@ class StaticFaultAnalysis:
             self._graph = StructuralGraph.from_design(self.mapped)
         return self._graph
 
-    @property
-    def analysis(self) -> ObservabilityAnalysis:
-        if self._analysis is None:
-            self._analysis = ObservabilityAnalysis(
-                self.mapped, assume_inputs=self.inputs)
-        return self._analysis
-
     # -- planning ------------------------------------------------------
-    def plan(self, faults: Sequence[Fault]) -> PrunePlan:
-        """Classify every fault as pruned, collapsed or to-emulate.
+    def plan(self, faults: Sequence[Fault]) -> Dict[int, str]:
+        """The faults proven Silent: faultload index -> rule.
 
-        A pruned verdict on a class representative extends to every
-        member — they are behaviourally identical by construction.
         Combinational loops disable the simulating rules (the reference
         simulator's settled values are undefined there), leaving
-        ``window0-noop`` and collapsing by literal identity.
+        ``window0-noop``.
         """
         trusted = self.trusted and not self.graph.combinational_loops()
-        classes = collapse_faultload(
-            faults, self.cycles, self.analysis if trusted else None)
-        plan = PrunePlan(cycles=self.cycles, classes=classes)
-        judged: List[FaultClass] = []
-        for cls in classes:
-            fault = faults[cls.representative]
+        pruned: Dict[int, str] = {}
+        judged: List[int] = []
+        for index, fault in enumerate(faults):
             rule = self._prune_rule(fault, trusted)
             if rule is not None:
-                for member in cls.members:
-                    plan.pruned[member] = rule
+                pruned[index] = rule
             elif trusted and self._lane_judged(fault):
-                judged.append(cls)
-        for cls in self._workload_silent(faults, judged):
-            for member in cls.members:
-                plan.pruned[member] = "workload-silent"
-        for name, count in plan.stats().items():
-            if name.startswith("rule:"):
-                _PRUNED.inc(count, rule=name[len("rule:"):])
-        _CLASSES.inc(len(classes))
-        return plan
+                judged.append(index)
+        for index in self._workload_silent(faults, judged):
+            pruned[index] = "workload-silent"
+        for rule, count in sorted(Counter(pruned.values()).items()):
+            _PRUNED.inc(count, rule=rule)
+        return pruned
 
     # -- rules ---------------------------------------------------------
     def _prune_rule(self, fault: Fault, trusted: bool) -> Optional[str]:
@@ -235,12 +172,11 @@ class StaticFaultAnalysis:
         return False
 
     def _workload_silent(self, faults: Sequence[Fault],
-                         classes: Sequence[FaultClass]
-                         ) -> List[FaultClass]:
-        """The classes whose representative leaves neither an output
+                         judged: Sequence[int]) -> List[int]:
+        """The *judged* indices whose fault leaves neither an output
         divergence nor a final-state difference on the lane engine
         (golden in lane 0, one fault per lane)."""
-        if not classes:
+        if not judged:
             return []
         # Imported here so ``repro lint`` never loads the lane engine.
         from .. import emu
@@ -252,17 +188,17 @@ class StaticFaultAnalysis:
                         "not compile (%s: %s)", type(error).__name__,
                         error)
             return []
-        silent: List[FaultClass] = []
+        silent: List[int] = []
         width = emu.lane_width() - 1
-        for begin in range(0, len(classes), width):
-            batch = classes[begin:begin + width]
+        for begin in range(0, len(judged), width):
+            batch = judged[begin:begin + width]
             schedule = emu.BatchSchedule()
-            for lane, cls in enumerate(batch, start=1):
-                schedule_fault(schedule, faults[cls.representative], lane,
-                               self.cycles, self.mapped)
+            for lane, index in enumerate(batch, start=1):
+                schedule_fault(schedule, faults[index], lane, self.cycles,
+                               self.mapped)
             result = emu.run_lanes(design, len(batch) + 1, self.cycles,
                                    inputs=self.inputs, schedule=schedule)
             seen = result.fail_mask | result.latent_mask
-            silent.extend(cls for lane, cls in enumerate(batch, start=1)
+            silent.extend(index for lane, index in enumerate(batch, start=1)
                           if not (seen >> lane) & 1)
         return silent

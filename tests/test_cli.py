@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -58,6 +60,21 @@ class TestCommands:
         assert "FADES | bitflip @ ffs" in out
         assert "n=3" in out
         assert "s/fault" in out
+
+    def test_pruned_campaign_prints_the_unpruned_tally(self, capsys):
+        args = ["--values", "7,2,5", "campaign", "--model", "bitflip",
+                "--count", "12", "--backend", "compiled"]
+        assert main(args) == 0
+        plain = capsys.readouterr().out.splitlines()
+        assert main(args + ["--prune-silent"]) == 0
+        pruned = capsys.readouterr().out.splitlines()
+        assert pruned[:2] == plain[:2]
+        summary = re.fullmatch(r"statically resolved: (\d+) pruned "
+                               r"\(proven Silent\); (\d+) emulated",
+                               pruned[3])
+        assert summary is not None, pruned[3]
+        assert int(summary[1]) > 0
+        assert int(summary[1]) + int(summary[2]) == 12
 
     def test_progress_prints_each_count_once(self, capsys, tmp_path):
         # The final snapshot repeats the last record's count: one line.

@@ -201,13 +201,12 @@ class TestEmulatedTime:
                                 golden=Trace(("o",)), experiments=[
             emulated,
             self._experiment(0.2, pruned=True),
-            self._experiment(0.3, collapsed_from=0),
             self._experiment(0.4, outcome=Outcome.QUARANTINED,
                              quarantined=True, error="poison")])
         assert result.total_emulation_s == emulated.cost.total_s
         assert result.mean_emulation_s == emulated.cost.total_s
         assert result.emulated_count() == 1
-        assert result.pruned_count() == result.collapsed_count() == 1
+        assert result.pruned_count() == 1
 
         empty = CampaignResult(spec_label="empty", golden=Trace(("o",)))
         assert empty.total_emulation_s == empty.mean_emulation_s == 0.0

@@ -1,13 +1,14 @@
 """Tests for repro.sfa — static fault analysis.
 
-Covers the structural graph, observability reasoning, ATPG-style fault
-collapsing, the netlist lint gate, and — the part with teeth — the
+Covers the structural graph, observability reasoning, the netlist lint
+gate, equivalent faults, and — the part with teeth — the
 campaign-pruning guarantee: a ``prune_silent`` campaign must produce a
 report table identical to the unpruned run, with every statically
 resolved fault provably Silent under the reference simulator.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -15,13 +16,15 @@ from repro.analysis import Evaluation
 from repro.core import (Fault, FaultLoadSpec, FaultModel, Outcome, Target,
                         TargetKind, generate_faultload)
 from repro.core.injector import delay_mechanism, stuck_lut_line
+from repro.core.timing_model import ExperimentCost
 from repro.errors import InjectionError, ReproError
 from repro.hdl import Rtl
-from repro.runtime import (CampaignJobSpec, read_journal, resume_campaign,
+from repro.obs.metrics import REGISTRY
+from repro.runtime import (CampaignJobSpec, JournalWriter, read_journal,
+                           record_from_result, resume_campaign,
                            run_campaign)
-from repro.sfa import (FaultClass, LintReport, ObservabilityAnalysis,
-                       StructuralGraph, behavioral_signature,
-                       collapse_faultload, lint_bundled, lint_design)
+from repro.sfa import (LintReport, ObservabilityAnalysis, StructuralGraph,
+                       lint_bundled, lint_design)
 from repro.synth import synthesize
 from repro import designs
 
@@ -75,82 +78,13 @@ class TestObservability:
         mapped = synthesize(designs.counter(4)).mapped
         return mapped, ObservabilityAnalysis(mapped, assume_inputs=inputs)
 
-    def test_reachable_mask_covers_padded_entries(self):
-        mapped, analysis = self._analysis()
-        for index in range(len(mapped.luts)):
-            mask = analysis.reachable_mask(index)
-            assert 0 < mask < (1 << 16) or mask == (1 << 16) - 1
-
     def test_tied_input_kills_entries(self):
         # With `en` assumed constant 1, the entries where the enable
         # line reads 0 become unreachable on the LUTs that sample it.
         mapped, free = self._analysis()
         _mapped, tied = self._analysis(inputs={"en": 1})
-        assert any(tied.reachable_mask(i) != free.reachable_mask(i)
-                   or tied.dead_entry_lines(i) != free.dead_entry_lines(i)
+        assert any(tied.dead_entry_lines(i) != free.dead_entry_lines(i)
                    for i in range(len(mapped.luts)))
-
-
-# ---------------------------------------------------------------------------
-# fault collapsing
-# ---------------------------------------------------------------------------
-class TestCollapse:
-    def test_ff_flips_collapse_across_mechanism_and_duration(self):
-        faults = [
-            Fault(FaultModel.BITFLIP, Target(TargetKind.FF, 3), 10,
-                  duration_cycles=1.0, mechanism="lsr"),
-            Fault(FaultModel.BITFLIP, Target(TargetKind.FF, 3), 10,
-                  duration_cycles=7.5, mechanism="gsr"),
-            Fault(FaultModel.BITFLIP, Target(TargetKind.FF, 3), 11),
-        ]
-        classes = collapse_faultload(faults, cycles=100)
-        assert len(classes) == 2
-        merged = next(cls for cls in classes if len(cls.members) == 2)
-        assert merged.representative == 0
-        assert merged.collapsed == (1,)
-
-    def test_randomised_faults_stay_singletons(self):
-        faults = [
-            Fault(FaultModel.INDETERMINATION, Target(TargetKind.FF, 0), 5),
-            Fault(FaultModel.INDETERMINATION, Target(TargetKind.FF, 0), 5),
-        ]
-        assert all(behavioral_signature(f, 100) is None for f in faults)
-        classes = collapse_faultload(faults, cycles=100)
-        assert len(classes) == 2
-        assert all(len(cls.members) == 1 for cls in classes)
-
-    def test_start_clamp_merges_overshooting_faults(self):
-        # Both flips land on the last emulated cycle after clamping.
-        faults = [
-            Fault(FaultModel.BITFLIP, Target(TargetKind.FF, 1), 99),
-            Fault(FaultModel.BITFLIP, Target(TargetKind.FF, 1), 2500),
-        ]
-        classes = collapse_faultload(faults, cycles=100)
-        assert len(classes) == 1
-
-    def test_activation_window_rules(self):
-        base = dict(model=FaultModel.PULSE,
-                    target=Target(TargetKind.LUT, 0, line=-1),
-                    start_cycle=4)
-        assert Fault(duration_cycles=0.5, phase=0.1,
-                     **base).activation_window == 0
-        assert Fault(duration_cycles=0.5, phase=0.7,
-                     **base).activation_window == 1
-        assert Fault(duration_cycles=2.5, phase=0.2,
-                     **base).activation_window == 2
-
-    def test_randomness_drawing_faults_never_collapse(self):
-        # Each experiment seeds its injector draws from its own index,
-        # so two faults that draw are never behaviourally identical.
-        for target in (Target(TargetKind.FF, 0),
-                       Target(TargetKind.LUT, 0, line=1)):
-            unvalued = Fault(FaultModel.INDETERMINATION, target, 1)
-            oscillating = Fault(FaultModel.INDETERMINATION, target, 1,
-                                value=0, oscillate=True,
-                                duration_cycles=3.0)
-            assert oscillating.activation_window >= 2
-            assert behavioral_signature(unvalued, 100) is None
-            assert behavioral_signature(oscillating, 100) is None
 
 
 # ---------------------------------------------------------------------------
@@ -205,26 +139,36 @@ class TestPrunePlan:
     def campaign(self):
         return make_campaign(designs.counter(4), inputs={"en": 1})
 
+    def test_activation_window_rules(self):
+        base = dict(model=FaultModel.PULSE,
+                    target=Target(TargetKind.LUT, 0, line=-1),
+                    start_cycle=4)
+        assert Fault(duration_cycles=0.5, phase=0.1,
+                     **base).activation_window == 0
+        assert Fault(duration_cycles=0.5, phase=0.7,
+                     **base).activation_window == 1
+        assert Fault(duration_cycles=2.5, phase=0.2,
+                     **base).activation_window == 2
+
     def test_window0_pulse_pruned(self, campaign):
         fault = Fault(FaultModel.PULSE, Target(TargetKind.LUT, 0, line=-1),
                       5, duration_cycles=0.3, phase=0.1)
-        plan = campaign.static_plan([fault], cycles=20)
-        assert plan.pruned == {0: "window0-noop"}
-        assert plan.survivors() == []
+        assert campaign.static_plan([fault], cycles=20) == {
+            0: "window0-noop"}
 
     def test_sub_cycle_ff_indetermination_not_pruned_as_noop(self, campaign):
         # Asserting LSR forces the state even in a window-0 transient.
         fault = Fault(FaultModel.INDETERMINATION, Target(TargetKind.FF, 0),
                       5, duration_cycles=0.3, phase=0.1, value=1)
         plan = campaign.static_plan([fault], cycles=20)
-        assert plan.pruned.get(0) != "window0-noop"
+        assert plan.get(0) != "window0-noop"
 
     def test_tiny_fanout_delay_absorbed_by_slack(self, campaign):
         net = campaign.locmap.mapped.ffs[0].q
         fault = Fault(FaultModel.DELAY, Target(TargetKind.NET, net), 5,
                       magnitude_ns=0.01, mechanism="fanout")
         plan = campaign.static_plan([fault], cycles=20)
-        assert plan.pruned == {0: "delay-slack"}
+        assert plan == {0: "delay-slack"}
 
     def test_planner_decides_delays_as_the_injector(self, campaign,
                                                     monkeypatch):
@@ -251,7 +195,7 @@ class TestPrunePlan:
                 injected.append(("fanout", injection.loads))
             else:
                 injected.append(("reroute", 0))
-                assert plan.pruned.get(0) != "delay-slack"
+                assert plan.get(0) != "delay-slack"
         assert decided == injected
         assert injected == [("fanout", 1), ("fanout", 59), ("fanout", 60),
                             ("reroute", 0), ("reroute", 0)]
@@ -275,20 +219,22 @@ class TestPrunePlan:
                 built.run_faults(faults, 0)
 
     def test_plan_partitions_the_faultload(self, campaign):
-        spec = FaultLoadSpec(model=FaultModel.BITFLIP, pool="ffs",
-                             count=16, workload_cycles=20)
+        # The plan names each pruned fault's rule; the rest are
+        # emulated.  The rule counter moves by the plan's verdicts.
+        spec = FaultLoadSpec(model=FaultModel.INDETERMINATION, pool="luts",
+                             count=16, duration_range=(0.1, 3.0),
+                             workload_cycles=20)
         faults = generate_faultload(spec, campaign.locmap, seed=7)
+        counter = REGISTRY.get("faults_pruned_total")
+        before = counter.series()
         plan = campaign.static_plan(faults, cycles=20)
-        survivors = set(plan.survivors())
-        pruned = set(plan.pruned)
-        collapsed = set(plan.collapsed)
-        assert survivors | pruned | collapsed == set(range(len(faults)))
-        assert not survivors & pruned
-        assert not survivors & collapsed
-        assert not pruned & collapsed
-        stats = plan.stats()
-        assert stats["faults"] == len(faults)
-        assert stats["pruned"] == len(pruned)
+        assert set(plan) < set(range(len(faults)))
+        rules = Counter(plan.values())
+        assert set(rules) == {"window0-noop", "workload-silent"}
+        moved = {dict(key)["rule"]: value - before.get(key, 0)
+                 for key, value in counter.series().items()
+                 if value != before.get(key, 0)}
+        assert moved == rules
 
     def test_randomness_guard(self, campaign, monkeypatch):
         # Only an indetermination that draws its level (unvalued) or
@@ -340,26 +286,25 @@ class TestPrunePlan:
         faults = []
         for index, lut in enumerate(mapped.luts):
             golden = lut.padded_tt()
-            mask = analysis.reachable_mask(index)
+            dead = sum(1 << entry
+                       for entry in analysis.dead_entry_lines(index))
             for line in range(len(lut.ins)):
                 for value in (0, 1):
-                    faulty = stuck_lut_line(golden, line, value)
-                    if faulty != golden and not (faulty ^ golden) & mask:
+                    changed = stuck_lut_line(golden, line, value) ^ golden
+                    # Unused inputs are tied to 0, so an entry past the
+                    # LUT's arity is never read.
+                    read = changed & ((1 << (1 << len(lut.ins))) - 1)
+                    if changed and not read & ~dead:
                         faults.append(Fault(
                             FaultModel.INDETERMINATION,
                             Target(TargetKind.LUT, index, line=line), 7,
                             duration_cycles=6.0, value=value))
         assert faults
         plan = campaign.static_plan(faults, cycles=40)
-        assert plan.pruned == dict.fromkeys(range(len(faults)),
-                                            "workload-silent")
+        assert plan == dict.fromkeys(range(len(faults)), "workload-silent")
         emulated = make_campaign(designs.fir_filter(), inputs=inputs)
         assert all(result.outcome is Outcome.SILENT
                    for result in emulated.run_batch(faults, 40))
-
-    def test_pruned_verdict_extends_to_class_members(self):
-        plan_cls = FaultClass(("ff-flip", 0, 5), 0, (0, 2))
-        assert plan_cls.collapsed == (2,)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +343,7 @@ class TestPruneSilentIdenticalTables:
                 campaign=pruned)
             assert [e.outcome for e in opt.experiments] \
                 == [e.outcome for e in ref.experiments]
-            resolved += opt.pruned_count() + opt.collapsed_count()
+            resolved += opt.pruned_count()
             for experiment in opt.experiments:
                 if experiment.pruned:
                     assert experiment.outcome is Outcome.SILENT
@@ -498,10 +443,9 @@ class TestMc8051Acceptance:
     def test_emulation_time_counts_emulated_faults_only(self, bitflip_runs):
         _baseline, pruned = bitflip_runs
         for experiment in pruned.experiments:
-            if experiment.pruned or experiment.collapsed_from is not None:
+            if experiment.pruned:
                 assert experiment.cost.transactions == 0
-        emulated = [e for e in pruned.experiments
-                    if not e.pruned and e.collapsed_from is None]
+        emulated = [e for e in pruned.experiments if not e.pruned]
         total = sum(e.cost.total_s for e in emulated)
         assert pruned.total_emulation_s == pytest.approx(total)
 
@@ -523,20 +467,57 @@ class TestWorkloadSilentFallback:
                             Target(TargetKind.LUT, 0, line=-1), 5,
                             duration_cycles=0.3, phase=0.1))
         full = campaign.static_plan(faults, cycles)
-        assert "workload-silent" in full.pruned.values()
-        assert full.pruned[len(faults) - 1] == "window0-noop"
+        assert "workload-silent" in full.values()
+        assert full[len(faults) - 1] == "window0-noop"
 
         def broken(mapped):
             raise RuntimeError("compiler defect")
 
         monkeypatch.setattr(emu, "compile_design", broken)
         degraded = campaign.static_plan(faults, cycles)
-        assert degraded.pruned == {
-            index: rule for index, rule in full.pruned.items()
-            if rule != "workload-silent"}
-        resolved = {index for index, rule in full.pruned.items()
-                    if rule == "workload-silent"}
-        assert resolved <= set(degraded.survivors())
+        assert degraded == {index: rule for index, rule in full.items()
+                            if rule != "workload-silent"}
+
+
+# ---------------------------------------------------------------------------
+# equivalent faults: each planned and emulated on its own
+# ---------------------------------------------------------------------------
+class TestEquivalentFaults:
+    @staticmethod
+    def _duplicates(campaign):
+        """Pairs of equivalent 8051 faults, flattened: an FF flipped at
+        one cycle through LSR and through GSR, with different durations,
+        and one ``memory:iram`` bit flipped twice at one cycle."""
+        pairs = []
+        for ff, cycle in ((0, 60), (9, 60), (13, 60), (13, 300)):
+            target = Target(TargetKind.FF, ff)
+            pairs.append((Fault(FaultModel.BITFLIP, target, cycle,
+                                duration_cycles=1.0, mechanism="lsr"),
+                          Fault(FaultModel.BITFLIP, target, cycle,
+                                duration_cycles=7.5, mechanism="gsr")))
+        iram = campaign.locmap.memory("iram")
+        for addr, bit in ((4, 0), (0x30, 0), (0x10, 3)):
+            flip = Fault(FaultModel.BITFLIP,
+                         Target(TargetKind.MEMORY_BIT, iram, addr=addr,
+                                bit=bit), 60)
+            pairs.append((flip, flip))
+        return [fault for pair in pairs for fault in pair]
+
+    @pytest.mark.parametrize("backend", ["reference", "compiled"])
+    def test_duplicates_share_verdict_outcome_and_divergence(self, backend):
+        evaluation = Evaluation(backend=backend)
+        campaign, cycles = evaluation.fades, evaluation.cycles
+        faults = self._duplicates(campaign)
+        pruned = campaign.static_plan(faults, cycles)
+        results = campaign.run_faults(faults, cycles).experiments
+        verdicts = [(index in pruned, result.outcome,
+                     result.first_divergence)
+                    for index, result in enumerate(results)]
+        assert verdicts[0::2] == verdicts[1::2]
+        # The pairs cover a pruned fault and every emulated outcome.
+        assert {verdict[:2] for verdict in verdicts} == {
+            (True, Outcome.SILENT), (False, Outcome.FAILURE),
+            (False, Outcome.LATENT)}
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +545,36 @@ class TestEngineJournalMarkers:
         assert [e.outcome for e in resumed.experiments] \
             == [e.outcome for e in result.experiments]
         assert resumed.pruned_count() == result.pruned_count()
-        assert resumed.collapsed_count() == result.collapsed_count()
+
+    def test_collapsed_records_are_emulated_on_resume(self, tmp_path,
+                                                      bitflip_runs,
+                                                      bitflip_spec):
+        # Older versions journaled an equivalent fault's outcome at zero
+        # cost under ``collapsed_from``.  Reading leaves such a record
+        # out, so a resume emulates its index.
+        _baseline, uninterrupted = bitflip_runs
+        normal, copied = [index for index, experiment
+                          in enumerate(uninterrupted.experiments)
+                          if not experiment.pruned][:2]
+        source = uninterrupted.experiments[normal]
+        journal = str(tmp_path / "older.jsonl")
+        with JournalWriter(journal, CampaignJobSpec.from_evaluation(
+                Evaluation(prune_silent=True), bitflip_spec)) as writer:
+            writer.append_record(record_from_result(normal, source))
+            writer.append_record({
+                "index": copied, "outcome": source.outcome.value,
+                "first_divergence": source.first_divergence,
+                "cost": ExperimentCost().to_record(),
+                "collapsed_from": normal})
+        assert set(read_journal(journal).records) == {normal}
+
+        resumed = resume_campaign(journal)
+        assert resumed.experiments[copied].cost.total_s > 0
+        assert resumed.counts().as_dict() == \
+            uninterrupted.counts().as_dict()
+        assert [e.outcome for e in resumed.experiments] \
+            == [e.outcome for e in uninterrupted.experiments]
+        assert resumed.emulated_count() == uninterrupted.emulated_count()
 
     def test_engine_agrees_with_serial_path(self, bitflip_runs, evaluation,
                                             bitflip_spec):
